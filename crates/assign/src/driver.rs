@@ -83,11 +83,8 @@ where
         let asked_before = asked;
         let mut exhausted = false;
         for (&t, out) in wave.iter().zip(&outcomes) {
-            match &out.shortfall {
-                Some(e) if e.is_resource_exhaustion() => exhausted = true,
-                Some(e) => return Err(e.clone()),
-                None => {}
-            }
+            out.check()?;
+            exhausted |= out.stopped_by_exhaustion();
             for answer in &out.answers {
                 if let Some(label) = answer.value.as_choice() {
                     matrix.push(answer.task, answer.worker, label)?;

@@ -19,11 +19,12 @@
 //! deliberately sparse (large odd-stride multiples) so the run exercises
 //! the `IdInterner` dense-mapping path rather than identity ids.
 //!
-//! Results go to `BENCH_scale.json` and one `bench:"scale"` line is
-//! appended to `BENCH_HISTORY.jsonl` with per-algorithm `ns_per_iter` and
-//! `peak_rss` (the process `VmHWM` high-water mark after that algorithm
-//! ran — monotone across the run by construction). `crowdtrace regress`
-//! baselines scale lines only against other scale lines.
+//! Results go to `BENCH_scale.json` (`bench: "scale"`) with per-algorithm
+//! `ns_per_iter` and `peak_rss` (the process `VmHWM` high-water mark after
+//! that algorithm ran — monotone across the run by construction).
+//! `crowdtrace regress` baselines scale runs only against other scale
+//! lines of `BENCH_HISTORY.jsonl`, and appends the run there once it
+//! passed.
 //!
 //! ```sh
 //! cargo run --release -p crowdkit-bench --bin bench_scale -- smoke
@@ -36,7 +37,7 @@ use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::par::default_threads;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::TruthInferencer;
-use crowdkit_trace::history::{append_history, git_short_rev, AlgoTiming, BenchEntry};
+use crowdkit_trace::history::{git_short_rev, AlgoTiming};
 use crowdkit_truth::em::EmConfig;
 use crowdkit_truth::glad::GladConfig;
 use crowdkit_truth::{DawidSkene, FreezeConfig, Glad, Kos, OneCoinEm};
@@ -251,7 +252,6 @@ fn main() {
     }
 
     let out_path = "BENCH_scale.json";
-    let history_path = "BENCH_HISTORY.jsonl";
     // Hand-rolled JSON, as in bench_truth: flat structure with a fixed key
     // set, so a serde dependency would be pure weight.
     let mut json = String::from("{\n");
@@ -270,8 +270,8 @@ fn main() {
         let comma = if i + 1 < timings.len() { "," } else { "" };
         // An explicit null keeps the snapshot schema fixed when VmHWM is
         // unavailable; readers treat it as "not measured". History lines
-        // (below) omit the field instead — their compact form is the bare
-        // ns integer.
+        // omit the field instead — their compact form is the bare ns
+        // integer.
         let rss = t
             .peak_rss
             .map_or("null".to_string(), |rss| rss.to_string());
@@ -283,18 +283,6 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(out_path, json).expect("write bench results");
     println!("wrote {out_path}");
-
-    let entry = BenchEntry {
-        git_rev: git_short_rev(),
-        threads: default_threads() as u64,
-        bench: "scale".to_string(),
-        algorithms: timings
-            .iter()
-            .map(|(name, t)| ((*name).to_string(), *t))
-            .collect(),
-    };
-    append_history(history_path, &entry).expect("append bench history");
-    println!("appended {} to {history_path}", entry.git_rev);
 }
 
 #[cfg(test)]

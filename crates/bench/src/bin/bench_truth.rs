@@ -6,13 +6,12 @@
 //! `ns_per_iter` to `BENCH_truth.json` in the current directory, so CI
 //! can diff runs without scraping criterion's human-oriented output.
 //!
-//! Each run also appends one line to `BENCH_HISTORY.jsonl` (git rev,
-//! thread count, per-algorithm ns/iter) so `crowdtrace regress` can
-//! compare the current numbers against a rolling baseline.
+//! `crowdtrace regress` compares the snapshot against a rolling baseline
+//! from `BENCH_HISTORY.jsonl` and appends it there once it passed.
 //!
 //! ```sh
 //! cargo run --release -p crowdkit-bench --bin bench_truth
-//! cargo run --release -p crowdkit-bench --bin bench_truth -- out.json history.jsonl
+//! cargo run --release -p crowdkit-bench --bin bench_truth -- out.json
 //! ```
 
 use crowdkit_core::par::default_threads;
@@ -21,7 +20,7 @@ use crowdkit_core::traits::TruthInferencer;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::mixes;
 use crowdkit_sim::SimulatedCrowd;
-use crowdkit_trace::history::{append_history, git_short_rev, AlgoTiming, BenchEntry};
+use crowdkit_trace::history::git_short_rev;
 use crowdkit_truth::{pipeline::label_tasks, DawidSkene, Glad, Kos, MajorityVote, OneCoinEm};
 use std::time::Instant;
 
@@ -58,9 +57,6 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_truth.json".to_string());
-    let history_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_HISTORY.jsonl".to_string());
     let m = workload();
     let algos: Vec<(&str, Box<dyn TruthInferencer>)> = vec![
         ("mv", Box::new(MajorityVote)),
@@ -94,16 +90,4 @@ fn main() {
 
     std::fs::write(&out_path, json).expect("write bench results");
     println!("wrote {out_path}");
-
-    let entry = BenchEntry {
-        git_rev: git_short_rev(),
-        threads: default_threads() as u64,
-        bench: "truth".to_string(),
-        algorithms: timings
-            .iter()
-            .map(|(name, ns)| ((*name).to_string(), AlgoTiming::ns(*ns)))
-            .collect(),
-    };
-    append_history(&history_path, &entry).expect("append bench history");
-    println!("appended {} to {history_path}", entry.git_rev);
 }

@@ -20,7 +20,7 @@
 //! latency lever of crowd execution (HIT batching, Marcus et al.).
 
 use crate::answer::Answer;
-use crate::error::CrowdError;
+use crate::error::{CrowdError, Result};
 use crate::ids::{TaskId, WorkerId};
 use crate::task::Task;
 
@@ -139,6 +139,16 @@ impl AskOutcome {
         self.shortfall.is_none() && self.answers.len() >= self.requested
     }
 
+    /// The one shortfall policy every caller applies: budget or worker-pool
+    /// exhaustion is absorbed (the purchased answers stand), any other
+    /// shortfall is a platform failure and is returned as the error.
+    pub fn check(&self) -> Result<()> {
+        match &self.shortfall {
+            Some(e) if !e.is_resource_exhaustion() => Err(e.clone()),
+            _ => Ok(()),
+        }
+    }
+
     /// True when delivery stopped because of budget or worker-pool
     /// exhaustion (the graceful stop conditions callers usually absorb).
     pub fn stopped_by_exhaustion(&self) -> bool {
@@ -186,6 +196,7 @@ mod tests {
         assert!(full.is_complete());
         assert_eq!(full.missing(), 0);
         assert!(!full.stopped_by_exhaustion());
+        assert!(full.check().is_ok());
 
         let partial = AskOutcome {
             task: TaskId::new(0),
@@ -201,10 +212,16 @@ mod tests {
         assert_eq!(partial.missing(), 2);
         assert!(partial.stopped_by_exhaustion());
         assert!(partial.stopped_by_budget());
+        assert!(partial.check().is_ok(), "exhaustion is absorbed");
 
         let no_pool = AskOutcome::starved(TaskId::new(1), 2, CrowdError::NoWorkerAvailable);
         assert!(no_pool.stopped_by_exhaustion());
         assert!(!no_pool.stopped_by_budget());
         assert_eq!(no_pool.delivered(), 0);
+        assert!(no_pool.check().is_ok());
+
+        let broken = AskOutcome::starved(TaskId::new(2), 1, CrowdError::Execution("wire".into()));
+        assert!(!broken.stopped_by_exhaustion());
+        assert!(matches!(broken.check(), Err(CrowdError::Execution(_))));
     }
 }

@@ -467,8 +467,10 @@ impl Engine {
             let mut b = HashMap::new();
             self.enumerate_bindings(&prefix, 0, db, &mut b, &mut bindings)?;
 
+            // Determine bound/free positions of the crowd atom per binding;
+            // fetch only single-free-position patterns.
+            let mut requests: Vec<(Vec<(usize, Const)>, usize)> = Vec::new();
             for binding in &bindings {
-                // Determine bound/free positions of the crowd atom.
                 let mut bound: Vec<(usize, Const)> = Vec::new();
                 let mut free: Vec<usize> = Vec::new();
                 for (pos, term) in atom.args.iter().enumerate() {
@@ -481,10 +483,16 @@ impl Engine {
                         Term::Wildcard => free.push(pos),
                     }
                 }
-                if free.len() != 1 {
-                    continue; // fetch only single-free-position patterns
+                if let [free_pos] = free[..] {
+                    requests.push((bound, free_pos));
                 }
-                let free_pos = free[0];
+            }
+            // Bindings come out of hash sets; fetching in sorted order keeps
+            // the resolver's call sequence (its task ids, and which fetches
+            // a `max_fetches` cap keeps) the same on every run.
+            requests.sort();
+
+            for (bound, free_pos) in requests {
                 let key = (atom.predicate.clone(), bound.clone());
                 if fetched.contains(&key) {
                     stats.fetch_cache_hits += 1;
@@ -1033,6 +1041,61 @@ mod tests {
         let (db, stats) = engine.run(&mut resolver).unwrap();
         assert_eq!(stats.fetches, 2);
         assert_eq!(db.len("out"), 2, "only fetched bindings produce output");
+    }
+
+    /// Records every fetch in call order and answers nothing.
+    #[derive(Default)]
+    struct RecordingResolver {
+        calls: Vec<(String, Vec<(usize, Const)>)>,
+    }
+
+    impl CrowdResolver for RecordingResolver {
+        fn resolve(
+            &mut self,
+            predicate: &str,
+            bound: &[(usize, Const)],
+            _free_pos: usize,
+            _arity: usize,
+        ) -> Result<Vec<Const>> {
+            self.calls.push((predicate.to_owned(), bound.to_vec()));
+            Ok(Vec::new())
+        }
+
+        fn questions_asked(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn fetches_are_issued_in_sorted_binding_order() {
+        let mut src = String::new();
+        for i in 0..50 {
+            src.push_str(&format!("item({i}). label(\"l{i}\").\n"));
+        }
+        src.push_str("@crowd v/2. @crowd w/2.\n");
+        src.push_str("a(X, V) :- item(X), v(X, V).\nb(L, V) :- label(L), w(L, V).\n");
+        let fetch_order = |max_fetches: usize| {
+            let engine = Engine::new(parse_program(&src).unwrap())
+                .unwrap()
+                .with_config(EngineConfig {
+                    max_fetches,
+                    ..EngineConfig::default()
+                });
+            let mut resolver = RecordingResolver::default();
+            engine.run(&mut resolver).unwrap();
+            resolver.calls
+        };
+        // Two engines, two databases, two sets of hash seeds.
+        let first = fetch_order(1000);
+        assert_eq!(first, fetch_order(1000));
+        assert_eq!(first.len(), 100);
+        let v: Vec<_> = first.iter().filter(|(p, _)| p == "v").map(|(_, b)| b.clone()).collect();
+        let want: Vec<_> = (0..50).map(|i| vec![(0, Const::Int(i))]).collect();
+        assert_eq!(v, want, "ascending bound order");
+        // A fetch cap keeps the same (smallest) bindings every run.
+        let capped = fetch_order(5);
+        assert_eq!(capped, fetch_order(5));
+        assert_eq!(capped, first[..5]);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! * [`TableResolver`] — answers from a ground-truth table; the
 //!   deterministic test/benchmark resolver.
 //! * [`OracleResolver`] — buys `votes` open-text answers per fetch from a
-//!   [`CrowdOracle`] and reconciles them by normalized plurality, exactly
-//!   like the FILL operator.
+//!   [`CrowdOracle`] and reconciles them with the FILL operator's own
+//!   [`crowdkit_ops::reconcile::plurality`]; a short delivery is judged by
+//!   [`AskOutcome::check`](crowdkit_core::ask::AskOutcome::check).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::error::Result;
@@ -20,6 +21,7 @@ use crowdkit_core::ids::IdGen;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 use crowdkit_obs::{self as obs, Event};
+use crowdkit_ops::reconcile::plurality;
 
 use crate::ast::Const;
 
@@ -124,8 +126,9 @@ impl CrowdResolver for TableResolver {
 /// normalized plurality. Ties and empty answers resolve to nothing.
 ///
 /// `make_task` renders the worker-facing question for a fetch; in
-/// simulation it attaches the latent truth. Reconciled text that parses as
-/// an integer becomes [`Const::Int`], otherwise [`Const::Str`].
+/// simulation it attaches the latent truth. The normalized (trimmed,
+/// lowercased) winner that parses as an integer becomes [`Const::Int`],
+/// otherwise [`Const::Str`].
 pub struct OracleResolver<'a, O: CrowdOracle + ?Sized, F> {
     oracle: &'a O,
     votes: u32,
@@ -164,38 +167,19 @@ where
         _arity: usize,
     ) -> Result<Vec<Const>> {
         let task = (self.make_task)(self.ids.next_task(), predicate, bound, free_pos);
-        // Key-ordered: the tally fold below must not depend on hash order.
-        let mut counts: BTreeMap<String, u32> = BTreeMap::new();
         let out = self
             .oracle
             .ask(&AskRequest::new(&task).with_redundancy(self.votes.max(1) as usize))?;
-        if let Some(e) = &out.shortfall {
-            if !e.is_resource_exhaustion() {
-                return Err(e.clone());
-            }
-        }
-        for a in &out.answers {
-            self.questions += 1;
-            if let Some(text) = a.value.as_text() {
-                let norm = text.trim().to_lowercase();
-                if !norm.is_empty() {
-                    *counts.entry(norm).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut tallies: Vec<(String, u32)> = counts.into_iter().collect();
-        tallies.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let resolved = match tallies.as_slice() {
-            [] => Vec::new(),
-            [(_, c1), (_, c2), ..] if c1 == c2 => Vec::new(), // tie: no verdict
-            [(top, _), ..] => {
-                let value = match top.parse::<i64>() {
-                    Ok(i) => Const::Int(i),
-                    Err(_) => Const::Str(top.clone()),
-                };
-                vec![value]
-            }
-        };
+        out.check()?;
+        self.questions += out.answers.len() as u64;
+        // The normalized winner, so facts compare case-insensitively.
+        let resolved: Vec<Const> = plurality(&out.answers)
+            .map(|p| match p.key.parse::<i64>() {
+                Ok(i) => Const::Int(i),
+                Err(_) => Const::Str(p.key),
+            })
+            .into_iter()
+            .collect();
         if obs::enabled() {
             obs::record(
                 Event::new("datalog.fetch")

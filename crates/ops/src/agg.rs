@@ -16,6 +16,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::reconcile::yes_majority;
+
 /// An estimated count with a normal-approximation confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountEstimate {
@@ -73,27 +75,15 @@ where
     let mut sampled = 0usize;
     let mut questions = 0usize;
     for out in &outcomes {
-        if let Some(e) = &out.shortfall {
-            if !e.is_resource_exhaustion() {
-                return Err(e.clone());
-            }
-        }
+        out.check()?;
         if out.answers.is_empty() {
             // Exhaustion before this item got any judgement: the sample
             // ends here (later outcomes are starved too).
             break;
         }
-        let mut yes = 0u32;
-        let mut no = 0u32;
-        for a in &out.answers {
-            questions += 1;
-            match a.value.as_choice() {
-                Some(1) => yes += 1,
-                _ => no += 1,
-            }
-        }
+        questions += out.answers.len();
         sampled += 1;
-        if yes > no {
+        if yes_majority(&out.answers) {
             positives += 1;
         }
     }

@@ -137,11 +137,7 @@ where
     let mut node_votes = vec![0u32; taxonomy.len()];
     let mut total = 0u32;
     let out = oracle.ask(&AskRequest::new(&task).with_redundancy(k.max(1) as usize))?;
-    if let Some(e) = &out.shortfall {
-        if !e.is_resource_exhaustion() {
-            return Err(e.clone());
-        }
-    }
+    out.check()?;
     for a in &out.answers {
         if let Some(choice) = a.value.as_choice() {
             let leaf = leaves[choice as usize];

@@ -20,6 +20,8 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 
+use crate::reconcile::normalize;
+
 /// Frequency histogram of collected items.
 #[derive(Debug, Clone, Default)]
 pub struct ItemCounts {
@@ -34,10 +36,9 @@ impl ItemCounts {
         Self::default()
     }
 
-    /// Records one contribution of `item` (normalized: trimmed,
-    /// lowercased).
+    /// Records one contribution of `item`, in its [`normalize`]d form.
     pub fn record(&mut self, item: &str) {
-        let norm = item.trim().to_lowercase();
+        let norm = normalize(item);
         if norm.is_empty() {
             return;
         }

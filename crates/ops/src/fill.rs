@@ -8,13 +8,15 @@
 //! are reported rather than guessed. All cells go to the platform as one
 //! batch, so independent cells share one round of crowd latency.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::{IdGen, TaskId};
 use crowdkit_core::task::{Task, TaskKind};
 use crowdkit_core::traits::CrowdOracle;
+
+use crate::reconcile::plurality;
 
 /// A cell to be filled: which row (by caller-chosen key) and attribute.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -28,8 +30,8 @@ pub struct CellRef {
 /// One reconciled cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilledCell {
-    /// The winning value (normalized form as given by the plurality
-    /// winner's first occurrence).
+    /// The winning value, in the trimmed surface form of the plurality
+    /// winner's first occurrence.
     pub value: String,
     /// Fraction of answers agreeing with the winner.
     pub support: f64,
@@ -49,9 +51,10 @@ pub struct FillOutcome {
 }
 
 /// Buys `k` open-text answers for each cell (one batched platform request
-/// covering every cell) and reconciles by normalized plurality (trim +
-/// lowercase). A cell is `unresolved` when the top two normalized values
-/// tie or no answers arrived before exhaustion.
+/// covering every cell) and reconciles them with
+/// [`reconcile::plurality`](crate::reconcile::plurality). A cell is
+/// `unresolved` when the top two normalized values tie or no usable
+/// answer arrived before exhaustion.
 ///
 /// `prompt_for` renders the worker-facing question for a cell; in
 /// simulation it also attaches the latent truth.
@@ -84,60 +87,26 @@ where
 
     let mut out = FillOutcome::default();
     for (idx, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
-        if let Some(e) = &outcome.shortfall {
-            if !e.is_resource_exhaustion() {
-                return Err(e.clone());
-            }
-            if outcome.answers.is_empty() {
-                // Budget dead and nothing bought: remaining cells will not
-                // fare better.
-                for rest in &cells[idx..] {
-                    out.unresolved.push(rest.clone());
-                }
-                break;
-            }
+        outcome.check()?;
+        if outcome.stopped_by_exhaustion() && outcome.answers.is_empty() {
+            // Budget dead and nothing bought: remaining cells will not
+            // fare better.
+            out.unresolved.extend_from_slice(&cells[idx..]);
+            break;
         }
-        // Key-ordered: the plurality fold below iterates these maps.
-        let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-        let mut first_form: BTreeMap<String, String> = BTreeMap::new();
-        let mut got = 0u32;
-        for a in &outcome.answers {
-            if let Some(text) = a.value.as_text() {
-                let norm = text.trim().to_lowercase();
-                if norm.is_empty() {
-                    continue;
-                }
-                first_form.entry(norm.clone()).or_insert_with(|| text.trim().to_owned());
-                *counts.entry(norm).or_insert(0) += 1;
-                got += 1;
-                out.questions_asked += 1;
+        out.questions_asked += outcome.answers.len();
+        match plurality(&outcome.answers) {
+            Some(p) => {
+                out.filled.insert(
+                    cell.clone(),
+                    FilledCell {
+                        value: p.surface,
+                        support: p.support,
+                        answers: p.tallies,
+                    },
+                );
             }
-        }
-
-        // Plurality with tie detection.
-        let mut tallies: Vec<(&String, u32)> = counts.iter().map(|(v, &c)| (v, c)).collect();
-        tallies.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        match tallies.as_slice() {
-            [] => out.unresolved.push(cell.clone()),
-            [(top, c), rest @ ..] => {
-                let tied = rest.first().map(|(_, c2)| c2 == c).unwrap_or(false);
-                if tied {
-                    out.unresolved.push(cell.clone());
-                } else {
-                    let answers: Vec<(String, u32)> = tallies
-                        .iter()
-                        .map(|(v, c)| ((*v).clone(), *c))
-                        .collect();
-                    out.filled.insert(
-                        cell.clone(),
-                        FilledCell {
-                            value: first_form[*top].clone(),
-                            support: *c as f64 / got as f64,
-                            answers,
-                        },
-                    );
-                }
-            }
+            None => out.unresolved.push(cell.clone()),
         }
     }
 
@@ -230,20 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn plurality_wins_over_noise_and_case() {
+    fn blank_answers_are_paid_for_but_not_tallied() {
         let cells = vec![cell("france", "capital")];
         let oracle = ScriptedOracle::scripted(
             1e9,
             vec![
                 Some("  PARIS ".into()),
+                Some("   ".into()),
                 Some("paris".into()),
                 Some("Lyon".into()),
             ],
         );
-        let out = crowd_fill(&oracle, &cells, 3, |id, c| fill_task(id, c, "Paris")).unwrap();
+        let out = crowd_fill(&oracle, &cells, 4, |id, c| fill_task(id, c, "Paris")).unwrap();
+        assert_eq!(out.questions_asked, 4, "every delivered answer was purchased");
         let f = &out.filled[&cells[0]];
         assert_eq!(f.value, "PARIS", "first seen surface form of the winner");
-        assert!((f.support - 2.0 / 3.0).abs() < 1e-12);
+        assert!((f.support - 2.0 / 3.0).abs() < 1e-12, "the blank is not a vote");
+        assert_eq!(f.answers, vec![("paris".to_owned(), 2), ("lyon".to_owned(), 1)]);
     }
 
     #[test]

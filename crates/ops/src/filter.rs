@@ -92,11 +92,8 @@ where
                     asked += 1;
                 }
             }
-            match &out.shortfall {
-                Some(e) if e.is_resource_exhaustion() => exhausted = true,
-                Some(e) => return Err(e.clone()),
-                None => {}
-            }
+            out.check()?;
+            exhausted |= out.stopped_by_exhaustion();
             if !rule.should_stop(&votes[i], max_answers) {
                 next_open.push(i);
             }

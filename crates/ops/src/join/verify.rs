@@ -13,6 +13,7 @@ use rand::SeedableRng;
 
 use super::blocking::CandidatePair;
 use super::cluster::ConstraintClustering;
+use crate::reconcile::yes_majority;
 
 /// In what order candidate pairs are put to the crowd. Order is the lever
 /// of experiment E12: similarity-descending order front-loads likely
@@ -165,29 +166,16 @@ where
         let outcomes = oracle.ask_batch(&reqs)?;
 
         for (&idx, out) in wave.iter().zip(&outcomes) {
-            if let Some(e) = &out.shortfall {
-                if !e.is_resource_exhaustion() {
-                    return Err(e.clone());
-                }
-            }
+            out.check()?;
             if out.answers.is_empty() {
                 // Nothing bought for this pair: the budget is dead; stop.
                 break 'waves;
             }
-            let mut yes = 0u32;
-            let mut no = 0u32;
-            for answer in &out.answers {
-                questions += 1;
-                match answer.value.as_choice() {
-                    Some(1) => yes += 1,
-                    _ => no += 1,
-                }
-            }
+            questions += out.answers.len();
             pairs_asked += 1;
 
             let CandidatePair { a, b, .. } = candidates[idx];
-            let verdict_same = yes > no;
-            let applied = if verdict_same {
+            let applied = if yes_majority(&out.answers) {
                 clustering.record_same(a, b)
             } else {
                 clustering.record_different(a, b)

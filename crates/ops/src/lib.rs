@@ -14,13 +14,18 @@
 //!   intervals.
 //! * [`collect`] — open-world enumeration with species-richness estimation
 //!   (Good–Turing coverage, Chao1/Chao92).
-//! * [`fill`] — missing-cell completion with answer reconciliation.
+//! * [`fill`] — missing-cell completion by normalized plurality.
 //! * [`categorize`] — taxonomy placement with hierarchy-aware voting.
+//! * [`reconcile`] — the single answer reconciliation (normalized
+//!   plurality, yes/no majority) shared by these operators, the CrowdSQL
+//!   executor and the crowd-Datalog resolver.
 //!
 //! Every operator buys its answers exclusively through
 //! [`crowdkit_core::traits::CrowdOracle`] and reports what it spent, so
 //! experiments compare operators on *crowd questions asked* — the metric
-//! the cost-control literature optimizes.
+//! the cost-control literature optimizes. A short delivery is judged by
+//! the one shortfall policy, [`AskOutcome::check`](crowdkit_core::ask::AskOutcome::check):
+//! exhaustion keeps what was bought, anything else is an error.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,4 +37,5 @@ pub mod collect;
 pub mod fill;
 pub mod filter;
 pub mod join;
+pub mod reconcile;
 pub mod sort;

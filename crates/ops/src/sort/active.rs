@@ -140,11 +140,8 @@ where
             .collect();
         let mut exhausted = false;
         for (&(a, b), out) in selected.iter().zip(oracle.ask_batch(&reqs)?.iter()) {
-            match &out.shortfall {
-                Some(e) if e.is_resource_exhaustion() => exhausted = true,
-                Some(e) => return Err(e.clone()),
-                None => {}
-            }
+            out.check()?;
+            exhausted |= out.stopped_by_exhaustion();
             for answer in &out.answers {
                 match answer.value.as_preference() {
                     Some(Preference::Left) => graph.record(a, b),

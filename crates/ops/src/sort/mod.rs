@@ -148,11 +148,7 @@ where
         .map(|t| AskRequest::new(t).with_redundancy(votes.max(1) as usize))
         .collect();
     for (&(a, b), outcome) in pairs.iter().zip(oracle.ask_batch(&reqs)?.iter()) {
-        if let Some(e) = &outcome.shortfall {
-            if !e.is_resource_exhaustion() {
-                return Err(e.clone());
-            }
-        }
+        outcome.check()?;
         for answer in &outcome.answers {
             if let Some(pref) = answer.value.as_preference() {
                 match pref {

@@ -138,11 +138,7 @@ where
 
         let mut next = Vec::with_capacity(pairs.len() + 1);
         for (&(a, b), out) in pairs.iter().zip(&outcomes) {
-            if let Some(e) = &out.shortfall {
-                if !e.is_resource_exhaustion() {
-                    return Err(e.clone());
-                }
-            }
+            out.check()?;
             if out.answers.is_empty() {
                 // Budget dead: advance `a` by walkover.
                 next.push(a);

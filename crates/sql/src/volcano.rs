@@ -20,12 +20,20 @@
 //! joined row), and CROWDEQUAL verdicts are cached per unordered value
 //! pair exactly like the old executor.
 //!
+//! The executor owns no voting logic: fill answers settle through
+//! [`crowdkit_ops::reconcile::plurality`] (only the INT/TEXT conversion
+//! of the winner lives here), CROWDEQUAL verdicts through
+//! [`crowdkit_ops::reconcile::yes_majority`], and every short delivery
+//! through [`AskOutcome::check`]. Fill and join buy `batch` requests per
+//! platform round-trip; `batch = 0` is the same loop with one request per
+//! round-trip.
+//!
 //! Determinism contract: operators pull sequentially, all fold iteration
 //! uses key-ordered maps, and crowd asks are issued in a fixed
 //! plan-defined order — results are byte-identical at any thread count.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use crowdkit_provenance as prov;
 
@@ -35,6 +43,7 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::IdGen;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
+use crowdkit_ops::reconcile::{plurality, yes_majority};
 use crowdkit_ops::sort::rankers::copeland;
 use crowdkit_ops::sort::tournament::crowd_top_k;
 use crowdkit_ops::sort::{collect_comparisons, order_by_scores, ComparisonGraph};
@@ -247,12 +256,14 @@ impl<'a> ExecCx<'a> {
         let oracle = self.require_oracle(NO_ORACLE_FILTER)?;
         let task = self.factory.equal_task(self.ids.next_task(), left, right);
         let out = oracle.ask(&AskRequest::new(&task).with_redundancy(votes.max(1) as usize))?;
-        if let Some(e) = &out.shortfall {
-            if !e.is_resource_exhaustion() {
-                return Err(e.clone());
-            }
-        }
-        let verdict = reconcile_equal(&out.answers);
+        self.settle_equal(key, &out)
+    }
+
+    /// Records one purchased CROWDEQUAL verdict: the yes/no majority of
+    /// its answers (ties are "no").
+    fn settle_equal(&mut self, key: (String, String), out: &AskOutcome) -> Result<bool> {
+        out.check()?;
+        let verdict = yes_majority(&out.answers);
         self.equal_cache.insert(key, verdict);
         self.equal_checks += 1;
         Ok(verdict)
@@ -266,51 +277,6 @@ fn equal_key(left: &Value, right: &Value) -> (String, String) {
         std::mem::swap(&mut key.0, &mut key.1);
     }
     key
-}
-
-/// Majority vote over yes/no equality answers (ties are "no").
-fn reconcile_equal(answers: &[Answer]) -> bool {
-    let mut yes = 0u32;
-    let mut no = 0u32;
-    for a in answers {
-        match a.value.as_choice() {
-            Some(1) => yes += 1,
-            _ => no += 1,
-        }
-    }
-    yes > no
-}
-
-/// Plurality-reconciles fill answers into one value. Returns `None` on
-/// tie or no usable answer (the cell stays NULL).
-fn reconcile_fill(answers: &[Answer], ty: ColumnType) -> Option<Value> {
-    // Key-ordered maps: the plurality fold below iterates them, and
-    // iteration order must never depend on hashing (determinism contract).
-    let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-    let mut surface: BTreeMap<String, String> = BTreeMap::new();
-    for a in answers {
-        if let Some(text) = a.value.as_text() {
-            let norm = text.trim().to_lowercase();
-            if norm.is_empty() {
-                continue;
-            }
-            surface
-                .entry(norm.clone())
-                .or_insert_with(|| text.trim().to_owned());
-            *counts.entry(norm).or_insert(0) += 1;
-        }
-    }
-    let mut tallies: Vec<(String, u32)> = counts.into_iter().collect();
-    tallies.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let winner = match tallies.as_slice() {
-        [] => return None,
-        [(_, c1), (_, c2), ..] if c1 == c2 => return None,
-        [(top, _), ..] => surface[top].clone(),
-    };
-    match ty {
-        ColumnType::Int => winner.parse::<i64>().ok().map(Value::Int),
-        ColumnType::Text => Some(Value::Text(winner)),
-    }
 }
 
 fn eval(e: &BoundExpr, row: &ExecRow) -> Value {
@@ -788,24 +754,16 @@ impl CrowdFillOp {
                 pending.push(PendingFill { key, task, ty: fs.ty });
             }
         }
+        // `batch` cells per round-trip; 0 means one cell per round-trip.
         let votes = self.redundancy.max(1) as usize;
-        if self.batch == 0 {
-            // One platform round-trip per cell.
-            for p in &pending {
-                let out = oracle.ask(&AskRequest::new(&p.task).with_redundancy(votes))?;
-                settle_fill(cx, p, &out)?;
-            }
-        } else {
-            // `batch` cells per round-trip.
-            for chunk in pending.chunks(self.batch) {
-                let reqs: Vec<AskRequest<'_>> = chunk
-                    .iter()
-                    .map(|p| AskRequest::new(&p.task).with_redundancy(votes))
-                    .collect();
-                let outs = oracle.ask_batch(&reqs)?;
-                for (p, out) in chunk.iter().zip(&outs) {
-                    settle_fill(cx, p, out)?;
-                }
+        for chunk in pending.chunks(self.batch.max(1)) {
+            let reqs: Vec<AskRequest<'_>> = chunk
+                .iter()
+                .map(|p| AskRequest::new(&p.task).with_redundancy(votes))
+                .collect();
+            let outs = oracle.ask_batch(&reqs)?;
+            for (p, out) in chunk.iter().zip(&outs) {
+                settle_fill(cx, p, out)?;
             }
         }
         // Apply reconciled values to every buffered row copy.
@@ -829,14 +787,21 @@ impl CrowdFillOp {
     }
 }
 
+/// The cell value a fill's answers settle on: the plurality winner's
+/// surface form in the column's type. A tie, no usable answer or an
+/// unparsable INT leaves the cell NULL (`None`).
+fn fill_value(answers: &[Answer], ty: ColumnType) -> Option<Value> {
+    let winner = plurality(answers)?.surface;
+    match ty {
+        ColumnType::Int => winner.parse::<i64>().ok().map(Value::Int),
+        ColumnType::Text => Some(Value::Text(winner)),
+    }
+}
+
 /// Records one settled fill purchase in the context.
 fn settle_fill(cx: &mut ExecCx<'_>, p: &PendingFill, out: &AskOutcome) -> Result<()> {
-    if let Some(e) = &out.shortfall {
-        if !e.is_resource_exhaustion() {
-            return Err(e.clone());
-        }
-    }
-    let value = reconcile_fill(&out.answers, p.ty);
+    out.check()?;
+    let value = fill_value(&out.answers, p.ty);
     if let Some(v) = &value {
         cx.writebacks
             .push((p.key.0.clone(), p.key.1, p.key.2, v.clone()));
@@ -1006,53 +971,37 @@ impl CrowdJoinOp {
             Side::Left => (&lvals, &rvals, true),
             Side::Right => (&rvals, &lvals, false),
         };
+        let oracle = cx.require_oracle(NO_ORACLE_JOIN)?;
+        let votes = self.redundancy.max(1) as usize;
         for ov in outer_vals {
             if ov.is_null() {
                 continue;
             }
-            if self.batch == 0 {
-                for iv in inner_vals {
-                    if iv.is_null() {
-                        continue;
-                    }
-                    let (lv, rv) = if outer_is_left { (ov, iv) } else { (iv, ov) };
-                    cx.crowd_equal(lv, rv, self.redundancy)?;
+            // One stripe: all still-unjudged pairs for this outer row,
+            // asked `batch` verdicts per platform round-trip (0 means one).
+            let mut stripe: Vec<((String, String), Task)> = Vec::new();
+            let mut queued: HashSet<(String, String)> = HashSet::new();
+            for iv in inner_vals {
+                if iv.is_null() {
+                    continue;
                 }
-            } else {
-                // One stripe: all still-unjudged pairs for this outer
-                // row, asked `batch` verdicts per platform round-trip.
-                let oracle = cx.require_oracle(NO_ORACLE_JOIN)?;
-                let votes = self.redundancy.max(1) as usize;
-                let mut stripe: Vec<((String, String), Task)> = Vec::new();
-                let mut queued: HashSet<(String, String)> = HashSet::new();
-                for iv in inner_vals {
-                    if iv.is_null() {
-                        continue;
-                    }
-                    let (lv, rv) = if outer_is_left { (ov, iv) } else { (iv, ov) };
-                    let key = equal_key(lv, rv);
-                    if cx.equal_cache.contains_key(&key) || queued.contains(&key) {
-                        continue;
-                    }
-                    let task = cx.factory.equal_task(cx.ids.next_task(), lv, rv);
-                    queued.insert(key.clone());
-                    stripe.push((key, task));
+                let (lv, rv) = if outer_is_left { (ov, iv) } else { (iv, ov) };
+                let key = equal_key(lv, rv);
+                if cx.equal_cache.contains_key(&key) || queued.contains(&key) {
+                    continue;
                 }
-                for chunk in stripe.chunks(self.batch) {
-                    let reqs: Vec<AskRequest<'_>> = chunk
-                        .iter()
-                        .map(|(_, task)| AskRequest::new(task).with_redundancy(votes))
-                        .collect();
-                    let outs = oracle.ask_batch(&reqs)?;
-                    for ((key, _), out) in chunk.iter().zip(&outs) {
-                        if let Some(e) = &out.shortfall {
-                            if !e.is_resource_exhaustion() {
-                                return Err(e.clone());
-                            }
-                        }
-                        cx.equal_cache.insert(key.clone(), reconcile_equal(&out.answers));
-                        cx.equal_checks += 1;
-                    }
+                let task = cx.factory.equal_task(cx.ids.next_task(), lv, rv);
+                queued.insert(key.clone());
+                stripe.push((key, task));
+            }
+            for chunk in stripe.chunks(self.batch.max(1)) {
+                let reqs: Vec<AskRequest<'_>> = chunk
+                    .iter()
+                    .map(|(_, task)| AskRequest::new(task).with_redundancy(votes))
+                    .collect();
+                let outs = oracle.ask_batch(&reqs)?;
+                for ((key, _), out) in chunk.iter().zip(&outs) {
+                    cx.settle_equal(key.clone(), out)?;
                 }
             }
         }
@@ -1482,7 +1431,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_reconciliation_is_plurality_with_tie_rejection() {
+    fn fill_values_take_the_winners_surface_form_in_the_column_type() {
         let mk = |t: u64, text: &str| {
             Answer::bare(
                 TaskId::new(t),
@@ -1490,14 +1439,12 @@ mod tests {
                 AnswerValue::Text(text.to_owned()),
             )
         };
-        let win = reconcile_fill(&[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")], ColumnType::Text);
+        let win = fill_value(&[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")], ColumnType::Text);
         assert_eq!(win, Some(Value::Text("Phone".to_owned())));
-        let tie = reconcile_fill(&[mk(0, "a"), mk(1, "b")], ColumnType::Text);
-        assert_eq!(tie, None);
-        let int = reconcile_fill(&[mk(0, "42")], ColumnType::Int);
+        let int = fill_value(&[mk(0, " 42 ")], ColumnType::Int);
         assert_eq!(int, Some(Value::Int(42)));
-        let bad_int = reconcile_fill(&[mk(0, "many")], ColumnType::Int);
-        assert_eq!(bad_int, None);
-        assert_eq!(reconcile_fill(&[], ColumnType::Text), None);
+        let bad_int = fill_value(&[mk(0, "many")], ColumnType::Int);
+        assert_eq!(bad_int, None, "an unparsable INT stays NULL");
+        assert_eq!(fill_value(&[mk(0, "a"), mk(1, "b")], ColumnType::Int), None, "a tie stays NULL");
     }
 }

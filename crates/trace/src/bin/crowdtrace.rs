@@ -15,7 +15,8 @@
 //!
 //! Exit codes: `diff` exits 0 when the deterministic event bodies are
 //! identical, 1 on divergence, 2 on a metric-threshold breach; `regress`
-//! exits 1 on a perf regression; usage errors exit 64 and unreadable or
+//! exits 1 on a perf regression and 3 when there was no comparable
+//! baseline to gate against; usage errors exit 64 and unreadable or
 //! malformed inputs exit 65 (the BSD sysexits conventions).
 
 #![warn(rust_2018_idioms)]
@@ -54,7 +55,9 @@ USAGE:
       the last N (default 5) history entries with the same bench family
       and thread count (truth microbench and scale macrobench numbers
       never share a baseline). Exit 1 when any algorithm is more than F
-      (default 0.25 = +25%) slower.
+      (default 0.25 = +25%) slower; the history is left untouched. Exit 3
+      when no comparable entry exists, so nothing was gated. Otherwise
+      (exit 0 or 3) the current snapshot is appended to the history.
 
   crowdtrace history <BENCH_*.json> --history <BENCH_HISTORY.jsonl>
       Append the current bench snapshot (truth or scale) to the history
@@ -91,6 +94,9 @@ USAGE:
       most-influential and most-overruled workers, and spend-per-correct-
       label by experiment.
 ";
+
+/// `regress` exit code: no comparable history entry, so nothing was gated.
+const NO_BASELINE: u8 = 3;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -259,18 +265,30 @@ fn cmd_regress(args: &[String]) -> Result<ExitCode, CliError> {
     let history = match std::fs::read_to_string(history_path) {
         Ok(text) => parse_history(&text)
             .map_err(|e| CliError::Data(format!("{history_path}: {e}")))?,
-        // A missing history file is an empty baseline, not an error —
-        // the first CI run has nothing to regress from.
+        // A missing history file is an empty baseline, not an error: the
+        // run exits NO_BASELINE below.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(CliError::Data(format!("cannot read `{history_path}`: {e}"))),
     };
     let report = regress(&history, &current, window, threshold);
     print!("{}", report.render(threshold));
-    Ok(if report.breached {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    if report.breached {
+        // A regressed sample must not become part of later baselines.
+        return Ok(ExitCode::from(1));
+    }
+    // Gate first, then append: the sample never sits in its own baseline.
+    append_history(history_path, &current)
+        .map_err(|e| CliError::Data(format!("cannot append to `{history_path}`: {e}")))?;
+    if report.window_used == 0 {
+        println!(
+            "no comparable baseline ({} bench, {} threads): nothing was gated; \
+             this run seeds {history_path}",
+            current.bench, current.threads
+        );
+        return Ok(ExitCode::from(NO_BASELINE));
+    }
+    println!("appended {} to {history_path}", current.git_rev);
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_history(args: &[String]) -> Result<ExitCode, CliError> {

@@ -2,11 +2,13 @@
 //!
 //! `bench_truth` and `bench_scale` measure per-algorithm ns/iter and write
 //! `BENCH_truth.json` / `BENCH_scale.json`; this module gives those
-//! snapshots a trajectory. [`append_history`] adds one line per run to
-//! `BENCH_HISTORY.jsonl`, keyed by git revision, bench family, and thread
-//! count, and [`regress`] compares the current snapshot against a rolling
-//! baseline (the per-algorithm median of the last *N* comparable entries)
-//! so a perf regression fails CI the same way a lint finding does.
+//! snapshots a trajectory. [`regress`] compares the current snapshot
+//! against a rolling baseline (the per-algorithm median of the last *N*
+//! comparable entries) so a perf regression fails CI the same way a lint
+//! finding does, and only then does `crowdtrace regress` call
+//! [`append_history`] to add the run to `BENCH_HISTORY.jsonl`, keyed by
+//! git revision, bench family, and thread count — a sample never sits in
+//! its own baseline, and a regressed one never enters later baselines.
 //!
 //! Entries from different thread counts or bench families are never
 //! compared: a timing taken at 8 threads says nothing about a 1-thread
@@ -335,7 +337,8 @@ fn median(values: &mut [u64]) -> u64 {
 /// `window` history entries with the same bench family and thread count.
 /// An algorithm breaches when `current > baseline * (1 + threshold)`;
 /// algorithms with no comparable history pass (there is nothing to
-/// regress from).
+/// regress from). `window_used == 0` tells a caller that nothing at all
+/// was gated.
 pub fn regress(
     history: &[BenchEntry],
     current: &BenchEntry,

@@ -11,8 +11,8 @@
 //!   cost and wall time, and emits collapsed-stack (`folded`) profiles;
 //! - [`diff`] localizes the first divergent event between two runs and
 //!   gates metric deltas against configurable thresholds;
-//! - [`history`] appends bench results to `BENCH_HISTORY.jsonl` and
-//!   compares the current run against a rolling median baseline;
+//! - [`history`] compares the current bench run against a rolling median
+//!   baseline from `BENCH_HISTORY.jsonl`, and appends runs that passed;
 //! - [`top`] folds `metrics.snapshot` telemetry deltas back into totals
 //!   and renders them as a per-subsystem table;
 //! - [`prov`] folds `prov.*` decision-lineage events into per-run records

@@ -250,28 +250,37 @@ fn regress_gate_fails_synthetic_regression_and_passes_steady_state() {
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert_eq!(out.status.code(), Some(1), "regression must fail, got:\n{text}");
     assert!(text.contains("REGRESSION"), "got:\n{text}");
+    let entries = |path: &std::path::Path| {
+        crowdkit_trace::history::parse_history(&std::fs::read_to_string(path).unwrap())
+            .unwrap()
+            .len()
+    };
+    assert_eq!(entries(&history), 5, "a regressed sample is not appended");
 
-    // Within threshold: passes.
+    // Within threshold: passes, and only then joins the history.
     let good = dir.join("good.json");
     std::fs::write(&good, snapshot(1100)).unwrap();
-    let out = crowdtrace(&[
-        "regress",
-        "--history",
-        history.to_str().unwrap(),
-        "--current",
-        good.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
+    let regress_against = |history: &std::path::Path| {
+        crowdtrace(&[
+            "regress",
+            "--history",
+            history.to_str().unwrap(),
+            "--current",
+            good.to_str().unwrap(),
+        ])
+    };
+    assert_eq!(regress_against(&history).status.code(), Some(0));
+    assert_eq!(entries(&history), 6);
 
-    // No history file yet: nothing to regress from, passes.
-    let out = crowdtrace(&[
-        "regress",
-        "--history",
-        dir.join("absent.jsonl").to_str().unwrap(),
-        "--current",
-        good.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
+    // No history file yet: nothing was gated, which is its own exit code;
+    // the run seeds the history, so the next run is gated.
+    let absent = dir.join("absent.jsonl");
+    let out = regress_against(&absent);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(3), "got:\n{text}");
+    assert!(text.contains("no comparable baseline"), "got:\n{text}");
+    assert_eq!(entries(&absent), 1);
+    assert_eq!(regress_against(&absent).status.code(), Some(0));
 }
 
 #[test]

@@ -96,13 +96,10 @@ where
         let mut still_open = Vec::with_capacity(open.len());
         let mut exhausted = false;
         for (&ti, out) in open.iter().zip(&outcomes) {
-            match &out.shortfall {
-                // Budget or pool died somewhere in this wave: keep what was
-                // bought, stop collecting entirely afterwards.
-                Some(e) if e.is_resource_exhaustion() => exhausted = true,
-                Some(e) => return Err(e.clone()),
-                None => {}
-            }
+            // Budget or pool died somewhere in this wave: keep what was
+            // bought, stop collecting entirely afterwards.
+            out.check()?;
+            exhausted |= out.stopped_by_exhaustion();
             for answer in &out.answers {
                 if let Some(label) = answer.value.as_choice() {
                     matrix.push(answer.task, answer.worker, label)?;

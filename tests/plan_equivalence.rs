@@ -1,7 +1,8 @@
 //! Optimizer soundness: for every fixture query, the optimized and the
 //! naive plan return byte-identical result sets — at any platform thread
-//! count — and the cost model never predicts the optimized plan to spend
-//! more than the canonical one.
+//! count and batch size — and the cost model never predicts the optimized
+//! plan to spend more than the canonical one. Batch 0 executes exactly as
+//! batch 1 does.
 
 use crowdkit::sim::population::PopulationBuilder;
 use crowdkit::sim::{PlatformBuilder, SimulatedCrowd};
@@ -77,7 +78,8 @@ fn optimized_and_naive_plans_agree_on_every_fixture_query() {
     for sql in FIXTURE_QUERIES {
         let (naive_rows, naive) = run(sql, &QueryOpts::naive().votes(3), 1);
         for threads in [1, 4] {
-            for batch in [0, 4] {
+            let mut actual = Vec::new();
+            for batch in [0, 1, 4] {
                 let opts = QueryOpts::new().votes(3).batch(batch);
                 let (opt_rows, opt) = run(sql, &opts, threads);
                 assert_eq!(
@@ -90,7 +92,13 @@ fn optimized_and_naive_plans_agree_on_every_fixture_query() {
                     opt.predicted_spend,
                     naive.predicted_spend
                 );
+                actual.push((opt_rows, opt.questions, opt.rounds, opt.spend));
             }
+            // Batch 0 is batch 1: one request per platform round-trip.
+            assert_eq!(
+                actual[0], actual[1],
+                "{sql} (threads={threads}): batch 0 and batch 1 must execute identically"
+            );
         }
     }
 }

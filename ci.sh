@@ -93,14 +93,10 @@ grep -q 'most influential workers' AUDIT.txt
 grep -q 'spend/correct' AUDIT.txt
 rm -f WHY.txt AUDIT.txt
 
-# Telemetry overhead gates: instrumented hot paths must stay within 5% of
-# the null-recorder baseline for obs events, within 3% of the
-# disabled-flag baseline for always-on metrics, and within 5% of the
-# obs-alone baseline for decision-provenance capture (asserted inside the
-# bench binaries).
-cargo bench -p crowdkit-bench --bench obs_overhead
-cargo bench -p crowdkit-bench --bench metrics_overhead
-cargo bench -p crowdkit-bench --bench prov_overhead
+# Telemetry overhead gate: the full telemetry scope (events, metrics and
+# provenance) must keep the instrumented hot paths within 13% of the null
+# scope (asserted inside the bench binary).
+cargo bench -p crowdkit-bench --bench telemetry_overhead
 
 # Perf-regression gate: current ns/iter vs the rolling median of the last
 # 5 same-bench same-thread-count history entries; >25% slower on any

@@ -6,9 +6,7 @@ use crowdkit_core::error::Result;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_metrics as metrics;
-use crowdkit_obs::{self as obs, Event};
-use crowdkit_provenance as prov;
+use crowdkit_obs::{self as obs, prov, Event};
 
 use crate::policy::{AssignState, AssignmentPolicy};
 
@@ -55,13 +53,13 @@ where
     let mut state = AssignState::new(tasks.len(), k, max_per_task);
     let mut matrix = ResponseMatrix::new(k);
     let mut asked = 0usize;
-    let rec = obs::current();
-    let m = metrics::current();
+    let tel = obs::scope();
+    let rec = &tel.recorder;
     let mut waves = 0u64;
     // Cost ledger: per-task / per-worker spend attribution, booked from
     // this sequential delivery loop and flushed after the run. Only kept
-    // while a provenance scope wants detail events.
-    let mut ledger = prov::capture_detail().then(prov::SpendLedger::new);
+    // while the scope captures provenance detail.
+    let mut ledger = tel.capture_detail().then(prov::SpendLedger::new);
 
     while asked < budget_questions {
         let wave_cap = (budget_questions - asked).min(tasks.len().max(1));
@@ -96,11 +94,13 @@ where
                 }
             }
         }
-        m.assign.waves.inc();
-        m.assign.wave_size.record(wave.len() as u64);
-        m.assign.questions.add((asked - asked_before) as u64);
-        if exhausted {
-            m.assign.exhausted.inc();
+        if let Some(m) = &tel.registry {
+            m.assign.waves.inc();
+            m.assign.wave_size.record(wave.len() as u64);
+            m.assign.questions.add((asked - asked_before) as u64);
+            if exhausted {
+                m.assign.exhausted.inc();
+            }
         }
         if rec.enabled() {
             rec.record(
@@ -125,7 +125,7 @@ where
         );
     }
     if let Some(ledger) = &ledger {
-        ledger.emit();
+        ledger.emit(&**rec);
     }
 
     Ok(AssignmentOutcome {

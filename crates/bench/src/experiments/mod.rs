@@ -22,9 +22,7 @@ pub mod e17_worker_supply;
 
 use std::sync::Arc;
 
-use crowdkit_metrics as metrics;
-use crowdkit_obs::{self as obs, Event, ExperimentReport, RunReport};
-use crowdkit_provenance as prov;
+use crowdkit_obs::{self as obs, metrics, Event, ExperimentReport, RunReport};
 
 use crate::table::Table;
 
@@ -205,13 +203,16 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
             .map(|(i, e)| {
                 let shard = shards.shard(i);
                 scope.spawn(move || {
-                    // The recorder and metric-registry scopes are
-                    // thread-local, so both must be entered *inside* the
-                    // experiment's own thread. A per-experiment registry
-                    // keeps the concurrently running experiments from
-                    // polluting each other's counters — that independence
-                    // is what makes the metrics.snapshot events below
-                    // byte-identical across suite thread interleavings.
+                    // The telemetry scope is thread-local, so it must be
+                    // entered *inside* the experiment's own thread. A
+                    // per-experiment registry keeps the concurrently
+                    // running experiments from polluting each other's
+                    // counters — that independence is what makes the
+                    // metrics.snapshot events below byte-identical across
+                    // suite thread interleavings. Provenance is on: the
+                    // summary `prov.run` events always land (and feed the
+                    // report), full per-task lineage only when the
+                    // recorder captures detail (--log).
                     let mem = Arc::new(obs::MemoryRecorder::new());
                     let rec: Arc<dyn obs::Recorder> = if capture_events {
                         Arc::new(obs::Tee(shard, mem.clone()))
@@ -220,23 +221,20 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
                     };
                     let reg = Arc::new(metrics::Registry::new());
                     let start = std::time::Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
-                    let text = obs::with_recorder(rec, || {
-                        metrics::with_registry(reg.clone(), || {
-                            // Provenance is scoped like obs/metrics: the
-                            // summary `prov.run` events always land (and
-                            // feed the report), full per-task lineage only
-                            // when the recorder captures detail (--log).
-                            prov::with_provenance(Arc::new(prov::Provenance::default()), || {
-                                obs::record(Event::new("exp.begin").str("id", e.id));
-                                let text = run_by_name(e.id).expect("registered id");
-                                // Flush the experiment's final metric state as
-                                // one snapshot delta before the end marker, so
-                                // the events sit inside the exp span.
-                                metrics::SnapshotExporter::new().emit(&reg, None);
-                                obs::record(Event::new("exp.end").str("id", e.id));
-                                text
-                            })
-                        })
+                    let scope = obs::Scope {
+                        recorder: rec,
+                        registry: Some(reg.clone()),
+                        provenance: true,
+                    };
+                    let text = obs::with_scope(scope, || {
+                        obs::record(Event::new("exp.begin").str("id", e.id));
+                        let text = run_by_name(e.id).expect("registered id");
+                        // Flush the experiment's final metric state as one
+                        // snapshot delta before the end marker, so the
+                        // events sit inside the exp span.
+                        metrics::SnapshotExporter::new().emit(&reg, None);
+                        obs::record(Event::new("exp.end").str("id", e.id));
+                        text
                     });
                     let wall_ms = start.elapsed().as_millis() as u64;
                     let rep =

@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_metrics as metrics;
-use crowdkit_obs as obs;
+use crowdkit_obs::{self as obs, metrics};
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::latency::LatencyModel;
 use crowdkit_sim::population::PopulationBuilder;
@@ -120,7 +119,7 @@ proptest! {
 fn batch_snapshot_stream(n_tasks: usize, votes: usize, seed: u64, threads: usize) -> Vec<u8> {
     capture(|| {
         let reg = Arc::new(metrics::Registry::new());
-        metrics::with_registry(reg.clone(), || {
+        obs::with_scope(obs::Scope { registry: Some(reg.clone()), ..obs::scope() }, || {
             let pop = PopulationBuilder::new().reliable(40, 0.7, 0.95).build(seed);
             let crowd = PlatformBuilder::new(pop)
                 .latency(LatencyModel::human_default())
@@ -151,7 +150,7 @@ fn ds_snapshot_stream(n_tasks: usize, seed: u64, threads: usize) -> Vec<u8> {
     capture(|| {
         use crowdkit_core::traits::TruthInferencer;
         let reg = Arc::new(metrics::Registry::new());
-        metrics::with_registry(reg.clone(), || {
+        obs::with_scope(obs::Scope { registry: Some(reg.clone()), ..obs::scope() }, || {
             let ds = DawidSkene::with_config(EmConfig {
                 threads,
                 ..EmConfig::default()

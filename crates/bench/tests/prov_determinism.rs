@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use crowdkit_core::traits::TruthInferencer;
 use crowdkit_obs as obs;
-use crowdkit_provenance as prov;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::PopulationBuilder;
 use crowdkit_sim::SimulatedCrowd;
@@ -28,9 +27,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// The JSONL recorder reports detail, so full per-task lineage lands.
 fn capture(f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    prov::with_provenance(Arc::new(prov::Provenance::default()), || {
-        obs::with_recorder(rec.clone(), f);
-    });
+    obs::with_scope(obs::Scope { recorder: rec.clone(), registry: None, provenance: true }, f);
     rec.take_bytes()
 }
 

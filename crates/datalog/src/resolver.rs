@@ -180,8 +180,9 @@ where
             })
             .into_iter()
             .collect();
-        if obs::enabled() {
-            obs::record(
+        let rec = obs::scope().recorder;
+        if rec.enabled() {
+            rec.record(
                 Event::new("datalog.fetch")
                     .str("predicate", predicate)
                     .u64("answers", out.answers.len() as u64)

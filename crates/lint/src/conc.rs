@@ -1,7 +1,7 @@
 //! The CONC rule family: concurrency hazards around locks and atomics.
 //!
 //! The lock-striped `SimulatedCrowd`, the `Session` `RwLock`, and the
-//! `crowdkit-metrics` atomics are exactly the surfaces the planned
+//! `crowdkit_obs::metrics` atomics are exactly the surfaces the planned
 //! `crowdkitd` service front-end will multiply. Three rules, all
 //! best-effort over guard *scopes* (a guard's scope runs from its
 //! acquisition to the end of its enclosing block, an explicit
@@ -15,7 +15,7 @@
 //!   deadlock and is reported with the acquisition sites of every edge.
 //! * **CONC002** — atomic `Ordering` audit: `SeqCst` mixed with weaker
 //!   orderings on the same field without a reasoned `// ORDERING:`
-//!   comment, and any `SeqCst` under `crates/metrics/src` where the
+//!   comment, and any `SeqCst` under [`METRICS_SRC`] where the
 //!   documented policy (DESIGN.md §12) is `Relaxed` + merge-on-read.
 //! * **CONC003** — a guard held across a call into `&dyn CrowdOracle`
 //!   (`ask`/`ask_one`/`ask_batch`/`ask_many` — crowd I/O under a lock) or
@@ -56,6 +56,10 @@ const ATOMIC_METHODS: [&str; 12] = [
 
 /// The five memory orderings.
 const MEM_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
+/// The metrics module's source directory (workspace-relative), where any
+/// unjustified `SeqCst` is a CONC002 finding.
+pub const METRICS_SRC: &str = "crates/obs/src/metrics/";
 
 fn punct_is(t: &Token, c: char) -> bool {
     matches!(&t.tok, Tok::Punct(p) if *p == c)
@@ -643,7 +647,7 @@ fn conc002(units: &[FileUnit], out: &mut Vec<Finding>) {
             if s.ordering != "SeqCst" || s.justified {
                 continue;
             }
-            if s.file.starts_with("crates/metrics/src") || s.file.contains("/crates/metrics/src") {
+            if s.file.starts_with(METRICS_SRC) || s.file.contains(&format!("/{METRICS_SRC}")) {
                 out.push(Finding {
                     rule: "CONC002",
                     file: s.file.clone(),
@@ -652,7 +656,7 @@ fn conc002(units: &[FileUnit], out: &mut Vec<Finding>) {
                         "`SeqCst` on `{field}` in the metrics hot path (documented policy: \
 `Relaxed` shards + merge-on-read)"
                     ),
-                    hint: "crowdkit-metrics counters are per-thread sharded and merged on \
+                    hint: "obs::metrics counters are per-thread sharded and merged on \
 read; SeqCst buys nothing and serializes the hot path. Use Relaxed, or justify with \
 `// ORDERING: <reason>`",
                     key: format!("seqcst-metrics:{field}"),

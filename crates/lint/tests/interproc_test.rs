@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use crowdkit_lint::conc::METRICS_SRC;
 use crowdkit_lint::engine::{apply_baseline, scan_paths};
 use crowdkit_lint::{baseline, scan_file, Report};
 
@@ -108,14 +109,18 @@ fn conc002_flags_unjustified_seqcst_mixing_and_the_metrics_hot_path() {
     let clean = scan_workspace(&["conc002_good.rs"], "CONC002");
     assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
 
-    // Under crates/metrics/src, SeqCst is flagged even unmixed.
-    let metrics = scan_workspace(&["crates/metrics/src/hotpath.rs"], "CONC002");
+    // Under the metrics module, SeqCst is flagged even unmixed.
+    let metrics = scan_workspace(&[&format!("{METRICS_SRC}hotpath.rs")], "CONC002");
     assert_eq!(metrics.findings.len(), 1, "{:#?}", metrics.findings);
     assert!(
         metrics.findings[0].message.contains("metrics hot path"),
         "{}",
         metrics.findings[0].message
     );
+    // The policy path names the workspace's real metrics module, so the
+    // rule cannot silently stop applying when that module moves.
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    assert!(workspace.join(METRICS_SRC).join("primitives.rs").is_file());
 }
 
 #[test]

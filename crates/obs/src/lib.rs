@@ -1,10 +1,12 @@
-//! # crowdkit-obs — deterministic tracing and run telemetry
+//! # crowdkit-obs — deterministic tracing, runtime metrics and provenance
 //!
 //! Structured, near-zero-overhead observability for the crowdkit stack.
 //! Every layer (platform simulation, assignment, truth inference, SQL and
 //! Datalog execution) emits [`Event`]s describing what it did — wave sizes,
 //! budget debits, makespans, per-iteration convergence deltas, per-plan-node
-//! crowd fetches — into whichever [`Recorder`] is active.
+//! crowd fetches — into whichever [`Recorder`] is active, keeps the live
+//! counters of a [`metrics::Registry`] current, and, under provenance
+//! capture, explains its decisions as `prov.*` events (see [`prov`]).
 //!
 //! ## Determinism contract
 //!
@@ -16,11 +18,18 @@
 //! wall-clock fields that deterministic sinks omit (see
 //! [`JsonlRecorder::with_wall`]).
 //!
-//! ## Activating a recorder
+//! ## The telemetry scope
 //!
-//! The active recorder is scoped and thread-local, like a tracing
-//! subscriber; the default is [`NullRecorder`], which reduces every
-//! instrumentation site to one branch:
+//! What is observed is decided by one scoped, thread-local [`Scope`]: the
+//! recorder events go to, the metric registry counters land in (none by
+//! default, which makes metric writes no-ops), and whether decision
+//! provenance is captured. An instrumented operation reads it once with
+//! [`scope`] and works from that handle. The default scope — a
+//! [`NullRecorder`], no registry, no provenance — reduces every
+//! instrumentation site to a branch.
+//!
+//! [`with_scope`] pins a whole scope for a region of work;
+//! [`with_recorder`] is the shorthand that swaps only the recorder:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -32,6 +41,15 @@
 //!     obs::quality("accuracy", 0.93);
 //! });
 //! assert_eq!(rec.count("exp.quality"), 1);
+//!
+//! let reg = Arc::new(obs::metrics::Registry::new());
+//! let full = obs::Scope { registry: Some(reg.clone()), provenance: true, ..obs::scope() };
+//! obs::with_scope(full, || {
+//!     if let Some(m) = &obs::scope().registry {
+//!         m.assign.questions.add(3);
+//!     }
+//! });
+//! assert_eq!(reg.assign.questions.value(), 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,6 +59,8 @@
 pub mod event;
 pub mod header;
 pub mod histogram;
+pub mod metrics;
+pub mod prov;
 pub mod recorder;
 pub mod report;
 
@@ -56,28 +76,52 @@ pub use report::{CostReport, ExperimentReport, InferenceReport, LatencyReport, R
 use std::cell::RefCell;
 use std::sync::Arc;
 
-thread_local! {
-    static CURRENT: RefCell<Arc<dyn Recorder>> = RefCell::new(Arc::new(NullRecorder));
+/// What this thread observes: the active telemetry scope.
+#[derive(Clone)]
+pub struct Scope {
+    /// Where events and samples go.
+    pub recorder: Arc<dyn Recorder>,
+    /// Where metric updates land; `None` drops them.
+    pub registry: Option<Arc<metrics::Registry>>,
+    /// Whether decision provenance (`prov.*` events) is captured. The
+    /// events still need an enabled recorder to land.
+    pub provenance: bool,
 }
 
-/// The recorder active on this thread. Defaults to [`NullRecorder`].
+impl Default for Scope {
+    fn default() -> Self {
+        Self {
+            recorder: Arc::new(NullRecorder),
+            registry: None,
+            provenance: false,
+        }
+    }
+}
+
+impl Scope {
+    /// Whether high-volume per-task/per-worker/per-answer provenance should
+    /// be captured: provenance is on *and* the recorder wants detail events.
+    pub fn capture_detail(&self) -> bool {
+        self.provenance && self.recorder.detail()
+    }
+}
+
+thread_local! {
+    static CURRENT: RefCell<Scope> = RefCell::new(Scope::default());
+}
+
+/// The telemetry scope active on this thread.
 ///
 /// Hot paths should call this once per operation and reuse the handle
 /// rather than re-resolving per item.
-pub fn current() -> Arc<dyn Recorder> {
+pub fn scope() -> Scope {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Whether the active recorder wants events — the cheap pre-check for
-/// instrumentation sites that would otherwise build an [`Event`].
-pub fn enabled() -> bool {
-    CURRENT.with(|c| c.borrow().enabled())
-}
-
-/// Restores the previous recorder when dropped, so a panic inside
-/// [`with_recorder`] cannot leak the scoped recorder into later work.
+/// Restores the previous scope when dropped, so a panic inside
+/// [`with_scope`] cannot leak the scope into later work.
 struct RestoreGuard {
-    previous: Option<Arc<dyn Recorder>>,
+    previous: Option<Scope>,
 }
 
 impl Drop for RestoreGuard {
@@ -88,24 +132,37 @@ impl Drop for RestoreGuard {
     }
 }
 
-/// Runs `f` with `rec` as this thread's active recorder, restoring the
-/// previous recorder afterwards (including on panic). Scopes nest.
+/// Runs `f` with `scope` as this thread's telemetry scope, restoring the
+/// previous scope afterwards (including on panic). Scopes nest.
 ///
 /// The scope is per-thread: work `f` hands to other threads sees those
-/// threads' own recorders (normally the null default). Instrumented layers
-/// honour this by emitting only from the calling thread's sequential code.
-pub fn with_recorder<R>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
-    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), rec));
+/// threads' own scopes (normally the default). Instrumented layers honour
+/// this by emitting events, updating metrics and capturing lineage only
+/// from the calling thread's sequential code.
+pub fn with_scope<R>(scope: Scope, f: impl FnOnce() -> R) -> R {
+    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), scope));
     let _guard = RestoreGuard {
         previous: Some(previous),
     };
     f()
 }
 
+/// Runs `f` with `rec` as this thread's active recorder, keeping the rest
+/// of the current scope; see [`with_scope`].
+pub fn with_recorder<R>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
+    with_scope(
+        Scope {
+            recorder: rec,
+            ..scope()
+        },
+        f,
+    )
+}
+
 /// Records `event` into the active recorder, if one is enabled.
 pub fn record(event: Event) {
     CURRENT.with(|c| {
-        let rec = c.borrow();
+        let rec = &c.borrow().recorder;
         if rec.enabled() {
             rec.record(event);
         }
@@ -115,7 +172,7 @@ pub fn record(event: Event) {
 /// Records a scalar sample into the active recorder, if one is enabled.
 pub fn sample(key: &'static str, value: f64) {
     CURRENT.with(|c| {
-        let rec = c.borrow();
+        let rec = &c.borrow().recorder;
         if rec.enabled() {
             rec.sample(key, value);
         }
@@ -133,35 +190,57 @@ pub fn quality(metric: &'static str, value: f64) {
 mod tests {
     use super::*;
 
+    /// A scope with every signal on: memory recorder, fresh registry,
+    /// provenance.
+    fn full(rec: Arc<dyn Recorder>, reg: &Arc<metrics::Registry>) -> Scope {
+        Scope {
+            recorder: rec,
+            registry: Some(reg.clone()),
+            provenance: true,
+        }
+    }
+
+    fn is_default(s: &Scope) -> bool {
+        !s.recorder.enabled() && s.registry.is_none() && !s.provenance
+    }
+
     #[test]
-    fn default_recorder_is_null() {
-        assert!(!enabled());
+    fn default_scope_is_null() {
+        assert!(is_default(&scope()));
         // Recording into the default is a no-op, not a panic.
         record(Event::new("x"));
         sample("y", 1.0);
     }
 
     #[test]
-    fn with_recorder_scopes_and_restores() {
+    fn scopes_and_restores() {
         let rec = Arc::new(MemoryRecorder::new());
-        assert!(!enabled());
-        with_recorder(rec.clone(), || {
-            assert!(enabled());
+        let reg = Arc::new(metrics::Registry::new());
+        with_scope(full(rec.clone(), &reg), || {
+            let s = scope();
+            assert!(s.recorder.enabled() && s.provenance);
+            assert!(Arc::ptr_eq(s.registry.as_ref().expect("scoped"), &reg));
             record(Event::new("k").u64("n", 1));
             quality("acc", 0.5);
         });
-        assert!(!enabled());
+        assert!(is_default(&scope()));
         assert_eq!(rec.count("k"), 1);
         assert_eq!(rec.count("exp.quality"), 1);
     }
 
     #[test]
-    fn with_recorder_nests() {
+    fn scopes_nest() {
         let outer = Arc::new(MemoryRecorder::new());
         let inner = Arc::new(MemoryRecorder::new());
-        with_recorder(outer.clone(), || {
+        let reg = Arc::new(metrics::Registry::new());
+        with_scope(full(outer.clone(), &reg), || {
             record(Event::new("a"));
-            with_recorder(inner.clone(), || record(Event::new("b")));
+            with_recorder(inner.clone(), || {
+                record(Event::new("b"));
+                // The shorthand swaps only the recorder.
+                assert!(scope().provenance && scope().registry.is_some());
+            });
+            with_scope(Scope::default(), || assert!(is_default(&scope())));
             record(Event::new("c"));
         });
         assert_eq!(outer.count("a"), 1);
@@ -171,22 +250,63 @@ mod tests {
     }
 
     #[test]
-    fn with_recorder_restores_after_panic() {
+    fn restores_after_panic() {
         let rec = Arc::new(MemoryRecorder::new());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_recorder(rec.clone(), || panic!("boom"));
         }));
         assert!(result.is_err());
-        assert!(!enabled(), "panic must not leak the scoped recorder");
+        assert!(is_default(&scope()), "panic must not leak the scope");
+    }
+
+    #[test]
+    fn panic_in_nested_recorder_restores_the_full_scope() {
+        let outer: Arc<dyn Recorder> = Arc::new(MemoryRecorder::new());
+        let reg = Arc::new(metrics::Registry::new());
+        with_scope(full(outer.clone(), &reg), || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_recorder(Arc::new(NullRecorder), || {
+                    with_scope(Scope::default(), || panic!("boom"))
+                });
+            }));
+            assert!(result.is_err());
+            let s = scope();
+            assert!(Arc::ptr_eq(&s.recorder, &outer), "recorder restored");
+            assert!(Arc::ptr_eq(
+                s.registry.as_ref().expect("registry restored"),
+                &reg
+            ));
+            assert!(s.provenance, "provenance flag restored");
+        });
+        assert!(is_default(&scope()));
     }
 
     #[test]
     fn scope_is_thread_local() {
         let rec = Arc::new(MemoryRecorder::new());
-        with_recorder(rec.clone(), || {
-            let handle = std::thread::spawn(enabled);
-            assert!(!handle.join().unwrap(), "other threads see the default");
-            assert!(enabled());
+        let reg = Arc::new(metrics::Registry::new());
+        with_scope(full(rec, &reg), || {
+            let other = std::thread::spawn(|| is_default(&scope()));
+            assert!(other.join().unwrap(), "other threads see the default");
+            assert!(scope().recorder.enabled());
         });
+    }
+
+    #[test]
+    fn capture_detail_needs_provenance_and_a_detail_recorder() {
+        let with = |recorder: Arc<dyn Recorder>, provenance: bool| Scope {
+            recorder,
+            registry: None,
+            provenance,
+        };
+        let jsonl = || -> Arc<dyn Recorder> { Arc::new(JsonlRecorder::in_memory()) };
+        assert!(with(jsonl(), true).capture_detail());
+        assert!(!with(jsonl(), false).capture_detail(), "provenance off");
+        assert!(!with(Arc::new(NullRecorder), true).capture_detail());
+        assert!(
+            !with(Arc::new(MemoryRecorder::new()), true).capture_detail(),
+            "aggregators skip detail events"
+        );
+        assert!(!scope().capture_detail());
     }
 }

@@ -1,7 +1,7 @@
 //! Recorder hierarchy: where events go.
 //!
-//! Everything implements [`Recorder`]. The instrumented layers call
-//! [`crate::current`] to get the active recorder and emit into it; which
+//! Everything implements [`Recorder`]. The instrumented layers take the
+//! active recorder from [`crate::scope`] and emit into it; which
 //! concrete recorder that is decides the cost:
 //!
 //! * [`NullRecorder`] — the default. `enabled()` is `false`, so
@@ -73,7 +73,7 @@ impl<R: Recorder + ?Sized> Recorder for Arc<R> {
     }
 }
 
-/// The do-nothing recorder; the process-wide default.
+/// The do-nothing recorder; the default scope's.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 

@@ -65,8 +65,9 @@ pub struct InferenceReport {
     pub converged: u64,
 }
 
-/// Decision-provenance figures for one run, distilled from the always-on
-/// `prov.run` summaries (see the `crowdkit-provenance` crate).
+/// Decision-provenance figures for one run, distilled from the `prov.run`
+/// summaries every inference run emits under provenance capture (see
+/// [`crate::prov`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[must_use = "a distilled report is pure data; dropping it discards the run's telemetry"]
 pub struct ProvenanceReport {

@@ -40,7 +40,7 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_metrics as metrics;
+use crowdkit_obs::metrics::to_micros;
 use crowdkit_obs::{self as obs, Event};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -493,13 +493,14 @@ impl CrowdOracle for SimulatedCrowd {
             .insert(worker.id);
         self.delivered.fetch_add(1, Ordering::Relaxed);
 
-        let m = metrics::current();
-        m.platform.tasks_queued.inc();
-        m.platform.tasks_assigned.inc();
-        m.platform.tasks_answered.inc();
-        m.platform.spend_micros.add(metrics::to_micros(price));
-
-        let rec = obs::current();
+        let tel = obs::scope();
+        if let Some(m) = &tel.registry {
+            m.platform.tasks_queued.inc();
+            m.platform.tasks_assigned.inc();
+            m.platform.tasks_answered.inc();
+            m.platform.spend_micros.add(to_micros(price));
+        }
+        let rec = &tel.recorder;
         if rec.enabled() {
             rec.sample("platform.latency", service);
             rec.record(
@@ -537,11 +538,13 @@ impl CrowdOracle for SimulatedCrowd {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        let rec = obs::current();
-        let m = metrics::current();
-        m.platform.tasks_queued.add(reqs.len() as u64);
-        m.platform.batches.inc();
-        m.platform.open_batch_depth.set(reqs.len() as i64);
+        let tel = obs::scope();
+        let rec = &tel.recorder;
+        if let Some(m) = &tel.registry {
+            m.platform.tasks_queued.add(reqs.len() as u64);
+            m.platform.batches.inc();
+            m.platform.open_batch_depth.set(reqs.len() as i64);
+        }
         let t_plan = obs::WallTimer::start();
 
         // ---- Phase 1: sequential planning ------------------------------
@@ -651,15 +654,17 @@ impl CrowdOracle for SimulatedCrowd {
                 _ => {}
             }
         }
-        m.platform.tasks_assigned.add(plan.len() as u64);
-        m.platform.tasks_answered.add(plan.len() as u64);
-        m.platform
-            .spend_micros
-            .add(metrics::to_micros(plan.iter().map(|p| p.price).sum()));
-        m.platform.budget_stopped.add(budget_stopped);
-        m.platform.no_worker.add(no_worker);
-        m.platform.open_batch_depth.set(0);
-        m.platform.batch_ns.record(plan_ns + exec_ns);
+        if let Some(m) = &tel.registry {
+            m.platform.tasks_assigned.add(plan.len() as u64);
+            m.platform.tasks_answered.add(plan.len() as u64);
+            m.platform
+                .spend_micros
+                .add(to_micros(plan.iter().map(|p| p.price).sum()));
+            m.platform.budget_stopped.add(budget_stopped);
+            m.platform.no_worker.add(no_worker);
+            m.platform.open_batch_depth.set(0);
+            m.platform.batch_ns.record(plan_ns + exec_ns);
+        }
         if enabled {
             rec.record(
                 Event::new("platform.batch")
@@ -745,6 +750,25 @@ mod tests {
         assert!(matches!(err, CrowdError::BudgetExhausted { .. }));
         assert_eq!(crowd.ledger().entry("single_choice").unwrap().count, 2);
         assert_eq!(crowd.remaining_budget(), Some(0.0));
+    }
+
+    #[test]
+    fn metric_writes_land_only_in_the_scoped_registry() {
+        let crowd = SimulatedCrowd::new(perfect_pop(5), 1);
+        let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
+        let reg = std::sync::Arc::new(obs::metrics::Registry::new());
+        let before = reg.snapshot();
+        // No registry in scope: the writes go nowhere.
+        crowd.ask_one(&task).unwrap();
+        assert_eq!(reg.snapshot(), before);
+        let scope = obs::Scope {
+            registry: Some(reg.clone()),
+            ..obs::scope()
+        };
+        obs::with_scope(scope, || crowd.ask_one(&task).unwrap());
+        crowd.ask_one(&task).unwrap();
+        assert_eq!(reg.platform.tasks_answered.value(), 1);
+        assert_eq!(reg.platform.spend_micros.value(), 1_000_000);
     }
 
     #[test]

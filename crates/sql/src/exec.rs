@@ -44,7 +44,7 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::TaskId;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_metrics as metrics;
+use crowdkit_obs::metrics::to_micros;
 use crowdkit_obs::{self as obs, Event};
 
 use crate::ast::{Select, Statement};
@@ -415,8 +415,9 @@ impl Session {
             Statement::Select(s) => s,
             _ => return Err(CrowdError::Semantic("expected a SELECT".into())),
         };
+        let tel = obs::scope();
         let before = oracle.answers_delivered();
-        let metered = RoundOracle::new(oracle);
+        let metered = RoundOracle::new(oracle, tel.capture_detail());
         let (out, predicted) = {
             let state = self.inner.read();
             let planned = plan_select(&state, &select, opts, opts.optimize)?;
@@ -445,18 +446,20 @@ impl Session {
             predicted_spend: predicted.total.spend,
             predicted_rounds: predicted.total.rounds,
         };
-        let m = metrics::current();
-        m.sql.queries.inc();
-        m.sql.rows_out.add(stats.rows_out as u64);
-        m.sql.crowd_questions.add(stats.questions);
-        m.sql.spend_micros.add(metrics::to_micros(stats.spend));
-        m.sql.nodes.add(out.node_stats.len() as u64);
-        for ns in &out.node_stats {
-            m.sql.node_rows.record(ns.rows_out);
-        }
-        if obs::enabled() {
+        if let Some(m) = &tel.registry {
+            m.sql.queries.inc();
+            m.sql.rows_out.add(stats.rows_out as u64);
+            m.sql.crowd_questions.add(stats.questions);
+            m.sql.spend_micros.add(to_micros(stats.spend));
+            m.sql.nodes.add(out.node_stats.len() as u64);
             for ns in &out.node_stats {
-                obs::record(
+                m.sql.node_rows.record(ns.rows_out);
+            }
+        }
+        let rec = &tel.recorder;
+        if rec.enabled() {
+            for ns in &out.node_stats {
+                rec.record(
                     Event::new("sql.node")
                         .str("node", ns.node)
                         .u64("rows_in", ns.rows_in)
@@ -467,10 +470,10 @@ impl Session {
             }
             // Cross-layer cost ledger: spend attributed per plan node,
             // then per task / per worker from the metered oracle, all as
-            // `prov.spend` events under the active provenance scope.
-            if crowdkit_provenance::capture_detail() {
+            // `prov.spend` events under provenance capture.
+            if tel.capture_detail() {
                 for ns in &out.node_stats {
-                    obs::record(
+                    rec.record(
                         Event::new("prov.spend")
                             .str("scope", "node")
                             .str("node", ns.node)
@@ -478,9 +481,9 @@ impl Session {
                             .u64("questions", ns.questions),
                     );
                 }
-                metered.emit_ledger();
+                metered.emit_ledger(&**rec);
             }
-            obs::record(
+            rec.record(
                 Event::new("sql.query")
                     .u64("optimized", u64::from(opts.optimize))
                     .u64("questions", stats.questions)

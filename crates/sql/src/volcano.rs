@@ -35,7 +35,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 
-use crowdkit_provenance as prov;
+use crowdkit_obs::{prov, Recorder};
 
 use crowdkit_core::answer::Answer;
 use crowdkit_core::ask::{AskOutcome, AskRequest};
@@ -93,19 +93,20 @@ pub(crate) struct RoundOracle<'a> {
     inner: &'a dyn CrowdOracle,
     rounds: Cell<u64>,
     spend: Cell<f64>,
-    /// Per-task / per-worker spend attribution, kept only while a
-    /// provenance scope wants detail events (see [`prov::capture_detail`]).
+    /// Per-task / per-worker spend attribution, kept only while the scope
+    /// captures provenance detail (see [`crowdkit_obs::Scope::capture_detail`]).
     ledger: RefCell<Option<prov::SpendLedger>>,
 }
 
 impl<'a> RoundOracle<'a> {
-    /// Wraps `inner`, starting both meters at zero.
-    pub fn new(inner: &'a dyn CrowdOracle) -> Self {
+    /// Wraps `inner`, starting both meters at zero; `capture_detail`
+    /// also keeps a spend ledger.
+    pub fn new(inner: &'a dyn CrowdOracle, capture_detail: bool) -> Self {
         Self {
             inner,
             rounds: Cell::new(0),
             spend: Cell::new(0.0),
-            ledger: RefCell::new(prov::capture_detail().then(prov::SpendLedger::new)),
+            ledger: RefCell::new(capture_detail.then(prov::SpendLedger::new)),
         }
     }
 
@@ -119,11 +120,11 @@ impl<'a> RoundOracle<'a> {
         self.spend.get()
     }
 
-    /// Flushes the task/worker spend ledger as `prov.spend` events
-    /// (no-op when no provenance detail was being captured).
-    pub fn emit_ledger(&self) {
+    /// Flushes the task/worker spend ledger as `prov.spend` events into
+    /// `rec` (no-op when no provenance detail was being captured).
+    pub fn emit_ledger(&self, rec: &dyn Recorder) {
         if let Some(ledger) = &*self.ledger.borrow() {
-            ledger.emit();
+            ledger.emit(rec);
         }
     }
 
@@ -1316,7 +1317,7 @@ mod tests {
         let inner = PricedOracle {
             delivered: Cell::new(0),
         };
-        let metered = RoundOracle::new(&inner);
+        let metered = RoundOracle::new(&inner, false);
         let task = Task::binary(TaskId::new(0), "q");
         let answers = metered.ask_many(&task, 3).unwrap();
         assert_eq!(answers.len(), 3);

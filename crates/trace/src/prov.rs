@@ -1,10 +1,10 @@
 //! Decision-provenance analysis: the read side of the `prov.*` events
 //! (`crowdtrace why` and `crowdtrace audit`).
 //!
-//! The `crowdkit-provenance` layer records, per truth-inference run, the
-//! contributing votes, final worker weights, posterior margins, and label
-//! flip history (`prov.task` / `prov.worker` detail events plus the
-//! always-on `prov.run` summary), and the spend attribution ledger
+//! Provenance capture (`crowdkit_obs::prov`) records, per truth-inference
+//! run, the contributing votes, final worker weights, posterior margins,
+//! and label flip history (`prov.task` / `prov.worker` detail events plus
+//! the `prov.run` summary), and the spend attribution ledger
 //! (`prov.spend`, scoped by task, worker, and plan node). This module
 //! folds a loaded stream back into per-run records attributed to their
 //! experiment (via the surrounding `exp.begin`/`exp.end` span) and renders

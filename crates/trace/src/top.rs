@@ -1,6 +1,6 @@
 //! Rendering `metrics.snapshot` events as a live per-subsystem table.
 //!
-//! The metrics layer (`crowdkit-metrics`) periodically exports registry
+//! The metrics layer (`crowdkit_obs::metrics`) periodically exports registry
 //! deltas as `metrics.snapshot` events: one event per *changed* metric,
 //! tagged with its dotted name (`platform.spend_micros`), its kind
 //! (`counter` / `gauge` / `hist_det` / `hist_wall`) and the delta payload.
@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crowdkit_metrics::{bucket_bound, N_BUCKETS};
+use crowdkit_obs::metrics::{bucket_bound, N_BUCKETS};
 
 use crate::stream::{LoadedStream, OwnedEvent};
 
@@ -185,7 +185,7 @@ pub fn collect(stream: &LoadedStream) -> MetricsView {
 }
 
 /// Quantile bound over accumulated log2 buckets (mirrors the write-side
-/// maths in `crowdkit-metrics`).
+/// maths in `crowdkit_obs::metrics`).
 fn bucket_quantile(buckets: &[u64; N_BUCKETS], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;

@@ -44,6 +44,7 @@ use crate::em::{
     update_priors, vote_fraction_posteriors, EmConfig, LN_FLOOR,
 };
 use crate::freeze::ActiveSet;
+use crate::lineage::RunLineage;
 
 /// The Dawid–Skene EM algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,11 +85,11 @@ impl DawidSkene {
         // so the E-step reads one contiguous k-slice per observation.
         let mut log_table = vec![0.0f64; n_workers * k * k];
 
-        let rec = obs::current();
-        let obs_on = rec.enabled();
+        let tel = obs::scope();
+        let obs_on = tel.recorder.enabled();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
-        let mut lineage = crowdkit_provenance::RunLineage::begin("ds", &posteriors, k);
+        let mut lineage = RunLineage::begin(&tel, "ds", &posteriors, k);
 
         let mut iterations = 0;
         let mut converged = false;
@@ -177,8 +178,8 @@ impl DawidSkene {
             }
             if obs_on {
                 let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "ds", iterations, delta, m_ns, e_ns);
-                aset.observe(&*rec, "ds", iterations, &out);
+                obs_iter(&tel, "ds", iterations, delta, m_ns, e_ns);
+                aset.observe(&tel, "ds", iterations, &out);
             }
             if delta < cfg.tol {
                 converged = true;
@@ -188,9 +189,9 @@ impl DawidSkene {
         let labels = argmax_labels(&posteriors, k);
         let worker_quality = Some(worker_accuracy(&confusion, &priors, k));
         if let Some(l) = lineage.take() {
-            l.finish(matrix, &posteriors, worker_quality.as_deref());
+            l.finish(&*tel.recorder, matrix, &posteriors, worker_quality.as_deref());
         }
-        obs_run("ds", matrix, iterations, converged, run_start);
+        obs_run(&tel, "ds", matrix, iterations, converged, run_start);
         let confusion_rows = confusion
             .chunks(k * k)
             .map(|cm| cm.chunks(k).map(<[f64]>::to_vec).collect())

@@ -20,8 +20,7 @@
 
 use crowdkit_core::par::default_threads;
 use crowdkit_core::response::ResponseMatrix;
-use crowdkit_metrics as metrics;
-use crowdkit_obs::{self as obs, Event};
+use crowdkit_obs::{self as obs, Event, Scope};
 
 /// Floor applied before `ln` so log-space tables stay finite.
 pub(crate) const LN_FLOOR: f64 = 1e-300;
@@ -127,25 +126,25 @@ pub(crate) fn resolve_threads(requested: usize, work: usize) -> usize {
     }
 }
 
-/// Emits the per-iteration `truth.iter` telemetry event. The convergence
-/// `delta` (max posterior change) stands in for the log-likelihood
-/// trajectory: every EM loop already computes it, it tracks the same
-/// convergence signal, and recording it costs no extra kernel pass. Phase
-/// timings ride in wall-clock fields, outside the determinism boundary.
+/// Emits the per-iteration `truth.iter` telemetry event and sweep metrics
+/// into the run's scope. The convergence `delta` (max posterior change)
+/// stands in for the log-likelihood trajectory: every EM loop already
+/// computes it, it tracks the same convergence signal, and recording it
+/// costs no extra kernel pass. Phase timings ride in wall-clock fields,
+/// outside the determinism boundary.
 pub(crate) fn obs_iter(
-    rec: &dyn obs::Recorder,
+    scope: &Scope,
     algo: &'static str,
     iter: usize,
     delta: f64,
     m_ns: u64,
     e_ns: u64,
 ) {
-    let m = metrics::current();
-    if let Some(am) = m.truth.algo(algo) {
+    if let Some(am) = scope.registry.as_ref().and_then(|m| m.truth.algo(algo)) {
         am.iters.inc();
         am.sweep_ns.record(m_ns + e_ns);
     }
-    rec.record(
+    scope.recorder.record(
         Event::new("truth.iter")
             .str("algo", algo)
             .u64("iter", iter as u64)
@@ -160,20 +159,20 @@ pub(crate) fn obs_iter(
 ///
 /// [`TruthInferencer`]: crowdkit_core::traits::TruthInferencer
 pub(crate) fn obs_run(
+    scope: &Scope,
     algo: &'static str,
     matrix: &ResponseMatrix,
     iterations: usize,
     converged: bool,
     start: obs::WallTimer,
 ) {
-    let m = metrics::current();
-    if let Some(am) = m.truth.algo(algo) {
+    if let Some(am) = scope.registry.as_ref().and_then(|m| m.truth.algo(algo)) {
         am.runs.inc();
     }
-    if !obs::enabled() {
+    if !scope.recorder.enabled() {
         return;
     }
-    obs::record(
+    scope.recorder.record(
         Event::new("truth.run")
             .str("algo", algo)
             .u64("tasks", matrix.num_tasks() as u64)

@@ -41,7 +41,7 @@
 //! actually goes (see `DESIGN.md` §11).
 
 use crowdkit_core::par::{parallel_active_items_mut, parallel_items_mut};
-use crowdkit_obs::{self as obs, Event};
+use crowdkit_obs::{Event, Scope};
 
 /// Convergence-freezing settings shared by the EM kernels.
 ///
@@ -410,13 +410,15 @@ impl ActiveSet {
     /// Freeze/thaw counts and the active-set size are deterministic
     /// fields: the freezing trajectory is byte-identical across runs and
     /// thread counts.
-    pub fn observe(&self, rec: &dyn obs::Recorder, algo: &'static str, iter: usize, out: &SweepOutcome) {
+    pub fn observe(&self, scope: &Scope, algo: &'static str, iter: usize, out: &SweepOutcome) {
+        let rec = &scope.recorder;
         if out.froze > 0 || out.thawed > 0 {
-            let m = crowdkit_metrics::current();
-            m.truth.freezes.add(out.froze as u64);
-            m.truth.thaws.add(out.thawed as u64);
-            m.truth.active_tasks.set(out.active_len as i64);
-            m.truth.frozen_tasks.set(out.frozen_total as i64);
+            if let Some(m) = &scope.registry {
+                m.truth.freezes.add(out.froze as u64);
+                m.truth.thaws.add(out.thawed as u64);
+                m.truth.active_tasks.set(out.active_len as i64);
+                m.truth.frozen_tasks.set(out.frozen_total as i64);
+            }
         }
         if out.froze > 0 {
             rec.record(

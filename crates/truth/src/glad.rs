@@ -53,6 +53,7 @@ use crate::em::{
     update_priors, vote_fraction_posteriors,
 };
 use crate::freeze::{ActiveSet, FreezeConfig};
+use crate::lineage::RunLineage;
 
 /// Settings for [`Glad`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,11 +185,11 @@ impl Glad {
             p_correct * (1.0 - s) - (1.0 - p_correct) * s
         };
 
-        let rec = obs::current();
-        let obs_on = rec.enabled();
+        let tel = obs::scope();
+        let obs_on = tel.recorder.enabled();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
-        let mut lineage = crowdkit_provenance::RunLineage::begin("glad", &posteriors, k);
+        let mut lineage = RunLineage::begin(&tel, "glad", &posteriors, k);
 
         let mut iterations = 0;
         let mut converged = false;
@@ -369,8 +370,8 @@ impl Glad {
             }
             if obs_on {
                 let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "glad", iterations, delta, m_ns, e_ns);
-                aset.observe(&*rec, "glad", iterations, &out);
+                obs_iter(&tel, "glad", iterations, delta, m_ns, e_ns);
+                aset.observe(&tel, "glad", iterations, &out);
             }
             if delta < cfg.tol {
                 converged = true;
@@ -383,9 +384,9 @@ impl Glad {
         // reference difficulty β = 1.
         let worker_quality: Option<Vec<f64>> = Some(alpha.iter().map(|&a| sigmoid(a)).collect());
         if let Some(l) = lineage.take() {
-            l.finish(matrix, &posteriors, worker_quality.as_deref());
+            l.finish(&*tel.recorder, matrix, &posteriors, worker_quality.as_deref());
         }
-        obs_run("glad", matrix, iterations, converged, run_start);
+        obs_run(&tel, "glad", matrix, iterations, converged, run_start);
         let params = GladParams {
             abilities: alpha,
             inverse_difficulties: b.iter().map(|&x| x.exp()).collect(),

@@ -26,6 +26,7 @@ use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
 use crate::em::resolve_threads;
+use crate::lineage::RunLineage;
 
 /// The KOS message-passing algorithm. Binary tasks only.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +119,7 @@ impl TruthInferencer for Kos {
         // Decision snapshot for lineage capture: the current per-task
         // belief as a flat [P(0), P(1)] table (logistic squash of the
         // signed decision sum, matching the final posterior construction
-        // below). Only evaluated while a provenance scope is active.
+        // below). Only evaluated while provenance capture is on.
         let snapshot = |y: &[f64]| -> Vec<f64> {
             let mut d = vec![0.0f64; n_tasks];
             for (i, o) in obs.iter().enumerate() {
@@ -132,8 +133,9 @@ impl TruthInferencer for Kos {
                 .collect()
         };
         // Lineage baseline: the decision implied by the initial messages.
-        let mut lineage = if crowdkit_provenance::enabled() {
-            crowdkit_provenance::RunLineage::begin("kos", &snapshot(&y), 2)
+        let tel = crowdkit_obs::scope();
+        let mut lineage = if tel.provenance {
+            RunLineage::begin(&tel, "kos", &snapshot(&y), 2)
         } else {
             None
         };
@@ -242,16 +244,14 @@ impl TruthInferencer for Kos {
 
         if let Some(l) = lineage.take() {
             let flat: Vec<f64> = posteriors.iter().flatten().copied().collect();
-            l.finish(matrix, &flat, Some(&worker_quality));
+            l.finish(&*tel.recorder, matrix, &flat, Some(&worker_quality));
         }
         // KOS has no shared obs_iter loop (BP sweeps carry no convergence
         // delta), so its iteration count lands on the counter here.
-        crowdkit_metrics::current()
-            .truth
-            .kos
-            .iters
-            .add(self.iterations as u64);
-        crate::em::obs_run("kos", matrix, self.iterations, true, run_start);
+        if let Some(m) = &tel.registry {
+            m.truth.kos.iters.add(self.iterations as u64);
+        }
+        crate::em::obs_run(&tel, "kos", matrix, self.iterations, true, run_start);
         Ok(InferenceResult {
             labels,
             posteriors,

@@ -40,6 +40,7 @@ pub mod freeze;
 pub mod glad;
 pub mod gold;
 pub mod kos;
+mod lineage;
 pub mod mv;
 pub mod numeric;
 pub mod one_coin;

@@ -12,6 +12,7 @@ use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 use std::collections::HashMap;
 
 use crate::em::{argmax_labels, normalize, posterior_rows};
+use crate::lineage::RunLineage;
 
 /// Unweighted majority vote.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,10 +40,11 @@ impl TruthInferencer for MajorityVote {
         let labels = argmax_labels(&posteriors, k);
         // Single-pass: the lineage baseline *is* the final table, so the
         // flip timeline is legitimately empty.
-        if let Some(lineage) = crowdkit_provenance::RunLineage::begin("mv", &posteriors, k) {
-            lineage.finish(matrix, &posteriors, None);
+        let tel = crowdkit_obs::scope();
+        if let Some(lineage) = RunLineage::begin(&tel, "mv", &posteriors, k) {
+            lineage.finish(&*tel.recorder, matrix, &posteriors, None);
         }
-        crate::em::obs_run("mv", matrix, 1, true, run_start);
+        crate::em::obs_run(&tel, "mv", matrix, 1, true, run_start);
         Ok(InferenceResult {
             labels,
             posteriors: posterior_rows(&posteriors, k),
@@ -124,10 +126,11 @@ impl TruthInferencer for WeightedMajorityVote {
                 .map(|w| self.weight(matrix.worker_id(w)).clamp(0.0, 1.0))
                 .collect(),
         );
-        if let Some(lineage) = crowdkit_provenance::RunLineage::begin("wmv", &posteriors, k) {
-            lineage.finish(matrix, &posteriors, worker_quality.as_deref());
+        let tel = crowdkit_obs::scope();
+        if let Some(lineage) = RunLineage::begin(&tel, "wmv", &posteriors, k) {
+            lineage.finish(&*tel.recorder, matrix, &posteriors, worker_quality.as_deref());
         }
-        crate::em::obs_run("wmv", matrix, 1, true, run_start);
+        crate::em::obs_run(&tel, "wmv", matrix, 1, true, run_start);
         Ok(InferenceResult {
             labels,
             posteriors: posterior_rows(&posteriors, k),

@@ -29,6 +29,7 @@ use crate::em::{
     update_priors, vote_fraction_posteriors, EmConfig, LN_FLOOR,
 };
 use crate::freeze::ActiveSet;
+use crate::lineage::RunLineage;
 
 /// The one-coin EM algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,11 +73,11 @@ impl TruthInferencer for OneCoinEm {
         let mut log_right = vec![0.0f64; n_workers];
         let mut log_wrong = vec![0.0f64; n_workers];
 
-        let rec = obs::current();
-        let obs_on = rec.enabled();
+        let tel = obs::scope();
+        let obs_on = tel.recorder.enabled();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
-        let mut lineage = crowdkit_provenance::RunLineage::begin("zc", &posteriors, k);
+        let mut lineage = RunLineage::begin(&tel, "zc", &posteriors, k);
 
         let mut iterations = 0;
         let mut converged = false;
@@ -152,8 +153,8 @@ impl TruthInferencer for OneCoinEm {
             }
             if obs_on {
                 let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "zc", iterations, delta, m_ns, e_ns);
-                aset.observe(&*rec, "zc", iterations, &out);
+                obs_iter(&tel, "zc", iterations, delta, m_ns, e_ns);
+                aset.observe(&tel, "zc", iterations, &out);
             }
             if delta < cfg.tol {
                 converged = true;
@@ -161,9 +162,9 @@ impl TruthInferencer for OneCoinEm {
             }
         }
         if let Some(l) = lineage.take() {
-            l.finish(matrix, &posteriors, Some(&reliability));
+            l.finish(&*tel.recorder, matrix, &posteriors, Some(&reliability));
         }
-        obs_run("zc", matrix, iterations, converged, run_start);
+        obs_run(&tel, "zc", matrix, iterations, converged, run_start);
 
         let labels = argmax_labels(&posteriors, k);
         Ok(InferenceResult {

@@ -156,17 +156,29 @@ pub struct LedgerEntry {
     pub total: f64,
 }
 
+impl LedgerEntry {
+    fn add(&mut self, amount: f64) {
+        self.count += 1;
+        self.total += amount;
+    }
+}
+
 impl CostLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records a debit under `category`.
+    /// Records a debit under `category`; only a new category allocates.
     pub fn record(&mut self, category: &str, amount: f64) {
-        let e = self.entries.entry(category.to_owned()).or_default();
-        e.count += 1;
-        e.total += amount;
+        match self.entries.get_mut(category) {
+            Some(e) => e.add(amount),
+            None => self
+                .entries
+                .entry(category.to_owned())
+                .or_default()
+                .add(amount),
+        }
     }
 
     /// The entry for `category`, if anything was recorded there.

@@ -16,23 +16,28 @@
 //! partials in shard order with shard boundaries independent of the thread
 //! count.
 
-/// Applies `f` to every item, fanning out across `threads` scoped workers,
-/// and returns the results **in input order**.
+/// Fewest items worth a thread of their own in [`parallel_map`]. Measured
+/// on a 2-vCPU host with the platform's execution step (~55 ns an item):
+/// spawning two scoped threads cost ~55 µs, so two threads first beat one
+/// at about 2,048 items each.
+const MIN_ITEMS_PER_THREAD: usize = 2048;
+
+/// Applies `f` to every item, fanning out across up to `threads` scoped
+/// workers, and returns the results **in input order**.
 ///
 /// Items are split into contiguous chunks (one per worker) so the output
 /// permutation — and therefore every determinism property downstream — is
-/// independent of scheduling. Falls back to a plain sequential map when a
-/// single thread is requested or the input is too small to be worth the
-/// spawn overhead.
+/// independent of scheduling. At most one thread is spawned per 2,048
+/// items, so small inputs run as a plain sequential map on the calling
+/// thread.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    const MIN_ITEMS_PER_THREAD: usize = 2;
-    if threads == 1 || items.len() < MIN_ITEMS_PER_THREAD * 2 {
+    let threads = threads.min(items.len() / MIN_ITEMS_PER_THREAD).max(1);
+    if threads == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
@@ -185,19 +190,39 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order_at_any_width() {
-        let items: Vec<u64> = (0..103).collect();
+        // Enough items for every width to get all its threads, with a
+        // ragged last chunk.
+        let items: Vec<u64> = (0..(64 * MIN_ITEMS_PER_THREAD + 3) as u64).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = parallel_map(&items, threads, |_, &x| x * x);
+            let got = parallel_map(&items, threads, |_, &x| {
+                (x * x, std::thread::current().id())
+            });
+            let ids: std::collections::HashSet<_> = got.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids.len(), threads, "ran on {} threads", ids.len());
+            let got: Vec<u64> = got.into_iter().map(|(x, _)| x).collect();
             assert_eq!(got, expect, "order broken at {threads} threads");
         }
     }
 
     #[test]
+    fn parallel_map_spawns_one_thread_per_full_share() {
+        let caller = std::thread::current().id();
+        let threads_used = |n: usize, threads: usize| {
+            let ids = parallel_map(&vec![0u8; n], threads, |_, _| std::thread::current().id());
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            (distinct.len(), distinct.contains(&caller))
+        };
+        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD - 1, 8), (1, true));
+        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD, 8), (2, false));
+        assert_eq!(threads_used(5 * MIN_ITEMS_PER_THREAD + 7, 4), (4, false));
+    }
+
+    #[test]
     fn parallel_map_passes_global_indices() {
-        let items = vec!["a"; 37];
-        let got = parallel_map(&items, 4, |i, _| i);
-        assert_eq!(got, (0..37).collect::<Vec<_>>());
+        let n = 4 * MIN_ITEMS_PER_THREAD + 37;
+        let got = parallel_map(&vec!["a"; n], 4, |i, _| i);
+        assert_eq!(got, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -59,7 +59,8 @@ mod tests {
     /// in `crowdkit-core::par`).
     #[test]
     fn reexported_parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..103).collect();
+        // Enough items (2,048 a thread) for the 4-thread case to spawn.
+        let items: Vec<u64> = (0..4 * 2048 + 3).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 4] {
             assert_eq!(parallel_map(&items, threads, |_, &x| x * x), expect);

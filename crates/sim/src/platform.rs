@@ -12,8 +12,9 @@
 //! The platform is a *shared service*: every [`CrowdOracle`] method takes
 //! `&self` and internal state lives behind striped locks —
 //!
-//! * per-task assignment state (which workers answered, how many attempts)
-//!   is sharded across [`TASK_SHARDS`] mutexes keyed by task id;
+//! * per-task assignment state (which workers answered, as ascending pool
+//!   indices, and how many attempts) is sharded across [`TASK_SHARDS`]
+//!   mutexes keyed by task id;
 //! * the spend ledger is striped the same way and merged on read;
 //! * the budget sits behind a single mutex so debits are atomic;
 //! * the legacy sequential RNG and the simulated clock form the *core*
@@ -28,9 +29,22 @@
 //! latencies **overlap**: batch wall-clock is the makespan, not the sum —
 //! the dominant latency lever of crowd execution (HIT batching). Because
 //! every cross-assignment decision happens in the sequential phase, results
-//! are byte-identical at any thread count.
+//! are byte-identical at any thread count. Batches too small to give every
+//! thread a fixed minimum of assignments execute on the calling thread
+//! (see [`parallel_map`]).
+//!
+//! # Worker picks
+//!
+//! `ask_one` and `ask_batch` share one pick: uniform over the eligible
+//! workers, drawn with a single `gen_range(0..count)` and mapped to the
+//! drawn worker by walking the task's sorted skip list (workers already
+//! asked, plus the request's exclusions). A pick therefore costs
+//! O(|asked| + |exclude|), not O(pool). Under churn the candidates are the
+//! workers online at the epoch, listed once per batch (once per call for
+//! `ask_one`); only when no eligible worker is online does a pick scan the
+//! pool for the earliest arrival.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crowdkit_core::answer::Answer;
@@ -44,7 +58,6 @@ use crowdkit_obs::metrics::to_micros;
 use crowdkit_obs::{self as obs, Event};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::exec::{default_threads, derive_seed, parallel_map};
@@ -243,8 +256,16 @@ impl PlatformBuilder {
             (0..TASK_SHARDS).map(|_| Mutex::new(CostLedger::new())).collect();
         // Qualification spend lands in stripe 0; reads merge all stripes.
         *ledger_stripes[0].get_mut() = ledger;
+        let mut by_id: Vec<(WorkerId, u32)> = population
+            .workers()
+            .iter()
+            .zip(0u32..)
+            .map(|(w, i)| (w.id, i))
+            .collect();
+        by_id.sort_unstable();
         SimulatedCrowd {
             population,
+            by_id,
             cost_model: self.cost_model,
             latency: self.latency,
             churn: self.churn,
@@ -262,13 +283,24 @@ impl PlatformBuilder {
 /// Per-task assignment bookkeeping, kept inside a shard.
 #[derive(Debug, Default)]
 struct TaskState {
-    /// Workers already assigned to this task (a worker answers a given
-    /// task at most once, as on real platforms).
-    asked: HashSet<WorkerId>,
+    /// Population indices, ascending, of the workers already assigned to
+    /// this task (a worker answers a given task at most once, as on real
+    /// platforms).
+    asked: Vec<u32>,
     /// Monotone count of assignments ever planned for this task; the
     /// per-assignment RNG streams are derived from it, so streams never
     /// repeat across separate asks for the same task.
     attempts: u64,
+}
+
+impl TaskState {
+    /// Records that the worker at `worker_idx` now holds this task.
+    fn reserve(&mut self, worker_idx: usize) {
+        let i = worker_idx as u32;
+        if let Err(at) = self.asked.binary_search(&i) {
+            self.asked.insert(at, i);
+        }
+    }
 }
 
 /// Mutable state shared by the sequential path and batch planning: the
@@ -302,6 +334,8 @@ struct PlannedAsk {
 #[derive(Debug)]
 pub struct SimulatedCrowd {
     population: Population,
+    /// Every worker's id with its population index, sorted by id.
+    by_id: Vec<(WorkerId, u32)>,
     cost_model: CostModel,
     latency: LatencyModel,
     churn: Option<Churn>,
@@ -360,99 +394,117 @@ impl SimulatedCrowd {
         &self.ledger_stripes[task.raw() as usize % self.ledger_stripes.len()]
     }
 
-    /// Sequential worker pick for [`CrowdOracle::ask_one`]: uniform over
-    /// eligible workers via the shared RNG, advancing the clock to the next
-    /// arrival when churn leaves nobody online. Caller holds the core lock.
-    fn pick_worker_sequential(&self, core: &mut CoreState, task: TaskId) -> Option<usize> {
-        let mut shard = self.shard_for(task).lock();
-        let asked = &shard.entry(task).or_default().asked;
-        let eligible: Vec<usize> = self
-            .population
-            .workers()
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !asked.contains(&w.id))
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let Some(churn) = self.churn else {
-            return eligible.choose(&mut core.rng).copied();
-        };
-        let online: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&i| churn.online(self.population.get(i).id, self.seed, core.clock))
-            .collect();
-        if let Some(&i) = online.choose(&mut core.rng) {
-            return Some(i);
-        }
-        // Nobody online: wait for the earliest eligible arrival.
-        let (next_i, next_t) = eligible
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    churn.next_online(self.population.get(i).id, self.seed, core.clock),
-                )
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("eligible is non-empty"); // crowdkit-lint: allow(PANIC001) — empty `eligible` returned None earlier in this function
-        core.clock = next_t;
-        Some(next_i)
+    /// Population indices, ascending, of the workers online at simulated
+    /// time `t`; `None` without churn, when every worker always is.
+    fn online_at(&self, t: f64) -> Option<Vec<u32>> {
+        let churn = self.churn?;
+        Some(
+            self.population
+                .workers()
+                .iter()
+                .zip(0u32..)
+                .filter(|(w, _)| churn.online(w.id, self.seed, t))
+                .map(|(_, i)| i)
+                .collect(),
+        )
     }
 
-    /// Batch worker pick: deterministic function of the derived pick
-    /// stream, the reservation state and the batch epoch — never of thread
-    /// timing. Under churn, workers online at the epoch are preferred; when
-    /// nobody eligible is online the assignment *waits* (its serve time
-    /// becomes the earliest arrival) without blocking the rest of the
-    /// batch.
-    fn pick_worker_batch(
-        &self,
-        state: &TaskState,
-        exclude: &[WorkerId],
-        epoch: f64,
-        pick_seed: u64,
-    ) -> Option<(usize, f64)> {
-        let eligible: Vec<usize> = self
-            .population
-            .workers()
+    /// Population indices, ascending and without duplicates, of the
+    /// workers in `ids` that the pool holds.
+    fn pool_indices(&self, ids: &[WorkerId]) -> Vec<u32> {
+        let mut out: Vec<u32> = ids
             .iter()
-            .enumerate()
-            .filter(|(_, w)| !state.asked.contains(&w.id) && !exclude.contains(&w.id))
-            .map(|(i, _)| i)
+            .filter_map(|id| {
+                let at = self.by_id.binary_search_by_key(id, |&(w, _)| w).ok()?;
+                Some(self.by_id[at].1)
+            })
             .collect();
-        if eligible.is_empty() {
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Sequential worker pick for [`CrowdOracle::ask_one`]: [`Self::pick`]
+    /// over the task's reservations with the shared RNG, advancing the
+    /// clock to the next arrival when churn leaves nobody online. Caller
+    /// holds the core lock.
+    fn pick_worker_sequential(&self, core: &mut CoreState, task: TaskId) -> Option<usize> {
+        let online = self.online_at(core.clock);
+        let mut shard = self.shard_for(task).lock();
+        let asked = &shard.entry(task).or_default().asked;
+        let (i, serve_at) = self.pick(online.as_deref(), asked, core.clock, &mut core.rng)?;
+        core.clock = serve_at;
+        Some(i)
+    }
+
+    /// The worker pick behind both `ask_one` and `ask_batch`: uniform over
+    /// the eligible workers, a deterministic function of `rng`, the skip
+    /// list and the time `at` — never of thread timing.
+    ///
+    /// The candidates are `online` (ascending population indices; `None`
+    /// means the whole pool) minus `skip`, the ascending, duplicate-free
+    /// population indices already asked or excluded. One
+    /// `gen_range(0..count)` draw picks the r-th candidate, found by
+    /// stepping over the skipped candidates at or below it, so a pick
+    /// costs O(|skip|), plus a binary search of `online` per skipped
+    /// worker under churn. Returns the worker's population index and serve
+    /// time: `at`, or — when churn leaves no eligible worker online — the
+    /// earliest eligible arrival (the first on ties), found by a pool scan
+    /// and without a draw. `None` when every worker is skipped.
+    fn pick(
+        &self,
+        online: Option<&[u32]>,
+        skip: &[u32],
+        at: f64,
+        rng: &mut StdRng,
+    ) -> Option<(usize, f64)> {
+        let pool = self.population.len();
+        if skip.len() >= pool {
             return None;
         }
-        let mut pick_rng = StdRng::seed_from_u64(pick_seed);
-        let Some(churn) = self.churn else {
-            let i = eligible[pick_rng.gen_range(0..eligible.len())];
-            return Some((i, epoch));
-        };
-        let online: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&i| churn.online(self.population.get(i).id, self.seed, epoch))
-            .collect();
-        if !online.is_empty() {
-            let i = online[pick_rng.gen_range(0..online.len())];
-            return Some((i, epoch));
+        // Positions, ascending, of the skipped workers among the candidates.
+        let skipped = skip.iter().filter_map(|s| match online {
+            None => Some(*s as usize),
+            Some(on) => on.binary_search(s).ok(),
+        });
+        let count = online.map_or(pool, <[u32]>::len) - skipped.clone().count();
+        if count > 0 {
+            let mut r = rng.gen_range(0..count);
+            for s in skipped {
+                if s > r {
+                    break;
+                }
+                r += 1;
+            }
+            return Some((online.map_or(r, |on| on[r] as usize), at));
         }
-        let (next_i, next_t) = eligible
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    churn.next_online(self.population.get(i).id, self.seed, epoch),
-                )
+        // Only churn leaves eligible workers without a candidate: nobody
+        // eligible is online, so wait for the earliest arrival.
+        let churn = self.churn?;
+        // The eligible workers: the pool minus `skip`, both ascending.
+        let mut skip = skip.iter().peekable();
+        (0..pool)
+            .filter(|&i| skip.next_if_eq(&&(i as u32)).is_none())
+            .map(|i| {
+                let id = self.population.get(i).id;
+                (i, churn.next_online(id, self.seed, at))
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("eligible is non-empty"); // crowdkit-lint: allow(PANIC001) — empty `eligible` returned None earlier in this function
-        Some((next_i, next_t))
     }
+}
+
+/// `asked ∪ excluded` as one ascending, duplicate-free skip list, built in
+/// `buf` unless nothing is excluded.
+fn skip_list<'a>(asked: &'a [u32], excluded: &[u32], buf: &'a mut Vec<u32>) -> &'a [u32] {
+    if excluded.is_empty() {
+        return asked;
+    }
+    buf.clear();
+    buf.extend_from_slice(asked);
+    buf.extend_from_slice(excluded);
+    buf.sort_unstable();
+    buf.dedup();
+    buf
 }
 
 impl CrowdOracle for SimulatedCrowd {
@@ -489,8 +541,7 @@ impl CrowdOracle for SimulatedCrowd {
             .lock()
             .entry(task.id)
             .or_default()
-            .asked
-            .insert(worker.id);
+            .reserve(widx);
         self.delivered.fetch_add(1, Ordering::Relaxed);
 
         let tel = obs::scope();
@@ -557,8 +608,12 @@ impl CrowdOracle for SimulatedCrowd {
                 .iter()
                 .map(|r| AskOutcome::complete(r.task.id, r.redundancy.max(1), Vec::new()))
                 .collect();
+            // The epoch is fixed for the whole batch, and so is who is online.
+            let online = self.online_at(epoch);
+            let mut skip_buf = Vec::new();
             for (req_idx, req) in reqs.iter().enumerate() {
                 let price = self.cost_model.price(&req.task.kind);
+                let excluded = self.pool_indices(&req.exclude);
                 for _ in 0..req.redundancy.max(1) {
                     if !budget.can_afford(price) {
                         outcomes[req_idx].shortfall = Some(CrowdError::BudgetExhausted {
@@ -570,16 +625,20 @@ impl CrowdOracle for SimulatedCrowd {
                     let mut shard = self.shard_for(req.task.id).lock();
                     let state = shard.entry(req.task.id).or_default();
                     let attempt = state.attempts;
-                    let pick_seed =
-                        derive_seed(self.seed ^ PICK_STREAM_SALT, req.task.id.raw(), attempt);
+                    let mut pick_rng = StdRng::seed_from_u64(derive_seed(
+                        self.seed ^ PICK_STREAM_SALT,
+                        req.task.id.raw(),
+                        attempt,
+                    ));
+                    let skip = skip_list(&state.asked, &excluded, &mut skip_buf);
                     let Some((worker_idx, serve_start)) =
-                        self.pick_worker_batch(state, &req.exclude, epoch, pick_seed)
+                        self.pick(online.as_deref(), skip, epoch, &mut pick_rng)
                     else {
                         outcomes[req_idx].shortfall = Some(CrowdError::NoWorkerAvailable);
                         break;
                     };
                     state.attempts += 1;
-                    state.asked.insert(self.population.get(worker_idx).id);
+                    state.reserve(worker_idx);
                     drop(shard);
                     budget.debit(price)?;
                     self.ledger_stripe_for(req.task.id)
@@ -703,6 +762,7 @@ mod tests {
     use crate::population::PopulationBuilder;
     use crowdkit_core::answer::AnswerValue;
     use crowdkit_core::task::Task;
+    use std::collections::HashSet;
 
     fn perfect_pop(n: usize) -> Population {
         PopulationBuilder::new().reliable(n, 1.0, 1.0).build(0)
@@ -878,7 +938,8 @@ mod batch_tests {
                 .seed(11)
                 .threads(threads)
                 .build();
-            let ts = tasks(25);
+            // 16,500 asks: enough for execution to use all 8 threads.
+            let ts = tasks(3_300);
             let outs = crowd.ask_batch(&batch_of(&ts, 5)).unwrap();
             let answers: Vec<(u64, u64, AnswerValue, f64)> = outs
                 .iter()
@@ -1238,5 +1299,195 @@ mod churn_tests {
             duty_cycle: 0.0,
             period: 600.0,
         });
+    }
+}
+
+#[cfg(test)]
+mod pick_tests {
+    //! The shared pick against the scans it replaced, kept here as the
+    //! reference: same worker, same serve time, same RNG state after.
+
+    use super::*;
+    use crate::population::mixes;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use std::collections::HashSet;
+
+    /// `ask_one`'s pick before [`SimulatedCrowd::pick`]: lists the eligible
+    /// and the online workers by scanning the pool on every pick.
+    fn scan_pick_sequential(
+        crowd: &SimulatedCrowd,
+        core: &mut CoreState,
+        asked: &HashSet<WorkerId>,
+    ) -> Option<usize> {
+        let eligible: Vec<usize> = (0..crowd.population.len())
+            .filter(|&i| !asked.contains(&crowd.population.get(i).id))
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        let Some(churn) = crowd.churn else {
+            return eligible.choose(&mut core.rng).copied();
+        };
+        let online: Vec<usize> = eligible
+            .iter()
+            .copied()
+            .filter(|&i| churn.online(crowd.population.get(i).id, crowd.seed, core.clock))
+            .collect();
+        if let Some(&i) = online.choose(&mut core.rng) {
+            return Some(i);
+        }
+        let (next_i, next_t) = eligible
+            .iter()
+            .map(|&i| {
+                let id = crowd.population.get(i).id;
+                (i, churn.next_online(id, crowd.seed, core.clock))
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
+        core.clock = next_t;
+        Some(next_i)
+    }
+
+    /// `ask_batch`'s pick before [`SimulatedCrowd::pick`], drawing from
+    /// the derived pick stream `rng`.
+    fn scan_pick_batch(
+        crowd: &SimulatedCrowd,
+        asked: &HashSet<WorkerId>,
+        exclude: &[WorkerId],
+        epoch: f64,
+        rng: &mut StdRng,
+    ) -> Option<(usize, f64)> {
+        let eligible: Vec<usize> = (0..crowd.population.len())
+            .filter(|&i| {
+                let id = crowd.population.get(i).id;
+                !asked.contains(&id) && !exclude.contains(&id)
+            })
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        let Some(churn) = crowd.churn else {
+            return Some((eligible[rng.gen_range(0..eligible.len())], epoch));
+        };
+        let online: Vec<usize> = eligible
+            .iter()
+            .copied()
+            .filter(|&i| churn.online(crowd.population.get(i).id, crowd.seed, epoch))
+            .collect();
+        if !online.is_empty() {
+            return Some((online[rng.gen_range(0..online.len())], epoch));
+        }
+        eligible
+            .iter()
+            .map(|&i| {
+                let id = crowd.population.get(i).id;
+                (i, churn.next_online(id, crowd.seed, epoch))
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    /// A platform over `n` workers; `qualified` screens the pool so its ids
+    /// have gaps, and `duty` turns churn on.
+    fn platform(n: usize, qualified: bool, duty: Option<f64>, seed: u64) -> SimulatedCrowd {
+        let mut b = PlatformBuilder::new(mixes::spam_heavy(n, seed)).seed(seed);
+        if qualified {
+            b = b.qualification(Qualification {
+                questions: 4,
+                pass_fraction: 0.75,
+                difficulty: 0.3,
+            });
+        }
+        if let Some(duty_cycle) = duty {
+            b = b.churn(Churn {
+                duty_cycle,
+                period: 600.0,
+            });
+        }
+        b.build()
+    }
+
+    /// Runs the shared pick and the reference scan on one case, through
+    /// both the sequential and the batch entry points, and returns whether
+    /// the batch pick had to wait for an arrival.
+    fn check(
+        crowd: &SimulatedCrowd,
+        asked: &[u32],
+        exclude: &[WorkerId],
+        at: f64,
+        rng_seed: u64,
+    ) -> std::result::Result<bool, TestCaseError> {
+        let asked_ids: HashSet<WorkerId> = asked
+            .iter()
+            .map(|&i| crowd.population.get(i as usize).id)
+            .collect();
+
+        let task = TaskId::new(rng_seed);
+        crowd.shard_for(task).lock().entry(task).or_default().asked = asked.to_vec();
+        let core = || CoreState {
+            rng: StdRng::seed_from_u64(rng_seed),
+            clock: at,
+        };
+        let (mut new_core, mut ref_core) = (core(), core());
+        let new_pick = crowd.pick_worker_sequential(&mut new_core, task);
+        let ref_pick = scan_pick_sequential(crowd, &mut ref_core, &asked_ids);
+        prop_assert_eq!(new_pick, ref_pick, "sequential pick");
+        prop_assert_eq!(new_core.clock.to_bits(), ref_core.clock.to_bits());
+        prop_assert_eq!(&new_core.rng, &ref_core.rng, "shared RNG state");
+
+        let online = crowd.online_at(at);
+        let excluded = crowd.pool_indices(exclude);
+        let mut buf = Vec::new();
+        let skip = skip_list(asked, &excluded, &mut buf);
+        let mut new_rng = StdRng::seed_from_u64(rng_seed);
+        let mut ref_rng = new_rng.clone();
+        let new_pick = crowd.pick(online.as_deref(), skip, at, &mut new_rng);
+        let ref_pick = scan_pick_batch(crowd, &asked_ids, exclude, at, &mut ref_rng);
+        prop_assert_eq!(new_pick, ref_pick, "batch pick");
+        prop_assert_eq!(&new_rng, &ref_rng, "pick stream state");
+        Ok(ref_pick.is_some_and(|(_, serve)| serve > at))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// Random pools (dense or screened), reservation sets, exclusion
+        /// lists and epochs, with churn off, common or rare.
+        #[test]
+        fn shared_pick_matches_the_scan_picks(
+            (n, qualified, seed) in (1usize..40, prop::bool::ANY, 0u64..1_000),
+            duty in prop_oneof![Just(None), (0.01f64..1.0).prop_map(Some), Just(Some(0.002))],
+            (asked_share, marks) in (0u8..5, prop::collection::vec(0u8..4, 40)),
+            raw_exclude in prop::collection::vec(0u64..60, 0..6),
+            at in 0.0f64..1_200.0,
+        ) {
+            let crowd = platform(n, qualified, duty, seed);
+            let asked: Vec<u32> = (0..crowd.population.len() as u32)
+                .filter(|&i| marks[i as usize] < asked_share)
+                .collect();
+            // Random raw ids (some outside any pool), one repeated, one
+            // already asked and one far outside the pool.
+            let mut exclude: Vec<WorkerId> = raw_exclude.iter().map(|&r| WorkerId::new(r)).collect();
+            exclude.extend(exclude.first().copied());
+            exclude.extend(asked.first().map(|&i| crowd.population.get(i as usize).id));
+            exclude.push(WorkerId::new(u64::MAX));
+            check(&crowd, &asked, &exclude, at, seed ^ 0xA5A5)?;
+        }
+    }
+
+    /// The one O(pool) path left: at a 0.2% duty cycle almost every epoch
+    /// finds nobody online, so picks wait for the earliest arrival.
+    #[test]
+    fn nobody_online_waits_like_the_scan() {
+        let crowd = platform(12, false, Some(0.002), 3);
+        let mut waits = 0;
+        for step in 0..50u32 {
+            let at = f64::from(step) * 37.0;
+            let asked: Vec<u32> = (0..12).filter(|i| (i + step) % 4 == 0).collect();
+            let exclude = [crowd.population.get(5).id, WorkerId::new(99)];
+            let waited = check(&crowd, &asked, &exclude, at, u64::from(step))
+                .unwrap_or_else(|e| panic!("epoch {at}: {e:?}"));
+            waits += usize::from(waited);
+        }
+        assert!(waits > 40, "only {waits} of 50 epochs found nobody online");
     }
 }

@@ -97,7 +97,11 @@ pub struct Population {
 }
 
 impl Population {
-    /// Wraps explicit profiles.
+    /// Wraps explicit profiles. Worker ids must be unique within a pool:
+    /// the platform keys reservations by population index and maps
+    /// excluded ids to indices. [`PopulationBuilder`] and the platform's
+    /// qualification filter, which keeps a subset of a built pool, both
+    /// guarantee it.
     pub fn from_profiles(workers: Vec<WorkerProfile>) -> Self {
         Self { workers }
     }

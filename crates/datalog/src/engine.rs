@@ -124,8 +124,10 @@ impl Engine {
     ///
     /// Rejects: unsafe rules (head/negation/comparison variables not bound
     /// by a positive body atom), crowd predicates appearing as rule heads,
-    /// arity clashes with `@crowd` declarations, and unstratifiable
-    /// negation.
+    /// crowd-predicate facts whose arity clashes with the `@crowd`
+    /// declaration, and unstratifiable negation. A crowd atom in a rule
+    /// body with the wrong arity is rejected when [`Engine::run`] reaches
+    /// it.
     pub fn new(program: Program) -> Result<Self> {
         let mut crowd_preds = BTreeMap::new();
         for c in &program.clauses {
@@ -354,8 +356,24 @@ impl Engine {
         restrict: Option<(usize, &HashSet<Vec<Const>>)>,
     ) -> Result<Vec<Vec<Const>>> {
         let mut results = Vec::new();
-        let mut binding: HashMap<String, Const> = HashMap::new();
-        self.join(rule, 0, db, restrict, &mut binding, &mut results)?;
+        for_each_binding(&rule.body, db, restrict, |binding| {
+            let tuple = rule
+                .head
+                .args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => Ok(c.clone()),
+                    Term::Var(v) => binding.get(v).cloned().ok_or_else(|| {
+                        CrowdError::Semantic(format!("unbound head variable {v} in rule {rule}"))
+                    }),
+                    Term::Wildcard => Err(CrowdError::Semantic(format!(
+                        "wildcard in rule head: {rule}"
+                    ))),
+                })
+                .collect::<Result<_>>()?;
+            results.push(tuple);
+            Ok(())
+        })?;
         Ok(results)
     }
 
@@ -364,18 +382,9 @@ impl Engine {
     /// aggregate over the *set* of distinct values of its variable within
     /// the group (Datalog set semantics).
     fn eval_aggregate(&self, rule: &Rule, db: &Database) -> Result<Vec<Vec<Const>>> {
-        let mut bindings = Vec::new();
-        let mut b = HashMap::new();
-        let body_only = Rule {
-            head: rule.head.clone(),
-            body: rule.body.clone(),
-            aggregates: Vec::new(),
-        };
-        self.enumerate_bindings(&body_only, 0, db, &mut b, &mut bindings)?;
-
         // Group key: resolved non-aggregate head arguments.
         let mut groups: BTreeMap<Vec<Const>, Vec<BTreeSet<Const>>> = BTreeMap::new();
-        for binding in &bindings {
+        for_each_binding(&rule.body, db, None, |binding| {
             let mut key = Vec::new();
             for (i, t) in rule.head.args.iter().enumerate() {
                 if rule.aggregates.iter().any(|s| s.pos == i) {
@@ -383,12 +392,9 @@ impl Engine {
                 }
                 let v = match t {
                     Term::Const(c) => c.clone(),
-                    Term::Var(v) => binding
-                        .get(v)
-                        .cloned()
-                        .ok_or_else(|| {
-                            CrowdError::Semantic(format!("unbound head variable {v} in {rule}"))
-                        })?,
+                    Term::Var(v) => binding.get(v).cloned().ok_or_else(|| {
+                        CrowdError::Semantic(format!("unbound head variable {v} in {rule}"))
+                    })?,
                     Term::Wildcard => unreachable!("validated: no stray head wildcards"),
                 };
                 key.push(v);
@@ -405,7 +411,8 @@ impl Engine {
                 })?;
                 sets[slot_idx].insert(v);
             }
-        }
+            Ok(())
+        })?;
 
         let mut out = Vec::with_capacity(groups.len());
         for (key, sets) in groups {
@@ -457,20 +464,11 @@ impl Engine {
                 )));
             }
 
-            // Enumerate bindings of the prefix literals [0, idx).
-            let prefix = Rule {
-                head: rule.head.clone(),
-                body: rule.body[..idx].to_vec(),
-                aggregates: Vec::new(),
-            };
-            let mut bindings = Vec::new();
-            let mut b = HashMap::new();
-            self.enumerate_bindings(&prefix, 0, db, &mut b, &mut bindings)?;
-
-            // Determine bound/free positions of the crowd atom per binding;
-            // fetch only single-free-position patterns.
+            // Over the bindings of the prefix literals [0, idx), determine
+            // the bound/free positions of the crowd atom; fetch only
+            // single-free-position patterns.
             let mut requests: Vec<(Vec<(usize, Const)>, usize)> = Vec::new();
-            for binding in &bindings {
+            for_each_binding(&rule.body[..idx], db, None, |binding| {
                 let mut bound: Vec<(usize, Const)> = Vec::new();
                 let mut free: Vec<usize> = Vec::new();
                 for (pos, term) in atom.args.iter().enumerate() {
@@ -486,7 +484,8 @@ impl Engine {
                 if let [free_pos] = free[..] {
                     requests.push((bound, free_pos));
                 }
-            }
+                Ok(())
+            })?;
             // Bindings come out of hash sets; fetching in sorted order keeps
             // the resolver's call sequence (its task ids, and which fetches
             // a `max_fetches` cap keeps) the same on every run.
@@ -528,201 +527,113 @@ impl Engine {
         }
         Ok(pending)
     }
+}
 
-    /// Left-to-right join over `rule.body[lit_idx..]`, extending `binding`
-    /// and pushing completed head tuples into `results`. A positive atom
-    /// whose index matches `restrict` iterates only the delta tuples.
-    fn join(
-        &self,
-        rule: &Rule,
-        lit_idx: usize,
-        db: &Database,
-        restrict: Option<(usize, &HashSet<Vec<Const>>)>,
-        binding: &mut HashMap<String, Const>,
-        results: &mut Vec<Vec<Const>>,
-    ) -> Result<()> {
-        if lit_idx == rule.body.len() {
-            let tuple: Vec<Const> = rule
-                .head
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Ok(c.clone()),
-                    Term::Var(v) => binding.get(v).cloned().ok_or_else(|| {
-                        CrowdError::Semantic(format!(
-                            "unbound head variable {v} in rule {rule}"
-                        ))
-                    }),
-                    Term::Wildcard => Err(CrowdError::Semantic(format!(
-                        "wildcard in rule head: {rule}"
-                    ))),
+/// Hands every complete binding of `body` under `db` to `emit`, joining
+/// left to right. A positive atom whose index matches `restrict` iterates
+/// only the delta tuples.
+fn for_each_binding<F>(
+    body: &[Literal],
+    db: &Database,
+    restrict: Option<(usize, &HashSet<Vec<Const>>)>,
+    mut emit: F,
+) -> Result<()>
+where
+    F: FnMut(&HashMap<String, Const>) -> Result<()>,
+{
+    extend(body, 0, db, restrict, &mut HashMap::new(), &mut emit)
+}
+
+/// The recursion behind [`for_each_binding`]: extends `binding` over
+/// `body[lit_idx..]`.
+fn extend<F>(
+    body: &[Literal],
+    lit_idx: usize,
+    db: &Database,
+    restrict: Option<(usize, &HashSet<Vec<Const>>)>,
+    binding: &mut HashMap<String, Const>,
+    emit: &mut F,
+) -> Result<()>
+where
+    F: FnMut(&HashMap<String, Const>) -> Result<()>,
+{
+    let Some(lit) = body.get(lit_idx) else {
+        return emit(binding);
+    };
+    match lit {
+        Literal::Pos(atom) => {
+            let rows: &HashSet<Vec<Const>> = match restrict {
+                Some((i, delta)) if i == lit_idx => delta,
+                _ => match db.rows(&atom.predicate) {
+                    Some(rows) => rows,
+                    None => return Ok(()),
+                },
+            };
+            for row in rows {
+                if row.len() != atom.arity() {
+                    continue;
+                }
+                let mut added: Vec<String> = Vec::new();
+                let mut ok = true;
+                for (term, value) in atom.args.iter().zip(row) {
+                    match term {
+                        Term::Const(c) => {
+                            if c != value {
+                                ok = false;
+                                break;
+                            }
+                        }
+                        Term::Wildcard => {}
+                        Term::Var(v) => match binding.get(v) {
+                            Some(existing) => {
+                                if existing != value {
+                                    ok = false;
+                                    break;
+                                }
+                            }
+                            None => {
+                                binding.insert(v.clone(), value.clone());
+                                added.push(v.clone());
+                            }
+                        },
+                    }
+                }
+                if ok {
+                    extend(body, lit_idx + 1, db, restrict, binding, emit)?;
+                }
+                for v in added {
+                    binding.remove(&v);
+                }
+            }
+            Ok(())
+        }
+        Literal::Neg(atom) => {
+            // All non-wildcard terms must be ground here (validated).
+            let exists = db
+                .rows(&atom.predicate)
+                .map(|rows| {
+                    rows.iter().any(|row| {
+                        row.len() == atom.arity()
+                            && atom.args.iter().zip(row).all(|(t, v)| match t {
+                                Term::Const(c) => c == v,
+                                Term::Var(name) => binding.get(name) == Some(v),
+                                Term::Wildcard => true,
+                            })
+                    })
                 })
-                .collect::<Result<_>>()?;
-            results.push(tuple);
-            return Ok(());
+                .unwrap_or(false);
+            if !exists {
+                extend(body, lit_idx + 1, db, restrict, binding, emit)?;
+            }
+            Ok(())
         }
-        match &rule.body[lit_idx] {
-            Literal::Pos(atom) => {
-                let rows: &HashSet<Vec<Const>> = match restrict {
-                    Some((i, delta)) if i == lit_idx => delta,
-                    _ => match db.rows(&atom.predicate) {
-                        Some(rows) => rows,
-                        None => return Ok(()),
-                    },
-                };
-                for row in rows {
-                    if row.len() != atom.arity() {
-                        continue;
-                    }
-                    let mut added: Vec<String> = Vec::new();
-                    let mut ok = true;
-                    for (term, value) in atom.args.iter().zip(row) {
-                        match term {
-                            Term::Const(c) => {
-                                if c != value {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            Term::Wildcard => {}
-                            Term::Var(v) => match binding.get(v) {
-                                Some(existing) => {
-                                    if existing != value {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                None => {
-                                    binding.insert(v.clone(), value.clone());
-                                    added.push(v.clone());
-                                }
-                            },
-                        }
-                    }
-                    if ok {
-                        self.join(rule, lit_idx + 1, db, restrict, binding, results)?;
-                    }
-                    for v in added {
-                        binding.remove(&v);
-                    }
-                }
-                Ok(())
+        Literal::Cmp(l, op, r) => {
+            let lv = resolve_term(l, binding)?;
+            let rv = resolve_term(r, binding)?;
+            if op.eval(&lv, &rv) {
+                extend(body, lit_idx + 1, db, restrict, binding, emit)?;
             }
-            Literal::Neg(atom) => {
-                // All non-wildcard terms must be ground here (validated).
-                let exists = db
-                    .rows(&atom.predicate)
-                    .map(|rows| {
-                        rows.iter().any(|row| {
-                            row.len() == atom.arity()
-                                && atom.args.iter().zip(row).all(|(t, v)| match t {
-                                    Term::Const(c) => c == v,
-                                    Term::Var(name) => binding.get(name) == Some(v),
-                                    Term::Wildcard => true,
-                                })
-                        })
-                    })
-                    .unwrap_or(false);
-                if !exists {
-                    self.join(rule, lit_idx + 1, db, restrict, binding, results)?;
-                }
-                Ok(())
-            }
-            Literal::Cmp(l, op, r) => {
-                let lv = resolve_term(l, binding)?;
-                let rv = resolve_term(r, binding)?;
-                if op.eval(&lv, &rv) {
-                    self.join(rule, lit_idx + 1, db, restrict, binding, results)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Enumerates complete bindings of a (prefix) rule body without
-    /// producing head tuples.
-    fn enumerate_bindings(
-        &self,
-        prefix: &Rule,
-        lit_idx: usize,
-        db: &Database,
-        binding: &mut HashMap<String, Const>,
-        out: &mut Vec<HashMap<String, Const>>,
-    ) -> Result<()> {
-        if lit_idx == prefix.body.len() {
-            out.push(binding.clone());
-            return Ok(());
-        }
-        match &prefix.body[lit_idx] {
-            Literal::Pos(atom) => {
-                let Some(rows) = db.rows(&atom.predicate) else {
-                    return Ok(());
-                };
-                for row in rows {
-                    if row.len() != atom.arity() {
-                        continue;
-                    }
-                    let mut added: Vec<String> = Vec::new();
-                    let mut ok = true;
-                    for (term, value) in atom.args.iter().zip(row) {
-                        match term {
-                            Term::Const(c) => {
-                                if c != value {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            Term::Wildcard => {}
-                            Term::Var(v) => match binding.get(v) {
-                                Some(existing) => {
-                                    if existing != value {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                None => {
-                                    binding.insert(v.clone(), value.clone());
-                                    added.push(v.clone());
-                                }
-                            },
-                        }
-                    }
-                    if ok {
-                        self.enumerate_bindings(prefix, lit_idx + 1, db, binding, out)?;
-                    }
-                    for v in added {
-                        binding.remove(&v);
-                    }
-                }
-                Ok(())
-            }
-            Literal::Neg(atom) => {
-                let exists = db
-                    .rows(&atom.predicate)
-                    .map(|rows| {
-                        rows.iter().any(|row| {
-                            row.len() == atom.arity()
-                                && atom.args.iter().zip(row).all(|(t, v)| match t {
-                                    Term::Const(c) => c == v,
-                                    Term::Var(name) => binding.get(name) == Some(v),
-                                    Term::Wildcard => true,
-                                })
-                        })
-                    })
-                    .unwrap_or(false);
-                if !exists {
-                    self.enumerate_bindings(prefix, lit_idx + 1, db, binding, out)?;
-                }
-                Ok(())
-            }
-            Literal::Cmp(l, op, r) => {
-                let lv = resolve_term(l, binding)?;
-                let rv = resolve_term(r, binding)?;
-                if op.eval(&lv, &rv) {
-                    self.enumerate_bindings(prefix, lit_idx + 1, db, binding, out)?;
-                }
-                Ok(())
-            }
+            Ok(())
         }
     }
 }
@@ -772,6 +683,16 @@ fn validate_rule(rule: &Rule, crowd_preds: &BTreeMap<String, usize>) -> Result<(
                 "fact {} must be ground",
                 rule.head
             )));
+        }
+        if let Some(&arity) = crowd_preds.get(&rule.head.predicate) {
+            if rule.head.arity() != arity {
+                return Err(CrowdError::Semantic(format!(
+                    "fact {} has arity {} but crowd predicate '{}' is declared /{arity}",
+                    rule.head,
+                    rule.head.arity(),
+                    rule.head.predicate
+                )));
+            }
         }
         return Ok(());
     }
@@ -1181,6 +1102,20 @@ mod tests {
         let engine = Engine::new(program).unwrap();
         let err = engine.run(&mut NullResolver).unwrap_err();
         assert!(matches!(err, CrowdError::Semantic(_)));
+    }
+
+    #[test]
+    fn crowd_fact_arity_mismatch_rejected_at_new() {
+        // Were it stored, the one-column `v` fact would reach the fetch's
+        // stored-match check, which reads the bound second column.
+        let program = parse_program(r#"
+            r("a").
+            @crowd v/2.
+            v("a").
+            out(X, V) :- r(V), v(X, V).
+        "#).unwrap();
+        let err = Engine::new(program).unwrap_err();
+        assert!(matches!(err, CrowdError::Semantic(_)), "{err:?}");
     }
 
     #[test]

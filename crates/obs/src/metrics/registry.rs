@@ -107,8 +107,6 @@ pub struct TruthMetrics {
     pub kos: AlgoMetrics,
     /// Tasks frozen by the sparse incremental E-step.
     pub freezes: Counter,
-    /// Frozen tasks thawed back into the active set.
-    pub thaws: Counter,
     /// Active (unfrozen) tasks after the most recent sweep.
     pub active_tasks: Gauge,
     /// Frozen tasks after the most recent sweep.
@@ -123,7 +121,6 @@ impl TruthMetrics {
             glad: AlgoMetrics::new(),
             kos: AlgoMetrics::new(),
             freezes: Counter::new(),
-            thaws: Counter::new(),
             active_tasks: Gauge::new(),
             frozen_tasks: Gauge::new(),
         }

@@ -114,7 +114,6 @@ impl Registry {
             ));
         }
         m.push(("truth.freezes", c(t.freezes.value())));
-        m.push(("truth.thaws", c(t.thaws.value())));
         m.push(("truth.active_tasks", g(t.active_tasks.value())));
         m.push(("truth.frozen_tasks", g(t.frozen_tasks.value())));
 

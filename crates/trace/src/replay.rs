@@ -186,15 +186,14 @@ impl SpanBuilder {
                     self.frame(&[&name, "e_step"]).wall_ns += em;
                 }
             }
-            "truth.freeze" | "truth.thaw" => {
+            "truth.freeze" => {
                 // Sparse-EM worklist transitions: counted as children of
                 // the algorithm's frame so replay shows how much of a run
                 // had freezing activity (the events themselves carry the
                 // per-iteration active-set size).
                 let algo = e.field_str("algo").unwrap_or("?").to_owned();
                 let name = format!("truth:{algo}");
-                let phase = if e.key == "truth.freeze" { "freeze" } else { "thaw" };
-                self.frame(&[&name, phase]).events += 1;
+                self.frame(&[&name, "freeze"]).events += 1;
             }
             "truth.run" => {
                 let algo = e.field_str("algo").unwrap_or("?").to_owned();
@@ -541,12 +540,12 @@ mod tests {
     }
 
     #[test]
-    fn freeze_and_thaw_events_attribute_under_the_algorithm_frame() {
+    fn freeze_events_attribute_under_the_algorithm_frame() {
         let s = parse_stream(concat!(
             "{\"key\":\"truth.freeze\",\"algo\":\"ds\",\"iter\":3,\"froze\":90,",
             "\"active\":10,\"frozen_total\":90}\n",
-            "{\"key\":\"truth.thaw\",\"algo\":\"ds\",\"iter\":6,\"thawed\":2,",
-            "\"active\":12,\"frozen_total\":88}\n",
+            "{\"key\":\"truth.freeze\",\"algo\":\"ds\",\"iter\":6,\"froze\":2,",
+            "\"active\":8,\"frozen_total\":92}\n",
             "{\"key\":\"truth.run\",\"algo\":\"ds\",\"tasks\":100,\"workers\":5,",
             "\"observations\":500,\"iters\":8,\"converged\":1}\n",
         ))
@@ -558,8 +557,8 @@ mod tests {
             .find(|f| f.name == "truth:ds")
             .expect("truth frame");
         let child_names: Vec<&str> = truth.children.iter().map(|c| c.name.as_str()).collect();
-        assert!(child_names.contains(&"freeze"), "children: {child_names:?}");
-        assert!(child_names.contains(&"thaw"), "children: {child_names:?}");
+        assert_eq!(child_names, ["freeze"]);
+        assert_eq!(truth.children[0].events, 2);
         assert_eq!(truth.total_events(), 3);
     }
 

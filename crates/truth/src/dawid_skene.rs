@@ -6,7 +6,7 @@
 //! where `π_w[t][l]` is the probability of answering `l` when the truth is
 //! `t`; tasks have latent true labels drawn from class priors `ρ`.
 //!
-//! EM alternates:
+//! The EM driver ([`crate::em`]) alternates:
 //!
 //! * **M-step** — re-estimate `ρ` and every `π_w` from the current soft
 //!   posteriors (with Laplace smoothing so sparse workers stay defined);
@@ -14,17 +14,19 @@
 //!   `P(t | answers) ∝ ρ[t] · Π_answers π_w[t][l]` in log space to avoid
 //!   underflow on high-redundancy tasks.
 //!
+//! This module is the model: the confusion-matrix M-step and the E-step's
+//! per-task log-likelihood terms.
+//!
 //! # Kernel layout
 //!
-//! All state is flat and preallocated once: confusion matrices live in one
-//! `Vec<f64>` with `w·k² + t·k + l` indexing, posteriors ping-pong between
-//! two `n·k` buffers, and each M-step precomputes a **transposed log
-//! table** `log π_w[t][l]` stored as `lt[w·k² + l·k + t]` so the E-step
-//! inner loop is pure adds over one contiguous `k`-slice per observation
-//! (no `ln` calls, no indirection). The E-step shards over task ranges and
-//! the soft-count M-step over worker ranges via
-//! [`parallel_items_mut`]; both write disjoint item slots from shared
-//! read-only state, so posteriors are byte-identical at any thread count.
+//! Confusion matrices live in one flat `Vec<f64>` with `w·k² + t·k + l`
+//! indexing, and each M-step precomputes a **transposed log table**
+//! `log π_w[t][l]` stored as `lt[w·k² + l·k + t]` so the E-step inner
+//! loop is pure adds over one contiguous `k`-slice per observation (no
+//! `ln` calls, no indirection). The soft-count M-step shards over worker
+//! ranges via [`parallel_items_mut`]; each worker writes its own slots
+//! from shared read-only state, so results are byte-identical at any
+//! thread count.
 //!
 //! With [`crate::freeze::FreezeConfig`] enabled (`config.freeze`), the
 //! E-step goes sparse: converged tasks freeze out of the worklist (their
@@ -32,19 +34,13 @@
 //! have all frozen skip their confusion-matrix recompute — a pure no-op,
 //! since recomputing from pinned inputs reproduces the same bits.
 
-use crowdkit_core::error::{CrowdError, Result};
+use crowdkit_core::error::Result;
 use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
-use crowdkit_obs as obs;
-
-use crate::em::{
-    argmax_labels, log_normalize, normalize, obs_iter, obs_run, posterior_rows, resolve_threads,
-    update_priors, vote_fraction_posteriors, EmConfig, LN_FLOOR,
-};
+use crate::em::{self, normalize, Csr, EmConfig, EmModel, LN_FLOOR};
 use crate::freeze::ActiveSet;
-use crate::lineage::RunLineage;
 
 /// The Dawid–Skene EM algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -62,160 +58,116 @@ impl DawidSkene {
     /// Runs EM and additionally returns the estimated per-worker confusion
     /// matrices (dense worker index → k×k matrix). The plain
     /// [`TruthInferencer::infer`] entry point discards them.
-    pub fn infer_full(&self, matrix: &ResponseMatrix) -> Result<(InferenceResult, Vec<Vec<Vec<f64>>>)> {
-        if matrix.is_empty() {
-            return Err(CrowdError::EmptyInput("response matrix"));
-        }
-        let k = matrix.num_labels();
-        let n_tasks = matrix.num_tasks();
-        let n_workers = matrix.num_workers();
+    pub fn infer_full(
+        &self,
+        matrix: &ResponseMatrix,
+    ) -> Result<(InferenceResult, Vec<Vec<Vec<f64>>>)> {
         let cfg = self.config;
-        let threads = resolve_threads(cfg.threads, matrix.num_observations() * k);
-        let (t_off, t_entries) = matrix.task_csr();
-        let (w_off, w_entries) = matrix.worker_csr();
-
-        // Flat state, allocated once and reused every iteration.
-        let mut posteriors = vote_fraction_posteriors(matrix);
-        let mut aset = ActiveSet::new(cfg.freeze, n_tasks, k, w_off);
-        let mut priors = vec![1.0 / k as f64; k];
-        let mut log_priors = vec![0.0f64; k];
-        // Confusion matrices: `confusion[w*k*k + t*k + l] = π_w[t][l]`.
-        let mut confusion = vec![0.0f64; n_workers * k * k];
-        // Transposed log table: `log_table[w*k*k + l*k + t] = ln π_w[t][l]`,
-        // so the E-step reads one contiguous k-slice per observation.
-        let mut log_table = vec![0.0f64; n_workers * k * k];
-
-        let tel = obs::scope();
-        let obs_on = tel.recorder.enabled();
-        let run_start = obs::WallTimer::start();
-        // Lineage baseline: the vote-fraction init, i.e. MV's decision.
-        let mut lineage = RunLineage::begin(&tel, "ds", &posteriors, k);
-
-        let mut iterations = 0;
-        let mut converged = false;
-        while iterations < cfg.max_iters {
-            iterations += 1;
-            let t_m = obs_on.then(obs::WallTimer::start);
-
-            // M-step: priors, then per-worker confusion soft counts over
-            // worker ranges. Each worker's accumulation walks its CSR
-            // entries in insertion order, so the float sum order is fixed
-            // regardless of sharding.
-            update_priors(&posteriors, k, &mut priors);
-            for (lp, &p) in log_priors.iter_mut().zip(&priors) {
-                *lp = p.max(LN_FLOOR).ln();
-            }
-            let post = &posteriors;
-            let aset_r = &aset;
-            parallel_items_mut(&mut confusion, k * k, threads, |w0, run| {
-                for (i, cm) in run.chunks_mut(k * k).enumerate() {
-                    let w = w0 + i;
-                    // Every input to this worker's soft counts is a pinned
-                    // posterior row: recomputing would reproduce the same
-                    // bits, so skip (the dense-reference mode recomputes
-                    // and the equivalence tests verify the claim).
-                    if aset_r.can_skip_worker_update(w) {
-                        continue;
-                    }
-                    cm.fill(cfg.smoothing);
-                    for &(t, l) in &w_entries[w_off[w] as usize..w_off[w + 1] as usize] {
-                        let row = &post[t as usize * k..t as usize * k + k];
-                        for (truth, &p) in row.iter().enumerate() {
-                            cm[truth * k + l as usize] += p;
-                        }
-                    }
-                    for row in cm.chunks_mut(k) {
-                        normalize(row);
-                    }
-                }
-            });
-
-            // Log-table transpose, also over worker ranges: all `ln` calls
-            // happen here (W·k² of them) instead of per observation in the
-            // E-step.
-            let conf = &confusion;
-            parallel_items_mut(&mut log_table, k * k, threads, |w0, run| {
-                for (i, lt) in run.chunks_mut(k * k).enumerate() {
-                    let w = w0 + i;
-                    if aset_r.can_skip_worker_update(w) {
-                        continue;
-                    }
-                    let cm = &conf[w * k * k..(w + 1) * k * k];
-                    for l in 0..k {
-                        for t in 0..k {
-                            lt[l * k + t] = cm[t * k + l].max(LN_FLOOR).ln();
-                        }
-                    }
-                }
-            });
-
-            let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
-            let t_e = obs_on.then(obs::WallTimer::start);
-
-            // E-step over the active worklist (all tasks while freezing is
-            // off): per task, start from the log priors and add one
-            // contiguous log-table slice per observation.
-            let log_priors_r = &log_priors;
-            let log_table_r = &log_table;
-            let out = aset.sweep(&mut posteriors, t_off, t_entries, threads, |t, row| {
-                row.copy_from_slice(log_priors_r);
-                for &(w, l) in &t_entries[t_off[t] as usize..t_off[t + 1] as usize] {
-                    let base = (w as usize * k + l as usize) * k;
-                    let lt = &log_table_r[base..base + k];
-                    for (x, &add) in row.iter_mut().zip(lt) {
-                        *x += add;
-                    }
-                }
-                log_normalize(row);
-            });
-
-            let delta = out.delta;
-            if let Some(l) = &mut lineage {
-                // The committed table after the sweep: pinned rows on the
-                // sparse path are bit-identical to the dense reference's,
-                // so both paths record the same flips.
-                l.observe_iter(iterations, &posteriors);
-            }
-            if obs_on {
-                let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&tel, "ds", iterations, delta, m_ns, e_ns);
-                aset.observe(&tel, "ds", iterations, &out);
-            }
-            if delta < cfg.tol {
-                converged = true;
-                break;
-            }
-        }
-        let labels = argmax_labels(&posteriors, k);
-        let worker_quality = Some(worker_accuracy(&confusion, &priors, k));
-        if let Some(l) = lineage.take() {
-            l.finish(&*tel.recorder, matrix, &posteriors, worker_quality.as_deref());
-        }
-        obs_run(&tel, "ds", matrix, iterations, converged, run_start);
-        let confusion_rows = confusion
+        let (result, model) = em::run(
+            matrix,
+            cfg.max_iters,
+            cfg.tol,
+            cfg.threads,
+            cfg.freeze,
+            |cx| DsModel {
+                smoothing: cfg.smoothing,
+                confusion: vec![0.0; cx.num_workers() * cx.k * cx.k],
+                log_table: vec![0.0; cx.num_workers() * cx.k * cx.k],
+            },
+        )?;
+        let k = matrix.num_labels();
+        let confusion_rows = model
+            .confusion
             .chunks(k * k)
             .map(|cm| cm.chunks(k).map(<[f64]>::to_vec).collect())
             .collect();
-        Ok((
-            InferenceResult {
-                labels,
-                posteriors: posterior_rows(&posteriors, k),
-                worker_quality,
-                iterations,
-                converged,
-            },
-            confusion_rows,
-        ))
+        Ok((result, confusion_rows))
     }
 }
 
-/// Scalar worker quality from the flat confusion table: the prior-weighted
-/// diagonal, i.e. the worker's marginal probability of a correct answer.
-fn worker_accuracy(confusion: &[f64], priors: &[f64], k: usize) -> Vec<f64> {
-    confusion
-        .chunks(k * k)
-        .map(|cm| (0..k).map(|t| priors[t] * cm[t * k + t]).sum::<f64>())
-        .collect()
+/// The Dawid–Skene worker model: one confusion matrix per worker.
+struct DsModel {
+    smoothing: f64,
+    /// `confusion[w*k*k + t*k + l] = π_w[t][l]`.
+    confusion: Vec<f64>,
+    /// Transposed log table: `log_table[w*k*k + l*k + t] = ln π_w[t][l]`,
+    /// so the E-step reads one contiguous k-slice per observation.
+    log_table: Vec<f64>,
+}
+
+impl EmModel for DsModel {
+    const ALGO: &'static str = "ds";
+
+    fn m_step(&mut self, cx: &Csr<'_>, posteriors: &[f64], aset: &ActiveSet) {
+        let k = cx.k;
+        let smoothing = self.smoothing;
+        // Per-worker confusion soft counts over worker ranges. Each
+        // worker's accumulation walks its CSR entries in insertion order,
+        // so the float sum order is fixed regardless of sharding.
+        parallel_items_mut(&mut self.confusion, k * k, cx.threads, |w0, run| {
+            for (i, cm) in run.chunks_mut(k * k).enumerate() {
+                let w = w0 + i;
+                // Every input to this worker's soft counts is a pinned
+                // posterior row: recomputing would reproduce the same
+                // bits, so skip (the dense-reference mode recomputes and
+                // the equivalence tests verify the claim).
+                if aset.can_skip_worker_update(w) {
+                    continue;
+                }
+                cm.fill(smoothing);
+                for &(t, l) in cx.worker(w) {
+                    let row = &posteriors[t as usize * k..t as usize * k + k];
+                    for (truth, &p) in row.iter().enumerate() {
+                        cm[truth * k + l as usize] += p;
+                    }
+                }
+                for row in cm.chunks_mut(k) {
+                    normalize(row);
+                }
+            }
+        });
+
+        // Log-table transpose, also over worker ranges: all `ln` calls
+        // happen here (W·k² of them) instead of per observation in the
+        // E-step.
+        let conf = &self.confusion;
+        parallel_items_mut(&mut self.log_table, k * k, cx.threads, |w0, run| {
+            for (i, lt) in run.chunks_mut(k * k).enumerate() {
+                let w = w0 + i;
+                if aset.can_skip_worker_update(w) {
+                    continue;
+                }
+                let cm = &conf[w * k * k..(w + 1) * k * k];
+                for l in 0..k {
+                    for t in 0..k {
+                        lt[l * k + t] = cm[t * k + l].max(LN_FLOOR).ln();
+                    }
+                }
+            }
+        });
+    }
+
+    /// Adds one contiguous log-table slice per observation.
+    #[inline]
+    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
+        let k = cx.k;
+        for &(w, l) in cx.task(t) {
+            let base = (w as usize * k + l as usize) * k;
+            for (x, &add) in row.iter_mut().zip(&self.log_table[base..base + k]) {
+                *x += add;
+            }
+        }
+    }
+
+    /// The prior-weighted confusion diagonal: each worker's marginal
+    /// probability of a correct answer.
+    fn worker_quality(&self, priors: &[f64]) -> Vec<f64> {
+        let k = priors.len();
+        self.confusion
+            .chunks(k * k)
+            .map(|cm| (0..k).map(|t| priors[t] * cm[t * k + t]).sum::<f64>())
+            .collect()
+    }
 }
 
 impl TruthInferencer for DawidSkene {

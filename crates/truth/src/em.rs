@@ -1,10 +1,19 @@
-//! Shared machinery for the EM-family algorithms.
+//! The EM driver and the machinery shared by the EM-family algorithms.
 //!
-//! All EM variants in this crate share the same skeleton: initialize task
-//! posteriors from votes, alternate worker-model M-steps with posterior
-//! E-steps, and stop when posteriors move less than a tolerance. This
-//! module holds the pieces that are identical across them so each algorithm
-//! file contains only its model-specific E/M maths.
+//! Dawid–Skene, one-coin and GLAD differ only in their worker model, so
+//! one loop, `run`, drives all three: it initializes task posteriors
+//! from the votes, then alternates the model's M-step with an E-step
+//! sweep over the active tasks until posteriors move less than a
+//! tolerance. Everything else lives here once — the empty-matrix check,
+//! the CSR views, class priors, the freezing worklist
+//! (`freeze::ActiveSet`), lineage, the `truth.iter` /
+//! `truth.freeze` / `truth.run` telemetry and the assembled
+//! `InferenceResult`. A model (`EmModel`) supplies the M-step over the
+//! committed posteriors, one task's log-likelihood terms for the E-step
+//! (the driver seeds each row with the log-priors and normalizes it
+//! afterwards), its per-worker quality, and optionally a fold of the tasks
+//! a sweep froze. The driver is generic over the model, so each model's
+//! E-step accumulate is monomorphized into the sweep.
 //!
 //! # Flat state and deterministic parallelism
 //!
@@ -18,9 +27,14 @@
 //! a fixed order — they are `O(n·k)` against the E-step's `O(obs·k)`, so
 //! there is nothing to win by sharding them.
 
+use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::par::default_threads;
 use crowdkit_core::response::ResponseMatrix;
+use crowdkit_core::traits::InferenceResult;
 use crowdkit_obs::{self as obs, Event, Scope};
+
+use crate::freeze::{ActiveSet, FreezeConfig};
+use crate::lineage::RunLineage;
 
 /// Floor applied before `ln` so log-space tables stay finite.
 pub(crate) const LN_FLOOR: f64 = 1e-300;
@@ -184,6 +198,170 @@ pub(crate) fn obs_run(
     );
 }
 
+/// The read-only problem view every model step works from: label count,
+/// resolved kernel width and both CSR groupings of the response matrix.
+pub(crate) struct Csr<'a> {
+    /// Label-space size.
+    pub k: usize,
+    /// Resolved worker-pool width for the kernels.
+    pub threads: usize,
+    t_off: &'a [u32],
+    t_entries: &'a [(u32, u32)],
+    w_off: &'a [u32],
+    w_entries: &'a [(u32, u32)],
+}
+
+impl Csr<'_> {
+    /// Number of tasks.
+    pub fn num_tasks(&self) -> usize {
+        self.t_off.len() - 1
+    }
+
+    /// Number of workers.
+    pub fn num_workers(&self) -> usize {
+        self.w_off.len() - 1
+    }
+
+    /// Task `t`'s `(worker, label)` observations, in insertion order.
+    #[inline]
+    pub fn task(&self, t: usize) -> &[(u32, u32)] {
+        &self.t_entries[self.t_off[t] as usize..self.t_off[t + 1] as usize]
+    }
+
+    /// Worker `w`'s `(task, label)` observations, in insertion order.
+    #[inline]
+    pub fn worker(&self, w: usize) -> &[(u32, u32)] {
+        &self.w_entries[self.w_off[w] as usize..self.w_off[w + 1] as usize]
+    }
+}
+
+/// A worker model the EM driver ([`run`]) iterates.
+pub(crate) trait EmModel: Sync {
+    /// Algorithm tag in telemetry and lineage.
+    const ALGO: &'static str;
+
+    /// Re-estimates the worker model from the committed posterior table
+    /// (flat `tasks × k`). Workers and tasks the active set reports as
+    /// frozen may be skipped.
+    fn m_step(&mut self, cx: &Csr<'_>, posteriors: &[f64], aset: &ActiveSet);
+
+    /// Adds task `t`'s log-likelihood terms to `row`, which holds the
+    /// log-priors; the driver normalizes the row afterwards. Runs on the
+    /// kernel threads, so it must be a pure function of `self` and `t`.
+    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]);
+
+    /// Folds the tasks the latest sweep froze (ascending) into the model,
+    /// with their rows just pinned in `posteriors`. Only GLAD keeps
+    /// anything per frozen task.
+    fn fold_frozen(&mut self, _cx: &Csr<'_>, _posteriors: &[f64], _tasks: &[u32]) {}
+
+    /// Per-worker quality for the result and the lineage, given the class
+    /// priors of the last M-step.
+    fn worker_quality(&self, priors: &[f64]) -> Vec<f64>;
+}
+
+/// Runs EM over `matrix` with the model `init` builds, and returns the
+/// result together with the fitted model (so `infer_full` can read its
+/// parameters).
+///
+/// Each iteration runs the model's M-step on the committed posteriors,
+/// then an E-step sweep over the active tasks, and stops once the sweep's
+/// max posterior change is below `tol` or after `max_iters` iterations.
+/// `threads` is resolved by [`resolve_threads`]; `freeze` selects the
+/// sparse incremental E-step.
+pub(crate) fn run<M: EmModel>(
+    matrix: &ResponseMatrix,
+    max_iters: usize,
+    tol: f64,
+    threads: usize,
+    freeze: FreezeConfig,
+    init: impl FnOnce(&Csr<'_>) -> M,
+) -> Result<(InferenceResult, M)> {
+    if matrix.is_empty() {
+        return Err(CrowdError::EmptyInput("response matrix"));
+    }
+    let k = matrix.num_labels();
+    let (t_off, t_entries) = matrix.task_csr();
+    let (w_off, w_entries) = matrix.worker_csr();
+    let cx = Csr {
+        k,
+        threads: resolve_threads(threads, matrix.num_observations() * k),
+        t_off,
+        t_entries,
+        w_off,
+        w_entries,
+    };
+    let mut model = init(&cx);
+
+    // Flat state, allocated once and reused every iteration.
+    let mut posteriors = vote_fraction_posteriors(matrix);
+    let mut aset = ActiveSet::new(freeze, matrix.num_tasks(), k, w_off);
+    let mut priors = vec![1.0 / k as f64; k];
+    let mut log_priors = vec![0.0f64; k];
+
+    let tel = obs::scope();
+    let obs_on = tel.recorder.enabled();
+    let run_start = obs::WallTimer::start();
+    // Lineage baseline: the vote-fraction init, i.e. MV's decision.
+    let mut lineage = RunLineage::begin(&tel, M::ALGO, &posteriors, k);
+
+    let mut iterations = 0;
+    let mut converged = false;
+    while iterations < max_iters {
+        iterations += 1;
+        let t_m = obs_on.then(obs::WallTimer::start);
+        update_priors(&posteriors, k, &mut priors);
+        for (lp, &p) in log_priors.iter_mut().zip(&priors) {
+            *lp = p.max(LN_FLOOR).ln();
+        }
+        model.m_step(&cx, &posteriors, &aset);
+        let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
+        let t_e = obs_on.then(obs::WallTimer::start);
+
+        // E-step over the active worklist (all tasks while freezing is
+        // off): each row starts from the log priors and gathers the
+        // model's per-observation terms.
+        let out = aset.sweep(&mut posteriors, t_off, t_entries, cx.threads, |t, row| {
+            row.copy_from_slice(&log_priors);
+            model.accumulate(&cx, t, row);
+            log_normalize(row);
+        });
+        if out.froze > 0 {
+            model.fold_frozen(&cx, &posteriors, aset.newly_frozen());
+        }
+
+        if let Some(l) = &mut lineage {
+            // The committed table after the sweep: pinned rows on the
+            // sparse path are bit-identical to the dense reference's, so
+            // both paths record the same flips.
+            l.observe_iter(iterations, &posteriors);
+        }
+        if obs_on {
+            let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
+            obs_iter(&tel, M::ALGO, iterations, out.delta, m_ns, e_ns);
+            aset.observe(&tel, M::ALGO, iterations, &out);
+        }
+        if out.delta < tol {
+            converged = true;
+            break;
+        }
+    }
+
+    let worker_quality = model.worker_quality(&priors);
+    if let Some(l) = lineage.take() {
+        l.finish(&*tel.recorder, matrix, &posteriors, Some(&worker_quality));
+    }
+    obs_run(&tel, M::ALGO, matrix, iterations, converged, run_start);
+    let result = InferenceResult {
+        labels: argmax_labels(&posteriors, k),
+        posteriors: posterior_rows(&posteriors, k),
+        worker_quality: Some(worker_quality),
+        iterations,
+        converged,
+    };
+    Ok((result, model))
+}
+
 /// Convergence/iteration settings shared by the EM algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmConfig {
@@ -200,8 +378,8 @@ pub struct EmConfig {
     pub threads: usize,
     /// Per-task convergence freezing (the sparse incremental E-step).
     /// Disabled by default, which reproduces the dense kernels bit for
-    /// bit; see [`crate::freeze::FreezeConfig`].
-    pub freeze: crate::freeze::FreezeConfig,
+    /// bit; see [`FreezeConfig`].
+    pub freeze: FreezeConfig,
 }
 
 impl Default for EmConfig {
@@ -211,7 +389,7 @@ impl Default for EmConfig {
             tol: 1e-6,
             smoothing: 0.01,
             threads: 0,
-            freeze: crate::freeze::FreezeConfig::disabled(),
+            freeze: FreezeConfig::disabled(),
         }
     }
 }
@@ -223,7 +401,7 @@ impl EmConfig {
     }
 
     /// Returns a copy with the given freezing settings.
-    pub fn with_freeze(self, freeze: crate::freeze::FreezeConfig) -> Self {
+    pub fn with_freeze(self, freeze: FreezeConfig) -> Self {
         Self { freeze, ..self }
     }
 }

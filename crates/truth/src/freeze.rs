@@ -3,13 +3,14 @@
 //! Dense EM spends most of its late iterations recomputing posteriors that
 //! no longer move: on the million-scale workload the bulk of tasks settle
 //! within a handful of iterations while a small contested frontier keeps
-//! the loop alive. This module implements **incremental (sparse) E-steps**
-//! shared by the Dawid–Skene, one-coin and GLAD kernels:
+//! the loop alive. This module implements the **incremental (sparse)
+//! E-step** that the EM driver in [`crate::em`] runs for the Dawid–Skene,
+//! one-coin and GLAD models:
 //!
-//! * a task whose posterior max-delta stays below `eps` for `patience`
-//!   consecutive iterations is **frozen** — its posterior row is pinned,
-//!   it is dropped from the E-step worklist, and (for GLAD) its difficulty
-//!   parameter stops updating;
+//! * a task whose posterior max-delta stays below `eps` for `PATIENCE`
+//!   consecutive iterations is **frozen** for the rest of the run — its
+//!   posterior row is pinned, it is dropped from the E-step worklist, and
+//!   (for GLAD) its difficulty parameter stops updating;
 //! * frozen tasks still contribute their pinned rows to every M-step
 //!   (priors and worker models read the full posterior table), so the
 //!   M-step needs no correction terms and no reordered reductions;
@@ -17,11 +18,7 @@
 //!   can no longer change, so its parameter recompute is skipped — for
 //!   Dawid–Skene/one-coin this is a pure no-op (recomputing from pinned
 //!   inputs reproduces the same bits), for GLAD it is part of the freezing
-//!   semantics (its ability is pinned);
-//! * optionally, every `recheck_every` iterations all frozen rows are
-//!   recomputed once; rows that drifted at least `eps` from their pinned
-//!   value **thaw** back into the active set, bounding the approximation
-//!   error of permanent freezing.
+//!   semantics (its ability is pinned).
 //!
 //! # Determinism contract
 //!
@@ -36,12 +33,16 @@
 //! is exactly the guarantee that the active-set optimization changed the
 //! cost and nothing else.
 //!
-//! Telemetry: `truth.freeze` / `truth.thaw` events carry the per-iteration
-//! active-set size so `crowdtrace replay --folded` shows where EM time
-//! actually goes (see `DESIGN.md` §11).
+//! Telemetry: `truth.freeze` events carry the per-iteration active-set
+//! size so `crowdtrace replay --folded` shows where EM time actually goes
+//! (see `DESIGN.md` §11).
 
 use crowdkit_core::par::{parallel_active_items_mut, parallel_items_mut};
 use crowdkit_obs::{Event, Scope};
+
+/// Consecutive below-`eps` iterations before a task freezes — and, in
+/// GLAD, before a settled ability is pinned.
+pub(crate) const PATIENCE: u32 = 2;
 
 /// Convergence-freezing settings shared by the EM kernels.
 ///
@@ -53,12 +54,6 @@ pub struct FreezeConfig {
     /// Per-task freeze tolerance on the posterior max-delta. `<= 0.0`
     /// disables freezing.
     pub eps: f64,
-    /// Number of consecutive below-`eps` iterations (R in the docs)
-    /// before a task freezes. Clamped to at least 1.
-    pub patience: u32,
-    /// Recompute frozen rows every this many iterations and thaw any that
-    /// drifted `>= eps`; `0` never rechecks (frozen is permanent).
-    pub recheck_every: u32,
     /// Evaluate the identical freezing semantics with full dense sweeps
     /// instead of the active-set worklist. Test/bench aid: the equivalence
     /// property tests compare this path against the worklist path
@@ -75,34 +70,15 @@ impl Default for FreezeConfig {
 impl FreezeConfig {
     /// Freezing off: the kernels behave exactly like the dense originals.
     pub const fn disabled() -> Self {
-        Self {
-            eps: 0.0,
-            patience: 2,
-            recheck_every: 0,
-            dense_reference: false,
-        }
+        Self::sparse(0.0)
     }
 
-    /// Freezing on with tolerance `eps` and the default patience of 2.
+    /// Freezing on with tolerance `eps`: a task freezes once its posterior
+    /// has moved less than `eps` for two iterations in a row.
     pub const fn sparse(eps: f64) -> Self {
         Self {
             eps,
-            patience: 2,
-            recheck_every: 0,
             dense_reference: false,
-        }
-    }
-
-    /// Returns a copy with the given patience (R).
-    pub const fn with_patience(self, patience: u32) -> Self {
-        Self { patience, ..self }
-    }
-
-    /// Returns a copy that rechecks frozen rows every `every` iterations.
-    pub const fn with_recheck(self, every: u32) -> Self {
-        Self {
-            recheck_every: every,
-            ..self
         }
     }
 
@@ -124,13 +100,11 @@ impl FreezeConfig {
 /// What one E-step sweep did, for convergence checks and telemetry.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SweepOutcome {
-    /// Max posterior change over the recomputed (non-discarded) rows —
-    /// the kernels' convergence delta.
+    /// Max posterior change over the committed (unfrozen) rows — the
+    /// kernels' convergence delta.
     pub delta: f64,
     /// Tasks newly frozen this iteration.
     pub froze: usize,
-    /// Tasks thawed by a recheck this iteration.
-    pub thawed: usize,
     /// Active (unfrozen) tasks after this iteration.
     pub active_len: usize,
     /// Total frozen tasks after this iteration.
@@ -145,8 +119,8 @@ pub(crate) struct ActiveSet {
     n_tasks: usize,
     /// Unfrozen task indices, ascending. The E-step worklist.
     active: Vec<u32>,
-    /// Arena for worklist rebuilds (ping-pongs with `active`).
-    rebuild: Vec<u32>,
+    /// Tasks frozen by the latest sweep, ascending.
+    newly_frozen: Vec<u32>,
     /// Consecutive below-eps iterations per task.
     streak: Vec<u32>,
     /// Pinned flag per task.
@@ -166,8 +140,6 @@ pub(crate) struct ActiveSet {
     /// per computed task. Sized for a full sweep and reused every
     /// iteration.
     scratch: Vec<f64>,
-    /// 1-based iteration counter driving the recheck schedule.
-    iter: u32,
     frozen_total: usize,
 }
 
@@ -176,27 +148,23 @@ impl ActiveSet {
     /// `w_off` is the worker-CSR offset array (worker degrees seed the
     /// liveness counters).
     pub fn new(cfg: FreezeConfig, n_tasks: usize, k: usize, w_off: &[u32]) -> Self {
-        let cfg = FreezeConfig {
-            patience: cfg.patience.max(1),
-            ..cfg
-        };
+        let on = cfg.enabled();
         Self {
             cfg,
             k,
             n_tasks,
             active: (0..n_tasks as u32).collect(),
-            rebuild: Vec::with_capacity(n_tasks),
-            streak: vec![0; if cfg.enabled() { n_tasks } else { 0 }],
-            frozen: vec![false; if cfg.enabled() { n_tasks } else { 0 }],
-            worker_live: if cfg.enabled() {
+            newly_frozen: Vec::new(),
+            streak: vec![0; if on { n_tasks } else { 0 }],
+            frozen: vec![false; if on { n_tasks } else { 0 }],
+            worker_live: if on {
                 w_off.windows(2).map(|w| w[1] - w[0]).collect()
             } else {
                 Vec::new()
             },
-            worker_synced: vec![false; if cfg.enabled() { w_off.len().saturating_sub(1) } else { 0 }],
+            worker_synced: vec![false; if on { w_off.len().saturating_sub(1) } else { 0 }],
             newly_frozen_workers: Vec::new(),
             scratch: vec![0.0; n_tasks * (k + 1)],
-            iter: 0,
             frozen_total: 0,
         }
     }
@@ -205,6 +173,12 @@ impl ActiveSet {
     #[inline]
     pub fn active(&self) -> &[u32] {
         &self.active
+    }
+
+    /// The tasks the latest sweep froze, in ascending order.
+    #[inline]
+    pub fn newly_frozen(&self) -> &[u32] {
+        &self.newly_frozen
     }
 
     /// True when every task is frozen — the run is done. (The kernels
@@ -252,8 +226,8 @@ impl ActiveSet {
     /// Runs one E-step sweep: computes new posterior rows via
     /// `compute(task, row_out)` (a pure function of shared read-only
     /// state), commits them to `posteriors`, and advances the freezing
-    /// state machine. Returns the sweep's convergence delta and
-    /// freeze/thaw counts.
+    /// state machine. Returns the sweep's convergence delta and freeze
+    /// counts.
     pub fn sweep<F>(
         &mut self,
         posteriors: &mut [f64],
@@ -265,32 +239,36 @@ impl ActiveSet {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        self.iter += 1;
         let k = self.k;
         // Promote workers frozen during the previous sweep: the M-step
         // between that sweep and this one has recomputed their models from
         // the final pinned rows, so from here on a recompute is a bitwise
-        // no-op. (A thaw in the meantime clears the flag and bumps
-        // `worker_live`, so the stale promotion is discarded.)
-        while let Some(w) = self.newly_frozen_workers.pop() {
-            if self.worker_live[w as usize] == 0 {
-                self.worker_synced[w as usize] = true;
-            }
+        // no-op.
+        for w in self.newly_frozen_workers.drain(..) {
+            self.worker_synced[w as usize] = true;
         }
-        let recheck = self.cfg.enabled()
-            && self.cfg.recheck_every > 0
-            && self.iter.is_multiple_of(self.cfg.recheck_every)
-            && self.frozen_total > 0;
-        // Full-range sweeps: freezing off (everything is active), the
-        // dense reference (that is the point), or a recheck iteration
-        // (frozen rows must be recomputed too). Otherwise shard over the
-        // worklist only.
-        let full = !self.use_worklist() || recheck;
+        self.newly_frozen.clear();
 
+        // Shard over the worklist only, unless freezing is off (everything
+        // is active) or this is the dense reference (full-range sweeps are
+        // the point).
+        let worklist = self.use_worklist();
         let stride = k + 1;
-        if full {
-            let post: &[f64] = posteriors;
-            let compute = &compute;
+        let post: &[f64] = posteriors;
+        let compute = &compute;
+        if worklist {
+            parallel_active_items_mut(
+                &mut self.scratch,
+                stride,
+                &self.active,
+                threads,
+                |_, t, item| {
+                    let (row, d) = item.split_at_mut(k);
+                    compute(t, row);
+                    d[0] = row_delta(row, &post[t * k..t * k + k]);
+                },
+            );
+        } else {
             parallel_items_mut(
                 &mut self.scratch[..self.n_tasks * stride],
                 stride,
@@ -304,149 +282,98 @@ impl ActiveSet {
                     }
                 },
             );
-        } else {
-            let post: &[f64] = posteriors;
-            let compute = &compute;
-            parallel_active_items_mut(
-                &mut self.scratch,
-                stride,
-                &self.active,
-                threads,
-                |_, t, item| {
-                    let (row, d) = item.split_at_mut(k);
-                    compute(t, row);
-                    d[0] = row_delta(row, &post[t * k..t * k + k]);
-                },
-            );
         }
 
         // Sequential commit in ascending task order: scatter rows, fold
-        // the global delta, advance streaks, apply freeze/thaw
-        // transitions. This is the fixed-order reduction the determinism
-        // contract requires.
+        // the global delta, advance streaks, freeze. This is the
+        // fixed-order reduction the determinism contract requires.
         let mut out = SweepOutcome::default();
-        let enabled = self.cfg.enabled();
-        let mut membership_changed = false;
-        let commit_one = |slot: usize,
-                          t: usize,
-                          this: &mut Self,
-                          posteriors: &mut [f64],
-                          out: &mut SweepOutcome,
-                          membership_changed: &mut bool| {
-            let item = &this.scratch[slot * stride..slot * stride + stride];
-            let (row, delta) = (&item[..k], item[k]);
-            if enabled && this.frozen[t] {
-                // Only reachable on full-range sweeps. Recheck: thaw rows
-                // that drifted; otherwise the computed row is discarded
-                // and the pinned value stands.
-                if recheck && delta >= this.cfg.eps {
-                    posteriors[t * k..t * k + k].copy_from_slice(row);
-                    this.frozen[t] = false;
-                    this.streak[t] = 0;
-                    this.frozen_total -= 1;
-                    for &(w, _) in entries_of(t_off, t_entries, t) {
-                        this.worker_live[w as usize] += 1;
-                        this.worker_synced[w as usize] = false;
-                    }
-                    out.thawed += 1;
-                    out.delta = out.delta.max(delta);
-                    *membership_changed = true;
-                }
-                return;
-            }
-            posteriors[t * k..t * k + k].copy_from_slice(row);
-            out.delta = out.delta.max(delta);
-            if enabled {
-                if delta < this.cfg.eps {
-                    this.streak[t] += 1;
-                    if this.streak[t] >= this.cfg.patience {
-                        this.frozen[t] = true;
-                        this.frozen_total += 1;
-                        for &(w, _) in entries_of(t_off, t_entries, t) {
-                            this.worker_live[w as usize] -= 1;
-                            if this.worker_live[w as usize] == 0 {
-                                this.newly_frozen_workers.push(w);
-                            }
-                        }
-                        out.froze += 1;
-                        *membership_changed = true;
-                    }
-                } else {
-                    this.streak[t] = 0;
-                }
-            }
-        };
-        if full {
-            for t in 0..self.n_tasks {
-                commit_one(t, t, self, posteriors, &mut out, &mut membership_changed);
+        let active = std::mem::take(&mut self.active);
+        if worklist {
+            for (slot, &t) in active.iter().enumerate() {
+                self.commit(slot, t as usize, posteriors, t_off, t_entries, &mut out);
             }
         } else {
-            let active = std::mem::take(&mut self.active);
-            for (slot, &t) in active.iter().enumerate() {
-                commit_one(
-                    slot,
-                    t as usize,
-                    self,
-                    posteriors,
-                    &mut out,
-                    &mut membership_changed,
-                );
+            for t in 0..self.n_tasks {
+                self.commit(t, t, posteriors, t_off, t_entries, &mut out);
             }
-            self.active = active;
         }
-
-        if enabled && membership_changed {
-            self.rebuild.clear();
-            self.rebuild
-                .extend((0..self.n_tasks as u32).filter(|&t| !self.frozen[t as usize]));
-            std::mem::swap(&mut self.active, &mut self.rebuild);
+        self.active = active;
+        if out.froze > 0 {
+            let frozen = &self.frozen;
+            self.active.retain(|&t| !frozen[t as usize]);
         }
-        out.active_len = if enabled { self.active.len() } else { self.n_tasks };
+        out.active_len = self.active.len();
         out.frozen_total = self.frozen_total;
         out
     }
 
-    /// Emits the `truth.freeze` / `truth.thaw` telemetry for one sweep.
-    /// Freeze/thaw counts and the active-set size are deterministic
-    /// fields: the freezing trajectory is byte-identical across runs and
-    /// thread counts.
-    pub fn observe(&self, scope: &Scope, algo: &'static str, iter: usize, out: &SweepOutcome) {
-        let rec = &scope.recorder;
-        if out.froze > 0 || out.thawed > 0 {
-            if let Some(m) = &scope.registry {
-                m.truth.freezes.add(out.froze as u64);
-                m.truth.thaws.add(out.thawed as u64);
-                m.truth.active_tasks.set(out.active_len as i64);
-                m.truth.frozen_tasks.set(out.frozen_total as i64);
+    /// Commits scratch slot `slot`, task `t`'s recomputed row: scatters
+    /// it into `posteriors`, folds its delta into `out` and freezes the
+    /// task once it has stayed below `eps` for [`PATIENCE`] sweeps.
+    fn commit(
+        &mut self,
+        slot: usize,
+        t: usize,
+        posteriors: &mut [f64],
+        t_off: &[u32],
+        t_entries: &[(u32, u32)],
+        out: &mut SweepOutcome,
+    ) {
+        let k = self.k;
+        let item = &self.scratch[slot * (k + 1)..(slot + 1) * (k + 1)];
+        let enabled = self.cfg.enabled();
+        if enabled && self.frozen[t] {
+            // Only the dense reference recomputes frozen rows; the pinned
+            // value stands.
+            return;
+        }
+        posteriors[t * k..t * k + k].copy_from_slice(&item[..k]);
+        out.delta = out.delta.max(item[k]);
+        if !enabled {
+            return;
+        }
+        if item[k] >= self.cfg.eps {
+            self.streak[t] = 0;
+            return;
+        }
+        self.streak[t] += 1;
+        if self.streak[t] < PATIENCE {
+            return;
+        }
+        self.frozen[t] = true;
+        self.frozen_total += 1;
+        self.newly_frozen.push(t as u32);
+        for &(w, _) in &t_entries[t_off[t] as usize..t_off[t + 1] as usize] {
+            self.worker_live[w as usize] -= 1;
+            if self.worker_live[w as usize] == 0 {
+                self.newly_frozen_workers.push(w);
             }
         }
-        if out.froze > 0 {
-            rec.record(
-                Event::new("truth.freeze")
-                    .str("algo", algo)
-                    .u64("iter", iter as u64)
-                    .u64("froze", out.froze as u64)
-                    .u64("active", out.active_len as u64)
-                    .u64("frozen_total", out.frozen_total as u64),
-            );
-        }
-        if out.thawed > 0 {
-            rec.record(
-                Event::new("truth.thaw")
-                    .str("algo", algo)
-                    .u64("iter", iter as u64)
-                    .u64("thawed", out.thawed as u64)
-                    .u64("active", out.active_len as u64)
-                    .u64("frozen_total", out.frozen_total as u64),
-            );
-        }
+        out.froze += 1;
     }
-}
 
-/// Task `t`'s CSR entry slice.
-#[inline]
-fn entries_of<'a>(t_off: &[u32], t_entries: &'a [(u32, u32)], t: usize) -> &'a [(u32, u32)] {
-    &t_entries[t_off[t] as usize..t_off[t + 1] as usize]
+    /// Emits the `truth.freeze` telemetry for one sweep. Freeze counts and
+    /// the active-set size are deterministic fields: the freezing
+    /// trajectory is byte-identical across runs and thread counts.
+    pub fn observe(&self, scope: &Scope, algo: &'static str, iter: usize, out: &SweepOutcome) {
+        if out.froze == 0 {
+            return;
+        }
+        if let Some(m) = &scope.registry {
+            m.truth.freezes.add(out.froze as u64);
+            m.truth.active_tasks.set(out.active_len as i64);
+            m.truth.frozen_tasks.set(out.frozen_total as i64);
+        }
+        scope.recorder.record(
+            Event::new("truth.freeze")
+                .str("algo", algo)
+                .u64("iter", iter as u64)
+                .u64("froze", out.froze as u64)
+                .u64("active", out.active_len as u64)
+                .u64("frozen_total", out.frozen_total as u64),
+        );
+    }
 }
 
 /// Max absolute difference between one recomputed row and its previous
@@ -500,8 +427,7 @@ mod tests {
     #[test]
     fn tasks_freeze_after_patience_and_pin_their_rows() {
         let (t_off, t_entries, w_off) = csr_for(3, 3);
-        let cfg = FreezeConfig::sparse(0.5).with_patience(2);
-        let mut aset = ActiveSet::new(cfg, 3, 1, &w_off);
+        let mut aset = ActiveSet::new(FreezeConfig::sparse(0.5), 3, 1, &w_off);
         let mut post = vec![0.0f64; 3];
         // Task 2 keeps moving by 1.0 (>= eps); tasks 0, 1 settle at 0.1.
         let compute = |t: usize, row: &mut [f64], i: f64| {
@@ -531,48 +457,27 @@ mod tests {
     }
 
     #[test]
-    fn recheck_thaws_drifted_rows() {
-        let (t_off, t_entries, w_off) = csr_for(2, 2);
-        let cfg = FreezeConfig::sparse(0.5).with_patience(1).with_recheck(2);
-        let mut aset = ActiveSet::new(cfg, 2, 1, &w_off);
-        let mut post = vec![0.0f64; 2];
-        // Sweep 1: both rows land on 0.1 (delta 0.1 < eps, patience 1) →
-        // both freeze, worklist empties.
-        let out = aset.sweep(&mut post, &t_off, &t_entries, 1, |_, row| row[0] = 0.1);
-        assert_eq!(out.froze, 2);
-        assert!(aset.all_frozen());
-        // Sweep 2 is a recheck: task 0's recomputed row has drifted far
-        // from its pinned value → it thaws; task 1 stays pinned.
-        let out = aset.sweep(&mut post, &t_off, &t_entries, 1, |t, row| {
-            row[0] = if t == 0 { 9.0 } else { 0.1 }
-        });
-        assert_eq!(out.thawed, 1);
-        assert_eq!(out.froze, 0);
-        assert_eq!(aset.active(), &[0]);
-        assert!((post[0] - 9.0).abs() < 1e-12, "thawed row committed");
-        assert!(!aset.worker_frozen(0));
-        assert!(aset.worker_frozen(1));
-    }
-
-    #[test]
     fn dense_reference_tracks_the_same_membership() {
         let (t_off, t_entries, w_off) = csr_for(3, 3);
         let run = |dense: bool| {
-            let cfg = FreezeConfig::sparse(0.5).with_patience(1).with_dense_reference(dense);
+            let cfg = FreezeConfig::sparse(0.5).with_dense_reference(dense);
             let mut aset = ActiveSet::new(cfg, 3, 1, &w_off);
             let mut post = vec![0.0f64; 3];
-            let mut deltas = Vec::new();
+            let mut outs = Vec::new();
             for i in 0..4 {
                 let c = |t: usize, row: &mut [f64]| {
                     row[0] = if t == 0 { (i + 1) as f64 } else { 0.2 };
                 };
-                deltas.push(aset.sweep(&mut post, &t_off, &t_entries, 1, c).delta);
+                let out = aset.sweep(&mut post, &t_off, &t_entries, 1, c);
+                outs.push((out.delta, out.froze, out.active_len));
             }
-            (post, deltas)
+            (post, outs)
         };
-        let (post_w, deltas_w) = run(false);
-        let (post_d, deltas_d) = run(true);
+        let (post_w, outs_w) = run(false);
+        let (post_d, outs_d) = run(true);
+        // Tasks 1 and 2 settle after sweep 1 and freeze in sweep 2.
+        assert_eq!(outs_w[1], (1.0, 2, 1));
         assert_eq!(post_w, post_d, "worklist and dense reference diverged");
-        assert_eq!(deltas_w, deltas_d);
+        assert_eq!(outs_w, outs_d);
     }
 }

@@ -24,11 +24,15 @@
 //! (fixed-k, majority margin, SPRT), and [`pipeline`] the collect-then-infer
 //! driver shared by examples and experiments.
 //!
+//! One-coin, Dawid–Skene and GLAD are worker models run by one EM loop,
+//! the driver in [`em`], which owns initialization, priors, convergence,
+//! freezing, lineage and telemetry for all three.
+//!
 //! The EM kernels scale to million-task workloads via the sparse
 //! incremental E-step in [`freeze`]: tasks whose posteriors stop moving
-//! are frozen out of the per-iteration worklist (see `DESIGN.md` §11).
-//! Freezing is off by default and the dense behaviour is reproduced bit
-//! for bit.
+//! are frozen out of the per-iteration worklist for the rest of the run
+//! (see `DESIGN.md` §11). Freezing is off by default and the dense
+//! behaviour is reproduced bit for bit.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -6,30 +6,22 @@
 //! and most "EM" baselines in crowdsourcing papers. It trades the
 //! expressiveness of Dawid–Skene's full confusion matrix for far fewer
 //! parameters, which wins when workers answer only a handful of tasks.
-
 //!
-//! The kernel mirrors the Dawid–Skene layout: flat posterior tables,
-//! per-worker log tables (`ln p_w`, `ln` of the wrong-label share)
-//! refreshed once per M-step, reliability estimation sharded over worker
-//! ranges and the E-step over task ranges — byte-identical output at any
-//! thread count. `config.freeze` enables the sparse incremental E-step
-//! shared with the other EM kernels (see [`crate::freeze`]): frozen tasks
-//! leave the worklist and fully-frozen workers skip their (bitwise no-op)
-//! reliability recompute.
+//! This module is the model the EM driver ([`crate::em`]) iterates:
+//! reliability estimation sharded over worker ranges, then per-worker log
+//! pairs (`ln p_w`, `ln` of the wrong-label share) refreshed once per
+//! M-step for the E-step — byte-identical output at any thread count.
+//! `config.freeze` enables the sparse incremental E-step (see
+//! [`crate::freeze`]): frozen tasks leave the worklist and fully-frozen
+//! workers skip their (bitwise no-op) reliability recompute.
 
-use crowdkit_core::error::{CrowdError, Result};
+use crowdkit_core::error::Result;
 use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
-use crowdkit_obs as obs;
-
-use crate::em::{
-    argmax_labels, log_normalize, obs_iter, obs_run, posterior_rows, resolve_threads,
-    update_priors, vote_fraction_posteriors, EmConfig, LN_FLOOR,
-};
+use crate::em::{self, Csr, EmConfig, EmModel, LN_FLOOR};
 use crate::freeze::ActiveSet;
-use crate::lineage::RunLineage;
 
 /// The one-coin EM algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,135 +43,100 @@ impl TruthInferencer for OneCoinEm {
     }
 
     fn infer(&self, matrix: &ResponseMatrix) -> Result<InferenceResult> {
-        if matrix.is_empty() {
-            return Err(CrowdError::EmptyInput("response matrix"));
-        }
-        let k = matrix.num_labels();
-        let n_tasks = matrix.num_tasks();
-        let n_workers = matrix.num_workers();
-        let wrong_share = 1.0 / (k as f64 - 1.0).max(1.0);
         let cfg = self.config;
-        let threads = resolve_threads(cfg.threads, matrix.num_observations() * k);
-        let (t_off, t_entries) = matrix.task_csr();
-        let (w_off, w_entries) = matrix.worker_csr();
-
-        let mut posteriors = vote_fraction_posteriors(matrix);
-        let mut aset = ActiveSet::new(cfg.freeze, n_tasks, k, w_off);
-        let mut priors = vec![1.0 / k as f64; k];
-        let mut log_priors = vec![0.0f64; k];
-        let mut reliability = vec![0.8f64; n_workers];
-        // Per-worker log pair refreshed each M-step: `ln p_w` and
-        // `ln((1 - p_w) · wrong_share)`.
-        let mut log_right = vec![0.0f64; n_workers];
-        let mut log_wrong = vec![0.0f64; n_workers];
-
-        let tel = obs::scope();
-        let obs_on = tel.recorder.enabled();
-        let run_start = obs::WallTimer::start();
-        // Lineage baseline: the vote-fraction init, i.e. MV's decision.
-        let mut lineage = RunLineage::begin(&tel, "zc", &posteriors, k);
-
-        let mut iterations = 0;
-        let mut converged = false;
-        while iterations < cfg.max_iters {
-            iterations += 1;
-            let t_m = obs_on.then(obs::WallTimer::start);
-
-            // M-step: p_w = (smoothed) expected fraction of correct
-            // answers, sharded over worker ranges; each worker sums its
-            // own CSR entries in insertion order.
-            update_priors(&posteriors, k, &mut priors);
-            for (lp, &p) in log_priors.iter_mut().zip(&priors) {
-                *lp = p.max(LN_FLOOR).ln();
-            }
-            let post = &posteriors;
-            let aset_r = &aset;
-            parallel_items_mut(&mut reliability, 1, threads, |w0, run| {
-                for (i, r) in run.iter_mut().enumerate() {
-                    let w = w0 + i;
-                    // All of this worker's posterior inputs are pinned:
-                    // recomputing reproduces the same bits, so skip.
-                    if aset_r.can_skip_worker_update(w) {
-                        continue;
-                    }
-                    let mut correct = cfg.smoothing;
-                    let mut total = 2.0 * cfg.smoothing;
-                    for &(t, l) in &w_entries[w_off[w] as usize..w_off[w + 1] as usize] {
-                        correct += post[t as usize * k + l as usize];
-                        total += 1.0;
-                    }
-                    // Clamp away from 0 and 1 so log-likelihoods stay
-                    // finite and a perfectly-agreeing worker cannot zero
-                    // out all other labels' mass.
-                    *r = (correct / total).clamp(1e-6, 1.0 - 1e-6);
+        em::run(
+            matrix,
+            cfg.max_iters,
+            cfg.tol,
+            cfg.threads,
+            cfg.freeze,
+            |cx| {
+                let n_workers = cx.num_workers();
+                OneCoinModel {
+                    smoothing: cfg.smoothing,
+                    wrong_share: 1.0 / (cx.k as f64 - 1.0).max(1.0),
+                    reliability: vec![0.8; n_workers],
+                    log_right: vec![0.0; n_workers],
+                    log_wrong: vec![0.0; n_workers],
                 }
-            });
-            for w in 0..n_workers {
-                let p = reliability[w];
-                log_right[w] = p.max(LN_FLOOR).ln();
-                log_wrong[w] = ((1.0 - p) * wrong_share).max(LN_FLOOR).ln();
-            }
+            },
+        )
+        .map(|(r, _)| r)
+    }
+}
 
-            let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
-            let t_e = obs_on.then(obs::WallTimer::start);
+/// The one-coin worker model: one reliability per worker.
+struct OneCoinModel {
+    smoothing: f64,
+    /// Each wrong label's share of a wrong answer, `1 / (k − 1)`.
+    wrong_share: f64,
+    reliability: Vec<f64>,
+    /// `ln p_w`, refreshed each M-step.
+    log_right: Vec<f64>,
+    /// `ln((1 − p_w) · wrong_share)`, refreshed each M-step.
+    log_wrong: Vec<f64>,
+}
 
-            // E-step over the active worklist (all tasks while freezing is
-            // off). Per observation the update is a scalar: every label
-            // gets the worker's wrong-answer mass, the observed label the
-            // right/wrong correction — O(obs + k) per task instead of
-            // O(obs · k).
-            let log_priors_r = &log_priors;
-            let log_right_r = &log_right;
-            let log_wrong_r = &log_wrong;
-            let out = aset.sweep(&mut posteriors, t_off, t_entries, threads, |t, row| {
-                row.copy_from_slice(log_priors_r);
-                let mut base = 0.0;
-                for &(w, l) in &t_entries[t_off[t] as usize..t_off[t + 1] as usize] {
-                    let w = w as usize;
-                    base += log_wrong_r[w];
-                    row[l as usize] += log_right_r[w] - log_wrong_r[w];
+impl EmModel for OneCoinModel {
+    const ALGO: &'static str = "zc";
+
+    fn m_step(&mut self, cx: &Csr<'_>, posteriors: &[f64], aset: &ActiveSet) {
+        let k = cx.k;
+        let smoothing = self.smoothing;
+        // p_w = (smoothed) expected fraction of correct answers, sharded
+        // over worker ranges; each worker sums its own CSR entries in
+        // insertion order.
+        parallel_items_mut(&mut self.reliability, 1, cx.threads, |w0, run| {
+            for (i, r) in run.iter_mut().enumerate() {
+                let w = w0 + i;
+                // All of this worker's posterior inputs are pinned:
+                // recomputing reproduces the same bits, so skip.
+                if aset.can_skip_worker_update(w) {
+                    continue;
                 }
-                for x in row.iter_mut() {
-                    *x += base;
+                let mut correct = smoothing;
+                let mut total = 2.0 * smoothing;
+                for &(t, l) in cx.worker(w) {
+                    correct += posteriors[t as usize * k + l as usize];
+                    total += 1.0;
                 }
-                log_normalize(row);
-            });
-
-            let delta = out.delta;
-            if let Some(l) = &mut lineage {
-                // Committed table after the sweep — identical bits on the
-                // sparse and dense-reference paths, so lineage matches.
-                l.observe_iter(iterations, &posteriors);
+                // Clamp away from 0 and 1 so log-likelihoods stay finite
+                // and a perfectly-agreeing worker cannot zero out all
+                // other labels' mass.
+                *r = (correct / total).clamp(1e-6, 1.0 - 1e-6);
             }
-            if obs_on {
-                let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&tel, "zc", iterations, delta, m_ns, e_ns);
-                aset.observe(&tel, "zc", iterations, &out);
-            }
-            if delta < cfg.tol {
-                converged = true;
-                break;
-            }
+        });
+        for (w, &p) in self.reliability.iter().enumerate() {
+            self.log_right[w] = p.max(LN_FLOOR).ln();
+            self.log_wrong[w] = ((1.0 - p) * self.wrong_share).max(LN_FLOOR).ln();
         }
-        if let Some(l) = lineage.take() {
-            l.finish(&*tel.recorder, matrix, &posteriors, Some(&reliability));
-        }
-        obs_run(&tel, "zc", matrix, iterations, converged, run_start);
+    }
 
-        let labels = argmax_labels(&posteriors, k);
-        Ok(InferenceResult {
-            labels,
-            posteriors: posterior_rows(&posteriors, k),
-            worker_quality: Some(reliability),
-            iterations,
-            converged,
-        })
+    /// Per observation the update is a scalar: every label gets the
+    /// worker's wrong-answer mass, the observed label the right/wrong
+    /// correction — O(obs + k) per task instead of O(obs · k).
+    #[inline]
+    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
+        let mut base = 0.0;
+        for &(w, l) in cx.task(t) {
+            let w = w as usize;
+            base += self.log_wrong[w];
+            row[l as usize] += self.log_right[w] - self.log_wrong[w];
+        }
+        for x in row.iter_mut() {
+            *x += base;
+        }
+    }
+
+    fn worker_quality(&self, _priors: &[f64]) -> Vec<f64> {
+        self.reliability.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdkit_core::error::CrowdError;
     use crowdkit_core::ids::{TaskId, WorkerId};
 
     fn matrix(rows: &[(u64, u64, u32)], k: usize) -> ResponseMatrix {

@@ -1,0 +1,206 @@
+//! Pins the EM kernels' outputs and event streams. Dawid–Skene, one-coin
+//! and GLAD run dense and with `FreezeConfig::sparse(1e-3)`, at 1 and 2
+//! threads, on seeded matrices; each run is digested over its posterior
+//! bits, labels, worker quality, iteration count and convergence flag,
+//! the model's own parameters (DS confusion matrices, GLAD abilities and
+//! inverse difficulties), and the wall-free event stream it records
+//! (`truth.iter`, `truth.freeze`, `truth.run` and the `prov.*` lineage).
+//! A change to any kernel's arithmetic, its freezing decisions or its
+//! telemetry fails here, not only as shifted experiment numerics.
+
+use std::sync::Arc;
+
+use crowdkit_core::ids::{TaskId, WorkerId};
+use crowdkit_core::response::ResponseMatrix;
+use crowdkit_core::traits::{InferenceResult, TruthInferencer};
+use crowdkit_obs::{self as obs, JsonlRecorder, Scope};
+use crowdkit_truth::em::EmConfig;
+use crowdkit_truth::freeze::FreezeConfig;
+use crowdkit_truth::glad::GladConfig;
+use crowdkit_truth::{DawidSkene, Glad, OneCoinEm};
+
+/// FNV-1a over everything a run hands back.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        xs.iter().for_each(|x| self.u64(x.to_bits()));
+    }
+
+    fn result(&mut self, r: &InferenceResult) {
+        r.posteriors.iter().for_each(|row| self.f64s(row));
+        r.labels.iter().for_each(|&l| self.u64(u64::from(l)));
+        self.f64s(r.worker_quality.as_deref().unwrap_or_default());
+        self.u64(r.iterations as u64);
+        self.u64(u64::from(r.converged));
+    }
+}
+
+/// SplitMix64, so the matrices do not depend on any RNG crate's streams.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A `k`-label matrix of 480 tasks in two halves:
+///
+/// * tasks 0–239 form 24 blocks of 10, each answered by its own three
+///   workers, who are right 97% of the time: the blocks settle within a
+///   few iterations, so their tasks freeze early and their workers go
+///   quiet (every task they answered is frozen) while
+/// * tasks 240–479 are each answered by 5 of 40 shared workers, who range
+///   from spammers (right 40% of the time) to 90% accurate and keep a
+///   contested frontier iterating long after the blocks froze; their
+///   abilities settle one by one, which is where GLAD pins them.
+fn matrix(seed: u64, k: u32) -> ResponseMatrix {
+    let mut rng = SplitMix(seed);
+    let mut m = ResponseMatrix::new(k as usize);
+    let answer = |rng: &mut SplitMix, truth: u32, accuracy: f64| {
+        if rng.unit() < accuracy {
+            truth
+        } else {
+            (truth + 1 + rng.below(u64::from(k) - 1) as u32) % k
+        }
+    };
+    for t in 0..240u64 {
+        let truth = rng.below(u64::from(k)) as u32;
+        for j in 0..3 {
+            let l = answer(&mut rng, truth, 0.97);
+            m.push(TaskId::new(t), WorkerId::new(t / 10 * 3 + j), l)
+                .unwrap();
+        }
+    }
+    let accuracy = |w: u64| 0.4 + 0.5 * (w % 10) as f64 / 9.0;
+    for t in 240..480u64 {
+        let truth = rng.below(u64::from(k)) as u32;
+        let mut asked: Vec<u64> = Vec::new();
+        while asked.len() < 5 {
+            let w = rng.below(40);
+            if !asked.contains(&w) {
+                asked.push(w);
+            }
+        }
+        for w in asked {
+            let l = answer(&mut rng, truth, accuracy(w));
+            m.push(TaskId::new(t), WorkerId::new(1000 + w), l).unwrap();
+        }
+    }
+    m
+}
+
+/// Runs `infer` under a provenance-capturing scope whose recorder keeps
+/// only deterministic fields. The digest covers what `infer` writes into
+/// it (the model's parameters), the result it returns and the event
+/// stream. Returns the digest and the stream.
+fn run(infer: impl FnOnce(&mut Digest) -> InferenceResult) -> (u64, String) {
+    let rec = Arc::new(JsonlRecorder::in_memory().with_wall(false));
+    let scope = Scope {
+        recorder: rec.clone(),
+        registry: None,
+        provenance: true,
+    };
+    let mut digest = Digest::new();
+    let r = obs::with_scope(scope, || infer(&mut digest));
+    digest.result(&r);
+    let stream = String::from_utf8(rec.take_bytes()).expect("utf-8 stream");
+    digest.bytes(stream.as_bytes());
+    (digest.0, stream)
+}
+
+/// The sparse runs must actually freeze: at least one `truth.freeze`
+/// event, with tasks still active after it.
+fn assert_froze_with_a_frontier(stream: &str) {
+    let frontier = stream
+        .lines()
+        .filter(|l| l.starts_with("{\"key\":\"truth.freeze\""))
+        .any(|l| !l.contains(",\"active\":0,"));
+    assert!(frontier, "no task froze while others were still active");
+}
+
+/// Digests of one kernel over `[dense, sparse]`, at 1 and 2 threads; the
+/// thread count must not move a single bit.
+fn digests(run_one: impl Fn(FreezeConfig, usize) -> (u64, String)) -> [u64; 2] {
+    [FreezeConfig::disabled(), FreezeConfig::sparse(1e-3)].map(|fz| {
+        let (one, stream) = run_one(fz, 1);
+        if fz.enabled() {
+            assert_froze_with_a_frontier(&stream);
+        }
+        let (two, _) = run_one(fz, 2);
+        assert_eq!(one, two, "1 and 2 threads differ (freeze {fz:?})");
+        one
+    })
+}
+
+#[test]
+fn dawid_skene_streams_are_pinned() {
+    let m = matrix(21, 3);
+    let got = digests(|fz, threads| {
+        let ds = DawidSkene::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
+        run(|d| {
+            let (r, confusion) = ds.infer_full(&m).expect("non-empty matrix");
+            confusion.iter().flatten().for_each(|row| d.f64s(row));
+            r
+        })
+    });
+    // Recorded while each kernel ran its own EM loop, before freezing
+    // lost its recheck and thaw path.
+    assert_eq!(got, [0x6826_6C24_90B6_1578, 0x0793_3E52_CE5A_71C8]);
+}
+
+#[test]
+fn one_coin_streams_are_pinned() {
+    let m = matrix(22, 3);
+    let got = digests(|fz, threads| {
+        let zc = OneCoinEm::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
+        run(|_| zc.infer(&m).expect("non-empty matrix"))
+    });
+    // Recorded while each kernel ran its own EM loop, before freezing
+    // lost its recheck and thaw path.
+    assert_eq!(got, [0x9B28_F6B2_B975_0765, 0x7278_75AA_8702_5B7E]);
+}
+
+#[test]
+fn glad_streams_are_pinned() {
+    let m = matrix(23, 2);
+    let got = digests(|fz, threads| {
+        let glad = Glad::with_config(GladConfig::default().with_threads(threads).with_freeze(fz));
+        run(|d| {
+            let (r, params) = glad.infer_full(&m).expect("non-empty matrix");
+            d.f64s(&params.abilities);
+            d.f64s(&params.inverse_difficulties);
+            r
+        })
+    });
+    // Recorded while each kernel ran its own EM loop, before freezing
+    // lost its recheck and thaw path.
+    assert_eq!(got, [0x3B2E_863E_560A_13C0, 0x4926_0D30_502E_5150]);
+}

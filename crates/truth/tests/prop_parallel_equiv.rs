@@ -12,11 +12,18 @@
 //! contract: for any freezing settings, the active-set worklist path must
 //! match the dense-reference evaluation of the same semantics bit for bit
 //! — at 1, 2, and 8 threads — including the worker-model entries the
-//! worklist path skips as "recompute-would-be-identical".
+//! worklist path skips as "recompute-would-be-identical". Those
+//! properties would hold trivially if nothing ever froze, so each also
+//! counts the cases whose sparse run froze a task and fails unless at
+//! least half did.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
+use crowdkit_obs::{self as obs, MemoryRecorder};
 use crowdkit_truth::em::EmConfig;
 use crowdkit_truth::freeze::FreezeConfig;
 use crowdkit_truth::glad::GladConfig;
@@ -54,38 +61,73 @@ where
 }
 
 /// Arbitrary enabled freezing settings: tolerances loose enough to
-/// actually freeze tasks on small matrices, patience 1–2, with and
-/// without periodic rechecks.
+/// actually freeze tasks on small matrices.
 fn freeze_strategy() -> impl Strategy<Value = FreezeConfig> {
-    (
-        prop_oneof![Just(1e-4f64), Just(1e-3), Just(1e-2)],
-        1u32..3,
-        prop_oneof![Just(0u32), Just(2), Just(3)],
-    )
-        .prop_map(|(eps, patience, recheck)| {
-            FreezeConfig::sparse(eps)
-                .with_patience(patience)
-                .with_recheck(recheck)
-        })
+    prop_oneof![Just(1e-4f64), Just(1e-3), Just(1e-2)].prop_map(FreezeConfig::sparse)
+}
+
+/// Cases per property.
+const CASES: u32 = 48;
+
+/// Counts, for one sparse-vs-dense property, the cases whose sparse run
+/// froze a task. The property's last case fails unless at least half of
+/// its cases did, so the equality cannot pass just because nothing froze.
+struct FreezeTally {
+    cases: AtomicU32,
+    froze: AtomicU32,
+}
+
+impl FreezeTally {
+    const fn new() -> Self {
+        Self {
+            cases: AtomicU32::new(0),
+            froze: AtomicU32::new(0),
+        }
+    }
+
+    fn record(&self, froze: bool) -> std::result::Result<(), TestCaseError> {
+        let froze = self.froze.fetch_add(u32::from(froze), Ordering::Relaxed) + u32::from(froze);
+        let cases = self.cases.fetch_add(1, Ordering::Relaxed) + 1;
+        if cases == CASES {
+            prop_assert!(
+                2 * froze >= cases,
+                "only {} of {} sparse runs froze a task",
+                froze,
+                cases
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Runs `infer` under a memory recorder and reports whether it recorded
+/// a `truth.freeze` event, i.e. froze at least one task.
+fn recording_freezes<R>(infer: impl FnOnce() -> R) -> (R, bool) {
+    let rec = Arc::new(MemoryRecorder::new());
+    let r = obs::with_recorder(rec.clone(), infer);
+    (r, rec.count("truth.freeze") > 0)
 }
 
 /// Runs `make(threads, freeze).infer(m)` with the worklist path and the
 /// dense-reference path at widths 1, 2, and 8 and demands all six results
 /// exactly equal: freezing must change the cost of an iteration, never
-/// its outcome.
+/// its outcome. Returns whether the worklist path froze any task.
 fn assert_sparse_matches_dense<F>(
     m: &ResponseMatrix,
     fz: FreezeConfig,
     make: F,
-) -> std::result::Result<(), TestCaseError>
+) -> std::result::Result<bool, TestCaseError>
 where
     F: Fn(usize, FreezeConfig) -> Box<dyn TruthInferencer>,
 {
     let reference: InferenceResult = make(1, fz.with_dense_reference(true))
         .infer(m)
         .expect("non-empty matrix infers");
+    let mut froze = false;
     for threads in [1usize, 2, 8] {
-        let sparse = make(threads, fz).infer(m).expect("non-empty matrix infers");
+        let (sparse, f) = recording_freezes(|| make(threads, fz).infer(m));
+        let sparse = sparse.expect("non-empty matrix infers");
+        froze |= f;
         prop_assert_eq!(
             &reference,
             &sparse,
@@ -102,11 +144,11 @@ where
             threads
         );
     }
-    Ok(())
+    Ok(froze)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn dawid_skene_is_thread_invariant(m in matrix_strategy(3)) {
@@ -139,11 +181,13 @@ proptest! {
         m in matrix_strategy(3),
         fz in freeze_strategy(),
     ) {
-        assert_sparse_matches_dense(&m, fz, |t, fz| {
+        static TALLY: FreezeTally = FreezeTally::new();
+        let froze = assert_sparse_matches_dense(&m, fz, |t, fz| {
             Box::new(DawidSkene::with_config(
                 EmConfig::default().with_threads(t).with_freeze(fz),
             ))
         })?;
+        TALLY.record(froze)?;
     }
 
     #[test]
@@ -151,11 +195,13 @@ proptest! {
         m in matrix_strategy(3),
         fz in freeze_strategy(),
     ) {
-        assert_sparse_matches_dense(&m, fz, |t, fz| {
+        static TALLY: FreezeTally = FreezeTally::new();
+        let froze = assert_sparse_matches_dense(&m, fz, |t, fz| {
             Box::new(OneCoinEm::with_config(
                 EmConfig::default().with_threads(t).with_freeze(fz),
             ))
         })?;
+        TALLY.record(froze)?;
     }
 
     #[test]
@@ -163,11 +209,13 @@ proptest! {
         m in matrix_strategy(2),
         fz in freeze_strategy(),
     ) {
-        assert_sparse_matches_dense(&m, fz, |t, fz| {
+        static TALLY: FreezeTally = FreezeTally::new();
+        let froze = assert_sparse_matches_dense(&m, fz, |t, fz| {
             Box::new(Glad::with_config(
                 GladConfig::default().with_threads(t).with_freeze(fz),
             ))
         })?;
+        TALLY.record(froze)?;
     }
 
     /// GLAD's freezing semantics also pin the fitted parameters — the
@@ -178,18 +226,23 @@ proptest! {
         m in matrix_strategy(2),
         fz in freeze_strategy(),
     ) {
+        static TALLY: FreezeTally = FreezeTally::new();
         let cfg = GladConfig::default();
         let (r_ref, p_ref) = Glad::with_config(
             cfg.with_threads(1).with_freeze(fz.with_dense_reference(true)),
         )
         .infer_full(&m)
         .expect("non-empty matrix infers");
+        let mut froze = false;
         for threads in [1usize, 2, 8] {
-            let (r, p) = Glad::with_config(cfg.with_threads(threads).with_freeze(fz))
-                .infer_full(&m)
-                .expect("non-empty matrix infers");
+            let (out, f) = recording_freezes(|| {
+                Glad::with_config(cfg.with_threads(threads).with_freeze(fz)).infer_full(&m)
+            });
+            let (r, p) = out.expect("non-empty matrix infers");
+            froze |= f;
             prop_assert_eq!(&r_ref, &r, "posteriors diverge at {} threads", threads);
             prop_assert_eq!(&p_ref, &p, "GLAD params diverge at {} threads", threads);
         }
+        TALLY.record(froze)?;
     }
 }

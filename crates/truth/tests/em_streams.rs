@@ -200,7 +200,8 @@ fn glad_streams_are_pinned() {
             r
         })
     });
-    // Recorded while each kernel ran its own EM loop, before freezing
-    // lost its recheck and thaw path.
-    assert_eq!(got, [0x3B2E_863E_560A_13C0, 0x4926_0D30_502E_5150]);
+    // Re-recorded for a deliberate numeric change: the M-step takes one
+    // Fisher-scoring step per coordinate under Gaussian priors on α and b,
+    // and a live worker's α step walks its frozen edges too.
+    assert_eq!(got, [0xC171_4530_C1C1_3FF4, 0x5F06_112E_8EEB_E4BB]);
 }

@@ -3,6 +3,9 @@
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{StoppingRule, TruthInferencer};
+use crowdkit_truth::em::EmConfig;
+use crowdkit_truth::freeze::FreezeConfig;
+use crowdkit_truth::glad::GladConfig;
 use crowdkit_truth::sequential::{FixedK, MajorityMargin, Sprt};
 use crowdkit_truth::{DawidSkene, Glad, Kos, MajorityVote, OneCoinEm};
 use proptest::prelude::*;
@@ -76,31 +79,36 @@ proptest! {
 
     #[test]
     fn unanimous_answers_are_respected_by_all_algorithms(
-        labels in prop::collection::vec(0u32..2, 2..15),
+        labels in prop::collection::vec(0u32..2, 2..41),
         workers in 2u64..6,
     ) {
         // Every worker gives the same label per task: every algorithm must
-        // return exactly those labels.
+        // return exactly those labels, dense or with freezing on.
         let mut m = ResponseMatrix::new(2);
         for (t, &l) in labels.iter().enumerate() {
             for w in 0..workers {
                 m.push(TaskId::new(t as u64), WorkerId::new(w), l).unwrap();
             }
         }
-        let algos: Vec<Box<dyn TruthInferencer>> = vec![
-            Box::new(MajorityVote),
-            Box::new(OneCoinEm::default()),
-            Box::new(DawidSkene::default()),
-            Box::new(Glad::default()),
-            Box::new(Kos::default()),
+        let sparse = FreezeConfig::sparse(1e-3);
+        let em = EmConfig::default().with_freeze(sparse);
+        let algos: Vec<(&str, Box<dyn TruthInferencer>)> = vec![
+            ("mv", Box::new(MajorityVote)),
+            ("one-coin", Box::new(OneCoinEm::default())),
+            ("sparse one-coin", Box::new(OneCoinEm::with_config(em))),
+            ("ds", Box::new(DawidSkene::default())),
+            ("sparse ds", Box::new(DawidSkene::with_config(em))),
+            ("glad", Box::new(Glad::default())),
+            ("sparse glad", Box::new(Glad::with_config(GladConfig::default().with_freeze(sparse)))),
+            ("kos", Box::new(Kos::default())),
         ];
-        for algo in &algos {
+        for (name, algo) in &algos {
             let r = algo.infer(&m).unwrap();
             for (t, &expected) in labels.iter().enumerate() {
                 let got = r.labels[m.task_index(TaskId::new(t as u64)).unwrap()];
                 prop_assert_eq!(
                     got, expected,
-                    "{} flipped a unanimous label on task {}", algo.name(), t
+                    "{} flipped a unanimous label on task {}", name, t
                 );
             }
         }

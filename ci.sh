@@ -70,12 +70,14 @@ print(f"e10 optimizer gate: optimized {opt:.0f} vs naive {naive:.0f} actual spen
 EOF
 
 # Full experiment suite with telemetry: RUNREPORT.json + the headered
-# deterministic event log, then replay and metrics-rollup smoke-checks
-# over that log (`top` must find and render the suite's metrics.snapshot
-# telemetry).
+# deterministic event log, then replay and rollup smoke-checks over that
+# log (`top` must fold the suite's platform.batch events into a row of
+# totals).
 cargo run --release -p crowdkit-bench --bin experiments -- all --report --log RUNLOG.jsonl > /dev/null
 cargo run --release -p crowdkit-trace --bin crowdtrace -- replay RUNLOG.jsonl > /dev/null
-cargo run --release -p crowdkit-trace --bin crowdtrace -- top RUNLOG.jsonl | grep -q 'platform.tasks_answered'
+cargo run --release -p crowdkit-trace --bin crowdtrace -- top RUNLOG.jsonl > TOP.txt
+grep -qE '^  platform\.batch +[0-9]+  requests=[0-9]+  delivered=[0-9]+' TOP.txt
+rm -f TOP.txt
 
 # Decision-provenance smoke-check: the suite log must explain a known
 # task end to end (votes, margin, worker weights, flip timeline) and the
@@ -93,9 +95,9 @@ grep -q 'most influential workers' AUDIT.txt
 grep -q 'spend/correct' AUDIT.txt
 rm -f WHY.txt AUDIT.txt
 
-# Telemetry overhead gate: the full telemetry scope (events, metrics and
-# provenance) must keep the instrumented hot paths within 13% of the null
-# scope (asserted inside the bench binary).
+# Telemetry overhead gate: the full telemetry scope (an aggregating
+# recorder and provenance) must keep the instrumented hot paths within 13%
+# of the null scope (asserted inside the bench binary).
 cargo bench -p crowdkit-bench --bench telemetry_overhead
 
 # Perf-regression gate: current ns/iter vs the rolling median of the last

@@ -94,14 +94,6 @@ where
                 }
             }
         }
-        if let Some(m) = &tel.registry {
-            m.assign.waves.inc();
-            m.assign.wave_size.record(wave.len() as u64);
-            m.assign.questions.add((asked - asked_before) as u64);
-            if exhausted {
-                m.assign.exhausted.inc();
-            }
-        }
         if rec.enabled() {
             rec.record(
                 Event::new("assign.wave")

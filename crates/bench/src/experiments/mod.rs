@@ -22,7 +22,7 @@ pub mod e17_worker_supply;
 
 use std::sync::Arc;
 
-use crowdkit_obs::{self as obs, metrics, Event, ExperimentReport, RunReport};
+use crowdkit_obs::{self as obs, Event, ExperimentReport, RunReport};
 
 use crate::table::Table;
 
@@ -204,35 +204,26 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
                 let shard = shards.shard(i);
                 scope.spawn(move || {
                     // The telemetry scope is thread-local, so it must be
-                    // entered *inside* the experiment's own thread. A
-                    // per-experiment registry keeps the concurrently
-                    // running experiments from polluting each other's
-                    // counters — that independence is what makes the
-                    // metrics.snapshot events below byte-identical across
-                    // suite thread interleavings. Provenance is on: the
-                    // summary `prov.run` events always land (and feed the
-                    // report), full per-task lineage only when the
-                    // recorder captures detail (--log).
+                    // entered *inside* the experiment's own thread.
+                    // Provenance is on: the summary `prov.run` events
+                    // always land (and feed the report), full per-task
+                    // lineage only when the recorder captures detail
+                    // (--log). The Tee keeps those detail events out of
+                    // `mem`, so the report does not depend on --log.
                     let mem = Arc::new(obs::MemoryRecorder::new());
                     let rec: Arc<dyn obs::Recorder> = if capture_events {
                         Arc::new(obs::Tee(shard, mem.clone()))
                     } else {
                         mem.clone()
                     };
-                    let reg = Arc::new(metrics::Registry::new());
                     let start = std::time::Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
                     let scope = obs::Scope {
                         recorder: rec,
-                        registry: Some(reg.clone()),
                         provenance: true,
                     };
                     let text = obs::with_scope(scope, || {
                         obs::record(Event::new("exp.begin").str("id", e.id));
                         let text = run_by_name(e.id).expect("registered id");
-                        // Flush the experiment's final metric state as one
-                        // snapshot delta before the end marker, so the
-                        // events sit inside the exp span.
-                        metrics::SnapshotExporter::new().emit(&reg, None);
                         obs::record(Event::new("exp.end").str("id", e.id));
                         text
                     });
@@ -294,5 +285,23 @@ mod tests {
     #[test]
     fn unknown_id_returns_none() {
         assert!(run_by_name("e99").is_none());
+    }
+
+    #[test]
+    fn the_report_does_not_depend_on_event_capture() {
+        let report = |capture_events| {
+            let mut run = run_with_report(&["e8"], capture_events).expect("e8 is registered");
+            assert_eq!(run.events.is_empty(), !capture_events);
+            for e in &mut run.report.experiments {
+                e.wall_ms = 0;
+            }
+            run.report
+        };
+        let plain = report(false);
+        let logged = report(true);
+        assert_eq!(plain, logged, "--log must not change RUNREPORT.json");
+        let counts = &plain.experiments[0].event_counts;
+        assert!(counts.iter().any(|(k, _)| k == "platform.batch"));
+        assert!(counts.iter().all(|(k, _)| k != "platform.assign"));
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_obs::{self as obs, metrics};
+use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::latency::LatencyModel;
 use crowdkit_sim::population::PopulationBuilder;
@@ -110,100 +110,6 @@ proptest! {
     }
 }
 
-/// The `metrics.snapshot` bytes for one batched run: the workload executes
-/// under a fresh scoped registry, then one exporter flush turns the
-/// registry into snapshot delta events. With wall data omitted, those
-/// bytes must be a pure function of the workload too — metric updates
-/// happen only on sequential orchestrating paths, and the wall-histogram
-/// encoding keeps timing out of the deterministic fields.
-fn batch_snapshot_stream(n_tasks: usize, votes: usize, seed: u64, threads: usize) -> Vec<u8> {
-    capture(|| {
-        let reg = Arc::new(metrics::Registry::new());
-        obs::with_scope(obs::Scope { registry: Some(reg.clone()), ..obs::scope() }, || {
-            let pop = PopulationBuilder::new().reliable(40, 0.7, 0.95).build(seed);
-            let crowd = PlatformBuilder::new(pop)
-                .latency(LatencyModel::human_default())
-                .seed(seed)
-                .threads(threads)
-                .build();
-            let tasks = LabelingDataset::binary(n_tasks, seed).tasks;
-            let reqs: Vec<AskRequest<'_>> = tasks
-                .iter()
-                .map(|t| AskRequest::new(t).with_redundancy(votes))
-                .collect();
-            crowd.ask_batch(&reqs).expect("unlimited budget");
-            metrics::SnapshotExporter::new().emit(&reg, None);
-        });
-    })
-}
-
-/// The `metrics.snapshot` bytes for one Dawid–Skene inference run.
-fn ds_snapshot_stream(n_tasks: usize, seed: u64, threads: usize) -> Vec<u8> {
-    let crowd = crowdkit_sim::SimulatedCrowd::new(
-        PopulationBuilder::new().reliable(30, 0.6, 0.95).build(seed),
-        seed,
-    );
-    let tasks = LabelingDataset::binary(n_tasks, seed).tasks;
-    let matrix = label_tasks(&crowd, &tasks, 3, &MajorityVote)
-        .expect("collection succeeds")
-        .matrix;
-    capture(|| {
-        use crowdkit_core::traits::TruthInferencer;
-        let reg = Arc::new(metrics::Registry::new());
-        obs::with_scope(obs::Scope { registry: Some(reg.clone()), ..obs::scope() }, || {
-            let ds = DawidSkene::with_config(EmConfig {
-                threads,
-                ..EmConfig::default()
-            });
-            ds.infer(&matrix).expect("non-empty matrix");
-            metrics::SnapshotExporter::new().emit(&reg, None);
-        });
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn metrics_snapshot_stream_is_thread_count_invariant(
-        n_tasks in 20usize..120,
-        votes in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let reference = batch_snapshot_stream(n_tasks, votes, seed, THREAD_COUNTS[0]);
-        prop_assert!(
-            std::str::from_utf8(&reference).unwrap().contains("metrics.snapshot"),
-            "the exporter must emit snapshot events"
-        );
-        for &threads in &THREAD_COUNTS[1..] {
-            let stream = batch_snapshot_stream(n_tasks, votes, seed, threads);
-            prop_assert_eq!(
-                &reference, &stream,
-                "metrics.snapshot stream diverged at {} threads", threads
-            );
-        }
-    }
-
-    #[test]
-    fn dawid_skene_snapshot_stream_is_thread_count_invariant(
-        n_tasks in 20usize..100,
-        seed in 0u64..1000,
-    ) {
-        let reference = ds_snapshot_stream(n_tasks, seed, THREAD_COUNTS[0]);
-        prop_assert!(
-            std::str::from_utf8(&reference).unwrap().contains("metrics.snapshot"),
-            "the exporter must emit snapshot events"
-        );
-        for &threads in &THREAD_COUNTS[1..] {
-            let stream = ds_snapshot_stream(n_tasks, seed, threads);
-            prop_assert_eq!(
-                &reference, &stream,
-                "dawid-skene metrics.snapshot stream diverged at {} threads", threads
-            );
-        }
-    }
-}
-
 /// Repeat runs at a fixed thread count must also be byte-identical — the
 /// stream is a pure function of the workload, not of process state.
 #[test]
@@ -214,7 +120,4 @@ fn repeat_runs_are_byte_identical() {
     let c = ds_stream(60, 42, 4);
     let d = ds_stream(60, 42, 4);
     assert_eq!(c, d);
-    let e = batch_snapshot_stream(60, 3, 42, 4);
-    let f = batch_snapshot_stream(60, 3, 42, 4);
-    assert_eq!(e, f);
 }

@@ -27,7 +27,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// The JSONL recorder reports detail, so full per-task lineage lands.
 fn capture(f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    obs::with_scope(obs::Scope { recorder: rec.clone(), registry: None, provenance: true }, f);
+    obs::with_scope(obs::Scope { recorder: rec.clone(), provenance: true }, f);
     rec.take_bytes()
 }
 

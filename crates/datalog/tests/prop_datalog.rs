@@ -1,8 +1,9 @@
-//! Property-based tests for the crowd-Datalog layer: AST pretty-print →
-//! reparse round-trips, and semantic invariants of evaluation.
+//! Property-based tests for the crowd-Datalog layer: parser and engine
+//! totality on random and mutated programs, AST pretty-print → reparse
+//! round-trips, and semantic invariants of evaluation.
 
 use crowdkit_datalog::ast::{Atom, Clause, CmpOp, Const, Literal, Program, Rule, Term};
-use crowdkit_datalog::{parse_program, Engine, EngineConfig, NullResolver};
+use crowdkit_datalog::{parse_program, Engine, EngineConfig, NullResolver, TableResolver};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -64,6 +65,180 @@ fn clause_strategy() -> impl Strategy<Value = Clause> {
         ("[a-mo-z][a-z0-9_]{0,6}", 1usize..4)
             .prop_map(|(predicate, arity)| Clause::CrowdDecl { predicate, arity }),
     ]
+}
+
+// ---------------------------------------------------------------------------
+// Token-level mutants of real programs
+// ---------------------------------------------------------------------------
+
+/// Programs this crate's tests already run: the seeds of the mutants.
+const SEEDS: &[&str] = &[
+    r#"parent("alice", "bob"). parent("bob", "carol").
+       ancestor(X, Y) :- parent(X, Y).
+       ancestor(X, Z) :- parent(X, Y), ancestor(Y, Z).
+       @crowd city_of/2."#,
+    r#"adult(X) :- person(X, Age), Age >= 18.
+       childless(X) :- person(X, _), not parent(X, _).
+       different(X, Y) :- p(X), p(Y), X != Y."#,
+    r#"restaurant("joes"). restaurant("moes").
+       @crowd city_of/2.
+       in_tokyo(R) :- restaurant(R), city_of(R, C), C = "tokyo"."#,
+    r#"start("n0").
+       @crowd next/2.
+       reach(X) :- start(X).
+       reach(Y) :- reach(X), next(X, Y)."#,
+    r#"r("a"). r("b").
+       @crowd v/2.
+       out1(X, V) :- r(X), v(X, V).
+       out2(X, V) :- r(X), v(X, V), V != "none"."#,
+    r#"r("a").
+       @crowd v/2.
+       v("a", "known").
+       out(X, V) :- r(X), v(X, V)."#,
+    r#"person("ada"). person("bob").
+       @crowd hometown/2.
+       located(P, C) :- person(P), hometown(P, C).
+       in_paris(P) :- located(P, C), C = "paris".
+       not_in_paris(P) :- person(P), not in_paris(P)."#,
+    r#"score("t1", 10). score("t1", 30). score("t2", 5).
+       stats(T, sum<S>, min<S>, max<S>) :- score(T, S)."#,
+    r#"edge("a", "b"). edge("a", "c"). edge("b", "c").
+       degree(X, count<Y>) :- edge(X, Y).
+       hub(X) :- degree(X, D), D >= 2."#,
+    r#"item("x"). item("y").
+       @crowd rating/2.
+       rated(I, R) :- item(I), rating(I, R).
+       n_rated(count<I>) :- rated(I, _)."#,
+];
+
+/// Tokens a mutant may insert besides the seeds' own: unbalanced quotes,
+/// parentheses and angle brackets, a comment marker, and out-of-range
+/// numbers.
+const EXTRA_TOKENS: &[&str] = &[
+    "\"",
+    "(",
+    ")",
+    "<",
+    ">",
+    "%",
+    "@crowd",
+    "/",
+    "0",
+    "-1",
+    "99999999999999999999",
+];
+
+/// Splits `src` into token texts: quoted strings, word runs, runs of
+/// operator characters, and single other characters.
+fn tokens(src: &str) -> Vec<&str> {
+    let bytes = src.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let c = bytes[i];
+        let start = i;
+        i += 1;
+        if c.is_ascii_whitespace() {
+            continue;
+        }
+        let run = |i: &mut usize, pred: fn(u8) -> bool| {
+            while *i < bytes.len() && pred(bytes[*i]) {
+                *i += 1;
+            }
+        };
+        if c == b'"' {
+            run(&mut i, |b| b != b'"');
+            i = (i + 1).min(bytes.len());
+        } else if c.is_ascii_alphanumeric() || c == b'_' || c == b'@' {
+            run(&mut i, |b| b.is_ascii_alphanumeric() || b == b'_');
+        } else if b":-<>=!".contains(&c) {
+            run(&mut i, |b| b":-<>=!".contains(&b));
+        }
+        out.push(&src[start..i]);
+    }
+    out
+}
+
+/// A seed program after `edits` token-level mutations, each
+/// `(op, position, token)`: delete, insert, replace or truncate.
+fn mutate(seed: &str, edits: &[(u8, usize, usize)]) -> String {
+    let vocab: Vec<&str> = SEEDS
+        .iter()
+        .flat_map(|s| tokens(s))
+        .chain(EXTRA_TOKENS.iter().copied())
+        .collect();
+    let mut toks = tokens(seed);
+    for &(op, pos, tok) in edits {
+        let at = pos % (toks.len() + 1);
+        let word = vocab[tok % vocab.len()];
+        match op {
+            0 if at < toks.len() => {
+                toks.remove(at);
+            }
+            1 => toks.insert(at, word),
+            2 if at < toks.len() => toks[at] = word,
+            3 => toks.truncate(at),
+            _ => {}
+        }
+    }
+    toks.join(" ")
+}
+
+fn program_mutant() -> impl Strategy<Value = String> {
+    (
+        0..SEEDS.len(),
+        prop::collection::vec((0u8..4, 0usize..128, 0usize..1024), 1..4),
+    )
+        .prop_map(|(seed, edits)| mutate(SEEDS[seed], &edits))
+}
+
+/// Crowd tuples for the seeds' `@crowd` predicates.
+fn resolver() -> TableResolver {
+    let s = |v: &str| Const::Str(v.into());
+    let mut r = TableResolver::new();
+    r.insert("city_of", vec![s("joes"), s("tokyo")]);
+    r.insert("next", vec![s("n0"), s("n1")]);
+    r.insert("v", vec![s("a"), s("crowdval")]);
+    r.insert("hometown", vec![s("ada"), s("paris")]);
+    r.insert("rating", vec![s("x"), Const::Int(4)]);
+    r
+}
+
+#[test]
+fn mutation_keeps_seeds_and_edits_tokens() {
+    let seed = r#"p(X, "a b") :- q(X), X != 1."#;
+    assert_eq!(
+        tokens(seed),
+        ["p", "(", "X", ",", "\"a b\"", ")", ":-", "q", "(", "X", ")", ",", "X", "!=", "1", "."]
+    );
+    assert_eq!(
+        parse_program(&mutate(seed, &[])).unwrap(),
+        parse_program(seed).unwrap()
+    );
+    assert_eq!(mutate("p(1).", &[(0, 1, 0)]), "p 1 ) .");
+    assert_eq!(mutate("p(1).", &[(3, 2, 0)]), "p (");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The parser and engine never panic (errors are Results), on arbitrary
+    /// input or on token-level mutants of real programs, which get past
+    /// the first few tokens. Programs that parse are validated by
+    /// `Engine::new`, and those that validate run against a table resolver.
+    #[test]
+    fn parser_total_on_arbitrary_input(src in ".{0,200}", mutant in program_mutant()) {
+        for text in [&src, &mutant] {
+            let Ok(program) = parse_program(text) else { continue };
+            let Ok(engine) = Engine::new(program) else { continue };
+            let engine = engine.with_config(EngineConfig {
+                max_fetches: 16,
+                max_iterations: 64,
+                semi_naive: true,
+            });
+            let _ = engine.run(&mut resolver());
+        }
+    }
 }
 
 proptest! {
@@ -133,11 +308,6 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// The parser never panics on arbitrary input (errors are Results).
-    #[test]
-    fn parser_total_on_arbitrary_input(src in ".{0,200}") {
-        let _ = parse_program(&src);
-    }
 
     /// Transitive closure contains exactly the reachable pairs (checked
     /// against a BFS reference).

@@ -1,7 +1,7 @@
 //! The CONC rule family: concurrency hazards around locks and atomics.
 //!
 //! The lock-striped `SimulatedCrowd`, the `Session` `RwLock`, and the
-//! `crowdkit_obs::metrics` atomics are exactly the surfaces the planned
+//! platform's atomic counters are exactly the surfaces the planned
 //! `crowdkitd` service front-end will multiply. Three rules, all
 //! best-effort over guard *scopes* (a guard's scope runs from its
 //! acquisition to the end of its enclosing block, an explicit
@@ -15,8 +15,7 @@
 //!   deadlock and is reported with the acquisition sites of every edge.
 //! * **CONC002** — atomic `Ordering` audit: `SeqCst` mixed with weaker
 //!   orderings on the same field without a reasoned `// ORDERING:`
-//!   comment, and any `SeqCst` under [`METRICS_SRC`] where the
-//!   documented policy (DESIGN.md §12) is `Relaxed` + merge-on-read.
+//!   comment.
 //! * **CONC003** — a guard held across a call into `&dyn CrowdOracle`
 //!   (`ask`/`ask_one`/`ask_batch`/`ask_many` — crowd I/O under a lock) or
 //!   into a function that (transitively) acquires a lock itself.
@@ -56,10 +55,6 @@ const ATOMIC_METHODS: [&str; 12] = [
 
 /// The five memory orderings.
 const MEM_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// The metrics module's source directory (workspace-relative), where any
-/// unjustified `SeqCst` is a CONC002 finding.
-pub const METRICS_SRC: &str = "crates/obs/src/metrics/";
 
 fn punct_is(t: &Token, c: char) -> bool {
     matches!(&t.tok, Tok::Punct(p) if *p == c)
@@ -641,48 +636,33 @@ fn conc002(units: &[FileUnit], out: &mut Vec<Finding>) {
     }
     for ((_, field), idxs) in &groups {
         let orderings: BTreeSet<&str> = idxs.iter().map(|&i| sites[i].ordering.as_str()).collect();
-        let mixed_seqcst = orderings.contains("SeqCst") && orderings.len() > 1;
+        if !orderings.contains("SeqCst") || orderings.len() == 1 {
+            continue;
+        }
+        let weaker: Vec<&str> = orderings
+            .iter()
+            .copied()
+            .filter(|o| *o != "SeqCst")
+            .collect();
         for &i in idxs {
             let s = &sites[i];
             if s.ordering != "SeqCst" || s.justified {
                 continue;
             }
-            if s.file.starts_with(METRICS_SRC) || s.file.contains(&format!("/{METRICS_SRC}")) {
-                out.push(Finding {
-                    rule: "CONC002",
-                    file: s.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "`SeqCst` on `{field}` in the metrics hot path (documented policy: \
-`Relaxed` shards + merge-on-read)"
-                    ),
-                    hint: "obs::metrics counters are per-thread sharded and merged on \
-read; SeqCst buys nothing and serializes the hot path. Use Relaxed, or justify with \
-`// ORDERING: <reason>`",
-                    key: format!("seqcst-metrics:{field}"),
-                    ..Finding::default()
-                });
-            } else if mixed_seqcst {
-                let weaker: Vec<&str> = orderings
-                    .iter()
-                    .copied()
-                    .filter(|o| *o != "SeqCst")
-                    .collect();
-                out.push(Finding {
-                    rule: "CONC002",
-                    file: s.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "mixed atomic orderings on `{field}`: SeqCst here but {} elsewhere \
+            out.push(Finding {
+                rule: "CONC002",
+                file: s.file.clone(),
+                line: s.line,
+                message: format!(
+                    "mixed atomic orderings on `{field}`: SeqCst here but {} elsewhere \
 in the crate",
-                        weaker.join("/")
-                    ),
-                    hint: "pick one ordering discipline per field; if the escalation is \
+                    weaker.join("/")
+                ),
+                hint: "pick one ordering discipline per field; if the escalation is \
 deliberate, say why in an `// ORDERING: <reason>` comment at the site",
-                    key: format!("mixed:{field}"),
-                    ..Finding::default()
-                });
-            }
+                key: format!("mixed:{field}"),
+                ..Finding::default()
+            });
         }
     }
 }

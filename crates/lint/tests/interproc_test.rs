@@ -6,7 +6,6 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use crowdkit_lint::conc::METRICS_SRC;
 use crowdkit_lint::engine::{apply_baseline, scan_paths};
 use crowdkit_lint::{baseline, scan_file, Report};
 
@@ -99,7 +98,7 @@ fn conc001_reports_the_ab_ba_cycle_with_both_acquisition_sites() {
 }
 
 #[test]
-fn conc002_flags_unjustified_seqcst_mixing_and_the_metrics_hot_path() {
+fn conc002_flags_unjustified_seqcst_mixing() {
     let report = scan_workspace(&["conc002_bad.rs"], "CONC002");
     assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
     assert_eq!(report.findings[0].line, 5);
@@ -108,19 +107,6 @@ fn conc002_flags_unjustified_seqcst_mixing_and_the_metrics_hot_path() {
     // An `// ORDERING:` comment justifies deliberate mixing.
     let clean = scan_workspace(&["conc002_good.rs"], "CONC002");
     assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
-
-    // Under the metrics module, SeqCst is flagged even unmixed.
-    let metrics = scan_workspace(&[&format!("{METRICS_SRC}hotpath.rs")], "CONC002");
-    assert_eq!(metrics.findings.len(), 1, "{:#?}", metrics.findings);
-    assert!(
-        metrics.findings[0].message.contains("metrics hot path"),
-        "{}",
-        metrics.findings[0].message
-    );
-    // The policy path names the workspace's real metrics module, so the
-    // rule cannot silently stop applying when that module moves.
-    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    assert!(workspace.join(METRICS_SRC).join("primitives.rs").is_file());
 }
 
 #[test]

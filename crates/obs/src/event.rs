@@ -14,6 +14,11 @@
 //!   nanoseconds) that vary run to run. Sinks that care about replayable,
 //!   diffable streams drop them (see
 //!   [`JsonlRecorder::with_wall`](crate::recorder::JsonlRecorder::with_wall)).
+//!
+//! An event may also be marked as *detail* ([`Event::detail`]): one of the
+//! high-volume per-assignment, per-task or per-worker records that only
+//! recorders reporting [`Recorder::detail`](crate::Recorder::detail) want.
+//! The mark routes the event; it is never serialized.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -144,6 +149,9 @@ pub struct Event {
     /// Host-timing payload (phase durations in ns); excluded from
     /// determinism-sensitive output.
     pub wall_fields: Vec<(&'static str, u64)>,
+    /// Whether this is a high-volume detail event; set with
+    /// [`detail`](Event::detail). Not serialized.
+    pub is_detail: bool,
 }
 
 impl Event {
@@ -156,7 +164,16 @@ impl Event {
             wall_ns: wall_ns(),
             fields: Vec::new(),
             wall_fields: Vec::new(),
+            is_detail: false,
         }
+    }
+
+    /// Marks the event as a detail event, which [`Tee`](crate::Tee) passes
+    /// only to recorders whose [`Recorder::detail`](crate::Recorder::detail)
+    /// is true.
+    pub fn detail(mut self) -> Self {
+        self.is_detail = true;
+        self
     }
 
     /// Sets the simulated-clock timestamp.
@@ -260,6 +277,14 @@ mod tests {
         assert!(!without.contains("wall"));
         assert!(!without.contains("t_ns"));
         assert_eq!(without, "{\"key\":\"k\",\"sim\":2,\"n\":3}");
+    }
+
+    #[test]
+    fn the_detail_mark_is_not_serialized() {
+        let e = Event::new("k").u64("n", 3);
+        let d = e.clone().detail();
+        assert!(d.is_detail && !e.is_detail);
+        assert_eq!(d.to_json(false), e.to_json(false));
     }
 
     #[test]

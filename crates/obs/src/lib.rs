@@ -1,12 +1,14 @@
-//! # crowdkit-obs — deterministic tracing, runtime metrics and provenance
+//! # crowdkit-obs — deterministic tracing and decision provenance
 //!
 //! Structured, near-zero-overhead observability for the crowdkit stack.
 //! Every layer (platform simulation, assignment, truth inference, SQL and
 //! Datalog execution) emits [`Event`]s describing what it did — wave sizes,
 //! budget debits, makespans, per-iteration convergence deltas, per-plan-node
-//! crowd fetches — into whichever [`Recorder`] is active, keeps the live
-//! counters of a [`metrics::Registry`] current, and, under provenance
-//! capture, explains its decisions as `prov.*` events (see [`prov`]).
+//! crowd fetches — into whichever [`Recorder`] is active, and, under
+//! provenance capture, explains its decisions as `prov.*` events (see
+//! [`prov`]). The event stream is the only telemetry path: a
+//! [`MemoryRecorder`] aggregates it in process, and `crowdtrace top` folds
+//! a captured stream offline.
 //!
 //! ## Determinism contract
 //!
@@ -21,12 +23,10 @@
 //! ## The telemetry scope
 //!
 //! What is observed is decided by one scoped, thread-local [`Scope`]: the
-//! recorder events go to, the metric registry counters land in (none by
-//! default, which makes metric writes no-ops), and whether decision
-//! provenance is captured. An instrumented operation reads it once with
-//! [`scope`] and works from that handle. The default scope — a
-//! [`NullRecorder`], no registry, no provenance — reduces every
-//! instrumentation site to a branch.
+//! recorder events go to, and whether decision provenance is captured. An
+//! instrumented operation reads it once with [`scope`] and works from that
+//! handle. The default scope — a [`NullRecorder`], no provenance — reduces
+//! every instrumentation site to a branch.
 //!
 //! [`with_scope`] pins a whole scope for a region of work;
 //! [`with_recorder`] is the shorthand that swaps only the recorder:
@@ -42,14 +42,11 @@
 //! });
 //! assert_eq!(rec.count("exp.quality"), 1);
 //!
-//! let reg = Arc::new(obs::metrics::Registry::new());
-//! let full = obs::Scope { registry: Some(reg.clone()), provenance: true, ..obs::scope() };
+//! let full = obs::Scope { recorder: rec.clone(), provenance: true };
 //! obs::with_scope(full, || {
-//!     if let Some(m) = &obs::scope().registry {
-//!         m.assign.questions.add(3);
-//!     }
+//!     obs::record(obs::Event::new("assign.wave").u64("requested", 3));
 //! });
-//! assert_eq!(reg.assign.questions.value(), 3);
+//! assert_eq!(rec.field_sum("assign.wave", "requested"), 3.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -59,7 +56,6 @@
 pub mod event;
 pub mod header;
 pub mod histogram;
-pub mod metrics;
 pub mod prov;
 pub mod recorder;
 pub mod report;
@@ -81,8 +77,6 @@ use std::sync::Arc;
 pub struct Scope {
     /// Where events and samples go.
     pub recorder: Arc<dyn Recorder>,
-    /// Where metric updates land; `None` drops them.
-    pub registry: Option<Arc<metrics::Registry>>,
     /// Whether decision provenance (`prov.*` events) is captured. The
     /// events still need an enabled recorder to land.
     pub provenance: bool,
@@ -92,7 +86,6 @@ impl Default for Scope {
     fn default() -> Self {
         Self {
             recorder: Arc::new(NullRecorder),
-            registry: None,
             provenance: false,
         }
     }
@@ -137,8 +130,8 @@ impl Drop for RestoreGuard {
 ///
 /// The scope is per-thread: work `f` hands to other threads sees those
 /// threads' own scopes (normally the default). Instrumented layers honour
-/// this by emitting events, updating metrics and capturing lineage only
-/// from the calling thread's sequential code.
+/// this by emitting events and capturing lineage only from the calling
+/// thread's sequential code.
 pub fn with_scope<R>(scope: Scope, f: impl FnOnce() -> R) -> R {
     let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), scope));
     let _guard = RestoreGuard {
@@ -190,18 +183,16 @@ pub fn quality(metric: &'static str, value: f64) {
 mod tests {
     use super::*;
 
-    /// A scope with every signal on: memory recorder, fresh registry,
-    /// provenance.
-    fn full(rec: Arc<dyn Recorder>, reg: &Arc<metrics::Registry>) -> Scope {
+    /// A scope with every signal on: memory recorder and provenance.
+    fn full(rec: Arc<dyn Recorder>) -> Scope {
         Scope {
             recorder: rec,
-            registry: Some(reg.clone()),
             provenance: true,
         }
     }
 
     fn is_default(s: &Scope) -> bool {
-        !s.recorder.enabled() && s.registry.is_none() && !s.provenance
+        !s.recorder.enabled() && !s.provenance
     }
 
     #[test]
@@ -215,11 +206,9 @@ mod tests {
     #[test]
     fn scopes_and_restores() {
         let rec = Arc::new(MemoryRecorder::new());
-        let reg = Arc::new(metrics::Registry::new());
-        with_scope(full(rec.clone(), &reg), || {
+        with_scope(full(rec.clone()), || {
             let s = scope();
             assert!(s.recorder.enabled() && s.provenance);
-            assert!(Arc::ptr_eq(s.registry.as_ref().expect("scoped"), &reg));
             record(Event::new("k").u64("n", 1));
             quality("acc", 0.5);
         });
@@ -232,13 +221,12 @@ mod tests {
     fn scopes_nest() {
         let outer = Arc::new(MemoryRecorder::new());
         let inner = Arc::new(MemoryRecorder::new());
-        let reg = Arc::new(metrics::Registry::new());
-        with_scope(full(outer.clone(), &reg), || {
+        with_scope(full(outer.clone()), || {
             record(Event::new("a"));
             with_recorder(inner.clone(), || {
                 record(Event::new("b"));
                 // The shorthand swaps only the recorder.
-                assert!(scope().provenance && scope().registry.is_some());
+                assert!(scope().provenance);
             });
             with_scope(Scope::default(), || assert!(is_default(&scope())));
             record(Event::new("c"));
@@ -262,8 +250,7 @@ mod tests {
     #[test]
     fn panic_in_nested_recorder_restores_the_full_scope() {
         let outer: Arc<dyn Recorder> = Arc::new(MemoryRecorder::new());
-        let reg = Arc::new(metrics::Registry::new());
-        with_scope(full(outer.clone(), &reg), || {
+        with_scope(full(outer.clone()), || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 with_recorder(Arc::new(NullRecorder), || {
                     with_scope(Scope::default(), || panic!("boom"))
@@ -272,10 +259,6 @@ mod tests {
             assert!(result.is_err());
             let s = scope();
             assert!(Arc::ptr_eq(&s.recorder, &outer), "recorder restored");
-            assert!(Arc::ptr_eq(
-                s.registry.as_ref().expect("registry restored"),
-                &reg
-            ));
             assert!(s.provenance, "provenance flag restored");
         });
         assert!(is_default(&scope()));
@@ -284,8 +267,7 @@ mod tests {
     #[test]
     fn scope_is_thread_local() {
         let rec = Arc::new(MemoryRecorder::new());
-        let reg = Arc::new(metrics::Registry::new());
-        with_scope(full(rec, &reg), || {
+        with_scope(full(rec), || {
             let other = std::thread::spawn(|| is_default(&scope()));
             assert!(other.join().unwrap(), "other threads see the default");
             assert!(scope().recorder.enabled());
@@ -296,7 +278,6 @@ mod tests {
     fn capture_detail_needs_provenance_and_a_detail_recorder() {
         let with = |recorder: Arc<dyn Recorder>, provenance: bool| Scope {
             recorder,
-            registry: None,
             provenance,
         };
         let jsonl = || -> Arc<dyn Recorder> { Arc::new(JsonlRecorder::in_memory()) };

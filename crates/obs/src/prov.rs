@@ -22,9 +22,10 @@
 //! `prov.task`, `prov.worker` and `prov.spend` are high-volume detail
 //! events: they are only emitted when [`Scope::capture_detail`] holds (the
 //! recorder reports [`detail()`](crate::Recorder::detail), as the JSONL
-//! capture path does), while the one-per-inference-run `prov.run` summary
-//! also lands in aggregating recorders so contested/low-margin counts
-//! reach `RUNREPORT.json`.
+//! capture path does) and carry the [`Event::detail`] mark, so a
+//! [`Tee`](crate::Tee) keeps them out of its aggregating side. The
+//! one-per-inference-run `prov.run` summary also lands in aggregating
+//! recorders so contested/low-margin counts reach `RUNREPORT.json`.
 //!
 //! This module holds the cross-layer cost ledger. Task spend is booked
 //! as answers are delivered (the assignment driver and the CrowdSQL round
@@ -90,7 +91,8 @@ impl SpendLedger {
                     .str("scope", "task")
                     .u64("task", task)
                     .f64("spend", spend)
-                    .u64("answers", answers),
+                    .u64("answers", answers)
+                    .detail(),
             );
         }
         for (&worker, &(spend, answers)) in &self.by_worker {
@@ -99,7 +101,8 @@ impl SpendLedger {
                     .str("scope", "worker")
                     .u64("worker", worker)
                     .f64("spend", spend)
-                    .u64("answers", answers),
+                    .u64("answers", answers)
+                    .detail(),
             );
         }
     }

@@ -13,7 +13,8 @@
 //!   per-assignment events are skipped and only wave/run summaries land.
 //! * [`JsonlRecorder`] — writes one JSON object per event to a buffer or
 //!   file, the replayable run log. `detail()` is `true`.
-//! * [`Tee`] — fans out to two recorders (e.g. aggregate + JSONL).
+//! * [`Tee`] — fans out to two recorders (e.g. aggregate + JSONL); a
+//!   detail event goes only to the sides that want detail.
 //! * [`ShardBuffers`] — N ordered shards, each buffering events from one
 //!   logical stream (e.g. one experiment); flushing replays shards in index
 //!   order so a parallel harness still yields one fixed-order stream.
@@ -399,7 +400,10 @@ impl Recorder for JsonlRecorder {
     }
 }
 
-/// Fans every event and sample out to two recorders.
+/// Fans every event and sample out to two recorders. An event marked
+/// [`detail`](Event::detail) goes only to the sides whose
+/// [`Recorder::detail`] is true, so an aggregating side sees the same
+/// events whether or not the other side captures detail.
 pub struct Tee<A, B>(pub A, pub B);
 
 impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
@@ -412,11 +416,21 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
     }
 
     fn record(&self, event: Event) {
-        if self.0.enabled() {
-            self.1.record(event.clone());
-            self.0.record(event);
-        } else {
-            self.1.record(event);
+        let wants = |r: &dyn Recorder| {
+            if event.is_detail {
+                r.detail()
+            } else {
+                r.enabled()
+            }
+        };
+        match (wants(&self.0), wants(&self.1)) {
+            (true, true) => {
+                self.1.record(event.clone());
+                self.0.record(event);
+            }
+            (true, false) => self.0.record(event),
+            (false, true) => self.1.record(event),
+            (false, false) => {}
         }
     }
 
@@ -582,6 +596,24 @@ mod tests {
         assert_eq!(tee.1.count("k"), 1);
         assert_eq!(tee.0.histogram("s").unwrap().count(), 1);
         assert!(!tee.detail(), "two aggregators should not request detail");
+    }
+
+    #[test]
+    fn tee_passes_detail_events_only_to_detail_sides() {
+        let tee = Tee(
+            JsonlRecorder::in_memory().with_wall(false),
+            MemoryRecorder::new(),
+        );
+        assert!(tee.detail());
+        tee.record(Event::new("summary").u64("n", 1));
+        tee.record(Event::new("per_task").u64("n", 1).detail());
+        assert_eq!(tee.1.count("summary"), 1);
+        assert_eq!(tee.1.count("per_task"), 0, "the aggregator skips detail");
+        let text = String::from_utf8(tee.0.take_bytes()).unwrap();
+        assert_eq!(
+            text,
+            "{\"key\":\"summary\",\"n\":1}\n{\"key\":\"per_task\",\"n\":1}\n"
+        );
     }
 
     #[test]

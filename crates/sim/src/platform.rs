@@ -54,7 +54,6 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_obs::metrics::to_micros;
 use crowdkit_obs::{self as obs, Event};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -544,14 +543,7 @@ impl CrowdOracle for SimulatedCrowd {
             .reserve(widx);
         self.delivered.fetch_add(1, Ordering::Relaxed);
 
-        let tel = obs::scope();
-        if let Some(m) = &tel.registry {
-            m.platform.tasks_queued.inc();
-            m.platform.tasks_assigned.inc();
-            m.platform.tasks_answered.inc();
-            m.platform.spend_micros.add(to_micros(price));
-        }
-        let rec = &tel.recorder;
+        let rec = obs::scope().recorder;
         if rec.enabled() {
             rec.sample("platform.latency", service);
             rec.record(
@@ -589,13 +581,7 @@ impl CrowdOracle for SimulatedCrowd {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        let tel = obs::scope();
-        let rec = &tel.recorder;
-        if let Some(m) = &tel.registry {
-            m.platform.tasks_queued.add(reqs.len() as u64);
-            m.platform.batches.inc();
-            m.platform.open_batch_depth.set(reqs.len() as i64);
-        }
+        let rec = obs::scope().recorder;
         let t_plan = obs::WallTimer::start();
 
         // ---- Phase 1: sequential planning ------------------------------
@@ -694,7 +680,8 @@ impl CrowdOracle for SimulatedCrowd {
                             .u64("worker", a.worker.raw())
                             .u64("req", p.req_idx as u64)
                             .f64("latency", latency)
-                            .f64("price", p.price),
+                            .f64("price", p.price)
+                            .detail(),
                     );
                 }
             }
@@ -705,26 +692,15 @@ impl CrowdOracle for SimulatedCrowd {
             let mut core = self.core.lock();
             core.clock = core.clock.max(makespan);
         }
-        let (mut budget_stopped, mut no_worker) = (0u64, 0u64);
-        for o in &outcomes {
-            match &o.shortfall {
-                Some(CrowdError::BudgetExhausted { .. }) => budget_stopped += 1,
-                Some(CrowdError::NoWorkerAvailable) => no_worker += 1,
-                _ => {}
-            }
-        }
-        if let Some(m) = &tel.registry {
-            m.platform.tasks_assigned.add(plan.len() as u64);
-            m.platform.tasks_answered.add(plan.len() as u64);
-            m.platform
-                .spend_micros
-                .add(to_micros(plan.iter().map(|p| p.price).sum()));
-            m.platform.budget_stopped.add(budget_stopped);
-            m.platform.no_worker.add(no_worker);
-            m.platform.open_batch_depth.set(0);
-            m.platform.batch_ns.record(plan_ns + exec_ns);
-        }
         if enabled {
+            let (mut budget_stopped, mut no_worker) = (0u64, 0u64);
+            for o in &outcomes {
+                match &o.shortfall {
+                    Some(CrowdError::BudgetExhausted { .. }) => budget_stopped += 1,
+                    Some(CrowdError::NoWorkerAvailable) => no_worker += 1,
+                    _ => {}
+                }
+            }
             rec.record(
                 Event::new("platform.batch")
                     .at(makespan)
@@ -813,22 +789,17 @@ mod tests {
     }
 
     #[test]
-    fn metric_writes_land_only_in_the_scoped_registry() {
+    fn events_land_only_in_the_scoped_recorder() {
         let crowd = SimulatedCrowd::new(perfect_pop(5), 1);
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
-        let reg = std::sync::Arc::new(obs::metrics::Registry::new());
-        let before = reg.snapshot();
-        // No registry in scope: the writes go nowhere.
+        let rec = std::sync::Arc::new(obs::MemoryRecorder::new());
+        // No recorder in scope: the events go nowhere.
         crowd.ask_one(&task).unwrap();
-        assert_eq!(reg.snapshot(), before);
-        let scope = obs::Scope {
-            registry: Some(reg.clone()),
-            ..obs::scope()
-        };
-        obs::with_scope(scope, || crowd.ask_one(&task).unwrap());
+        obs::with_recorder(rec.clone(), || crowd.ask_one(&task).unwrap());
         crowd.ask_one(&task).unwrap();
-        assert_eq!(reg.platform.tasks_answered.value(), 1);
-        assert_eq!(reg.platform.spend_micros.value(), 1_000_000);
+        assert_eq!(rec.count("platform.ask"), 1);
+        assert_eq!(rec.field_sum("platform.ask", "delivered"), 1.0);
+        assert_eq!(rec.field_sum("platform.ask", "spend"), 1.0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::TaskId;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_obs::metrics::to_micros;
 use crowdkit_obs::{self as obs, Event};
 
 use crate::ast::{Select, Statement};
@@ -446,16 +445,6 @@ impl Session {
             predicted_spend: predicted.total.spend,
             predicted_rounds: predicted.total.rounds,
         };
-        if let Some(m) = &tel.registry {
-            m.sql.queries.inc();
-            m.sql.rows_out.add(stats.rows_out as u64);
-            m.sql.crowd_questions.add(stats.questions);
-            m.sql.spend_micros.add(to_micros(stats.spend));
-            m.sql.nodes.add(out.node_stats.len() as u64);
-            for ns in &out.node_stats {
-                m.sql.node_rows.record(ns.rows_out);
-            }
-        }
         let rec = &tel.recorder;
         if rec.enabled() {
             for ns in &out.node_stats {
@@ -478,7 +467,8 @@ impl Session {
                             .str("scope", "node")
                             .str("node", ns.node)
                             .f64("spend", ns.spend)
-                            .u64("questions", ns.questions),
+                            .u64("questions", ns.questions)
+                            .detail(),
                     );
                 }
                 metered.emit_ledger(&**rec);

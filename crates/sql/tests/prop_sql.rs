@@ -1,5 +1,5 @@
-//! Property-based tests for the CrowdSQL layer: lexer/parser totality,
-//! machine-plan equivalence between the naive and optimized planners, and
+//! Property-based tests for the CrowdSQL layer: lexer/parser/binder
+//! totality on random and mutated statements, machine-plan equivalence between the naive and optimized planners, and
 //! value semantics.
 
 use crowdkit_core::answer::Answer;
@@ -35,15 +35,162 @@ impl CrowdOracle for TruthfulOracle {
     }
 }
 
+/// Statements this crate's tests already run: the seeds of the token-level
+/// mutants below.
+const SEEDS: &[&str] = &[
+    "SELECT name FROM products WHERE category = 'phone' AND id >= 4",
+    "SELECT name FROM products ORDER BY CROWDORDER(name) LIMIT 2",
+    "SELECT COUNT(*) FROM products WHERE id >= 2",
+    "SELECT * FROM products WHERE category = 'phone'",
+    "SELECT name FROM products WHERE id >= 3 ORDER BY id DESC",
+    "SELECT name FROM products WHERE name != NULL",
+    "SELECT name, bname FROM products, brands WHERE CROWDEQUAL(category, bname)",
+    "SELECT name FROM products, brands WHERE id = bid AND bid >= 1",
+    "SELECT oid, city FROM orders, custs WHERE cust = cname ORDER BY oid ASC",
+    "SELECT COUNT(*) FROM orders, custs WHERE cust = cname",
+    "SELECT name FROM t WHERE t.score >= 4",
+    "SELECT tag FROM t WHERE id > 7",
+    "SELECT -- the projection\n1",
+    "CREATE TABLE products (id INT, name TEXT, category CROWD TEXT, rating CROWD INT)",
+    "CREATE CROWD TABLE profs (name TEXT, email TEXT)",
+    "INSERT INTO orders VALUES (1, 'ada'), (2, 'bob'), (3, 'ada'), (4, NULL)",
+];
+
+/// Tokens a mutant may insert besides the seeds' own: unbalanced quotes
+/// and parentheses, separators, and out-of-range numbers.
+const EXTRA_TOKENS: &[&str] = &[
+    "'",
+    "(",
+    ")",
+    ",",
+    ";",
+    "*",
+    ".",
+    "-",
+    "--",
+    "-1",
+    "99999999999999999999",
+    "\"\"",
+];
+
+/// Splits `src` into token texts: quoted strings, word runs, runs of
+/// comparison characters, and single other characters.
+fn tokens(src: &str) -> Vec<&str> {
+    let bytes = src.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let c = bytes[i];
+        let start = i;
+        i += 1;
+        if c.is_ascii_whitespace() {
+            continue;
+        }
+        let run = |i: &mut usize, pred: fn(u8) -> bool| {
+            while *i < bytes.len() && pred(bytes[*i]) {
+                *i += 1;
+            }
+        };
+        if c == b'\'' {
+            run(&mut i, |b| b != b'\'');
+            i = (i + 1).min(bytes.len());
+        } else if c.is_ascii_alphanumeric() || c == b'_' {
+            run(&mut i, |b| b.is_ascii_alphanumeric() || b == b'_');
+        } else if b"<>=!".contains(&c) {
+            run(&mut i, |b| b"<>=!".contains(&b));
+        }
+        out.push(&src[start..i]);
+    }
+    out
+}
+
+/// A seed statement after `edits` token-level mutations, each
+/// `(op, position, token)`: delete, insert, replace or truncate.
+fn mutate(seed: &str, edits: &[(u8, usize, usize)]) -> String {
+    let vocab: Vec<&str> = SEEDS
+        .iter()
+        .flat_map(|s| tokens(s))
+        .chain(EXTRA_TOKENS.iter().copied())
+        .collect();
+    let mut toks = tokens(seed);
+    for &(op, pos, tok) in edits {
+        let at = pos % (toks.len() + 1);
+        let word = vocab[tok % vocab.len()];
+        match op {
+            0 if at < toks.len() => {
+                toks.remove(at);
+            }
+            1 => toks.insert(at, word),
+            2 if at < toks.len() => toks[at] = word,
+            3 => toks.truncate(at),
+            _ => {}
+        }
+    }
+    toks.join(" ")
+}
+
+fn sql_mutant() -> impl Strategy<Value = String> {
+    (
+        0..SEEDS.len(),
+        prop::collection::vec((0u8..4, 0usize..64, 0usize..1024), 1..4),
+    )
+        .prop_map(|(seed, edits)| mutate(SEEDS[seed], &edits))
+}
+
+/// The catalog the mutants query: the tables the seeds name.
+fn fixture() -> Session {
+    let s = Session::new();
+    for ddl in [
+        "CREATE TABLE products (id INT, name TEXT, category CROWD TEXT)",
+        "CREATE TABLE brands (bid INT, bname TEXT)",
+        "CREATE TABLE orders (oid INT, cust TEXT)",
+        "CREATE TABLE custs (cname TEXT, city TEXT)",
+        "CREATE TABLE t (id INT, score INT, tag CROWD TEXT)",
+        "INSERT INTO products VALUES (1, 'p1', NULL), (4, 'p4', 'phone')",
+        "INSERT INTO brands VALUES (1, 'phone')",
+        "INSERT INTO orders VALUES (1, 'ada'), (2, 'bob'), (3, 'ada'), (4, NULL)",
+        "INSERT INTO custs VALUES ('ada', 'paris'), ('bob', 'berlin')",
+        "INSERT INTO t VALUES (8, 5, NULL)",
+    ] {
+        s.execute_ddl(ddl).unwrap();
+    }
+    s
+}
+
+#[test]
+fn mutation_keeps_seeds_and_edits_tokens() {
+    let seed = "SELECT name FROM t WHERE id >= 'a b' AND x != 1";
+    assert_eq!(
+        tokens(seed),
+        ["SELECT", "name", "FROM", "t", "WHERE", "id", ">=", "'a b'", "AND", "x", "!=", "1"]
+    );
+    assert_eq!(mutate(seed, &[]), seed);
+    assert_eq!(mutate("SELECT a FROM t", &[(0, 1, 0)]), "SELECT FROM t");
+    assert_eq!(mutate("SELECT a FROM t", &[(3, 2, 0)]), "SELECT a");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The lexer, parser and binder never panic, on arbitrary input or on
+    /// token-level mutants of real statements, which get past the first
+    /// few tokens. Both also run through EXPLAIN (naive and optimized) and
+    /// the machine executor on a fixture catalog.
+    #[test]
+    fn lexer_and_parser_are_total(src in ".{0,200}", mutant in sql_mutant()) {
+        let s = fixture();
+        for text in [&src, &mutant] {
+            let _ = lex(text);
+            let _ = parse_statement(text);
+            let _ = s.explain(text, false);
+            let _ = s.explain(text, true);
+            let _ = s.query_machine(text);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The lexer and parser never panic on arbitrary input.
-    #[test]
-    fn lexer_and_parser_are_total(src in ".{0,200}") {
-        let _ = lex(&src);
-        let _ = parse_statement(&src);
-    }
 
     /// Machine-only queries produce the same multiset of rows under the
     /// naive and optimized planners (the optimizer may only change crowd

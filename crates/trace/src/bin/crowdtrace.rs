@@ -8,7 +8,6 @@
 //! crowdtrace history <BENCH_truth.json> --history <BENCH_HISTORY.jsonl>
 //! crowdtrace history --history <BENCH_HISTORY.jsonl> [--bench FAMILY] [--last N]
 //! crowdtrace top <stream.jsonl> [--watch SECS]
-//! crowdtrace metrics <stream.jsonl> [--series NAME]
 //! crowdtrace why <task-id> <stream.jsonl> [--exp ID] [--algo NAME]
 //! crowdtrace audit <stream.jsonl> [--margin F]
 //! ```
@@ -69,16 +68,12 @@ USAGE:
       last N matching entries.
 
   crowdtrace top <stream.jsonl> [--watch SECS]
-      Fold the stream's metrics.snapshot telemetry deltas back into
-      totals and render them as a per-subsystem table (counters sum,
-      gauges keep their latest value, histograms merge). --watch re-reads
-      the file every SECS seconds, tolerating a partially written last
-      line, until interrupted.
-
-  crowdtrace metrics <stream.jsonl> [--series NAME]
-      List the metric series present in a stream, or with --series print
-      every snapshot of that one series over time (line, seq, sim clock,
-      delta payload).
+      Fold the stream's events into one table per subsystem (the key
+      prefix): for each event key, split by `algo` where the event has
+      one, the event count and the total of every numeric field, plus
+      p50/p95/max of each *_ns wall field when the stream kept them.
+      --watch re-reads the file every SECS seconds, tolerating a
+      partially written last line, until interrupted.
 
   crowdtrace why <task-id> <stream.jsonl> [--exp ID] [--algo NAME]
       Explain every inference decision recorded for one task: the
@@ -130,7 +125,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "regress" => cmd_regress(&args[1..]),
         "history" => cmd_history(&args[1..]),
         "top" => cmd_top(&args[1..]),
-        "metrics" => cmd_metrics(&args[1..]),
         "why" => cmd_why(&args[1..]),
         "audit" => cmd_audit(&args[1..]),
         "--help" | "-h" | "help" => {
@@ -370,41 +364,6 @@ fn cmd_top(args: &[String]) -> Result<ExitCode, CliError> {
         }
         std::thread::sleep(std::time::Duration::from_secs(secs.max(1)));
     }
-}
-
-fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
-    let (positional, flags) = parse_flags(args, &["series"])?;
-    let [path] = positional[..] else {
-        return Err(CliError::Usage(
-            "metrics wants exactly one stream path".into(),
-        ));
-    };
-    let stream = load(path)?;
-    match flag(&flags, "series") {
-        None => {
-            let names = top::series_names(&stream);
-            println!("{} metric series in {path}", names.len());
-            for n in &names {
-                let count = top::series(&stream, n).len();
-                println!("  {n:<28} {count} snapshot{}", if count == 1 { "" } else { "s" });
-            }
-        }
-        Some(name) => {
-            let points = top::series(&stream, name);
-            if points.is_empty() {
-                return Err(CliError::Data(format!(
-                    "no metrics.snapshot events for series `{name}` in {path}"
-                )));
-            }
-            println!("{name}: {} snapshot(s)", points.len());
-            println!("{:>6} {:>5} {:>10}  payload", "line", "seq", "sim");
-            for p in &points {
-                let sim = p.sim.map_or("-".to_owned(), |s| format!("{s}"));
-                println!("{:>6} {:>5} {:>10}  {}", p.line, p.seq, sim, p.payload);
-            }
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_why(args: &[String]) -> Result<ExitCode, CliError> {

@@ -13,8 +13,8 @@
 //!   gates metric deltas against configurable thresholds;
 //! - [`history`] compares the current bench run against a rolling median
 //!   baseline from `BENCH_HISTORY.jsonl`, and appends runs that passed;
-//! - [`top`] folds `metrics.snapshot` telemetry deltas back into totals
-//!   and renders them as a per-subsystem table;
+//! - [`top`] folds the events into per-subsystem totals: each key's event
+//!   count and field sums, split by `algo`, with wall-time quantiles;
 //! - [`prov`] folds `prov.*` decision-lineage events into per-run records
 //!   and renders the `why <task>` and `audit` reports.
 //!
@@ -40,4 +40,4 @@ pub use history::{
 pub use prov::{render_audit, render_why, ProvView};
 pub use replay::{replay, Replay};
 pub use stream::{complete_lines, parse_stream, LoadedStream, OwnedEvent, StreamError};
-pub use top::{collect, series, series_names, MetricsView, SeriesState};
+pub use top::{collect, KeyTotals, TopView};

@@ -1,327 +1,144 @@
-//! Rendering `metrics.snapshot` events as a live per-subsystem table.
+//! `crowdtrace top`: per-subsystem totals folded from the event stream.
 //!
-//! The metrics layer (`crowdkit_obs::metrics`) periodically exports registry
-//! deltas as `metrics.snapshot` events: one event per *changed* metric,
-//! tagged with its dotted name (`platform.spend_micros`), its kind
-//! (`counter` / `gauge` / `hist_det` / `hist_wall`) and the delta payload.
-//! This module folds those deltas back into totals and renders them the
-//! way `top(1)` renders processes: one table per subsystem (the name
-//! prefix before the first `.`), latest values, histogram summaries.
+//! Every layer already records what it did as ordinary events —
+//! `platform.batch` carries the answers delivered and the spend,
+//! `truth.run` the iterations, `sql.query` the questions asked — so the
+//! rollup needs no schema of its own. [`collect`] folds a loaded stream
+//! into one [`KeyTotals`] row per event key, split by the `algo` field
+//! where the event has one: the event count, the total of every numeric
+//! deterministic field, and every value of each `*_ns` wall field, which
+//! [`TopView::render`] shows as quantiles when the stream kept them (a
+//! deterministic `--log` capture strips them).
 //!
-//! ## Accumulation semantics
-//!
-//! A suite run contains *many* independent registries (one per
-//! experiment), each reporting its own deltas from zero. Summing counter
-//! and histogram deltas therefore yields the correct run-wide total;
-//! gauges are point-in-time readings, so the view keeps the last value
-//! seen (and that is what "latest snapshot" means for a gauge).
-//!
-//! Wall-clock quantile fields (`p50_ns`, …) appear only in streams
-//! captured with wall data; deterministic captures carry the sample
-//! counts alone, and the renderer degrades to counts-only for them.
+//! The fold holds no table of keys or field names: what a layer reports
+//! is decided only by the code that builds its events. Rows group by
+//! subsystem, the key prefix before the first `.`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crowdkit_obs::metrics::{bucket_bound, N_BUCKETS};
+use crate::stream::{is_wall_field, LoadedStream};
 
-use crate::stream::{LoadedStream, OwnedEvent};
-
-/// Accumulated state of one metric series.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SeriesState {
-    /// Monotonic counter: summed deltas and the event count.
-    Counter {
-        /// Sum of all `delta` fields (the run-wide total).
-        total: u64,
-    },
-    /// Gauge: the last reported value.
-    Gauge {
-        /// Latest `value` field.
-        value: i64,
-    },
-    /// Deterministic histogram: summed count/sum/bucket deltas.
-    HistDet {
-        /// Total samples.
-        count: u64,
-        /// Sum of sample values.
-        sum: u64,
-        /// Accumulated log2 bucket counts.
-        buckets: Box<[u64; N_BUCKETS]>,
-    },
-    /// Wall-clock histogram: summed sample count, plus the latest wall
-    /// quantile bounds when the stream was captured with wall data.
-    HistWall {
-        /// Total samples.
-        count: u64,
-        /// Latest `p50_ns` (cumulative quantile bound), if present.
-        p50_ns: Option<u64>,
-        /// Latest `p95_ns`, if present.
-        p95_ns: Option<u64>,
-        /// Latest `p99_ns`, if present.
-        p99_ns: Option<u64>,
-        /// Latest `max_ns`, if present.
-        max_ns: Option<u64>,
-    },
-}
-
-/// The folded-up metrics view of a stream.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsView {
-    /// Per-series accumulated state, keyed by dotted metric name
-    /// (BTreeMap: stable render order).
-    pub series: BTreeMap<String, SeriesState>,
-    /// Total `metrics.snapshot` events folded in.
+/// The folded events of one key (and one `algo`, where present).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KeyTotals {
+    /// Events folded into this row.
     pub events: u64,
-    /// Highest `seq` seen (per-registry sequence; suite streams interleave
-    /// several registries, so this is "latest cycle", not a global count).
-    pub last_seq: u64,
+    /// The total of each numeric deterministic field, in the order the
+    /// fields first appeared.
+    pub totals: Vec<(String, f64)>,
+    /// Every value of each `*_ns` wall field, in stream order.
+    pub wall: Vec<(String, Vec<u64>)>,
 }
 
-/// True when this event is a metrics snapshot delta.
-pub fn is_snapshot(e: &OwnedEvent) -> bool {
-    e.key == "metrics.snapshot"
+/// The folded view of a stream.
+#[derive(Debug, Clone, Default)]
+pub struct TopView {
+    /// One row per `(key, algo)`; `None` for events without an `algo`.
+    /// Key order keeps each subsystem's rows together.
+    pub rows: BTreeMap<(String, Option<String>), KeyTotals>,
 }
 
-/// Folds every `metrics.snapshot` event of `stream` into a [`MetricsView`].
-/// Unknown kinds and malformed events are skipped, not errors: the viewer
-/// must tolerate streams from newer writers.
-pub fn collect(stream: &LoadedStream) -> MetricsView {
-    let mut view = MetricsView::default();
-    for e in stream.events.iter().filter(|e| is_snapshot(e)) {
-        let Some(name) = e.field_str("metric") else {
-            continue;
-        };
-        let Some(kind) = e.field_str("kind") else {
-            continue;
-        };
-        view.events += 1;
-        if let Some(seq) = e.field_u64("seq") {
-            view.last_seq = view.last_seq.max(seq);
+/// The entry for `name` in an insertion-ordered field list.
+fn slot<'a, T: Default>(list: &'a mut Vec<(String, T)>, name: &str) -> &'a mut T {
+    let i = match list.iter().position(|(n, _)| n == name) {
+        Some(i) => i,
+        None => {
+            list.push((name.to_owned(), T::default()));
+            list.len() - 1
         }
-        match kind {
-            "counter" => {
-                let delta = e.field_u64("delta").unwrap_or(0);
-                match view.series.get_mut(name) {
-                    Some(SeriesState::Counter { total }) => *total += delta,
-                    _ => {
-                        view.series
-                            .insert(name.to_owned(), SeriesState::Counter { total: delta });
-                    }
+    };
+    &mut list[i].1
+}
+
+/// Folds every event of `stream` into a [`TopView`]. Non-numeric fields
+/// other than `algo` are skipped.
+pub fn collect(stream: &LoadedStream) -> TopView {
+    let mut view = TopView::default();
+    for e in &stream.events {
+        let algo = e.field_str("algo").map(str::to_owned);
+        let row = view.rows.entry((e.key.clone(), algo)).or_default();
+        row.events += 1;
+        for (name, value) in &e.fields {
+            if is_wall_field(name) {
+                if let Some(ns) = value.as_u64() {
+                    slot(&mut row.wall, name).push(ns);
                 }
+            } else if let Some(v) = value.as_f64() {
+                *slot(&mut row.totals, name) += v;
             }
-            "gauge" => {
-                let value = e
-                    .fields
-                    .iter()
-                    .find(|(n, _)| n == "value")
-                    .and_then(|(_, v)| v.as_i64())
-                    .unwrap_or(0);
-                view.series
-                    .insert(name.to_owned(), SeriesState::Gauge { value });
-            }
-            "hist_det" => {
-                let d_count = e.field_u64("count").unwrap_or(0);
-                let d_sum = e.field_u64("sum").unwrap_or(0);
-                let entry = view
-                    .series
-                    .entry(name.to_owned())
-                    .or_insert_with(|| SeriesState::HistDet {
-                        count: 0,
-                        sum: 0,
-                        buckets: Box::new([0u64; N_BUCKETS]),
-                    });
-                if let SeriesState::HistDet {
-                    count,
-                    sum,
-                    buckets,
-                } = entry
-                {
-                    *count += d_count;
-                    *sum += d_sum;
-                    for (n, v) in &e.fields {
-                        if let Some(ix) = n.strip_prefix('b').and_then(|s| s.parse::<usize>().ok())
-                        {
-                            if ix < N_BUCKETS {
-                                buckets[ix] += v.as_u64().unwrap_or(0);
-                            }
-                        }
-                    }
-                }
-            }
-            "hist_wall" => {
-                let d_count = e.field_u64("count").unwrap_or(0);
-                let entry = view
-                    .series
-                    .entry(name.to_owned())
-                    .or_insert_with(|| SeriesState::HistWall {
-                        count: 0,
-                        p50_ns: None,
-                        p95_ns: None,
-                        p99_ns: None,
-                        max_ns: None,
-                    });
-                if let SeriesState::HistWall {
-                    count,
-                    p50_ns,
-                    p95_ns,
-                    p99_ns,
-                    max_ns,
-                } = entry
-                {
-                    *count += d_count;
-                    // Wall quantiles are cumulative per registry; keep the
-                    // latest reading (absent in deterministic captures).
-                    *p50_ns = e.wall_field("p50_ns").or(*p50_ns);
-                    *p95_ns = e.wall_field("p95_ns").or(*p95_ns);
-                    *p99_ns = e.wall_field("p99_ns").or(*p99_ns);
-                    *max_ns = e.wall_field("max_ns").or(*max_ns);
-                }
-            }
-            _ => {}
         }
     }
     view
 }
 
-/// Quantile bound over accumulated log2 buckets (mirrors the write-side
-/// maths in `crowdkit_obs::metrics`).
-fn bucket_quantile(buckets: &[u64; N_BUCKETS], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
+/// A total as printed: whole numbers without a fraction, others to four
+/// decimals with trailing zeros trimmed.
+fn fmt_total(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        return format!("{v:.0}");
     }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_bound(i);
-        }
-    }
-    bucket_bound(N_BUCKETS - 1)
+    let s = format!("{v:.4}");
+    s.trim_end_matches('0').trim_end_matches('.').to_owned()
 }
 
-impl MetricsView {
-    /// Renders the view as per-subsystem tables (subsystem = name prefix
-    /// before the first `.`).
+/// The nearest-rank `q`-quantile of sorted, non-empty `values`.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+impl TopView {
+    /// Renders one table per subsystem: each row's label, event count and
+    /// field totals, then a line of wall quantiles when it has any.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "metrics snapshot — {} series from {} events (last seq {})",
-            self.series.len(),
-            self.events,
-            self.last_seq
+            "crowdtrace top — {} events, {} rows (count, then Σ of each numeric field)",
+            self.rows.values().map(|r| r.events).sum::<u64>(),
+            self.rows.len()
         );
-        if self.series.is_empty() {
-            out.push_str("(no metrics.snapshot events in this stream)\n");
+        if self.rows.is_empty() {
+            out.push_str("(no events in this stream)\n");
             return out;
         }
+        let label = |(key, algo): &(String, Option<String>)| match algo {
+            Some(a) => format!("{key} [{a}]"),
+            None => key.clone(),
+        };
+        let width = self.rows.keys().map(|k| label(k).len()).max().unwrap_or(0);
         let mut last_subsystem = "";
-        for (name, state) in &self.series {
-            let subsystem = name.split('.').next().unwrap_or(name);
+        for (k, row) in &self.rows {
+            let subsystem = k.0.split('.').next().unwrap_or(&k.0);
             if subsystem != last_subsystem {
                 let _ = writeln!(out, "\n[{subsystem}]");
                 last_subsystem = subsystem;
             }
-            let rendered = match state {
-                SeriesState::Counter { total } => format!("{total}"),
-                SeriesState::Gauge { value } => format!("{value} (gauge)"),
-                SeriesState::HistDet {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    let mean = if *count > 0 {
-                        *sum as f64 / *count as f64
-                    } else {
-                        0.0
-                    };
-                    format!(
-                        "n={count} mean={mean:.1} p50<={} p95<={} max<={}",
-                        bucket_quantile(buckets, *count, 0.5),
-                        bucket_quantile(buckets, *count, 0.95),
-                        buckets
-                            .iter()
-                            .rposition(|&c| c > 0)
-                            .map_or(0, bucket_bound),
-                    )
-                }
-                SeriesState::HistWall {
-                    count,
-                    p50_ns,
-                    p95_ns,
-                    p99_ns,
-                    max_ns,
-                } => match (p50_ns, p95_ns, max_ns) {
-                    (Some(p50), Some(p95), Some(max)) => {
-                        // p99 arrived in a later stream schema; render it
-                        // only when the stream carried it.
-                        let p99 = p99_ns.map_or(String::new(), |p| format!(" p99<={p}ns"));
-                        format!("n={count} p50<={p50}ns p95<={p95}ns{p99} max<={max}ns")
-                    }
-                    _ => format!("n={count} (wall timings not captured)"),
-                },
-            };
-            let _ = writeln!(out, "  {name:<28} {rendered}");
+            let _ = write!(out, "  {:<width$} {:>8}", label(k), row.events);
+            for (name, total) in &row.totals {
+                let _ = write!(out, "  {name}={}", fmt_total(*total));
+            }
+            out.push('\n');
+            if row.wall.is_empty() {
+                continue;
+            }
+            let _ = write!(out, "  {:<width$} {:>8}", "", "");
+            for (name, values) in &row.wall {
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                let _ = write!(
+                    out,
+                    "  {name} p50={} p95={} max={}",
+                    quantile(&sorted, 0.5),
+                    quantile(&sorted, 0.95),
+                    sorted[sorted.len() - 1]
+                );
+            }
+            out.push('\n');
         }
         out
     }
-}
-
-/// One `metrics.snapshot` observation of a single series, for
-/// `crowdtrace metrics --series`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesPoint {
-    /// 1-based line number in the stream.
-    pub line: u32,
-    /// Registry-local emit-cycle number.
-    pub seq: u64,
-    /// Simulated timestamp, when the event carried one.
-    pub sim: Option<f64>,
-    /// The event's deterministic payload rendered as `k=v` pairs
-    /// (excluding `seq`/`metric`/`kind`).
-    pub payload: String,
-}
-
-/// Extracts the time series of one metric from a stream, in stream order.
-pub fn series(stream: &LoadedStream, name: &str) -> Vec<SeriesPoint> {
-    stream
-        .events
-        .iter()
-        .filter(|e| is_snapshot(e) && e.field_str("metric") == Some(name))
-        .map(|e| {
-            let mut payload = String::new();
-            for (n, v) in &e.fields {
-                if matches!(n.as_str(), "seq" | "metric" | "kind") {
-                    continue;
-                }
-                if !payload.is_empty() {
-                    payload.push(' ');
-                }
-                let _ = write!(payload, "{n}={}", v.to_string_compact());
-            }
-            SeriesPoint {
-                line: e.line,
-                seq: e.field_u64("seq").unwrap_or(0),
-                sim: e.sim_f64(),
-                payload,
-            }
-        })
-        .collect()
-}
-
-/// The sorted list of series names present in a stream.
-pub fn series_names(stream: &LoadedStream) -> Vec<String> {
-    let mut names: Vec<String> = stream
-        .events
-        .iter()
-        .filter(|e| is_snapshot(e))
-        .filter_map(|e| e.field_str("metric").map(str::to_owned))
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    names
 }
 
 #[cfg(test)]
@@ -333,132 +150,87 @@ mod tests {
         parse_stream(&lines.join("\n")).expect("valid stream")
     }
 
+    fn row<'a>(v: &'a TopView, key: &str, algo: Option<&str>) -> &'a KeyTotals {
+        v.rows
+            .get(&(key.to_owned(), algo.map(str::to_owned)))
+            .expect("row present")
+    }
+
     #[test]
-    fn counters_sum_across_registries() {
+    fn numeric_fields_sum_per_key_in_first_seen_order() {
         let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"assign.questions","kind":"counter","delta":5,"total":5}"#,
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"assign.questions","kind":"counter","delta":3,"total":3}"#,
+            r#"{"key":"platform.batch","sim":1.5,"requests":3,"delivered":5,"spend":2.5}"#,
+            r#"{"key":"platform.batch","requests":4,"delivered":7,"spend":0.25,"budget_stopped":1}"#,
+            r#"{"key":"exp.begin","id":"e1"}"#,
         ]);
         let v = collect(&s);
-        assert_eq!(v.events, 2);
-        assert_eq!(
-            v.series.get("assign.questions"),
-            Some(&SeriesState::Counter { total: 8 })
+        let b = row(&v, "platform.batch", None);
+        assert_eq!(b.events, 2);
+        let names: Vec<&str> = b.totals.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["requests", "delivered", "spend", "budget_stopped"]);
+        assert_eq!(b.totals[1].1, 12.0);
+        assert_eq!(b.totals[2].1, 2.75);
+        // String fields other than `algo` neither split nor total.
+        assert!(row(&v, "exp.begin", None).totals.is_empty());
+        let text = v.render();
+        assert!(text.contains("[platform]"), "{text}");
+        assert!(
+            text.contains("requests=7  delivered=12  spend=2.75  budget_stopped=1"),
+            "{text}"
         );
     }
 
     #[test]
-    fn gauges_keep_last_value() {
+    fn events_with_an_algo_split_into_rows() {
         let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"truth.active_tasks","kind":"gauge","value":100}"#,
-            r#"{"key":"metrics.snapshot","seq":2,"metric":"truth.active_tasks","kind":"gauge","value":-7}"#,
+            r#"{"key":"truth.run","algo":"ds","iters":10}"#,
+            r#"{"key":"truth.run","algo":"glad","iters":4}"#,
+            r#"{"key":"truth.run","algo":"ds","iters":7}"#,
         ]);
         let v = collect(&s);
+        let ds = row(&v, "truth.run", Some("ds"));
+        assert_eq!((ds.events, ds.totals[0].1), (2, 17.0));
+        assert_eq!(row(&v, "truth.run", Some("glad")).events, 1);
+        let text = v.render();
+        assert!(text.contains("truth.run [ds]"), "{text}");
+        assert!(text.contains("iters=17"), "{text}");
+    }
+
+    #[test]
+    fn wall_fields_render_as_quantiles_only_when_kept() {
+        let with_wall = stream_of(&[
+            r#"{"key":"truth.iter","wall_ns":1,"algo":"ds","iter":0,"m_ns":10}"#,
+            r#"{"key":"truth.iter","wall_ns":2,"algo":"ds","iter":1,"m_ns":30}"#,
+            r#"{"key":"truth.iter","wall_ns":3,"algo":"ds","iter":2,"m_ns":20}"#,
+        ]);
+        let v = collect(&with_wall);
+        let it = row(&v, "truth.iter", Some("ds"));
+        assert_eq!(it.wall, vec![("m_ns".to_owned(), vec![10, 30, 20])]);
         assert_eq!(
-            v.series.get("truth.active_tasks"),
-            Some(&SeriesState::Gauge { value: -7 })
+            it.totals,
+            vec![("iter".to_owned(), 3.0)],
+            "wall fields never total"
         );
-        assert_eq!(v.last_seq, 2);
+        assert!(v.render().contains("m_ns p50=20 p95=30 max=30"));
+
+        let without = stream_of(&[r#"{"key":"truth.iter","algo":"ds","iter":0}"#]);
+        assert!(!collect(&without).render().contains("_ns"));
     }
 
     #[test]
-    fn det_histograms_accumulate_buckets() {
-        let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"assign.wave_size","kind":"hist_det","count":2,"sum":11,"b2":1,"b4":1}"#,
-            r#"{"key":"metrics.snapshot","seq":2,"metric":"assign.wave_size","kind":"hist_det","count":1,"sum":3,"b2":1}"#,
-        ]);
-        let v = collect(&s);
-        match v.series.get("assign.wave_size") {
-            Some(SeriesState::HistDet {
-                count,
-                sum,
-                buckets,
-            }) => {
-                assert_eq!((*count, *sum), (3, 14));
-                assert_eq!(buckets[2], 2);
-                assert_eq!(buckets[4], 1);
-            }
-            other => panic!("unexpected state {other:?}"),
-        }
-        let rendered = v.render();
-        assert!(rendered.contains("[assign]"));
-        assert!(rendered.contains("assign.wave_size"));
-        assert!(rendered.contains("n=3"));
-    }
-
-    #[test]
-    fn wall_histograms_degrade_without_wall_data() {
-        let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"truth.ds.sweep_ns","kind":"hist_wall","count":4}"#,
-        ]);
-        let v = collect(&s);
-        assert_eq!(
-            v.series.get("truth.ds.sweep_ns"),
-            Some(&SeriesState::HistWall {
-                count: 4,
-                p50_ns: None,
-                p95_ns: None,
-                p99_ns: None,
-                max_ns: None
-            })
-        );
-        assert!(v.render().contains("wall timings not captured"));
-    }
-
-    #[test]
-    fn wall_histograms_pick_up_wall_quantiles() {
-        let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","wall_ns":1,"seq":1,"metric":"truth.ds.sweep_ns","kind":"hist_wall","count":4,"sum_ns":100,"p50_ns":15,"p95_ns":31,"p99_ns":63,"max_ns":63}"#,
-        ]);
-        let v = collect(&s);
-        assert_eq!(
-            v.series.get("truth.ds.sweep_ns"),
-            Some(&SeriesState::HistWall {
-                count: 4,
-                p50_ns: Some(15),
-                p95_ns: Some(31),
-                p99_ns: Some(63),
-                max_ns: Some(63)
-            })
-        );
-        let rendered = v.render();
-        assert!(rendered.contains("p95<=31ns"));
-        assert!(rendered.contains("p99<=63ns"));
-    }
-
-    #[test]
-    fn wall_histograms_render_without_p99_from_older_streams() {
-        // Streams recorded before p99 landed lack the field; the render
-        // degrades to the old three-quantile line.
-        let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","wall_ns":1,"seq":1,"metric":"truth.ds.sweep_ns","kind":"hist_wall","count":4,"sum_ns":100,"p50_ns":15,"p95_ns":31,"max_ns":31}"#,
-        ]);
-        let rendered = collect(&s).render();
-        assert!(rendered.contains("p95<=31ns max<=31ns"));
-        assert!(!rendered.contains("p99"));
-    }
-
-    #[test]
-    fn series_extraction_orders_and_filters() {
-        let s = stream_of(&[
-            r#"{"key":"metrics.snapshot","seq":1,"metric":"sql.queries","kind":"counter","delta":1,"total":1}"#,
-            r#"{"key":"other.event","n":1}"#,
-            r#"{"key":"metrics.snapshot","sim":2.5,"seq":2,"metric":"sql.queries","kind":"counter","delta":4,"total":5}"#,
-        ]);
-        let pts = series(&s, "sql.queries");
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].seq, 1);
-        assert_eq!(pts[1].sim, Some(2.5));
-        assert_eq!(pts[1].payload, "delta=4 total=5");
-        assert_eq!(series_names(&s), vec!["sql.queries".to_owned()]);
-        assert!(series(&s, "nope").is_empty());
+    fn totals_print_whole_numbers_without_a_fraction() {
+        assert_eq!(fmt_total(734_444.0), "734444");
+        assert_eq!(fmt_total(0.1 + 0.2), "0.3");
+        assert_eq!(fmt_total(12.5), "12.5");
+        assert_eq!(fmt_total(-3.0), "-3");
     }
 
     #[test]
     fn empty_stream_renders_placeholder() {
-        let s = stream_of(&[r#"{"key":"platform.batch","requests":1}"#]);
+        let s = stream_of(&[]);
         let v = collect(&s);
-        assert_eq!(v.events, 0);
-        assert!(v.render().contains("no metrics.snapshot events"));
+        assert!(v.rows.is_empty());
+        assert!(v.render().contains("0 events, 0 rows"));
+        assert!(v.render().contains("no events in this stream"));
     }
 }

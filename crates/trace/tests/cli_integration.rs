@@ -12,6 +12,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use crowdkit_core::traits::CrowdOracle;
 use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::latency::LatencyModel;
@@ -37,9 +38,22 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// What one recorded run did, by its own count.
+struct RunCounts {
+    /// The crowd's `answers_delivered()` after the run.
+    answers_delivered: u64,
+    /// Dawid–Skene's iterations, from its `InferenceResult`.
+    ds_iterations: usize,
+}
+
 /// Records one instrumented run — a batched crowd purchase followed by
 /// Dawid–Skene inference — as a headered JSONL stream.
 fn record_run(seed: u64, threads: usize, include_wall: bool) -> Vec<u8> {
+    record_run_counted(seed, threads, include_wall).0
+}
+
+/// [`record_run`], also returning the run's own counts.
+fn record_run_counted(seed: u64, threads: usize, include_wall: bool) -> (Vec<u8>, RunCounts) {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(include_wall));
     rec.write_header(&obs::StreamHeader::new(
         "test-rev",
@@ -47,7 +61,7 @@ fn record_run(seed: u64, threads: usize, include_wall: bool) -> Vec<u8> {
         threads as u32,
         "it:batch+ds",
     ));
-    obs::with_recorder(rec.clone(), || {
+    let counts = obs::with_recorder(rec.clone(), || {
         obs::record(obs::Event::new("exp.begin").str("id", "it"));
         let pop = PopulationBuilder::new().reliable(30, 0.7, 0.95).build(seed);
         let crowd = PlatformBuilder::new(pop)
@@ -60,10 +74,14 @@ fn record_run(seed: u64, threads: usize, include_wall: bool) -> Vec<u8> {
             threads,
             ..EmConfig::default()
         });
-        label_tasks(&crowd, &tasks, 3, &ds).expect("pipeline succeeds");
+        let outcome = label_tasks(&crowd, &tasks, 3, &ds).expect("pipeline succeeds");
         obs::record(obs::Event::new("exp.end").str("id", "it"));
+        RunCounts {
+            answers_delivered: crowd.answers_delivered(),
+            ds_iterations: outcome.inference.iterations,
+        }
     });
-    rec.take_bytes()
+    (rec.take_bytes(), counts)
 }
 
 fn write_stream(dir: &std::path::Path, name: &str, bytes: &[u8]) -> PathBuf {
@@ -215,6 +233,80 @@ fn replay_attributes_questions_and_spend_per_experiment() {
     assert_eq!(e.id, "it");
     assert_eq!(e.questions, 40 * 3, "3 votes on each of 40 tasks");
     assert!(e.spend > 0.0);
+}
+
+/// The event count and `name=total` pairs `crowdtrace top` printed on
+/// the row labelled `label`.
+fn top_row(text: &str, label: &str) -> (u64, Vec<(String, String)>) {
+    let rest = text
+        .lines()
+        .find_map(|l| {
+            l.trim_start()
+                .strip_prefix(label)
+                .filter(|r| r.starts_with(' '))
+        })
+        .unwrap_or_else(|| panic!("no `{label}` row in:\n{text}"));
+    let mut tokens = rest.split_whitespace();
+    let events = tokens
+        .next()
+        .and_then(|t| t.parse().ok())
+        .expect("event count");
+    let pairs = tokens
+        .filter_map(|t| t.split_once('='))
+        .map(|(n, v)| (n.to_owned(), v.to_owned()))
+        .collect();
+    (events, pairs)
+}
+
+fn total<'a>(pairs: &'a [(String, String)], name: &str) -> &'a str {
+    pairs
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+        .unwrap_or_else(|| panic!("no `{name}` total in {pairs:?}"))
+}
+
+#[test]
+fn top_totals_match_the_runs_own_counts() {
+    let dir = scratch_dir("top");
+    let (bytes, counts) = record_run_counted(3, 2, false);
+    let path = write_stream(&dir, "run.jsonl", &bytes);
+    let out = crowdtrace(&["top", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+
+    // Every answer went through ask_batch, one platform.batch per wave.
+    let (_, batch) = top_row(&text, "platform.batch");
+    assert_eq!(
+        total(&batch, "delivered"),
+        counts.answers_delivered.to_string(),
+        "{text}"
+    );
+    assert_eq!(counts.answers_delivered, 40 * 3);
+    let (runs, ds) = top_row(&text, "truth.run [ds]");
+    assert_eq!(runs, 1);
+    assert_eq!(
+        total(&ds, "iters"),
+        counts.ds_iterations.to_string(),
+        "{text}"
+    );
+    let (iters, _) = top_row(&text, "truth.iter [ds]");
+    assert_eq!(iters, counts.ds_iterations as u64);
+    assert!(
+        !text.contains("p50="),
+        "a --log capture keeps no wall data:\n{text}"
+    );
+
+    // With wall data kept, the phase timings show as quantiles.
+    let walled = write_stream(&dir, "wall.jsonl", &record_run(3, 2, true));
+    let out = crowdtrace(&["top", walled.to_str().unwrap()]);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("plan_ns p50="), "{text}");
+    assert_eq!(
+        top_row(&text, "platform.batch").1,
+        batch,
+        "same totals either way"
+    );
 }
 
 #[test]

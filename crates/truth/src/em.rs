@@ -140,8 +140,8 @@ pub(crate) fn resolve_threads(requested: usize, work: usize) -> usize {
     }
 }
 
-/// Emits the per-iteration `truth.iter` telemetry event and sweep metrics
-/// into the run's scope. The convergence `delta` (max posterior change)
+/// Emits the per-iteration `truth.iter` telemetry event into the run's
+/// scope. The convergence `delta` (max posterior change)
 /// stands in for the log-likelihood trajectory: every EM loop already
 /// computes it, it tracks the same convergence signal, and recording it
 /// costs no extra kernel pass. Phase timings ride in wall-clock fields,
@@ -154,10 +154,6 @@ pub(crate) fn obs_iter(
     m_ns: u64,
     e_ns: u64,
 ) {
-    if let Some(am) = scope.registry.as_ref().and_then(|m| m.truth.algo(algo)) {
-        am.iters.inc();
-        am.sweep_ns.record(m_ns + e_ns);
-    }
     scope.recorder.record(
         Event::new("truth.iter")
             .str("algo", algo)
@@ -180,9 +176,6 @@ pub(crate) fn obs_run(
     converged: bool,
     start: obs::WallTimer,
 ) {
-    if let Some(am) = scope.registry.as_ref().and_then(|m| m.truth.algo(algo)) {
-        am.runs.inc();
-    }
     if !scope.recorder.enabled() {
         return;
     }

@@ -349,11 +349,6 @@ impl ActiveSet {
         if out.froze == 0 {
             return;
         }
-        if let Some(m) = &scope.registry {
-            m.truth.freezes.add(out.froze as u64);
-            m.truth.active_tasks.set(out.active_len as i64);
-            m.truth.frozen_tasks.set(out.frozen_total as i64);
-        }
         scope.recorder.record(
             Event::new("truth.freeze")
                 .str("algo", algo)

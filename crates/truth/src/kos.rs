@@ -246,11 +246,6 @@ impl TruthInferencer for Kos {
             let flat: Vec<f64> = posteriors.iter().flatten().copied().collect();
             l.finish(&*tel.recorder, matrix, &flat, Some(&worker_quality));
         }
-        // KOS has no shared obs_iter loop (BP sweeps carry no convergence
-        // delta), so its iteration count lands on the counter here.
-        if let Some(m) = &tel.registry {
-            m.truth.kos.iters.add(self.iterations as u64);
-        }
         crate::em::obs_run(&tel, "kos", matrix, self.iterations, true, run_start);
         Ok(InferenceResult {
             labels,

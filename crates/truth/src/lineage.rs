@@ -197,7 +197,8 @@ impl RunLineage {
                     .f64("margin", margins.get(t).copied().unwrap_or(0.0))
                     .u64("n", span.len() as u64)
                     .str("votes", votes.as_str())
-                    .str("flips", flip_strs[t].as_str()),
+                    .str("flips", flip_strs[t].as_str())
+                    .detail(),
             );
         }
     }
@@ -227,7 +228,8 @@ impl RunLineage {
                     .f64("weight", weight)
                     .u64("answers", answers)
                     .u64("agree", agree)
-                    .u64("overruled", answers - agree),
+                    .u64("overruled", answers - agree)
+                    .detail(),
             );
         }
     }
@@ -253,7 +255,6 @@ mod tests {
     fn prov_scope(recorder: Arc<dyn Recorder>) -> Scope {
         Scope {
             recorder,
-            registry: None,
             provenance: true,
         }
     }

@@ -125,7 +125,6 @@ fn run(infer: impl FnOnce(&mut Digest) -> InferenceResult) -> (u64, String) {
     let rec = Arc::new(JsonlRecorder::in_memory().with_wall(false));
     let scope = Scope {
         recorder: rec.clone(),
-        registry: None,
         provenance: true,
     };
     let mut digest = Digest::new();

@@ -162,16 +162,6 @@ pub fn record(event: Event) {
     });
 }
 
-/// Records a scalar sample into the active recorder, if one is enabled.
-pub fn sample(key: &'static str, value: f64) {
-    CURRENT.with(|c| {
-        let rec = &c.borrow().recorder;
-        if rec.enabled() {
-            rec.sample(key, value);
-        }
-    });
-}
-
 /// Reports a quality metric (accuracy, F1, rank correlation, …) for the
 /// current run as an `exp.quality` event. The per-metric means surface in
 /// the run's [`ExperimentReport`].
@@ -200,7 +190,6 @@ mod tests {
         assert!(is_default(&scope()));
         // Recording into the default is a no-op, not a panic.
         record(Event::new("x"));
-        sample("y", 1.0);
     }
 
     #[test]

@@ -52,8 +52,9 @@ pub trait Recorder: Send + Sync {
     /// Records one structured event.
     fn record(&self, event: Event);
 
-    /// Records one scalar latency-style sample under `key`.
-    fn sample(&self, key: &'static str, value: f64);
+    /// Records a run of scalar latency-style samples under `key` in one
+    /// call, so a batch pays for one lookup, not one per value.
+    fn sample(&self, key: &'static str, values: &[f64]);
 }
 
 impl<R: Recorder + ?Sized> Recorder for Arc<R> {
@@ -69,8 +70,8 @@ impl<R: Recorder + ?Sized> Recorder for Arc<R> {
         (**self).record(event);
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
-        (**self).sample(key, value);
+    fn sample(&self, key: &'static str, values: &[f64]) {
+        (**self).sample(key, values);
     }
 }
 
@@ -85,7 +86,7 @@ impl Recorder for NullRecorder {
 
     fn record(&self, _event: Event) {}
 
-    fn sample(&self, _key: &'static str, _value: f64) {}
+    fn sample(&self, _key: &'static str, _values: &[f64]) {}
 }
 
 /// Sum/min/max/count aggregate of one numeric field across events.
@@ -293,12 +294,17 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
-        let hist = {
-            let mut map = self.histograms.lock();
-            map.entry(key).or_insert_with(|| Arc::new(LogHistogram::new())).clone()
-        };
-        hist.record(value);
+    fn sample(&self, key: &'static str, values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
+        let mut map = self.histograms.lock();
+        let hist = map
+            .entry(key)
+            .or_insert_with(|| Arc::new(LogHistogram::new()));
+        for &v in values {
+            hist.record(v);
+        }
     }
 }
 
@@ -395,7 +401,7 @@ impl Recorder for JsonlRecorder {
         }
     }
 
-    fn sample(&self, _key: &'static str, _value: f64) {
+    fn sample(&self, _key: &'static str, _values: &[f64]) {
         // Samples are aggregate-only; the JSONL stream carries events.
     }
 }
@@ -434,9 +440,9 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
         }
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
-        self.0.sample(key, value);
-        self.1.sample(key, value);
+    fn sample(&self, key: &'static str, values: &[f64]) {
+        self.0.sample(key, values);
+        self.1.sample(key, values);
     }
 }
 
@@ -502,7 +508,7 @@ impl Recorder for ShardRecorder {
         self.shards[self.index].lock().push(event);
     }
 
-    fn sample(&self, _key: &'static str, _value: f64) {
+    fn sample(&self, _key: &'static str, _values: &[f64]) {
         // Shard buffers carry events only; attach a Tee'd MemoryRecorder
         // when sample aggregation is needed.
     }
@@ -518,7 +524,7 @@ mod tests {
         assert!(!r.enabled());
         assert!(!r.detail());
         r.record(Event::new("x"));
-        r.sample("y", 1.0);
+        r.sample("y", &[1.0]);
     }
 
     #[test]
@@ -558,9 +564,11 @@ mod tests {
     #[test]
     fn memory_recorder_histograms_samples() {
         let r = MemoryRecorder::new();
-        r.sample("lat", 1.0);
-        r.sample("lat", 2.0);
-        assert_eq!(r.histogram("lat").unwrap().count(), 2);
+        r.sample("lat", &[1.0]);
+        r.sample("lat", &[2.0, 4.0]);
+        r.sample("empty", &[]);
+        assert_eq!(r.histogram("lat").unwrap().count(), 3);
+        assert!(r.histogram("empty").is_none());
         assert!(r.histogram("other").is_none());
     }
 
@@ -591,7 +599,7 @@ mod tests {
     fn tee_duplicates_events() {
         let tee = Tee(MemoryRecorder::new(), MemoryRecorder::new());
         tee.record(Event::new("k").u64("n", 1));
-        tee.sample("s", 3.0);
+        tee.sample("s", &[3.0]);
         assert_eq!(tee.0.count("k"), 1);
         assert_eq!(tee.1.count("k"), 1);
         assert_eq!(tee.0.histogram("s").unwrap().count(), 1);

@@ -117,10 +117,8 @@ impl ExperimentReport {
         rec: &MemoryRecorder,
     ) -> Self {
         let cost = CostReport {
-            questions: (rec.field_sum("platform.batch", "delivered")
-                + rec.field_sum("platform.ask", "delivered")) as u64,
-            spend: rec.field_sum("platform.batch", "spend")
-                + rec.field_sum("platform.ask", "spend"),
+            questions: rec.field_sum("platform.batch", "delivered") as u64,
+            spend: rec.field_sum("platform.batch", "spend"),
             budget_stops: rec.field_sum("platform.batch", "budget_stopped") as u64,
         };
         let (p50, p95) = rec
@@ -326,7 +324,7 @@ mod tests {
                 .u64("flips", 5)
                 .f64("margin_mean", 0.8),
         );
-        rec.sample("platform.latency", 12.0);
+        rec.sample("platform.latency", &[12.0]);
         rec
     }
 

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use crowdkit_core::ask::AskRequest;
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
@@ -170,31 +171,30 @@ where
     let mut stopped_by_coverage = false;
 
     while (asked as u32) < max_answers {
-        match oracle.ask_one(task) {
-            Ok(answer) => {
-                asked += 1;
-                if let Some(items) = answer.value.as_items() {
-                    for item in items {
-                        counts.record(item);
-                    }
-                }
-                let coverage = good_turing_coverage(&counts);
-                curve.push(AccumulationPoint {
-                    answers: asked as u64,
-                    distinct: counts.distinct(),
-                    chao92_estimate: chao92(&counts),
-                    coverage,
-                });
-                // Require a minimal amount of evidence before trusting
-                // coverage (one answer with unique items reads as C = 0,
-                // but one answer of duplicates would read C ≈ 1).
-                if asked >= 5 && coverage >= coverage_target {
-                    stopped_by_coverage = true;
-                    break;
-                }
+        let out = oracle.ask(&AskRequest::new(task))?;
+        out.check()?;
+        let Some(answer) = out.answers.first() else {
+            break;
+        };
+        asked += 1;
+        if let Some(items) = answer.value.as_items() {
+            for item in items {
+                counts.record(item);
             }
-            Err(e) if e.is_resource_exhaustion() => break,
-            Err(e) => return Err(e),
+        }
+        let coverage = good_turing_coverage(&counts);
+        curve.push(AccumulationPoint {
+            answers: asked as u64,
+            distinct: counts.distinct(),
+            chao92_estimate: chao92(&counts),
+            coverage,
+        });
+        // Require a minimal amount of evidence before trusting coverage
+        // (one answer with unique items reads as C = 0, but one answer of
+        // duplicates would read C ≈ 1).
+        if asked >= 5 && coverage >= coverage_target {
+            stopped_by_coverage = true;
+            break;
         }
     }
 
@@ -341,6 +341,51 @@ mod tests {
         assert!(out.stopped_by_coverage);
         assert!(out.questions_asked < 100);
         assert_eq!(out.counts.distinct(), 2);
+    }
+
+    /// Answers `left` times with one item, then fails with `why`.
+    struct Dying {
+        left: std::cell::Cell<u32>,
+        why: CrowdError,
+    }
+
+    impl CrowdOracle for Dying {
+        fn ask_one(&self, task: &Task) -> Result<Answer> {
+            let left = self.left.get();
+            if left == 0 {
+                return Err(self.why.clone());
+            }
+            self.left.set(left - 1);
+            let items = AnswerValue::Items(vec![format!("item{left}")]);
+            Ok(Answer::bare(task.id, WorkerId::new(u64::from(left)), items))
+        }
+        fn remaining_budget(&self) -> Option<f64> {
+            None
+        }
+        fn answers_delivered(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn exhaustion_ends_collection_and_other_failures_are_errors() {
+        let dying = |why| Dying {
+            left: std::cell::Cell::new(3),
+            why,
+        };
+        let budget = CrowdError::BudgetExhausted {
+            requested: 1.0,
+            remaining: 0.0,
+        };
+        for why in [budget, CrowdError::NoWorkerAvailable] {
+            let out = crowd_collect(&dying(why), &collection_task(), 2.0, 10).unwrap();
+            assert_eq!(out.questions_asked, 3);
+            assert_eq!(out.curve.len(), 3);
+            assert!(!out.stopped_by_coverage);
+        }
+        let down = CrowdError::Execution("platform down".into());
+        let err = crowd_collect(&dying(down.clone()), &collection_task(), 2.0, 10).unwrap_err();
+        assert_eq!(err, down);
     }
 
     #[test]

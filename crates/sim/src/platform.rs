@@ -17,17 +17,21 @@
 //!   mutexes keyed by task id;
 //! * the spend ledger is striped the same way and merged on read;
 //! * the budget sits behind a single mutex so debits are atomic;
-//! * the legacy sequential RNG and the simulated clock form the *core*
-//!   lock, which also serializes batch planning.
+//! * the simulated clock has a lock of its own, which also serializes
+//!   batch planning.
 //!
-//! [`CrowdOracle::ask`]/[`CrowdOracle::ask_batch`] run in two phases:
-//! a sequential *planning* phase (budget funded in request order, workers
-//! reserved, one independent RNG stream derived per assignment — see
-//! [`crate::exec`]) and an embarrassingly parallel *execution* phase that
-//! computes answer values and latency draws on a crossbeam worker pool.
-//! All assignments in a batch start at the batch epoch, so their simulated
-//! latencies **overlap**: batch wall-clock is the makespan, not the sum —
-//! the dominant latency lever of crowd execution (HIT batching). Because
+//! Every answer is served by [`CrowdOracle::ask_batch`]: `ask` is a batch
+//! of one request and `ask_one` a batch of one answer, so each answer
+//! comes from its own RNG stream and is reported in a `platform.batch`
+//! event. A batch runs in two phases: a sequential *planning* phase
+//! (budget funded in request order, workers reserved, one independent RNG
+//! stream derived per assignment — see [`crate::exec`]) and an
+//! embarrassingly parallel *execution* phase that computes answer values
+//! and latency draws on a crossbeam worker pool. All assignments in a
+//! batch start at the batch epoch, so their simulated latencies
+//! **overlap**: a batch advances the clock by its makespan, not the sum —
+//! the dominant latency lever of crowd execution (HIT batching) — while
+//! `n` one-answer calls advance it by the sum of their latencies. Because
 //! every cross-assignment decision happens in the sequential phase, results
 //! are byte-identical at any thread count. Batches too small to give every
 //! thread a fixed minimum of assignments execute on the calling thread
@@ -35,14 +39,14 @@
 //!
 //! # Worker picks
 //!
-//! `ask_one` and `ask_batch` share one pick: uniform over the eligible
-//! workers, drawn with a single `gen_range(0..count)` and mapped to the
-//! drawn worker by walking the task's sorted skip list (workers already
-//! asked, plus the request's exclusions). A pick therefore costs
+//! A pick is uniform over the eligible workers, drawn from the
+//! assignment's pick stream with a single `gen_range(0..count)` and mapped
+//! to the drawn worker by walking the task's sorted skip list (workers
+//! already asked, plus the request's exclusions). A pick therefore costs
 //! O(|asked| + |exclude|), not O(pool). Under churn the candidates are the
-//! workers online at the epoch, listed once per batch (once per call for
-//! `ask_one`); only when no eligible worker is online does a pick scan the
-//! pool for the earliest arrival.
+//! workers online at the epoch, listed once per batch; only when no
+//! eligible worker is online does a pick scan the pool for the earliest
+//! arrival.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,7 +274,7 @@ impl PlatformBuilder {
             churn: self.churn,
             seed: self.seed,
             threads: self.threads,
-            core: Mutex::new(CoreState { rng, clock: 0.0 }),
+            clock: Mutex::new(0.0),
             budget: Mutex::new(budget),
             shards: (0..TASK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             ledger_stripes,
@@ -300,14 +304,6 @@ impl TaskState {
             self.asked.insert(at, i);
         }
     }
-}
-
-/// Mutable state shared by the sequential path and batch planning: the
-/// legacy shared RNG stream and the simulated clock.
-#[derive(Debug)]
-struct CoreState {
-    rng: StdRng,
-    clock: f64,
 }
 
 /// One funded, reserved assignment awaiting parallel execution.
@@ -340,7 +336,8 @@ pub struct SimulatedCrowd {
     churn: Option<Churn>,
     seed: u64,
     threads: usize,
-    core: Mutex<CoreState>,
+    /// The simulated clock; holding its lock serializes batch planning.
+    clock: Mutex<f64>,
     budget: Mutex<Budget>,
     shards: Vec<Mutex<HashMap<TaskId, TaskState>>>,
     ledger_stripes: Vec<Mutex<CostLedger>>,
@@ -362,7 +359,7 @@ impl SimulatedCrowd {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.core.lock().clock
+        *self.clock.lock()
     }
 
     /// Width of the batch-execution worker pool.
@@ -423,22 +420,9 @@ impl SimulatedCrowd {
         out
     }
 
-    /// Sequential worker pick for [`CrowdOracle::ask_one`]: [`Self::pick`]
-    /// over the task's reservations with the shared RNG, advancing the
-    /// clock to the next arrival when churn leaves nobody online. Caller
-    /// holds the core lock.
-    fn pick_worker_sequential(&self, core: &mut CoreState, task: TaskId) -> Option<usize> {
-        let online = self.online_at(core.clock);
-        let mut shard = self.shard_for(task).lock();
-        let asked = &shard.entry(task).or_default().asked;
-        let (i, serve_at) = self.pick(online.as_deref(), asked, core.clock, &mut core.rng)?;
-        core.clock = serve_at;
-        Some(i)
-    }
-
-    /// The worker pick behind both `ask_one` and `ask_batch`: uniform over
-    /// the eligible workers, a deterministic function of `rng`, the skip
-    /// list and the time `at` — never of thread timing.
+    /// The worker pick behind every answer: uniform over the eligible
+    /// workers, a deterministic function of `rng`, the skip list and the
+    /// time `at` — never of thread timing.
     ///
     /// The candidates are `online` (ascending population indices; `None`
     /// means the whole pool) minus `skip`, the ascending, duplicate-free
@@ -507,64 +491,16 @@ fn skip_list<'a>(asked: &'a [u32], excluded: &[u32], buf: &'a mut Vec<u32>) -> &
 }
 
 impl CrowdOracle for SimulatedCrowd {
-    /// Legacy sequential path: one shared RNG stream, clock advanced by
-    /// each answer's full service time (no overlap). Kept for
-    /// single-answer call sites and as the baseline the batched path is
-    /// benchmarked against.
+    /// A batch of one: its answer, or the shortfall that left it without
+    /// one. Like any batch it advances the clock by its service time, after
+    /// waiting for an arrival when churn leaves nobody eligible online.
     fn ask_one(&self, task: &Task) -> Result<Answer> {
-        let mut core_guard = self.core.lock();
-        let core = &mut *core_guard;
-        let price = self.cost_model.price(&task.kind);
-        {
-            let budget = self.budget.lock();
-            if !budget.can_afford(price) {
-                return Err(CrowdError::BudgetExhausted {
-                    requested: price,
-                    remaining: budget.remaining(),
-                });
-            }
+        let mut out = self.ask(&AskRequest::new(task))?;
+        match out.answers.pop() {
+            Some(a) => Ok(a),
+            // A batch that bought nothing always records why.
+            None => Err(out.shortfall.unwrap_or(CrowdError::NoWorkerAvailable)),
         }
-        let widx = self
-            .pick_worker_sequential(core, task.id)
-            .ok_or(CrowdError::NoWorkerAvailable)?;
-        let worker = self.population.get(widx).clone();
-        self.budget.lock().debit(price)?;
-        self.ledger_stripe_for(task.id)
-            .lock()
-            .record(task.kind.name(), price);
-
-        let value = worker.answer(task, &mut core.rng);
-        let service = self.latency.sample(&mut core.rng);
-        core.clock += service;
-        self.shard_for(task.id)
-            .lock()
-            .entry(task.id)
-            .or_default()
-            .reserve(widx);
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-
-        let rec = obs::scope().recorder;
-        if rec.enabled() {
-            rec.sample("platform.latency", service);
-            rec.record(
-                Event::new("platform.ask")
-                    .at(core.clock)
-                    .u64("task", task.id.raw())
-                    .u64("worker", worker.id.raw())
-                    .u64("delivered", 1)
-                    .f64("spend", price)
-                    .f64("makespan", service)
-                    .f64("latency_sum", service),
-            );
-        }
-
-        Ok(Answer {
-            task: task.id,
-            worker: worker.id,
-            value,
-            submitted_at: core.clock,
-            cost: price,
-        })
     }
 
     fn ask(&self, req: &AskRequest<'_>) -> Result<AskOutcome> {
@@ -573,7 +509,7 @@ impl CrowdOracle for SimulatedCrowd {
     }
 
     /// The batched engine. Planning (budget in request order, worker
-    /// reservation, RNG-stream derivation) is sequential under the core
+    /// reservation, RNG-stream derivation) is sequential under the clock
     /// lock; answer computation fans out over the thread pool; all
     /// assignments share the batch epoch so their simulated latencies
     /// overlap and the clock advances by the batch *makespan*.
@@ -586,8 +522,8 @@ impl CrowdOracle for SimulatedCrowd {
 
         // ---- Phase 1: sequential planning ------------------------------
         let (plan, mut outcomes, epoch) = {
-            let core = self.core.lock();
-            let epoch = core.clock;
+            let clock = self.clock.lock();
+            let epoch = *clock;
             let mut budget = self.budget.lock();
             let mut plan: Vec<PlannedAsk> = Vec::new();
             let mut outcomes: Vec<AskOutcome> = reqs
@@ -666,12 +602,13 @@ impl CrowdOracle for SimulatedCrowd {
         let detail = enabled && rec.detail();
         let mut makespan = epoch;
         let mut latency_sum = 0.0;
+        let mut latencies = Vec::with_capacity(if enabled { plan.len() } else { 0 });
         for (p, a) in plan.iter().zip(answers) {
             makespan = makespan.max(a.submitted_at);
             if enabled {
                 let latency = a.submitted_at - epoch;
                 latency_sum += latency;
-                rec.sample("platform.latency", latency);
+                latencies.push(latency);
                 if detail {
                     rec.record(
                         Event::new("platform.assign")
@@ -689,10 +626,11 @@ impl CrowdOracle for SimulatedCrowd {
         }
         self.delivered.fetch_add(plan.len() as u64, Ordering::Relaxed);
         {
-            let mut core = self.core.lock();
-            core.clock = core.clock.max(makespan);
+            let mut clock = self.clock.lock();
+            *clock = clock.max(makespan);
         }
         if enabled {
+            rec.sample("platform.latency", &latencies);
             let (mut budget_stopped, mut no_worker) = (0u64, 0u64);
             for o in &outcomes {
                 match &o.shortfall {
@@ -797,9 +735,9 @@ mod tests {
         crowd.ask_one(&task).unwrap();
         obs::with_recorder(rec.clone(), || crowd.ask_one(&task).unwrap());
         crowd.ask_one(&task).unwrap();
-        assert_eq!(rec.count("platform.ask"), 1);
-        assert_eq!(rec.field_sum("platform.ask", "delivered"), 1.0);
-        assert_eq!(rec.field_sum("platform.ask", "spend"), 1.0);
+        assert_eq!(rec.count("platform.batch"), 1);
+        assert_eq!(rec.field_sum("platform.batch", "delivered"), 1.0);
+        assert_eq!(rec.field_sum("platform.batch", "spend"), 1.0);
     }
 
     #[test]
@@ -963,7 +901,7 @@ mod batch_tests {
     }
 
     #[test]
-    fn batch_and_sequential_share_reservation_state() {
+    fn ask_one_and_ask_share_reservation_state() {
         let crowd = SimulatedCrowd::new(pop(3, 1.0), 5);
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
         let first = crowd.ask_one(&task).unwrap();
@@ -1275,49 +1213,13 @@ mod churn_tests {
 
 #[cfg(test)]
 mod pick_tests {
-    //! The shared pick against the scans it replaced, kept here as the
-    //! reference: same worker, same serve time, same RNG state after.
+    //! The pick against the scan it replaced, kept here as the reference:
+    //! same worker, same serve time, same RNG state after.
 
     use super::*;
     use crate::population::mixes;
     use proptest::prelude::*;
-    use rand::seq::SliceRandom;
     use std::collections::HashSet;
-
-    /// `ask_one`'s pick before [`SimulatedCrowd::pick`]: lists the eligible
-    /// and the online workers by scanning the pool on every pick.
-    fn scan_pick_sequential(
-        crowd: &SimulatedCrowd,
-        core: &mut CoreState,
-        asked: &HashSet<WorkerId>,
-    ) -> Option<usize> {
-        let eligible: Vec<usize> = (0..crowd.population.len())
-            .filter(|&i| !asked.contains(&crowd.population.get(i).id))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let Some(churn) = crowd.churn else {
-            return eligible.choose(&mut core.rng).copied();
-        };
-        let online: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&i| churn.online(crowd.population.get(i).id, crowd.seed, core.clock))
-            .collect();
-        if let Some(&i) = online.choose(&mut core.rng) {
-            return Some(i);
-        }
-        let (next_i, next_t) = eligible
-            .iter()
-            .map(|&i| {
-                let id = crowd.population.get(i).id;
-                (i, churn.next_online(id, crowd.seed, core.clock))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))?;
-        core.clock = next_t;
-        Some(next_i)
-    }
 
     /// `ask_batch`'s pick before [`SimulatedCrowd::pick`], drawing from
     /// the derived pick stream `rng`.
@@ -1377,9 +1279,8 @@ mod pick_tests {
         b.build()
     }
 
-    /// Runs the shared pick and the reference scan on one case, through
-    /// both the sequential and the batch entry points, and returns whether
-    /// the batch pick had to wait for an arrival.
+    /// Runs the pick and the reference scan on one case and returns
+    /// whether the pick had to wait for an arrival.
     fn check(
         crowd: &SimulatedCrowd,
         asked: &[u32],
@@ -1391,20 +1292,6 @@ mod pick_tests {
             .iter()
             .map(|&i| crowd.population.get(i as usize).id)
             .collect();
-
-        let task = TaskId::new(rng_seed);
-        crowd.shard_for(task).lock().entry(task).or_default().asked = asked.to_vec();
-        let core = || CoreState {
-            rng: StdRng::seed_from_u64(rng_seed),
-            clock: at,
-        };
-        let (mut new_core, mut ref_core) = (core(), core());
-        let new_pick = crowd.pick_worker_sequential(&mut new_core, task);
-        let ref_pick = scan_pick_sequential(crowd, &mut ref_core, &asked_ids);
-        prop_assert_eq!(new_pick, ref_pick, "sequential pick");
-        prop_assert_eq!(new_core.clock.to_bits(), ref_core.clock.to_bits());
-        prop_assert_eq!(&new_core.rng, &ref_core.rng, "shared RNG state");
-
         let online = crowd.online_at(at);
         let excluded = crowd.pool_indices(exclude);
         let mut buf = Vec::new();

@@ -1,14 +1,20 @@
-//! Pins the platform's answer streams. Seeded `ask_batch` and `ask_one`
+//! Pins the platform's answer streams. Seeded batched and single-answer
 //! runs on a plain, a churned and a qualification-filtered pool, with
 //! worker exclusions, are digested over every answer's (task, worker,
 //! value, `submitted_at`), every shortfall, and the final clock and spend.
 //! A change to worker choice, answer generation, latency draws or the
 //! clock fails here, not only as shifted experiment numerics.
+//!
+//! Every run is driven twice, its single answers once through `ask_one`
+//! and once through a one-answer `ask`: both must give the same pinned
+//! digest, because `ask_one` is a batch of one.
 
 use crowdkit_core::answer::Answer;
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::budget::Budget;
+use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::WorkerId;
+use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::latency::LatencyModel;
@@ -65,19 +71,35 @@ impl Tally {
     }
 }
 
-/// A fixed mix of batched and sequential asks over 60 binary tasks:
+/// How step 2 of [`drive`] buys one answer.
+type AskOne = fn(&SimulatedCrowd, &Task) -> Result<Answer>;
+
+fn via_ask_one(crowd: &SimulatedCrowd, task: &Task) -> Result<Answer> {
+    crowd.ask_one(task)
+}
+
+/// One answer through [`CrowdOracle::ask`], or its shortfall as the error.
+fn via_ask(crowd: &SimulatedCrowd, task: &Task) -> Result<Answer> {
+    let mut out = crowd.ask(&AskRequest::new(task))?;
+    match out.answers.pop() {
+        Some(a) => Ok(a),
+        None => Err(out.shortfall.unwrap_or(CrowdError::NoWorkerAvailable)),
+    }
+}
+
+/// A fixed mix of batched and single asks over 60 binary tasks:
 ///
 /// 1. a batch of 3 answers for the first 40 tasks, where every fifth
 ///    request excludes two pool workers, an id outside the pool, a raw id
 ///    the pool may or may not hold, and a duplicate;
-/// 2. `ask_one` on tasks 30–59, a third of them already reserved by the
-///    batch;
+/// 2. one answer, through `one`, on each of tasks 30–59, a third of them
+///    already reserved by the batch;
 /// 3. a batch of 2 more answers for all 60, where every third request
 ///    excludes workers the task already holds (from step 1 or 2, one of
 ///    them twice), a pool worker and an id outside the pool.
 ///
 /// Returns the tally: the digest also covers the final clock and spend.
-fn drive(crowd: &SimulatedCrowd, seed: u64, max_service: f64) -> Tally {
+fn drive(crowd: &SimulatedCrowd, seed: u64, max_service: f64, one: AskOne) -> Tally {
     let tasks = LabelingDataset::binary(60, seed).tasks;
     let ids: Vec<WorkerId> = crowd.population().workers().iter().map(|w| w.id).collect();
     let mut tally = Tally {
@@ -109,7 +131,7 @@ fn drive(crowd: &SimulatedCrowd, seed: u64, max_service: f64) -> Tally {
 
     for t in &tasks[30..] {
         let before = crowd.now();
-        match crowd.ask_one(t) {
+        match one(crowd, t) {
             Ok(a) => tally.answer(&a, before),
             Err(e) => tally.digest.bytes(format!("{e:?}").as_bytes()),
         }
@@ -139,18 +161,26 @@ fn drive(crowd: &SimulatedCrowd, seed: u64, max_service: f64) -> Tally {
     tally
 }
 
+/// Drives a fresh platform from `build` through `ask_one` and through a
+/// one-answer `ask`, asserts both give `want`, and returns the first run.
+fn pinned(build: impl Fn() -> SimulatedCrowd, seed: u64, max_service: f64, want: u64) -> Tally {
+    let run = drive(&build(), seed, max_service, via_ask_one);
+    let via_ask = drive(&build(), seed, max_service, via_ask);
+    assert_eq!(run.digest.0, want, "ask_one digest {:#X}", run.digest.0);
+    assert_eq!(via_ask.digest.0, want, "ask digest {:#X}", via_ask.digest.0);
+    run
+}
+
 #[test]
 fn plain_pool_streams_are_pinned() {
-    let crowd = PlatformBuilder::new(mixes::mixed(50, 3))
-        .latency(LatencyModel::human_default())
-        .seed(11)
-        .threads(2)
-        .build();
-    // Recorded with the original worker pick, which scanned the whole pool.
-    assert_eq!(
-        drive(&crowd, 11, f64::INFINITY).digest.0,
-        0xA856_F458_8A62_7F6B
-    );
+    let build = || {
+        PlatformBuilder::new(mixes::mixed(50, 3))
+            .latency(LatencyModel::human_default())
+            .seed(11)
+            .threads(2)
+            .build()
+    };
+    pinned(build, 11, f64::INFINITY, 0xAFF9_070B_B0D4_DB92);
 }
 
 #[test]
@@ -160,19 +190,19 @@ fn churned_pool_streams_are_pinned() {
     // the earliest arrival. A constant service time makes those waits
     // visible from outside: only a wait serves an answer later than one
     // service time after its ask started.
-    let crowd = PlatformBuilder::new(mixes::mixed(30, 4))
-        .churn(Churn {
-            duty_cycle: 0.05,
-            period: 600.0,
-        })
-        .latency(LatencyModel::Constant { secs: 30.0 })
-        .seed(12)
-        .threads(2)
-        .build();
-    let run = drive(&crowd, 12, 30.0);
+    let build = || {
+        PlatformBuilder::new(mixes::mixed(30, 4))
+            .churn(Churn {
+                duty_cycle: 0.05,
+                period: 600.0,
+            })
+            .latency(LatencyModel::Constant { secs: 30.0 })
+            .seed(12)
+            .threads(2)
+            .build()
+    };
+    let run = pinned(build, 12, 30.0, 0x9932_B903_CD79_A755);
     assert!(run.waits > 0, "no pick waited for an arrival");
-    // Recorded with the original worker pick, which scanned the whole pool.
-    assert_eq!(run.digest.0, 0xACAA_F48C_C102_6EC6);
 }
 
 #[test]
@@ -180,22 +210,24 @@ fn qualified_pool_streams_are_pinned() {
     // Screening leaves a pool whose worker ids are not dense; the budget
     // covers screening (60 × 6) and part of the asks, so the run ends in
     // budget shortfalls.
-    let crowd = PlatformBuilder::new(mixes::spam_heavy(60, 5))
-        .qualification(Qualification {
-            questions: 6,
-            pass_fraction: 0.7,
-            difficulty: 0.2,
-        })
-        .churn(Churn {
-            duty_cycle: 0.5,
-            period: 600.0,
-        })
-        .budget(Budget::new(560.0))
-        .latency(LatencyModel::human_default())
-        .seed(13)
-        .threads(2)
-        .build();
-    let ids: Vec<u64> = crowd
+    let build = || {
+        PlatformBuilder::new(mixes::spam_heavy(60, 5))
+            .qualification(Qualification {
+                questions: 6,
+                pass_fraction: 0.7,
+                difficulty: 0.2,
+            })
+            .churn(Churn {
+                duty_cycle: 0.5,
+                period: 600.0,
+            })
+            .budget(Budget::new(560.0))
+            .latency(LatencyModel::human_default())
+            .seed(13)
+            .threads(2)
+            .build()
+    };
+    let ids: Vec<u64> = build()
         .population()
         .workers()
         .iter()
@@ -205,9 +237,5 @@ fn qualified_pool_streams_are_pinned() {
         ids.iter().enumerate().any(|(i, &id)| id != i as u64),
         "screening must leave a pool with gaps in its ids: {ids:?}"
     );
-    // Recorded with the original worker pick, which scanned the whole pool.
-    assert_eq!(
-        drive(&crowd, 13, f64::INFINITY).digest.0,
-        0x2A2F_9FB6_8BB7_8E22
-    );
+    pinned(build, 13, f64::INFINITY, 0xD120_12BC_36EE_A9C8);
 }

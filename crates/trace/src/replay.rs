@@ -68,7 +68,7 @@ pub struct ExperimentSpan {
     pub id: String,
     /// Total events observed inside the span, markers included.
     pub events: u64,
-    /// Crowd answers delivered (from `platform.batch`/`platform.ask`).
+    /// Crowd answers delivered (from `platform.batch`).
     pub questions: u64,
     /// Currency spent.
     pub spend: f64,
@@ -155,19 +155,6 @@ impl SpanBuilder {
                 if exec > 0 {
                     self.frame(&["platform.batch", "exec"]).wall_ns += exec;
                 }
-            }
-            "platform.ask" => {
-                let delivered = e.field_u64("delivered").unwrap_or(0);
-                let spend = e.field_f64("spend").unwrap_or(0.0);
-                let makespan = e.field_f64("makespan").unwrap_or(0.0);
-                self.questions += delivered;
-                self.spend += spend;
-                self.makespan += makespan;
-                let f = self.frame(&["platform.ask"]);
-                f.events += 1;
-                f.questions += delivered;
-                f.spend += spend;
-                f.makespan += makespan;
             }
             "platform.assign" => {
                 // Per-assignment detail inside a batch's execution phase.

@@ -20,8 +20,12 @@
 //!
 //! [`driver::run_assignment`] executes any policy against a
 //! [`crowdkit_core::traits::CrowdOracle`] under a question budget and
-//! returns the collected matrix, ready for truth inference. Experiment E8
-//! sweeps the policies under identical budgets.
+//! returns the collected matrix, ready for truth inference. It buys in
+//! waves, and a policy plans each wave in one
+//! [`next_wave`](policy::AssignmentPolicy::next_wave) call: the scoring
+//! policies score each open task once per wave and pick from a heap, so a
+//! wave of `w` over `n` tasks costs O(n + w log n). Experiment E8 sweeps
+//! the policies under identical budgets.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,4 +1,11 @@
 //! Assignment policies.
+//!
+//! A policy plans a whole wave at once. No answer comes back within a
+//! wave, so a task's votes, and with them its score, stay fixed there; a
+//! pick changes only the picked task's answer count.
+
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crowdkit_core::metrics::entropy;
 use rand::rngs::StdRng;
@@ -10,10 +17,6 @@ use rand::{Rng, SeedableRng};
 pub struct AssignState {
     /// `votes[t][l]` = answers so far labelling task `t` as `l`.
     pub votes: Vec<Vec<u32>>,
-    /// Answers requested but not yet received, per task. The batched
-    /// driver marks a task pending while assembling a wave so a policy
-    /// called repeatedly does not pile the whole wave onto one task.
-    pub pending: Vec<u32>,
     /// Hard per-task cap on answers (platforms bound assignments per HIT).
     pub max_answers_per_task: u32,
 }
@@ -23,17 +26,16 @@ impl AssignState {
     pub fn new(n_tasks: usize, k: usize, max_answers_per_task: u32) -> Self {
         Self {
             votes: vec![vec![0u32; k]; n_tasks],
-            pending: vec![0u32; n_tasks],
             max_answers_per_task,
         }
     }
 
-    /// Total answers task `t` has received or has in flight.
+    /// Total answers task `t` has received.
     pub fn count(&self, t: usize) -> u32 {
-        self.votes[t].iter().sum::<u32>() + self.pending[t]
+        self.votes[t].iter().sum()
     }
 
-    /// Tasks that can still receive answers.
+    /// Tasks that can still receive answers, in index order.
     pub fn open_tasks(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.votes.len()).filter(move |&t| self.count(t) < self.max_answers_per_task)
     }
@@ -41,16 +43,6 @@ impl AssignState {
     /// Records an answer.
     pub fn record(&mut self, t: usize, label: u32) {
         self.votes[t][label as usize] += 1;
-    }
-
-    /// Marks one in-flight ask for task `t`.
-    pub fn note_pending(&mut self, t: usize) {
-        self.pending[t] += 1;
-    }
-
-    /// Clears all in-flight marks (the wave came back).
-    pub fn clear_pending(&mut self) {
-        self.pending.iter_mut().for_each(|p| *p = 0);
     }
 
     /// Smoothed posterior over labels for task `t` (votes + 1 Laplace).
@@ -64,14 +56,79 @@ impl AssignState {
     }
 }
 
-/// Chooses the next task to buy an answer for.
+/// Plans which tasks to buy answers for.
 pub trait AssignmentPolicy {
     /// Short name for experiment tables.
     fn name(&self) -> &'static str;
 
-    /// The task index to ask about next, or `None` when every task is at
-    /// its cap (or the policy decides to stop).
-    fn next_task(&mut self, state: &AssignState) -> Option<usize>;
+    /// The next wave: at most `cap` task indices in ask order, a task
+    /// repeated once per answer wanted. No task is taken past
+    /// [`AssignState::max_answers_per_task`], counting the wave's own
+    /// picks. Shorter than `cap` only when every task reaches its cap
+    /// (or the policy decides to stop); empty ends collection.
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize>;
+}
+
+/// A task's place in a wave's heap. The greatest key is picked next: the
+/// highest score by `total_cmp`, then the fewest answers, counting the
+/// wave's earlier picks, then the smallest index.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    score: f64,
+    count: u32,
+    task: usize,
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then_with(|| other.count.cmp(&self.count))
+            .then_with(|| other.task.cmp(&self.task))
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Key {}
+
+/// Plans a wave greedily by `score`, which must depend only on a task's
+/// votes: each open task is scored once into a max-heap, then the
+/// greatest [`Key`] is picked `cap` times, its count rising by one per
+/// pick until the task reaches its cap. O(n + w log n) for `n` tasks and
+/// a wave of `w`.
+fn plan_by_score(state: &AssignState, cap: usize, score: impl Fn(usize) -> f64) -> Vec<usize> {
+    let max = state.max_answers_per_task;
+    let mut heap: BinaryHeap<Key> = state
+        .open_tasks()
+        .map(|task| Key {
+            score: score(task),
+            count: state.count(task),
+            task,
+        })
+        .collect();
+    let mut wave = Vec::with_capacity(cap.min(heap.len()));
+    while wave.len() < cap {
+        let Some(mut top) = heap.peek_mut() else {
+            break;
+        };
+        wave.push(top.task);
+        top.count += 1;
+        if top.count >= max {
+            PeekMut::pop(top);
+        }
+    }
+    wave
 }
 
 /// Uniform random among open tasks.
@@ -94,13 +151,23 @@ impl AssignmentPolicy for RandomAssign {
         "random"
     }
 
-    fn next_task(&mut self, state: &AssignState) -> Option<usize> {
-        let open: Vec<usize> = state.open_tasks().collect();
-        if open.is_empty() {
-            None
-        } else {
-            Some(open[self.rng.gen_range(0..open.len())])
+    /// Each pick draws uniformly from the open tasks in index order. The
+    /// list is built once per wave and a task leaves it when the wave's
+    /// picks bring it to its cap.
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize> {
+        let max = state.max_answers_per_task;
+        let mut open: Vec<(usize, u32)> = state.open_tasks().map(|t| (t, state.count(t))).collect();
+        let mut wave = Vec::with_capacity(cap.min(open.len()));
+        while wave.len() < cap && !open.is_empty() {
+            let i = self.rng.gen_range(0..open.len());
+            let (task, count) = &mut open[i];
+            wave.push(*task);
+            *count += 1;
+            if *count >= max {
+                open.remove(i);
+            }
         }
+        wave
     }
 }
 
@@ -114,8 +181,8 @@ impl AssignmentPolicy for RoundRobin {
         "round_robin"
     }
 
-    fn next_task(&mut self, state: &AssignState) -> Option<usize> {
-        state.open_tasks().min_by_key(|&t| (state.count(t), t))
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize> {
+        plan_by_score(state, cap, |_| 0.0)
     }
 }
 
@@ -131,17 +198,8 @@ impl AssignmentPolicy for EntropyGreedy {
         "entropy"
     }
 
-    fn next_task(&mut self, state: &AssignState) -> Option<usize> {
-        state
-            .open_tasks()
-            .map(|t| (t, entropy(&state.posterior(t))))
-            // Ties → fewest answers, then smallest index, for determinism.
-            .max_by(|(ta, ea), (tb, eb)| {
-                ea.total_cmp(eb)
-                    .then_with(|| state.count(*tb).cmp(&state.count(*ta)))
-                    .then_with(|| tb.cmp(ta))
-            })
-            .map(|(t, _)| t)
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize> {
+        plan_by_score(state, cap, |t| entropy(&state.posterior(t)))
     }
 }
 
@@ -192,6 +250,13 @@ impl ExpectedAccuracyGain {
         }
         expected
     }
+
+    /// Expected gain in max-posterior from one more answer on task `t`.
+    fn gain(&self, state: &AssignState, t: usize) -> f64 {
+        let post = state.posterior(t);
+        let current = post.iter().cloned().fold(0.0, f64::max);
+        self.expected_after_one(&post) - current
+    }
 }
 
 impl AssignmentPolicy for ExpectedAccuracyGain {
@@ -199,21 +264,8 @@ impl AssignmentPolicy for ExpectedAccuracyGain {
         "expected_gain"
     }
 
-    fn next_task(&mut self, state: &AssignState) -> Option<usize> {
-        state
-            .open_tasks()
-            .map(|t| {
-                let post = state.posterior(t);
-                let current = post.iter().cloned().fold(0.0, f64::max);
-                let gain = self.expected_after_one(&post) - current;
-                (t, gain)
-            })
-            .max_by(|(ta, ga), (tb, gb)| {
-                ga.total_cmp(gb)
-                    .then_with(|| state.count(*tb).cmp(&state.count(*ta)))
-                    .then_with(|| tb.cmp(ta))
-            })
-            .map(|(t, _)| t)
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize> {
+        plan_by_score(state, cap, |t| self.gain(state, t))
     }
 }
 
@@ -246,11 +298,14 @@ mod tests {
         let mut p = RoundRobin;
         let mut order = Vec::new();
         for _ in 0..6 {
-            let t = p.next_task(&s).unwrap();
+            let t = p.next_wave(&s, 1)[0];
             order.push(t);
             s.record(t, 0);
         }
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
+        // One wave counts its own picks the same way.
+        let s = AssignState::new(3, 2, 5);
+        assert_eq!(p.next_wave(&s, 6), vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -259,7 +314,10 @@ mod tests {
         let mut p = RoundRobin;
         s.record(0, 0);
         s.record(1, 0);
-        assert_eq!(p.next_task(&s), None);
+        assert_eq!(p.next_wave(&s, 1), Vec::<usize>::new());
+        // A wave stops where the caps do, short of the wave cap.
+        let s = AssignState::new(2, 2, 2);
+        assert_eq!(p.next_wave(&s, 10), vec![0, 1, 0, 1]);
     }
 
     #[test]
@@ -274,7 +332,7 @@ mod tests {
         s.record(1, 0);
         s.record(1, 1);
         let mut p = EntropyGreedy;
-        assert_eq!(p.next_task(&s), Some(1));
+        assert_eq!(p.next_wave(&s, 1), vec![1]);
     }
 
     #[test]
@@ -283,7 +341,19 @@ mod tests {
         s.record(0, 0);
         s.record(2, 1);
         let mut p = EntropyGreedy;
-        assert_eq!(p.next_task(&s), Some(1), "fresh task has max entropy");
+        assert_eq!(p.next_wave(&s, 1), vec![1], "fresh task has max entropy");
+    }
+
+    #[test]
+    fn entropy_greedy_wave_repeats_the_best_task_up_to_its_cap() {
+        // Scores stay fixed within a wave: the fresh task keeps the highest
+        // entropy and takes picks until its cap, then the next most
+        // uncertain task does.
+        let mut s = AssignState::new(3, 2, 3);
+        s.record(0, 0);
+        s.record(2, 1);
+        s.record(2, 1);
+        assert_eq!(EntropyGreedy.next_wave(&s, 5), vec![1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -298,7 +368,7 @@ mod tests {
         s.record(1, 0);
         s.record(1, 1);
         let mut p = ExpectedAccuracyGain::default();
-        assert_eq!(p.next_task(&s), Some(1));
+        assert_eq!(p.next_wave(&s, 1), vec![1]);
     }
 
     #[test]
@@ -321,14 +391,16 @@ mod tests {
         let s = AssignState::new(5, 2, 3);
         let pick = |seed: u64| -> Vec<usize> {
             let mut p = RandomAssign::new(seed);
-            (0..10).filter_map(|_| p.next_task(&s)).collect()
+            (0..10).flat_map(|_| p.next_wave(&s, 1)).collect()
         };
         assert_eq!(pick(1), pick(1));
         let mut s2 = AssignState::new(2, 2, 1);
         s2.record(0, 0);
         let mut p = RandomAssign::new(0);
         for _ in 0..10 {
-            assert_eq!(p.next_task(&s2), Some(1), "task 0 is capped");
+            assert_eq!(p.next_wave(&s2, 1), vec![1], "task 0 is capped");
         }
+        // Within a wave, task 1 leaves the open list once it is capped.
+        assert_eq!(p.next_wave(&s2, 3), vec![1]);
     }
 }

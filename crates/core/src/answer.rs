@@ -96,9 +96,7 @@ impl AnswerValue {
         match (self, other) {
             (AnswerValue::Choice(a), AnswerValue::Choice(b)) => a == b,
             (AnswerValue::Number(a), AnswerValue::Number(b)) => (a - b).abs() < 1e-9,
-            (AnswerValue::Text(a), AnswerValue::Text(b)) => {
-                a.trim().eq_ignore_ascii_case(b.trim())
-            }
+            (AnswerValue::Text(a), AnswerValue::Text(b)) => a.trim().eq_ignore_ascii_case(b.trim()),
             (AnswerValue::Prefer(a), AnswerValue::Prefer(b)) => a == b,
             (AnswerValue::Items(a), AnswerValue::Items(b)) => {
                 let norm = |v: &[String]| {
@@ -192,7 +190,10 @@ mod tests {
     #[test]
     fn type_names_are_stable() {
         assert_eq!(AnswerValue::Choice(0).type_name(), "choice");
-        assert_eq!(AnswerValue::Prefer(Preference::Left).type_name(), "preference");
+        assert_eq!(
+            AnswerValue::Prefer(Preference::Left).type_name(),
+            "preference"
+        );
     }
 
     #[test]

@@ -79,10 +79,16 @@ impl fmt::Display for CrowdError {
             ),
             CrowdError::NoWorkerAvailable => write!(f, "no worker available for the task"),
             CrowdError::AnswerTypeMismatch { expected, found } => {
-                write!(f, "answer type mismatch: expected {expected}, found {found}")
+                write!(
+                    f,
+                    "answer type mismatch: expected {expected}, found {found}"
+                )
             }
             CrowdError::LabelOutOfRange { label, space } => {
-                write!(f, "label {label} out of range for label space of size {space}")
+                write!(
+                    f,
+                    "label {label} out of range for label space of size {space}"
+                )
             }
             CrowdError::EmptyInput(what) => write!(f, "empty input: {what}"),
             CrowdError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
@@ -150,7 +156,10 @@ mod tests {
         assert!(s.contains("0.2500"));
 
         let p = CrowdError::parse(3, 14, "unexpected token `FROM`");
-        assert_eq!(p.to_string(), "parse error at 3:14: unexpected token `FROM`");
+        assert_eq!(
+            p.to_string(),
+            "parse error at 3:14: unexpected token `FROM`"
+        );
 
         let b = CrowdError::bind(2, 8, "unknown column `price`");
         assert_eq!(b.to_string(), "bind error at 2:8: unknown column `price`");

@@ -28,7 +28,10 @@ impl LabelSpace {
         S: Into<String>,
     {
         let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        assert!(!names.is_empty(), "label space must contain at least one label");
+        assert!(
+            !names.is_empty(),
+            "label space must contain at least one label"
+        );
         Self {
             names: names.into(),
         }

@@ -15,7 +15,7 @@
 //!   algorithms.
 //! * [`traits`] — the extension points: [`traits::CrowdOracle`],
 //!   [`traits::TruthInferencer`], [`traits::StoppingRule`].
-//! * [`par`] — deterministic data-parallel primitives (the scoped-pool
+//! * [`par`] — deterministic data-parallel primitives (the scoped-thread
 //!   chunking pattern shared by the simulator and the inference kernels).
 //! * [`budget`] — cost models and budget ledgers.
 //! * [`metrics`] — evaluation metrics (accuracy, F1, Kendall tau, cluster

@@ -16,12 +16,11 @@ use std::collections::BTreeMap;
 /// Panics if the slices have different lengths or are empty.
 pub fn accuracy<T: PartialEq>(predicted: &[T], truth: &[T]) -> f64 {
     assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    assert!(!predicted.is_empty(), "accuracy of empty slices is undefined");
-    let correct = predicted
-        .iter()
-        .zip(truth)
-        .filter(|(p, t)| p == t)
-        .count();
+    assert!(
+        !predicted.is_empty(),
+        "accuracy of empty slices is undefined"
+    );
+    let correct = predicted.iter().zip(truth).filter(|(p, t)| p == t).count();
     correct as f64 / predicted.len() as f64
 }
 
@@ -209,7 +208,10 @@ where
     B: PartialEq,
 {
     assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    assert!(!predicted.is_empty(), "cluster F1 of empty input is undefined");
+    assert!(
+        !predicted.is_empty(),
+        "cluster F1 of empty input is undefined"
+    );
     let n = predicted.len();
     let mut c = PrecisionRecall {
         tp: 0,
@@ -239,7 +241,10 @@ where
 /// # Panics
 /// Panics if the distribution is empty, has negative entries, or sums to 0.
 pub fn entropy(dist: &[f64]) -> f64 {
-    assert!(!dist.is_empty(), "entropy of empty distribution is undefined");
+    assert!(
+        !dist.is_empty(),
+        "entropy of empty distribution is undefined"
+    );
     let sum: f64 = dist.iter().sum();
     assert!(
         sum > 0.0 && dist.iter().all(|&p| p >= 0.0),
@@ -473,12 +478,7 @@ pub fn cohens_kappa(rater_a: &[u32], rater_b: &[u32]) -> f64 {
         .max()
         .expect("non-empty") as usize // crowdkit-lint: allow(PANIC001) — rater_a asserted non-empty above, so the chain has a max
         + 1;
-    let observed = rater_a
-        .iter()
-        .zip(rater_b)
-        .filter(|(a, b)| a == b)
-        .count() as f64
-        / n;
+    let observed = rater_a.iter().zip(rater_b).filter(|(a, b)| a == b).count() as f64 / n;
     let mut pa = vec![0.0f64; k];
     let mut pb = vec![0.0f64; k];
     for (&a, &b) in rater_a.iter().zip(rater_b) {
@@ -515,7 +515,11 @@ pub fn fleiss_kappa(counts: &[Vec<u32>]) -> f64 {
     let mut label_share = vec![0.0f64; k];
     for row in counts {
         assert_eq!(row.len(), k, "ragged label counts");
-        assert_eq!(row.iter().sum::<u32>(), r, "items must have equal rating counts");
+        assert_eq!(
+            row.iter().sum::<u32>(),
+            r,
+            "items must have equal rating counts"
+        );
         let agree: f64 = row.iter().map(|&c| (c as f64) * (c as f64 - 1.0)).sum();
         p_item_sum += agree / (rf * (rf - 1.0));
         for (l, &c) in row.iter().enumerate() {

@@ -1,13 +1,17 @@
 //! Deterministic data-parallel primitives shared across the workspace.
 //!
 //! Both the platform simulator (`crowdkit-sim`) and the truth-inference
-//! kernels (`crowdkit-truth`) parallelize with the same scoped-pool
-//! pattern: the input is split into **contiguous, position-determined
-//! chunks** (never work-stealing), each chunk is processed by one scoped
-//! thread, and outputs are reassembled in chunk order. Because chunking
-//! depends only on input length — and every per-item computation is a pure
-//! function of its item — results are byte-identical at any thread count.
-//! Thread count is a perf knob, not a semantics knob.
+//! kernels (`crowdkit-truth`) parallelize with the same scoped pattern:
+//! the input is split into **contiguous, position-determined chunks**
+//! (never work-stealing), the calling thread works chunk 0 while one
+//! `std::thread::scope` thread works each other chunk (so a region `w`
+//! wide spawns `w − 1` threads), and outputs are reassembled in chunk
+//! order. Because chunking depends only on input length — and every
+//! per-item computation is a pure function of its item — results are
+//! byte-identical at any thread count. Thread count is a perf knob, not a
+//! semantics knob, and a cap: a region runs on at most the threads it is
+//! given, and on the caller alone when it has too little work to split. A
+//! panic in any chunk reaches the caller with its own payload.
 //!
 //! The rule the helpers enforce (the *deterministic-reduction rule*): a
 //! parallel region may only write disjoint, position-assigned outputs.
@@ -16,20 +20,64 @@
 //! partials in shard order with shard boundaries independent of the thread
 //! count.
 
+use std::cell::Cell;
+
 /// Fewest items worth a thread of their own in [`parallel_map`]. Measured
-/// on a 2-vCPU host with the platform's execution step (~55 ns an item):
-/// spawning two scoped threads cost ~55 µs, so two threads first beat one
-/// at about 2,048 items each.
+/// on a 2-vCPU host with the platform's execution step (~55 ns an item),
+/// when a 2-wide region still spawned two threads and left the caller
+/// idle: spawning them cost ~55 µs, so two threads first beat one at about
+/// 2,048 items each.
 const MIN_ITEMS_PER_THREAD: usize = 2048;
 
-/// Applies `f` to every item, fanning out across up to `threads` scoped
-/// workers, and returns the results **in input order**.
+thread_local! {
+    static FORKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many parallel regions the calling thread has forked, i.e. run on
+/// more than one thread. Widths are caps, so a test comparing widths
+/// reads this around its wide run to prove the run really forked.
+pub fn forks() -> u64 {
+    FORKS.get()
+}
+
+/// Runs `work` on every chunk and returns the results in chunk order:
+/// chunk 0 on the calling thread, each other chunk on a scoped thread of
+/// its own. A panic in the caller's chunk propagates once the helpers have
+/// finished; otherwise the first helper (in chunk order) that panicked
+/// re-raises its payload on the caller.
+fn fork<C, R>(chunks: impl IntoIterator<Item = C>, work: impl Fn(C) -> R + Sync) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+{
+    let mut chunks = chunks.into_iter();
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    FORKS.set(FORKS.get() + 1);
+    let work = &work;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = chunks.map(|c| s.spawn(move || work(c))).collect();
+        let mut out = Vec::with_capacity(helpers.len() + 1);
+        out.push(work(first));
+        for h in helpers {
+            out.push(
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        out
+    })
+}
+
+/// Applies `f` to every item, fanning out across at most `threads`
+/// threads (the caller's included), and returns the results **in input
+/// order**.
 ///
-/// Items are split into contiguous chunks (one per worker) so the output
+/// Items are split into contiguous chunks (one per thread) so the output
 /// permutation — and therefore every determinism property downstream — is
-/// independent of scheduling. At most one thread is spawned per 2,048
-/// items, so small inputs run as a plain sequential map on the calling
-/// thread.
+/// independent of scheduling. Every thread gets at least 2,048 items, so
+/// small inputs run as a plain sequential map on the calling thread.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -42,43 +90,25 @@ where
     }
 
     let chunk_len = items.len().div_ceil(threads);
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(c, chunk)| (c * chunk_len, chunk))
-        .collect();
-
-    let results: Vec<Vec<R>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
+    let runs = fork(items.chunks(chunk_len).enumerate(), |(c, chunk)| {
+        let base = c * chunk_len;
+        chunk
             .iter()
-            .map(|&(base, chunk)| {
-                let f = &f;
-                s.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(base + i, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel_map worker panicked")) // crowdkit-lint: allow(PANIC001) — re-raises a child-thread panic; join fails only when the child panicked
-            .collect()
-    })
-    .expect("parallel_map scope panicked"); // crowdkit-lint: allow(PANIC001) — scope errors only report child panics, which must propagate
-
+            .enumerate()
+            .map(|(i, t)| f(base + i, t))
+            .collect::<Vec<R>>()
+    });
     let mut out = Vec::with_capacity(items.len());
-    for chunk in results {
-        out.extend(chunk);
+    for run in runs {
+        out.extend(run);
     }
     out
 }
 
 /// Splits `data` — a flat buffer of consecutive fixed-size items, each
-/// `item_len` elements — into contiguous runs of whole items and applies
-/// `f(first_item_index, run)` to each run on its own scoped thread.
+/// `item_len` elements — into at most `threads` contiguous runs of whole
+/// items and applies `f(first_item_index, run)` to each run on a thread of
+/// its own, the first run on the calling thread.
 ///
 /// This is the mutable counterpart of [`parallel_map`] for kernels that
 /// fill a preallocated flat output (posterior tables, confusion matrices)
@@ -116,13 +146,10 @@ where
     }
 
     let chunk_items = n_items.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (c, chunk) in data.chunks_mut(chunk_items * item_len).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(c * chunk_items, chunk));
-        }
-    })
-    .expect("parallel_items_mut scope panicked"); // crowdkit-lint: allow(PANIC001) — scope errors only report child panics, which must propagate
+    fork(
+        data.chunks_mut(chunk_items * item_len).enumerate(),
+        |(c, chunk)| f(c * chunk_items, chunk),
+    );
 }
 
 /// The active-set counterpart of [`parallel_items_mut`]: processes one
@@ -206,16 +233,54 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_spawns_one_thread_per_full_share() {
+    fn parallel_map_uses_one_thread_per_full_share_the_caller_first() {
         let caller = std::thread::current().id();
         let threads_used = |n: usize, threads: usize| {
+            let before = forks();
             let ids = parallel_map(&vec![0u8; n], threads, |_, _| std::thread::current().id());
+            assert_eq!(ids[0], caller, "the caller works chunk 0");
             let distinct: std::collections::HashSet<_> = ids.iter().collect();
-            (distinct.len(), distinct.contains(&caller))
+            (distinct.len(), forks() - before)
         };
-        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD - 1, 8), (1, true));
-        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD, 8), (2, false));
-        assert_eq!(threads_used(5 * MIN_ITEMS_PER_THREAD + 7, 4), (4, false));
+        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD - 1, 8), (1, 0));
+        assert_eq!(threads_used(2 * MIN_ITEMS_PER_THREAD, 8), (2, 1));
+        assert_eq!(threads_used(5 * MIN_ITEMS_PER_THREAD + 7, 4), (4, 1));
+    }
+
+    /// Runs `run`, which must panic, and returns the payload that reached
+    /// this thread: the index of the chunk that panicked.
+    fn panicking_chunk(run: impl FnOnce()) -> usize {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("a chunk panicked");
+        *payload
+            .downcast::<usize>()
+            .expect("the chunk's own payload")
+    }
+
+    #[test]
+    fn chunk_panics_reach_the_caller_with_their_payload() {
+        // Four chunks at width 4; chunk 0 is the caller's, chunk 2 a
+        // helper's.
+        let items = vec![0u8; 4 * MIN_ITEMS_PER_THREAD];
+        let mut buf = vec![0u8; 4 * 3];
+        for bad in [0, 2] {
+            let got = panicking_chunk(|| {
+                parallel_map(&items, 4, |i, _| {
+                    if i / MIN_ITEMS_PER_THREAD == bad {
+                        std::panic::panic_any(bad);
+                    }
+                });
+            });
+            assert_eq!(got, bad, "parallel_map");
+            let got = panicking_chunk(|| {
+                parallel_items_mut(&mut buf, 3, 4, |first, _| {
+                    if first == bad {
+                        std::panic::panic_any(bad);
+                    }
+                });
+            });
+            assert_eq!(got, bad, "parallel_items_mut");
+        }
     }
 
     #[test]
@@ -284,7 +349,11 @@ mod tests {
                 item[0] = slot;
                 item[1] = entity;
             });
-            assert_eq!(&scratch[..expect.len()], &expect[..], "bad fill at {threads} threads");
+            assert_eq!(
+                &scratch[..expect.len()],
+                &expect[..],
+                "bad fill at {threads} threads"
+            );
             assert!(scratch[expect.len()..].iter().all(|&x| x == usize::MAX));
         }
     }

@@ -290,20 +290,24 @@ impl ResponseMatrix {
 
     /// Observations on dense task index `t`, in insertion order.
     pub fn observations_for_task(&self, t: usize) -> impl Iterator<Item = Observation> + '_ {
-        self.task_entries(t).iter().map(move |&(w, label)| Observation {
-            task: t,
-            worker: w as usize,
-            label,
-        })
+        self.task_entries(t)
+            .iter()
+            .map(move |&(w, label)| Observation {
+                task: t,
+                worker: w as usize,
+                label,
+            })
     }
 
     /// Observations by dense worker index `w`, in insertion order.
     pub fn observations_by_worker(&self, w: usize) -> impl Iterator<Item = Observation> + '_ {
-        self.worker_entries(w).iter().map(move |&(t, label)| Observation {
-            task: t as usize,
-            worker: w,
-            label,
-        })
+        self.worker_entries(w)
+            .iter()
+            .map(move |&(t, label)| Observation {
+                task: t as usize,
+                worker: w,
+                label,
+            })
     }
 
     /// Number of answers each worker gave, indexed densely.
@@ -376,7 +380,10 @@ mod tests {
     fn out_of_range_label_rejected() {
         let mut m = ResponseMatrix::new(2);
         let err = m.push(tid(0), wid(0), 2).unwrap_err();
-        assert!(matches!(err, CrowdError::LabelOutOfRange { label: 2, space: 2 }));
+        assert!(matches!(
+            err,
+            CrowdError::LabelOutOfRange { label: 2, space: 2 }
+        ));
         assert!(m.is_empty());
     }
 

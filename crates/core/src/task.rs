@@ -206,7 +206,10 @@ mod tests {
         assert!(!sc.accepts(&AnswerValue::Choice(2)), "out-of-range label");
         assert!(!sc.accepts(&AnswerValue::Number(1.0)), "wrong variant");
 
-        let num = TaskKind::Numeric { min: 0.0, max: 10.0 };
+        let num = TaskKind::Numeric {
+            min: 0.0,
+            max: 10.0,
+        };
         assert!(num.accepts(&AnswerValue::Number(5.0)));
         assert!(!num.accepts(&AnswerValue::Number(11.0)));
         assert!(!num.accepts(&AnswerValue::Number(f64::NAN)));
@@ -242,7 +245,10 @@ mod tests {
 
     #[test]
     fn num_labels_only_for_single_choice() {
-        assert_eq!(Task::multiclass(TaskId::new(0), 4, "which?").num_labels(), Some(4));
+        assert_eq!(
+            Task::multiclass(TaskId::new(0), 4, "which?").num_labels(),
+            Some(4)
+        );
         assert_eq!(
             Task::pairwise(TaskId::new(1), ItemId::new(0), ItemId::new(1)).num_labels(),
             None

@@ -320,7 +320,11 @@ mod tests {
                 if n >= 2 {
                     return Err(CrowdError::Execution("wire fault".into()));
                 }
-                Ok(Answer::bare(task.id, WorkerId::new(n), AnswerValue::Choice(1)))
+                Ok(Answer::bare(
+                    task.id,
+                    WorkerId::new(n),
+                    AnswerValue::Choice(1),
+                ))
             }
             fn remaining_budget(&self) -> Option<f64> {
                 None
@@ -329,16 +333,22 @@ mod tests {
                 self.calls.get()
             }
         }
-        let o = FlakyOracle { calls: Cell::new(0) };
+        let o = FlakyOracle {
+            calls: Cell::new(0),
+        };
         let task = Task::binary(TaskId::new(0), "q");
-        let out = o.ask(&crate::ask::AskRequest::new(&task).with_redundancy(5)).unwrap();
+        let out = o
+            .ask(&crate::ask::AskRequest::new(&task).with_redundancy(5))
+            .unwrap();
         assert_eq!(out.delivered(), 2, "purchased answers survive the failure");
         assert!(matches!(out.shortfall, Some(CrowdError::Execution(_))));
         // A failure before anything was purchased still propagates.
         let err = o.ask(&crate::ask::AskRequest::new(&task)).unwrap_err();
         assert!(matches!(err, CrowdError::Execution(_)));
         // ask_many now returns the partial purchase instead of dropping it.
-        let o2 = FlakyOracle { calls: Cell::new(0) };
+        let o2 = FlakyOracle {
+            calls: Cell::new(0),
+        };
         assert_eq!(o2.ask_many(&task, 5).unwrap().len(), 2);
     }
 

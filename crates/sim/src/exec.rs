@@ -7,8 +7,8 @@
 //!    planned assignment gets its own [`derive_seed`]-derived RNG stream.
 //! 2. **Execute** (parallel): answer values and latency draws are computed
 //!    from the per-assignment streams with [`parallel_map`], which chunks
-//!    the plan across a crossbeam-scoped worker pool and reassembles
-//!    results in input order.
+//!    the plan across scoped threads (the caller working the first chunk)
+//!    and reassembles results in input order.
 //!
 //! Because the only cross-assignment coupling (budget, worker reservation)
 //! is resolved in phase 1 and every phase-2 computation is a pure function

@@ -27,7 +27,7 @@
 //! (budget funded in request order, workers reserved, one independent RNG
 //! stream derived per assignment — see [`crate::exec`]) and an
 //! embarrassingly parallel *execution* phase that computes answer values
-//! and latency draws on a crossbeam worker pool. All assignments in a
+//! and latency draws on scoped threads. All assignments in a
 //! batch start at the batch epoch, so their simulated latencies
 //! **overlap**: a batch advances the clock by its makespan, not the sum —
 //! the dominant latency lever of crowd execution (HIT batching) — while

@@ -288,7 +288,11 @@ mod tests {
                 // Deterministic pseudo-noise: worker w is wrong when
                 // (t + w) divisible by 4.
                 let truth = (t % 3) as u32;
-                let l = if (t + w) % 4 == 0 { (truth + 1) % 3 } else { truth };
+                let l = if (t + w) % 4 == 0 {
+                    (truth + 1) % 3
+                } else {
+                    truth
+                };
                 rows.push((t, w, l));
             }
         }

@@ -121,21 +121,18 @@ pub(crate) fn posterior_rows(flat: &[f64], k: usize) -> Vec<Vec<f64>> {
     flat.chunks(k).map(<[f64]>::to_vec).collect()
 }
 
-/// Resolves a configured thread count: `0` means *auto* — use the shared
-/// default pool width, but only once the per-iteration work (`≈ obs · k`
-/// flops) is large enough that scoped-spawn overhead cannot dominate.
-/// Explicit values are honored verbatim so equivalence tests can pin
-/// 1/2/8-thread runs.
+/// Least per-iteration work (`≈ obs · k` flops) the kernels fork for.
+const MIN_PARALLEL_WORK: usize = 64 * 1024;
+
+/// Resolves a configured thread count against the per-iteration work.
+/// Below [`MIN_PARALLEL_WORK`] the kernels stay on the calling thread
+/// whatever was asked, since a fork would cost more than it saves; at or
+/// above it, `0` (auto) picks the shared default pool width and any other
+/// value is used, so every explicit width means "at most".
 pub(crate) fn resolve_threads(requested: usize, work: usize) -> usize {
-    const AUTO_PAR_MIN_WORK: usize = 64 * 1024;
     match requested {
-        0 => {
-            if work < AUTO_PAR_MIN_WORK {
-                1
-            } else {
-                default_threads()
-            }
-        }
+        _ if work < MIN_PARALLEL_WORK => 1,
+        0 => default_threads(),
         n => n,
     }
 }
@@ -357,9 +354,10 @@ pub struct EmConfig {
     /// Laplace smoothing mass added when estimating worker parameters;
     /// keeps estimates defined for workers with few answers.
     pub smoothing: f64,
-    /// Worker-pool width for the E/M kernels. `0` (the default) picks
-    /// automatically from the problem size; any explicit value is used
-    /// as-is. Results are byte-identical at every setting.
+    /// Worker-pool width for the E/M kernels, which use at most this many
+    /// threads. `0` (the default) picks automatically from the problem
+    /// size; a problem too small to pay for a fork runs on one thread at
+    /// any setting. Results are byte-identical at every setting.
     pub threads: usize,
     /// Per-task convergence freezing (the sparse incremental E-step).
     /// Disabled by default, which reproduces the dense kernels bit for
@@ -380,7 +378,7 @@ impl Default for EmConfig {
 }
 
 impl EmConfig {
-    /// Returns a copy pinned to `threads` kernel threads.
+    /// Returns a copy capped at `threads` kernel threads.
     pub fn with_threads(self, threads: usize) -> Self {
         Self { threads, ..self }
     }
@@ -440,10 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_resolution_honors_explicit_and_clamps_auto() {
-        assert_eq!(resolve_threads(3, 10), 3, "explicit wins regardless of size");
+    fn widths_are_caps_and_small_problems_stay_sequential() {
+        let floor = MIN_PARALLEL_WORK;
+        assert_eq!(resolve_threads(3, 10), 1, "tiny problems stay sequential");
+        assert_eq!(resolve_threads(3, floor - 1), 1);
+        assert_eq!(resolve_threads(3, floor), 3, "explicit width at the floor");
         assert_eq!(resolve_threads(1, usize::MAX), 1);
-        assert_eq!(resolve_threads(0, 16), 1, "tiny problems stay sequential");
-        assert!(resolve_threads(0, 100_000_000) >= 1);
+        assert_eq!(resolve_threads(0, 16), 1);
+        assert_eq!(resolve_threads(0, floor), default_threads());
     }
 }

@@ -67,8 +67,11 @@ pub struct GladConfig {
     pub max_iters: usize,
     /// Convergence tolerance on posterior movement.
     pub tol: f64,
-    /// Worker-pool width for the E/M kernels; `0` picks automatically from
-    /// the problem size. Results are byte-identical at every setting.
+    /// Worker-pool width for the E/M kernels, which use at most this many
+    /// threads (one below the size that pays for a fork, as for
+    /// [`EmConfig::threads`](crate::em::EmConfig::threads)); `0` picks
+    /// automatically from the problem size. Results are byte-identical at
+    /// every setting.
     pub threads: usize,
     /// Per-task convergence freezing (the sparse incremental E-step).
     /// Disabled by default; see [`FreezeConfig`].
@@ -87,7 +90,7 @@ impl Default for GladConfig {
 }
 
 impl GladConfig {
-    /// Returns a copy pinned to `threads` kernel threads.
+    /// Returns a copy capped at `threads` kernel threads.
     pub fn with_threads(self, threads: usize) -> Self {
         Self { threads, ..self }
     }

@@ -193,7 +193,14 @@ impl TruthInferencer for GoldWeightedVote {
                 .map(|w| scores[&matrix.worker_id(w)].accuracy)
                 .collect(),
         );
-        crate::em::obs_run(&crowdkit_obs::scope(), "gold_wmv", matrix, 1, true, run_start);
+        crate::em::obs_run(
+            &crowdkit_obs::scope(),
+            "gold_wmv",
+            matrix,
+            1,
+            true,
+            run_start,
+        );
         Ok(InferenceResult {
             labels,
             posteriors,

@@ -34,8 +34,10 @@ pub struct Kos {
     /// Number of message-passing rounds (the paper uses 10–20; estimates
     /// stabilize quickly).
     pub iterations: usize,
-    /// Worker-pool width for the message kernels; `0` picks automatically
-    /// from the problem size. Results are byte-identical at every setting.
+    /// Worker-pool width for the message kernels, which use at most this
+    /// many threads (one on graphs under 8 Ki edges); `0` picks
+    /// automatically from the problem size. Results are byte-identical at
+    /// every setting.
     pub threads: usize,
 }
 
@@ -49,7 +51,7 @@ impl Default for Kos {
 }
 
 impl Kos {
-    /// Returns a copy pinned to `threads` kernel threads.
+    /// Returns a copy capped at `threads` kernel threads.
     pub fn with_threads(self, threads: usize) -> Self {
         Self { threads, ..self }
     }
@@ -77,7 +79,10 @@ impl TruthInferencer for Kos {
         let n_workers = matrix.num_workers();
         let threads = resolve_threads(self.threads, n_obs * 8);
         // Signed votes: label 1 → +1, label 0 → −1.
-        let sign: Vec<f64> = obs.iter().map(|o| if o.label == 1 { 1.0 } else { -1.0 }).collect();
+        let sign: Vec<f64> = obs
+            .iter()
+            .map(|o| if o.label == 1 { 1.0 } else { -1.0 })
+            .collect();
 
         // Messages live on edges (one per observation).
         // Deterministic non-degenerate init: the canonical choice is

@@ -220,7 +220,9 @@ impl RunLineage {
                 .iter()
                 .filter(|&&(t, l)| self.labels.get(t as usize).copied() == Some(l))
                 .count() as u64;
-            let weight = worker_quality.and_then(|q| q.get(w).copied()).unwrap_or(1.0);
+            let weight = worker_quality
+                .and_then(|q| q.get(w).copied())
+                .unwrap_or(1.0);
             rec.record(
                 Event::new("prov.worker")
                     .str("algo", self.algo)

@@ -92,7 +92,10 @@ impl WeightedMajorityVote {
     }
 
     fn weight(&self, worker: WorkerId) -> f64 {
-        self.weights.get(&worker).copied().unwrap_or(self.default_weight)
+        self.weights
+            .get(&worker)
+            .copied()
+            .unwrap_or(self.default_weight)
     }
 }
 
@@ -128,7 +131,12 @@ impl TruthInferencer for WeightedMajorityVote {
         );
         let tel = crowdkit_obs::scope();
         if let Some(lineage) = RunLineage::begin(&tel, "wmv", &posteriors, k) {
-            lineage.finish(&*tel.recorder, matrix, &posteriors, worker_quality.as_deref());
+            lineage.finish(
+                &*tel.recorder,
+                matrix,
+                &posteriors,
+                worker_quality.as_deref(),
+            );
         }
         crate::em::obs_run(&tel, "wmv", matrix, 1, true, run_start);
         Ok(InferenceResult {

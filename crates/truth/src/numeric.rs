@@ -107,7 +107,10 @@ pub fn median_estimates(r: &NumericResponses) -> Result<NumericEstimates> {
 /// # Panics
 /// Panics if `trim` is not in `[0, 0.5)`.
 pub fn trimmed_mean_estimates(r: &NumericResponses, trim: f64) -> Result<NumericEstimates> {
-    assert!((0.0..0.5).contains(&trim), "trim fraction must be in [0, 0.5)");
+    assert!(
+        (0.0..0.5).contains(&trim),
+        "trim fraction must be in [0, 0.5)"
+    );
     non_empty(r)?;
     Ok(r.iter()
         .map(|(t, obs)| {

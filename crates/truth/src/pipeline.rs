@@ -53,7 +53,13 @@ where
     O: CrowdOracle + ?Sized,
     I: TruthInferencer + ?Sized,
 {
-    label_tasks_adaptive(oracle, tasks, &crate::sequential::FixedK { k: k as u32 }, k as u32, inferencer)
+    label_tasks_adaptive(
+        oracle,
+        tasks,
+        &crate::sequential::FixedK { k: k as u32 },
+        k as u32,
+        inferencer,
+    )
 }
 
 /// Buys answers per task until `rule` says stop (with a hard cap of
@@ -76,16 +82,9 @@ where
     R: StoppingRule + ?Sized,
     I: TruthInferencer + ?Sized,
 {
-    let num_labels = tasks
-        .iter()
-        .filter_map(Task::num_labels)
-        .max()
-        .unwrap_or(2);
+    let num_labels = tasks.iter().filter_map(Task::num_labels).max().unwrap_or(2);
     let mut matrix = ResponseMatrix::new(num_labels);
-    let mut votes: Vec<Vec<u32>> = tasks
-        .iter()
-        .map(|_| vec![0u32; num_labels])
-        .collect();
+    let mut votes: Vec<Vec<u32>> = tasks.iter().map(|_| vec![0u32; num_labels]).collect();
     let mut open: Vec<usize> = (0..tasks.len()).collect();
     let mut bought = 0usize;
 
@@ -202,7 +201,10 @@ mod tests {
         let rule = MajorityMargin { margin: 2 };
         let out = label_tasks_adaptive(&oracle, &ts, &rule, 10, &MajorityVote).unwrap();
         // Truthful workers agree immediately: 2 answers per task suffice.
-        assert_eq!(out.answers_bought, 20, "margin-2 with unanimity = 2 answers");
+        assert_eq!(
+            out.answers_bought, 20,
+            "margin-2 with unanimity = 2 answers"
+        );
         assert_eq!(
             out.labels_aligned(&ts),
             (0..10).map(|i| Some((i % 2) as u32)).collect::<Vec<_>>()
@@ -215,7 +217,11 @@ mod tests {
         let oracle = TruthfulOracle::new(7.0);
         let out = label_tasks(&oracle, &ts, 3, &MajorityVote).unwrap();
         assert_eq!(out.answers_bought, 7);
-        let labelled = out.labels_aligned(&ts).iter().filter(|l| l.is_some()).count();
+        let labelled = out
+            .labels_aligned(&ts)
+            .iter()
+            .filter(|l| l.is_some())
+            .count();
         assert_eq!(labelled, 7, "round-robin wave labels first 7 tasks once");
     }
 

@@ -1,6 +1,7 @@
 //! Pins the EM kernels' outputs and event streams. Dawid–Skene, one-coin
-//! and GLAD run dense and with `FreezeConfig::sparse(1e-3)`, at 1 and 2
-//! threads, on seeded matrices; each run is digested over its posterior
+//! and GLAD run dense and with `FreezeConfig::sparse(1e-3)` on seeded
+//! matrices: a small one at 1 thread, and one large enough for the kernels
+//! to fork at 1 and 2 threads; each run is digested over its posterior
 //! bits, labels, worker quality, iteration count and convergence flag,
 //! the model's own parameters (DS confusion matrices, GLAD abilities and
 //! inverse difficulties), and the wall-free event stream it records
@@ -11,6 +12,7 @@
 use std::sync::Arc;
 
 use crowdkit_core::ids::{TaskId, WorkerId};
+use crowdkit_core::par;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 use crowdkit_obs::{self as obs, JsonlRecorder, Scope};
@@ -71,7 +73,8 @@ impl SplitMix {
     }
 }
 
-/// A `k`-label matrix of 480 tasks in two halves:
+/// A `k`-label matrix of `480 * scale` tasks in two halves (shown for
+/// `scale = 1`):
 ///
 /// * tasks 0–239 form 24 blocks of 10, each answered by its own three
 ///   workers, who are right 97% of the time: the blocks settle within a
@@ -81,7 +84,10 @@ impl SplitMix {
 ///   from spammers (right 40% of the time) to 90% accurate and keep a
 ///   contested frontier iterating long after the blocks froze; their
 ///   abilities settle one by one, which is where GLAD pins them.
-fn matrix(seed: u64, k: u32) -> ResponseMatrix {
+///
+/// The shared workers are numbered from `1000 * scale`, above every block
+/// worker.
+fn matrix(seed: u64, k: u32, scale: u64) -> ResponseMatrix {
     let mut rng = SplitMix(seed);
     let mut m = ResponseMatrix::new(k as usize);
     let answer = |rng: &mut SplitMix, truth: u32, accuracy: f64| {
@@ -91,7 +97,8 @@ fn matrix(seed: u64, k: u32) -> ResponseMatrix {
             (truth + 1 + rng.below(u64::from(k) - 1) as u32) % k
         }
     };
-    for t in 0..240u64 {
+    let half = 240 * scale;
+    for t in 0..half {
         let truth = rng.below(u64::from(k)) as u32;
         for j in 0..3 {
             let l = answer(&mut rng, truth, 0.97);
@@ -100,7 +107,7 @@ fn matrix(seed: u64, k: u32) -> ResponseMatrix {
         }
     }
     let accuracy = |w: u64| 0.4 + 0.5 * (w % 10) as f64 / 9.0;
-    for t in 240..480u64 {
+    for t in half..2 * half {
         let truth = rng.below(u64::from(k)) as u32;
         let mut asked: Vec<u64> = Vec::new();
         while asked.len() < 5 {
@@ -111,7 +118,8 @@ fn matrix(seed: u64, k: u32) -> ResponseMatrix {
         }
         for w in asked {
             let l = answer(&mut rng, truth, accuracy(w));
-            m.push(TaskId::new(t), WorkerId::new(1000 + w), l).unwrap();
+            m.push(TaskId::new(t), WorkerId::new(1000 * scale + w), l)
+                .unwrap();
         }
     }
     m
@@ -145,62 +153,120 @@ fn assert_froze_with_a_frontier(stream: &str) {
     assert!(frontier, "no task froze while others were still active");
 }
 
-/// Digests of one kernel over `[dense, sparse]`, at 1 and 2 threads; the
+/// Digests of one kernel over `[dense, sparse]` at 1 thread, each checked
+/// against the same run at every width in `wide`. Widths are caps, so a
+/// wide run must fork, or it would compare one thread with itself; and the
 /// thread count must not move a single bit.
-fn digests(run_one: impl Fn(FreezeConfig, usize) -> (u64, String)) -> [u64; 2] {
+fn digests(wide: &[usize], run_one: impl Fn(FreezeConfig, usize) -> (u64, String)) -> [u64; 2] {
     [FreezeConfig::disabled(), FreezeConfig::sparse(1e-3)].map(|fz| {
         let (one, stream) = run_one(fz, 1);
         if fz.enabled() {
             assert_froze_with_a_frontier(&stream);
         }
-        let (two, _) = run_one(fz, 2);
-        assert_eq!(one, two, "1 and 2 threads differ (freeze {fz:?})");
+        for &threads in wide {
+            let forks = par::forks();
+            let (d, _) = run_one(fz, threads);
+            assert!(
+                par::forks() > forks,
+                "the {threads}-thread run never forked (freeze {fz:?})"
+            );
+            assert_eq!(one, d, "1 and {threads} threads differ (freeze {fz:?})");
+        }
         one
+    })
+}
+
+fn dawid_skene(m: &ResponseMatrix, wide: &[usize]) -> [u64; 2] {
+    digests(wide, |fz, threads| {
+        let ds = DawidSkene::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
+        run(|d| {
+            let (r, confusion) = ds.infer_full(m).expect("non-empty matrix");
+            confusion.iter().flatten().for_each(|row| d.f64s(row));
+            r
+        })
+    })
+}
+
+fn one_coin(m: &ResponseMatrix, wide: &[usize]) -> [u64; 2] {
+    digests(wide, |fz, threads| {
+        let zc = OneCoinEm::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
+        run(|_| zc.infer(m).expect("non-empty matrix"))
+    })
+}
+
+fn glad(m: &ResponseMatrix, wide: &[usize]) -> [u64; 2] {
+    digests(wide, |fz, threads| {
+        let glad = Glad::with_config(GladConfig::default().with_threads(threads).with_freeze(fz));
+        run(|d| {
+            let (r, params) = glad.infer_full(m).expect("non-empty matrix");
+            d.f64s(&params.abilities);
+            d.f64s(&params.inverse_difficulties);
+            r
+        })
     })
 }
 
 #[test]
 fn dawid_skene_streams_are_pinned() {
-    let m = matrix(21, 3);
-    let got = digests(|fz, threads| {
-        let ds = DawidSkene::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
-        run(|d| {
-            let (r, confusion) = ds.infer_full(&m).expect("non-empty matrix");
-            confusion.iter().flatten().for_each(|row| d.f64s(row));
-            r
-        })
-    });
     // Recorded while each kernel ran its own EM loop, before freezing
     // lost its recheck and thaw path.
-    assert_eq!(got, [0x6826_6C24_90B6_1578, 0x0793_3E52_CE5A_71C8]);
+    assert_eq!(
+        dawid_skene(&matrix(21, 3, 1), &[]),
+        [0x6826_6C24_90B6_1578, 0x0793_3E52_CE5A_71C8]
+    );
 }
 
 #[test]
 fn one_coin_streams_are_pinned() {
-    let m = matrix(22, 3);
-    let got = digests(|fz, threads| {
-        let zc = OneCoinEm::with_config(EmConfig::default().with_threads(threads).with_freeze(fz));
-        run(|_| zc.infer(&m).expect("non-empty matrix"))
-    });
     // Recorded while each kernel ran its own EM loop, before freezing
     // lost its recheck and thaw path.
-    assert_eq!(got, [0x9B28_F6B2_B975_0765, 0x7278_75AA_8702_5B7E]);
+    assert_eq!(
+        one_coin(&matrix(22, 3, 1), &[]),
+        [0x9B28_F6B2_B975_0765, 0x7278_75AA_8702_5B7E]
+    );
 }
 
 #[test]
 fn glad_streams_are_pinned() {
-    let m = matrix(23, 2);
-    let got = digests(|fz, threads| {
-        let glad = Glad::with_config(GladConfig::default().with_threads(threads).with_freeze(fz));
-        run(|d| {
-            let (r, params) = glad.infer_full(&m).expect("non-empty matrix");
-            d.f64s(&params.abilities);
-            d.f64s(&params.inverse_difficulties);
-            r
-        })
-    });
     // Re-recorded for a deliberate numeric change: the M-step takes one
     // Fisher-scoring step per coordinate under Gaussian priors on α and b,
     // and a live worker's α step walks its frozen edges too.
-    assert_eq!(got, [0xC171_4530_C1C1_3FF4, 0x5F06_112E_8EEB_E4BB]);
+    assert_eq!(
+        glad(&matrix(23, 2, 1), &[]),
+        [0xC171_4530_C1C1_3FF4, 0x5F06_112E_8EEB_E4BB]
+    );
+}
+
+// The large matrices hold 64 Ki `obs · k` or more, the least work the
+// kernels fork for. Their digests were recorded at c5c3504, when an
+// explicit width was used whatever the problem size.
+
+#[test]
+fn dawid_skene_streams_are_pinned_when_forked() {
+    let m = matrix(31, 3, 12);
+    assert!(m.num_observations() * 3 >= 64 * 1024);
+    assert_eq!(
+        dawid_skene(&m, &[2]),
+        [0xC1EA_02AC_7C13_2670, 0x61CF_DE94_9FB4_C991]
+    );
+}
+
+#[test]
+fn one_coin_streams_are_pinned_when_forked() {
+    let m = matrix(32, 3, 12);
+    assert!(m.num_observations() * 3 >= 64 * 1024);
+    assert_eq!(
+        one_coin(&m, &[2]),
+        [0x8697_736D_804F_D07B, 0xF1A6_6622_F091_6F72]
+    );
+}
+
+#[test]
+fn glad_streams_are_pinned_when_forked() {
+    let m = matrix(33, 2, 18);
+    assert!(m.num_observations() * 2 >= 64 * 1024);
+    assert_eq!(
+        glad(&m, &[2]),
+        [0xBA98_D482_89BE_5B93, 0xB887_A518_1E31_B5AF]
+    );
 }

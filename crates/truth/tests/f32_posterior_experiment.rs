@@ -41,7 +41,12 @@ fn dataset() -> ResponseMatrix {
 /// A line-for-line `f32` port of the one-coin kernel's sequential path
 /// (vote-fraction init, reliability M-step, scalar-update E-step, max-delta
 /// convergence) with the same constants and iteration policy.
-fn one_coin_f32(m: &ResponseMatrix, max_iters: usize, tol: f32, smoothing: f32) -> (Vec<f32>, Vec<u32>, usize) {
+fn one_coin_f32(
+    m: &ResponseMatrix,
+    max_iters: usize,
+    tol: f32,
+    smoothing: f32,
+) -> (Vec<f32>, Vec<u32>, usize) {
     let k = m.num_labels();
     let n_tasks = m.num_tasks();
     let n_workers = m.num_workers();
@@ -142,7 +147,8 @@ fn f32_posteriors_diverge_from_f64_but_labels_survive() {
     let m = dataset();
     let cfg = EmConfig::default();
     let r64 = OneCoinEm::with_config(cfg).infer(&m).unwrap();
-    let (post32, labels32, iters32) = one_coin_f32(&m, cfg.max_iters, cfg.tol as f32, cfg.smoothing as f32);
+    let (post32, labels32, iters32) =
+        one_coin_f32(&m, cfg.max_iters, cfg.tol as f32, cfg.smoothing as f32);
 
     let mut max_div = 0.0f64;
     for (t, row) in r64.posteriors.iter().enumerate() {

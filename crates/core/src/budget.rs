@@ -3,10 +3,7 @@
 //! Cost control is one of the tutorial's central axes: every crowd question
 //! costs money, so operators and optimizers compete on *crowd questions
 //! asked*, not CPU time. [`CostModel`] prices each task kind; [`Budget`]
-//! enforces a spend ceiling; [`CostLedger`] records where money went so
-//! experiments can report per-operator breakdowns.
-
-use std::collections::BTreeMap;
+//! enforces a spend ceiling and records what was spent.
 
 use crate::error::{CrowdError, Result};
 use crate::task::TaskKind;
@@ -140,77 +137,6 @@ impl Budget {
     }
 }
 
-/// Records spend per category so experiments can report breakdowns such as
-/// "crowd join verification: 412 questions, 412.0 units".
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CostLedger {
-    entries: BTreeMap<String, LedgerEntry>,
-}
-
-/// Aggregated spend for one ledger category.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LedgerEntry {
-    /// Number of debits recorded.
-    pub count: u64,
-    /// Total units spent.
-    pub total: f64,
-}
-
-impl LedgerEntry {
-    fn add(&mut self, amount: f64) {
-        self.count += 1;
-        self.total += amount;
-    }
-}
-
-impl CostLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a debit under `category`; only a new category allocates.
-    pub fn record(&mut self, category: &str, amount: f64) {
-        match self.entries.get_mut(category) {
-            Some(e) => e.add(amount),
-            None => self
-                .entries
-                .entry(category.to_owned())
-                .or_default()
-                .add(amount),
-        }
-    }
-
-    /// The entry for `category`, if anything was recorded there.
-    pub fn entry(&self, category: &str) -> Option<LedgerEntry> {
-        self.entries.get(category).copied()
-    }
-
-    /// Total units spent across all categories.
-    pub fn grand_total(&self) -> f64 {
-        self.entries.values().map(|e| e.total).sum()
-    }
-
-    /// Total number of debits across all categories.
-    pub fn grand_count(&self) -> u64 {
-        self.entries.values().map(|e| e.count).sum()
-    }
-
-    /// Iterates categories in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, LedgerEntry)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &CostLedger) {
-        for (k, v) in &other.entries {
-            let e = self.entries.entry(k.clone()).or_default();
-            e.count += v.count;
-            e.total += v.total;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,32 +192,5 @@ mod tests {
             b.debit(1e12).unwrap();
         }
         assert!(b.remaining() > 0.0);
-    }
-
-    #[test]
-    fn ledger_accumulates_and_merges() {
-        let mut a = CostLedger::new();
-        a.record("filter", 1.0);
-        a.record("filter", 1.0);
-        a.record("join", 2.0);
-        assert_eq!(a.entry("filter").unwrap().count, 2);
-        assert_eq!(a.entry("filter").unwrap().total, 2.0);
-        assert_eq!(a.grand_total(), 4.0);
-        assert_eq!(a.grand_count(), 3);
-
-        let mut b = CostLedger::new();
-        b.record("join", 1.0);
-        a.merge(&b);
-        assert_eq!(a.entry("join").unwrap().count, 2);
-        assert_eq!(a.entry("join").unwrap().total, 3.0);
-    }
-
-    #[test]
-    fn ledger_iterates_in_sorted_order() {
-        let mut l = CostLedger::new();
-        l.record("z", 1.0);
-        l.record("a", 1.0);
-        let cats: Vec<&str> = l.iter().map(|(k, _)| k).collect();
-        assert_eq!(cats, vec!["a", "z"]);
     }
 }

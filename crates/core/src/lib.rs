@@ -17,7 +17,7 @@
 //!   [`traits::TruthInferencer`], [`traits::StoppingRule`].
 //! * [`par`] — deterministic data-parallel primitives (the scoped-thread
 //!   chunking pattern shared by the simulator and the inference kernels).
-//! * [`budget`] — cost models and budget ledgers.
+//! * [`budget`] — cost models and budgets.
 //! * [`metrics`] — evaluation metrics (accuracy, F1, Kendall tau, cluster
 //!   F1, MAE/RMSE, NDCG, entropy, …).
 //! * [`error`] — the common error type.
@@ -45,7 +45,7 @@ pub mod traits;
 
 pub use answer::{Answer, AnswerValue, Preference};
 pub use ask::{AskOutcome, AskRequest};
-pub use budget::{Budget, CostLedger, CostModel};
+pub use budget::{Budget, CostModel};
 pub use error::{CrowdError, Result};
 pub use ids::{ItemId, TaskId, WorkerId};
 pub use intern::IdInterner;

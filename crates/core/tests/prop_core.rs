@@ -1,6 +1,6 @@
 //! Property-based tests for crowdkit-core invariants.
 
-use crowdkit_core::budget::{Budget, CostLedger};
+use crowdkit_core::budget::Budget;
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::metrics::{
     accuracy, entropy, js_divergence, kendall_tau, majority, median, pairwise_cluster_f1,
@@ -109,21 +109,6 @@ proptest! {
             prop_assert!(b.spent() <= b.limit() + 1e-6, "spent {} limit {}", b.spent(), b.limit());
             prop_assert!(b.remaining() >= 0.0);
         }
-    }
-
-    #[test]
-    fn ledger_totals_are_sums(
-        entries in prop::collection::vec((0usize..4, 0.0f64..10.0), 0..60)
-    ) {
-        let cats = ["a", "b", "c", "d"];
-        let mut l = CostLedger::new();
-        let mut expect_total = 0.0;
-        for (c, amt) in &entries {
-            l.record(cats[*c], *amt);
-            expect_total += amt;
-        }
-        prop_assert!((l.grand_total() - expect_total).abs() < 1e-9);
-        prop_assert_eq!(l.grand_count(), entries.len() as u64);
     }
 
     #[test]

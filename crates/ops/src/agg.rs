@@ -187,7 +187,10 @@ mod tests {
             "estimate {} vs truth {truth}",
             est.estimate
         );
-        assert!(est.ci_low <= truth && truth <= est.ci_high, "CI covers truth");
+        assert!(
+            est.ci_low <= truth && truth <= est.ci_high,
+            "CI covers truth"
+        );
         assert!(est.ci_high - est.ci_low > 0.0);
     }
 

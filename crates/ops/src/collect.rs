@@ -325,12 +325,12 @@ mod tests {
     fn collect_accumulates_distinct_items_monotonically() {
         let oracle = PoolOracle::new((0..20).map(|i| format!("item{i}")).collect());
         let out = crowd_collect(&oracle, &collection_task(), 2.0, 30).unwrap();
-        assert_eq!(out.questions_asked, 30, "unreachable coverage target runs to cap");
+        assert_eq!(
+            out.questions_asked, 30,
+            "unreachable coverage target runs to cap"
+        );
         assert!(!out.stopped_by_coverage);
-        assert!(out
-            .curve
-            .windows(2)
-            .all(|w| w[1].distinct >= w[0].distinct));
+        assert!(out.curve.windows(2).all(|w| w[1].distinct >= w[0].distinct));
     }
 
     #[test]

@@ -72,7 +72,10 @@ where
         return Err(CrowdError::EmptyInput("cells"));
     }
     let mut ids = IdGen::new();
-    let tasks: Vec<Task> = cells.iter().map(|c| prompt_for(ids.next_task(), c)).collect();
+    let tasks: Vec<Task> = cells
+        .iter()
+        .map(|c| prompt_for(ids.next_task(), c))
+        .collect();
     for task in &tasks {
         debug_assert!(
             matches!(task.kind, TaskKind::Fill { .. } | TaskKind::OpenText),
@@ -86,15 +89,10 @@ where
     let outcomes = oracle.ask_batch(&reqs)?;
 
     let mut out = FillOutcome::default();
-    for (idx, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
+    for (cell, outcome) in cells.iter().zip(&outcomes) {
         outcome.check()?;
-        if outcome.stopped_by_exhaustion() && outcome.answers.is_empty() {
-            // Budget dead and nothing bought: remaining cells will not
-            // fare better.
-            out.unresolved.extend_from_slice(&cells[idx..]);
-            break;
-        }
         out.questions_asked += outcome.answers.len();
+        // A starved cell has no answers, so no plurality: it is unresolved.
         match plurality(&outcome.answers) {
             Some(p) => {
                 out.filled.insert(
@@ -211,11 +209,20 @@ mod tests {
             ],
         );
         let out = crowd_fill(&oracle, &cells, 4, |id, c| fill_task(id, c, "Paris")).unwrap();
-        assert_eq!(out.questions_asked, 4, "every delivered answer was purchased");
+        assert_eq!(
+            out.questions_asked, 4,
+            "every delivered answer was purchased"
+        );
         let f = &out.filled[&cells[0]];
         assert_eq!(f.value, "PARIS", "first seen surface form of the winner");
-        assert!((f.support - 2.0 / 3.0).abs() < 1e-12, "the blank is not a vote");
-        assert_eq!(f.answers, vec![("paris".to_owned(), 2), ("lyon".to_owned(), 1)]);
+        assert!(
+            (f.support - 2.0 / 3.0).abs() < 1e-12,
+            "the blank is not a vote"
+        );
+        assert_eq!(
+            f.answers,
+            vec![("paris".to_owned(), 2), ("lyon".to_owned(), 1)]
+        );
     }
 
     #[test]
@@ -238,6 +245,39 @@ mod tests {
         assert!(out.filled.contains_key(&cells[1]));
         assert_eq!(out.unresolved, vec![cells[2].clone()]);
         assert_eq!(out.questions_asked, 4);
+    }
+
+    #[test]
+    fn a_cell_without_workers_keeps_the_answers_bought_for_the_rest() {
+        /// Truthful, except that no worker is left for task 0.
+        struct NoWorkerForFirst(Cell<u64>);
+        impl CrowdOracle for NoWorkerForFirst {
+            fn ask_one(&self, task: &Task) -> Result<Answer> {
+                if task.id == TaskId::new(0) {
+                    return Err(CrowdError::NoWorkerAvailable);
+                }
+                let n = self.0.get();
+                self.0.set(n + 1);
+                Ok(Answer::bare(
+                    task.id,
+                    WorkerId::new(n),
+                    task.truth.clone().unwrap(),
+                ))
+            }
+            fn remaining_budget(&self) -> Option<f64> {
+                None
+            }
+            fn answers_delivered(&self) -> u64 {
+                self.0.get()
+            }
+        }
+        let cells = vec![cell("a", "x"), cell("b", "x")];
+        let oracle = NoWorkerForFirst(Cell::new(0));
+        let out = crowd_fill(&oracle, &cells, 3, |id, c| fill_task(id, c, "v")).unwrap();
+        assert_eq!(oracle.answers_delivered(), 3);
+        assert_eq!(out.questions_asked, 3, "every bought answer is counted");
+        assert_eq!(out.filled[&cells[1]].value, "v");
+        assert_eq!(out.unresolved, vec![cells[0].clone()]);
     }
 
     #[test]

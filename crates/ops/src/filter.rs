@@ -210,8 +210,8 @@ mod tests {
 
     #[test]
     fn rejects_non_binary_tasks() {
-        let t = vec![Task::multiclass(TaskId::new(0), 3, "which?")
-            .with_truth(AnswerValue::Choice(0))];
+        let t =
+            vec![Task::multiclass(TaskId::new(0), 3, "which?").with_truth(AnswerValue::Choice(0))];
         let oracle = TruthfulOracle::new(10.0);
         let err = crowd_filter(&oracle, &t, &FixedK { k: 1 }, 1).unwrap_err();
         assert!(matches!(err, CrowdError::Unsupported(_)));

@@ -43,10 +43,7 @@ impl RecordHit {
 ///
 /// # Panics
 /// Panics if `pairs_per_hit == 0`.
-pub fn pair_based_hits(
-    pairs: &[CandidatePair],
-    pairs_per_hit: usize,
-) -> Vec<Vec<(usize, usize)>> {
+pub fn pair_based_hits(pairs: &[CandidatePair], pairs_per_hit: usize) -> Vec<Vec<(usize, usize)>> {
     assert!(pairs_per_hit > 0, "HITs must hold at least one pair");
     pairs
         .chunks(pairs_per_hit)
@@ -62,7 +59,10 @@ pub fn pair_based_hits(
 /// # Panics
 /// Panics if `records_per_hit < 2` (a group of one covers nothing).
 pub fn cluster_based_hits(pairs: &[CandidatePair], records_per_hit: usize) -> Vec<RecordHit> {
-    assert!(records_per_hit >= 2, "groups must hold at least two records");
+    assert!(
+        records_per_hit >= 2,
+        "groups must hold at least two records"
+    );
     // Adjacency over candidate pairs. Hash-ordered containers are safe
     // here: every greedy selection below (seed, best addition, reseed) is
     // resolved by a total order — (gain, smallest id) — so enumeration
@@ -77,7 +77,8 @@ pub fn cluster_based_hits(pairs: &[CandidatePair], records_per_hit: usize) -> Ve
         }
     }
 
-    let uncovered_degree = |r: usize, uncovered: &HashSet<(usize, usize)>,
+    let uncovered_degree = |r: usize,
+                            uncovered: &HashSet<(usize, usize)>,
                             adjacency: &HashMap<usize, HashSet<usize>>|
      -> usize {
         adjacency
@@ -95,7 +96,12 @@ pub fn cluster_based_hits(pairs: &[CandidatePair], records_per_hit: usize) -> Ve
         // Seed: the record touching the most uncovered pairs.
         let &seed = adjacency
             .keys()
-            .max_by_key(|&&r| (uncovered_degree(r, &uncovered, &adjacency), std::cmp::Reverse(r)))
+            .max_by_key(|&&r| {
+                (
+                    uncovered_degree(r, &uncovered, &adjacency),
+                    std::cmp::Reverse(r),
+                )
+            })
             .expect("uncovered pairs imply records"); // crowdkit-lint: allow(PANIC001) — adjacency indexes every record of every uncovered pair, so it is non-empty here
         let mut group: Vec<usize> = vec![seed];
         let mut group_set: HashSet<usize> = [seed].into();

@@ -102,7 +102,9 @@ where
                 candidates[y]
                     .similarity
                     .total_cmp(&candidates[x].similarity)
-                    .then_with(|| (candidates[x].a, candidates[x].b).cmp(&(candidates[y].a, candidates[y].b)))
+                    .then_with(|| {
+                        (candidates[x].a, candidates[x].b).cmp(&(candidates[y].a, candidates[y].b))
+                    })
             });
         }
         AskOrder::Random(seed) => {
@@ -168,8 +170,12 @@ where
         for (&idx, out) in wave.iter().zip(&outcomes) {
             out.check()?;
             if out.answers.is_empty() {
-                // Nothing bought for this pair: the budget is dead; stop.
-                break 'waves;
+                if out.stopped_by_budget() {
+                    // Nothing bought for this pair: the budget is dead; stop.
+                    break 'waves;
+                }
+                // No worker left for this pair: it stays undecided.
+                continue;
             }
             questions += out.answers.len();
             pairs_asked += 1;
@@ -274,7 +280,11 @@ mod tests {
                 v.push(CandidatePair {
                     a,
                     b,
-                    similarity: if entity_of(a) == entity_of(b) { 0.9 } else { 0.1 },
+                    similarity: if entity_of(a) == entity_of(b) {
+                        0.9
+                    } else {
+                        0.1
+                    },
                 });
             }
         }
@@ -391,6 +401,53 @@ mod tests {
         assert_eq!(out.questions_asked, 3);
         // Clustering is whatever was learned so far — still a valid labeling.
         assert_eq!(out.clusters.len(), 5);
+    }
+
+    #[test]
+    fn a_pair_without_workers_keeps_the_verdicts_bought_for_the_rest() {
+        /// Answers "same" to every pair, except that no worker is left
+        /// for task 0.
+        struct NoWorkerForFirst(Cell<u64>);
+        impl CrowdOracle for NoWorkerForFirst {
+            fn ask_one(&self, task: &Task) -> Result<Answer> {
+                if task.id == TaskId::new(0) {
+                    return Err(CrowdError::NoWorkerAvailable);
+                }
+                let n = self.0.get();
+                self.0.set(n + 1);
+                Ok(Answer::bare(
+                    task.id,
+                    WorkerId::new(n),
+                    AnswerValue::Choice(1),
+                ))
+            }
+            fn remaining_budget(&self) -> Option<f64> {
+                None
+            }
+            fn answers_delivered(&self) -> u64 {
+                self.0.get()
+            }
+        }
+        let oracle = NoWorkerForFirst(Cell::new(0));
+        let out = crowd_join(
+            &oracle,
+            4,
+            &pairs(&[(0, 1), (2, 3)]),
+            |id, a, b| Task::binary(id, format!("same? {a} vs {b}")),
+            &JoinConfig {
+                order: AskOrder::Input,
+                ..JoinConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(oracle.answers_delivered(), 3);
+        assert_eq!(out.questions_asked, 3, "every bought verdict is counted");
+        assert_eq!(out.pairs_asked, 1);
+        assert_eq!(
+            out.clusters[2], out.clusters[3],
+            "the bought verdict is applied"
+        );
+        assert_ne!(out.clusters[0], out.clusters[1]);
     }
 
     #[test]

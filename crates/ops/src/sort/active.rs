@@ -185,9 +185,7 @@ mod tests {
             let truth = task.truth.clone().unwrap();
             let flip = calls.is_multiple_of(7); // ~14 % deterministic noise
             let value = match truth {
-                AnswerValue::Prefer(p) => {
-                    AnswerValue::Prefer(if flip { p.flip() } else { p })
-                }
+                AnswerValue::Prefer(p) => AnswerValue::Prefer(if flip { p.flip() } else { p }),
                 other => other,
             };
             Ok(crowdkit_core::answer::Answer::bare(
@@ -205,7 +203,11 @@ mod tests {
     }
 
     fn make_task(id: TaskId, a: usize, b: usize) -> Task {
-        let pref = if a > b { Preference::Left } else { Preference::Right };
+        let pref = if a > b {
+            Preference::Left
+        } else {
+            Preference::Right
+        };
         Task::pairwise(id, ItemId::new(a as u64), ItemId::new(b as u64))
             .with_truth(AnswerValue::Prefer(pref))
     }
@@ -251,8 +253,7 @@ mod tests {
     #[test]
     fn active_ranking_recovers_order_with_noise() {
         let oracle = NoisyOracle::new();
-        let g = active_comparisons(&oracle, 12, 150, ActiveConfig::default(), make_task)
-            .unwrap();
+        let g = active_comparisons(&oracle, 12, 150, ActiveConfig::default(), make_task).unwrap();
         let scores = bradley_terry(&g, 200, 1e-9);
         let order = order_by_scores(&scores);
         // The top item must be found exactly; the full order nearly.

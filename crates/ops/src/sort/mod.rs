@@ -165,11 +165,7 @@ where
 /// by index for determinism).
 pub fn order_by_scores(scores: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&x, &y| {
-        scores[y]
-            .total_cmp(&scores[x])
-            .then_with(|| x.cmp(&y))
-    });
+    order.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]).then_with(|| x.cmp(&y)));
     order
 }
 

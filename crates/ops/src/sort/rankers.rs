@@ -27,7 +27,13 @@ pub fn borda(graph: &ComparisonGraph) -> Vec<f64> {
         games[b] += (wa + wb) as f64;
     }
     (0..n)
-        .map(|i| if games[i] > 0.0 { wins[i] / games[i] } else { 0.5 })
+        .map(|i| {
+            if games[i] > 0.0 {
+                wins[i] / games[i]
+            } else {
+                0.5
+            }
+        })
         .collect()
 }
 
@@ -50,7 +56,13 @@ pub fn copeland(graph: &ComparisonGraph) -> Vec<f64> {
         }
     }
     (0..n)
-        .map(|i| if faced[i] > 0.0 { score[i] / faced[i] } else { 0.0 })
+        .map(|i| {
+            if faced[i] > 0.0 {
+                score[i] / faced[i]
+            } else {
+                0.0
+            }
+        })
         .collect()
 }
 
@@ -118,8 +130,7 @@ pub fn bradley_terry(graph: &ComparisonGraph, max_iters: usize, tol: f64) -> Vec
             }
         }
         // Normalize the geometric mean to 1 for identifiability.
-        let log_mean =
-            next.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / n as f64;
+        let log_mean = next.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / n as f64;
         for x in &mut next {
             *x = (x.max(1e-12).ln() - log_mean).exp();
         }

@@ -82,7 +82,8 @@ where
             break;
         }
         let before = oracle.answers_delivered();
-        let (winner, m, q) = run_bracket(oracle, &mut ids, remaining.clone(), votes, &mut make_task)?;
+        let (winner, m, q) =
+            run_bracket(oracle, &mut ids, remaining.clone(), votes, &mut make_task)?;
         matches += m;
         questions += q;
         winners.push(winner);
@@ -208,7 +209,11 @@ mod tests {
 
     /// Item index IS its latent strength: higher index beats lower.
     fn make_task(id: TaskId, a: usize, b: usize) -> Task {
-        let pref = if a > b { Preference::Left } else { Preference::Right };
+        let pref = if a > b {
+            Preference::Left
+        } else {
+            Preference::Right
+        };
         Task::pairwise(id, ItemId::new(a as u64), ItemId::new(b as u64))
             .with_truth(AnswerValue::Prefer(pref))
     }

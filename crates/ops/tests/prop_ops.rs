@@ -52,9 +52,9 @@ impl NaiveClustering {
     fn known_different(&self, a: usize, b: usize) -> bool {
         let ca = self.cluster_of(a);
         let cb = self.cluster_of(b);
-        self.diff
-            .iter()
-            .any(|&(x, y)| (ca.contains(&x) && cb.contains(&y)) || (ca.contains(&y) && cb.contains(&x)))
+        self.diff.iter().any(|&(x, y)| {
+            (ca.contains(&x) && cb.contains(&y)) || (ca.contains(&y) && cb.contains(&x))
+        })
     }
 
     fn record_same(&mut self, a: usize, b: usize) -> bool {

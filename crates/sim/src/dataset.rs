@@ -311,7 +311,10 @@ impl CountingDataset {
     /// Panics if `n == 0` or `prevalence` is outside `[0, 1]`.
     pub fn generate(n: usize, prevalence: f64, seed: u64) -> Self {
         assert!(n > 0, "need at least one item");
-        assert!((0.0..=1.0).contains(&prevalence), "prevalence must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&prevalence),
+            "prevalence must be a probability"
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ids = IdGen::new();
         let mut flags = Vec::with_capacity(n);

@@ -1,14 +1,16 @@
-//! Deterministic parallel execution primitives for batched crowd asks.
+//! Per-assignment RNG streams for batched crowd asks.
 //!
 //! The batch engine in [`crate::platform`] is split into two phases:
 //!
 //! 1. **Plan** (sequential): budget funding, worker assignment and RNG-seed
-//!    derivation happen in request order under the platform locks. Every
-//!    planned assignment gets its own [`derive_seed`]-derived RNG stream.
+//!    derivation happen in request order under the platform's state lock.
+//!    Every planned assignment gets its own [`derive_seed`]-derived RNG
+//!    stream.
 //! 2. **Execute** (parallel): answer values and latency draws are computed
-//!    from the per-assignment streams with [`parallel_map`], which chunks
-//!    the plan across scoped threads (the caller working the first chunk)
-//!    and reassembles results in input order.
+//!    from the per-assignment streams with
+//!    [`crowdkit_core::par::parallel_map`], which chunks the plan across
+//!    scoped threads (the caller working the first chunk) and reassembles
+//!    results in input order.
 //!
 //! Because the only cross-assignment coupling (budget, worker reservation)
 //! is resolved in phase 1 and every phase-2 computation is a pure function
@@ -30,12 +32,6 @@ pub fn derive_seed(platform_seed: u64, task_raw: u64, attempt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The order-preserving chunked map and the default pool width now live in
-/// [`crowdkit_core::par`] so the truth-inference kernels share the exact
-/// same deterministic-partitioning implementation; re-exported here for
-/// existing call sites.
-pub use crowdkit_core::par::{default_threads, parallel_map};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,17 +49,5 @@ mod tests {
             }
         }
         assert_eq!(derive_seed(7, 0, 0), a, "derivation is pure");
-    }
-
-    /// The re-exported pool helper keeps its contract (full coverage lives
-    /// in `crowdkit-core::par`).
-    #[test]
-    fn reexported_parallel_map_preserves_order() {
-        // Enough items (2,048 a thread) for the 4-thread case to spawn.
-        let items: Vec<u64> = (0..4 * 2048 + 3).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 4] {
-            assert_eq!(parallel_map(&items, threads, |_, &x| x * x), expect);
-        }
     }
 }

@@ -286,7 +286,10 @@ mod tests {
         };
         // Average over seeds to avoid flaky single draws.
         let avg = |s: &RoundSimulator| -> f64 {
-            (0..20).map(|seed| s.run(100, 3, seed).total_time).sum::<f64>() / 20.0
+            (0..20)
+                .map(|seed| s.run(100, 3, seed).total_time)
+                .sum::<f64>()
+                / 20.0
         };
         let t_wait = avg(&base);
         let t_reissue = avg(&mitigated);
@@ -342,10 +345,16 @@ mod tests {
             policy: StragglerPolicy::Wait,
         };
         let avg = |s: &RoundSimulator| -> f64 {
-            (0..10).map(|seed| s.run(100, 3, seed).total_time).sum::<f64>() / 10.0
+            (0..10)
+                .map(|seed| s.run(100, 3, seed).total_time)
+                .sum::<f64>()
+                / 10.0
         };
         let small = avg(&mk(10));
         let large = avg(&mk(100));
-        assert!(small > large, "round=10 ({small:.0}s) vs round=100 ({large:.0}s)");
+        assert!(
+            small > large,
+            "round=10 ({small:.0}s) vs round=100 ({large:.0}s)"
+        );
     }
 }

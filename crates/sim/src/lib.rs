@@ -18,8 +18,8 @@
 //! * [`population`] — building worker pools from mixes.
 //! * [`latency`] — latency distributions and the round/straggler simulator.
 //! * [`platform`] — the [`platform::SimulatedCrowd`] oracle.
-//! * [`exec`] — deterministic parallel execution: per-assignment seed
-//!   derivation and the worker pool that drains batches.
+//! * [`exec`] — per-assignment seed derivation, which keeps batched
+//!   answers identical at any thread count.
 //! * [`dataset`] — synthetic ground-truth dataset generators for every
 //!   experiment family (labeling, entity resolution, ranking, open-world
 //!   collection, numeric estimation).

@@ -10,32 +10,28 @@
 //! # Concurrency model
 //!
 //! The platform is a *shared service*: every [`CrowdOracle`] method takes
-//! `&self` and internal state lives behind striped locks —
-//!
-//! * per-task assignment state (which workers answered, as ascending pool
-//!   indices, and how many attempts) is sharded across [`TASK_SHARDS`]
-//!   mutexes keyed by task id;
-//! * the spend ledger is striped the same way and merged on read;
-//! * the budget sits behind a single mutex so debits are atomic;
-//! * the simulated clock has a lock of its own, which also serializes
-//!   batch planning.
+//! `&self`, and everything a batch changes — the simulated clock, the
+//! budget, the per-task reservations (which workers answered, as ascending
+//! pool indices, and how many attempts) and the delivered-answer count —
+//! lives in one state behind one mutex.
 //!
 //! Every answer is served by [`CrowdOracle::ask_batch`]: `ask` is a batch
 //! of one request and `ask_one` a batch of one answer, so each answer
 //! comes from its own RNG stream and is reported in a `platform.batch`
-//! event. A batch runs in two phases: a sequential *planning* phase
-//! (budget funded in request order, workers reserved, one independent RNG
-//! stream derived per assignment — see [`crate::exec`]) and an
-//! embarrassingly parallel *execution* phase that computes answer values
-//! and latency draws on scoped threads. All assignments in a
-//! batch start at the batch epoch, so their simulated latencies
-//! **overlap**: a batch advances the clock by its makespan, not the sum —
-//! the dominant latency lever of crowd execution (HIT batching) — while
-//! `n` one-answer calls advance it by the sum of their latencies. Because
-//! every cross-assignment decision happens in the sequential phase, results
-//! are byte-identical at any thread count. Batches too small to give every
-//! thread a fixed minimum of assignments execute on the calling thread
-//! (see [`parallel_map`]).
+//! event. A batch runs in two phases: a sequential *planning* phase under
+//! the lock (budget funded in request order, workers reserved, one
+//! independent RNG stream derived per assignment — see [`crate::exec`])
+//! and an embarrassingly parallel *execution* phase, run without it, that
+//! computes answer values and latency draws on scoped threads; assembly
+//! takes the lock again to advance the clock and the count. All
+//! assignments in a batch start at the batch epoch, so their simulated
+//! latencies **overlap**: a batch advances the clock by its makespan, not
+//! the sum — the dominant latency lever of crowd execution (HIT batching)
+//! — while `n` one-answer calls advance it by the sum of their latencies.
+//! Because every cross-assignment decision happens in the sequential
+//! phase, results are byte-identical at any thread count. Batches too
+//! small to give every thread a fixed minimum of assignments execute on
+//! the calling thread (see [`parallel_map`]).
 //!
 //! # Worker picks
 //!
@@ -49,13 +45,13 @@
 //! arrival.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crowdkit_core::answer::Answer;
 use crowdkit_core::ask::{AskOutcome, AskRequest};
-use crowdkit_core::budget::{Budget, CostLedger, CostModel};
+use crowdkit_core::budget::{Budget, CostModel};
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::{TaskId, WorkerId};
+use crowdkit_core::par::{default_threads, parallel_map};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 use crowdkit_obs::{self as obs, Event};
@@ -63,12 +59,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::exec::{default_threads, derive_seed, parallel_map};
+use crate::exec::derive_seed;
 use crate::latency::LatencyModel;
 use crate::population::Population;
-
-/// Number of mutex shards for per-task assignment state.
-pub const TASK_SHARDS: usize = 16;
 
 /// Salt distinguishing the worker-pick RNG stream from the answer stream.
 const PICK_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
@@ -217,13 +210,12 @@ impl PlatformBuilder {
     }
 
     /// Finishes the build, administering the qualification test (if any)
-    /// to every worker. Screening answers are paid from the budget and
-    /// recorded in the ledger under `"qualification"`; if the budget dies
-    /// mid-screening, the remaining workers are rejected unscreened.
+    /// to every worker. Screening answers are paid from the budget; if the
+    /// budget dies mid-screening, the remaining workers are rejected
+    /// unscreened.
     pub fn build(self) -> SimulatedCrowd {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut budget = self.budget;
-        let mut ledger = CostLedger::new();
         let population = match self.qualification {
             None => self.population,
             Some(q) => {
@@ -241,7 +233,6 @@ impl PlatformBuilder {
                             if budget.debit(price).is_err() {
                                 return false;
                             }
-                            ledger.record("qualification", price);
                             if w.answer(&screening, &mut rng)
                                 == crowdkit_core::answer::AnswerValue::Choice(1)
                             {
@@ -255,10 +246,6 @@ impl PlatformBuilder {
                 Population::from_profiles(passed)
             }
         };
-        let mut ledger_stripes: Vec<Mutex<CostLedger>> =
-            (0..TASK_SHARDS).map(|_| Mutex::new(CostLedger::new())).collect();
-        // Qualification spend lands in stripe 0; reads merge all stripes.
-        *ledger_stripes[0].get_mut() = ledger;
         let mut by_id: Vec<(WorkerId, u32)> = population
             .workers()
             .iter()
@@ -274,16 +261,29 @@ impl PlatformBuilder {
             churn: self.churn,
             seed: self.seed,
             threads: self.threads,
-            clock: Mutex::new(0.0),
-            budget: Mutex::new(budget),
-            shards: (0..TASK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            ledger_stripes,
-            delivered: AtomicU64::new(0),
+            state: Mutex::new(State {
+                clock: 0.0,
+                budget,
+                tasks: HashMap::new(),
+                delivered: 0,
+            }),
         }
     }
 }
 
-/// Per-task assignment bookkeeping, kept inside a shard.
+/// Everything a batch changes, behind the platform's one lock.
+#[derive(Debug)]
+struct State {
+    /// The simulated clock, in seconds.
+    clock: f64,
+    budget: Budget,
+    /// Reservations and attempt counts of every task asked so far.
+    tasks: HashMap<TaskId, TaskState>,
+    /// Answers delivered so far.
+    delivered: u64,
+}
+
+/// Per-task assignment bookkeeping.
 #[derive(Debug, Default)]
 struct TaskState {
     /// Population indices, ascending, of the workers already assigned to
@@ -336,12 +336,9 @@ pub struct SimulatedCrowd {
     churn: Option<Churn>,
     seed: u64,
     threads: usize,
-    /// The simulated clock; holding its lock serializes batch planning.
-    clock: Mutex<f64>,
-    budget: Mutex<Budget>,
-    shards: Vec<Mutex<HashMap<TaskId, TaskState>>>,
-    ledger_stripes: Vec<Mutex<CostLedger>>,
-    delivered: AtomicU64,
+    /// Everything a batch changes; planning holds the lock for the whole
+    /// batch.
+    state: Mutex<State>,
 }
 
 impl SimulatedCrowd {
@@ -359,35 +356,12 @@ impl SimulatedCrowd {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        *self.clock.lock()
-    }
-
-    /// Width of the batch-execution worker pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// A snapshot of the spend ledger, categorized by task kind (merged
-    /// across the internal stripes).
-    pub fn ledger(&self) -> CostLedger {
-        let mut merged = CostLedger::new();
-        for stripe in &self.ledger_stripes {
-            merged.merge(&stripe.lock());
-        }
-        merged
+        self.state.lock().clock
     }
 
     /// A snapshot of the budget state.
     pub fn budget(&self) -> Budget {
-        self.budget.lock().clone()
-    }
-
-    fn shard_for(&self, task: TaskId) -> &Mutex<HashMap<TaskId, TaskState>> {
-        &self.shards[task.raw() as usize % self.shards.len()]
-    }
-
-    fn ledger_stripe_for(&self, task: TaskId) -> &Mutex<CostLedger> {
-        &self.ledger_stripes[task.raw() as usize % self.ledger_stripes.len()]
+        self.state.lock().budget.clone()
     }
 
     /// Population indices, ascending, of the workers online at simulated
@@ -509,7 +483,7 @@ impl CrowdOracle for SimulatedCrowd {
     }
 
     /// The batched engine. Planning (budget in request order, worker
-    /// reservation, RNG-stream derivation) is sequential under the clock
+    /// reservation, RNG-stream derivation) is sequential under the state
     /// lock; answer computation fans out over the thread pool; all
     /// assignments share the batch epoch so their simulated latencies
     /// overlap and the clock advances by the batch *makespan*.
@@ -522,9 +496,9 @@ impl CrowdOracle for SimulatedCrowd {
 
         // ---- Phase 1: sequential planning ------------------------------
         let (plan, mut outcomes, epoch) = {
-            let clock = self.clock.lock();
-            let epoch = *clock;
-            let mut budget = self.budget.lock();
+            let mut guard = self.state.lock();
+            let state = &mut *guard;
+            let epoch = state.clock;
             let mut plan: Vec<PlannedAsk> = Vec::new();
             let mut outcomes: Vec<AskOutcome> = reqs
                 .iter()
@@ -536,36 +510,31 @@ impl CrowdOracle for SimulatedCrowd {
             for (req_idx, req) in reqs.iter().enumerate() {
                 let price = self.cost_model.price(&req.task.kind);
                 let excluded = self.pool_indices(&req.exclude);
+                let task_state = state.tasks.entry(req.task.id).or_default();
                 for _ in 0..req.redundancy.max(1) {
-                    if !budget.can_afford(price) {
+                    if !state.budget.can_afford(price) {
                         outcomes[req_idx].shortfall = Some(CrowdError::BudgetExhausted {
                             requested: price,
-                            remaining: budget.remaining(),
+                            remaining: state.budget.remaining(),
                         });
                         break;
                     }
-                    let mut shard = self.shard_for(req.task.id).lock();
-                    let state = shard.entry(req.task.id).or_default();
-                    let attempt = state.attempts;
+                    let attempt = task_state.attempts;
                     let mut pick_rng = StdRng::seed_from_u64(derive_seed(
                         self.seed ^ PICK_STREAM_SALT,
                         req.task.id.raw(),
                         attempt,
                     ));
-                    let skip = skip_list(&state.asked, &excluded, &mut skip_buf);
+                    let skip = skip_list(&task_state.asked, &excluded, &mut skip_buf);
                     let Some((worker_idx, serve_start)) =
                         self.pick(online.as_deref(), skip, epoch, &mut pick_rng)
                     else {
                         outcomes[req_idx].shortfall = Some(CrowdError::NoWorkerAvailable);
                         break;
                     };
-                    state.attempts += 1;
-                    state.reserve(worker_idx);
-                    drop(shard);
-                    budget.debit(price)?;
-                    self.ledger_stripe_for(req.task.id)
-                        .lock()
-                        .record(req.task.kind.name(), price);
+                    task_state.attempts += 1;
+                    task_state.reserve(worker_idx);
+                    state.budget.debit(price)?;
                     plan.push(PlannedAsk {
                         req_idx,
                         worker_idx,
@@ -624,10 +593,10 @@ impl CrowdOracle for SimulatedCrowd {
             }
             outcomes[p.req_idx].answers.push(a);
         }
-        self.delivered.fetch_add(plan.len() as u64, Ordering::Relaxed);
         {
-            let mut clock = self.clock.lock();
-            *clock = clock.max(makespan);
+            let mut state = self.state.lock();
+            state.clock = state.clock.max(makespan);
+            state.delivered += plan.len() as u64;
         }
         if enabled {
             rec.sample("platform.latency", &latencies);
@@ -657,16 +626,16 @@ impl CrowdOracle for SimulatedCrowd {
     }
 
     fn remaining_budget(&self) -> Option<f64> {
-        let budget = self.budget.lock();
-        if budget.limit() == f64::MAX {
+        let state = self.state.lock();
+        if state.budget.limit() == f64::MAX {
             None
         } else {
-            Some(budget.remaining())
+            Some(state.budget.remaining())
         }
     }
 
     fn answers_delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
+        self.state.lock().delivered
     }
 }
 
@@ -714,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_enforced_and_ledger_tracks_spend() {
+    fn budget_is_enforced_and_tracks_spend() {
         let pop = perfect_pop(10);
         let crowd = PlatformBuilder::new(pop).budget(Budget::new(2.0)).build();
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(0));
@@ -722,7 +691,7 @@ mod tests {
         assert!(crowd.ask_one(&task).is_ok());
         let err = crowd.ask_one(&task).unwrap_err();
         assert!(matches!(err, CrowdError::BudgetExhausted { .. }));
-        assert_eq!(crowd.ledger().entry("single_choice").unwrap().count, 2);
+        assert_eq!(crowd.budget().spent(), 2.0);
         assert_eq!(crowd.remaining_budget(), Some(0.0));
     }
 
@@ -795,7 +764,9 @@ mod batch_tests {
     use crowdkit_core::task::Task;
 
     fn pop(n: usize, quality: f64) -> Population {
-        PopulationBuilder::new().reliable(n, quality, quality).build(0)
+        PopulationBuilder::new()
+            .reliable(n, quality, quality)
+            .build(0)
     }
 
     fn tasks(n: u64) -> Vec<Task> {
@@ -853,7 +824,14 @@ mod batch_tests {
             let answers: Vec<(u64, u64, AnswerValue, f64)> = outs
                 .iter()
                 .flat_map(|o| o.answers.iter())
-                .map(|a| (a.task.raw(), a.worker.raw(), a.value.clone(), a.submitted_at))
+                .map(|a| {
+                    (
+                        a.task.raw(),
+                        a.worker.raw(),
+                        a.value.clone(),
+                        a.submitted_at,
+                    )
+                })
                 .collect();
             (answers, crowd.now())
         };
@@ -896,7 +874,10 @@ mod batch_tests {
         assert_eq!(out.delivered(), 2, "only two non-excluded workers exist");
         assert!(matches!(out.shortfall, Some(CrowdError::NoWorkerAvailable)));
         for a in &out.answers {
-            assert!(a.worker != all[0] && a.worker != all[2], "excluded worker assigned");
+            assert!(
+                a.worker != all[0] && a.worker != all[2],
+                "excluded worker assigned"
+            );
         }
     }
 
@@ -905,7 +886,9 @@ mod batch_tests {
         let crowd = SimulatedCrowd::new(pop(3, 1.0), 5);
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
         let first = crowd.ask_one(&task).unwrap();
-        let out = crowd.ask(&AskRequest::new(&task).with_redundancy(3)).unwrap();
+        let out = crowd
+            .ask(&AskRequest::new(&task).with_redundancy(3))
+            .unwrap();
         assert_eq!(out.delivered(), 2, "only two workers left for this task");
         assert!(out.answers.iter().all(|a| a.worker != first.worker));
     }
@@ -916,7 +899,10 @@ mod batch_tests {
             duty_cycle: 0.4,
             period: 600.0,
         };
-        let crowd = PlatformBuilder::new(pop(30, 1.0)).churn(churn).seed(7).build();
+        let crowd = PlatformBuilder::new(pop(30, 1.0))
+            .churn(churn)
+            .seed(7)
+            .build();
         let ts = tasks(10);
         let outs = crowd.ask_batch(&batch_of(&ts, 2)).unwrap();
         for o in &outs {
@@ -940,7 +926,10 @@ mod batch_tests {
         };
         // One worker with a tiny duty cycle: if the epoch falls outside the
         // online window the assignment must wait for the next arrival.
-        let crowd = PlatformBuilder::new(pop(1, 1.0)).churn(churn).seed(3).build();
+        let crowd = PlatformBuilder::new(pop(1, 1.0))
+            .churn(churn)
+            .seed(3)
+            .build();
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
         let out = crowd.ask(&AskRequest::new(&task)).unwrap();
         assert_eq!(out.delivered(), 1);
@@ -972,8 +961,10 @@ mod batch_tests {
                                     .with_truth(AnswerValue::Choice(1))
                             })
                             .collect();
-                        let reqs: Vec<AskRequest<'_>> =
-                            ts.iter().map(|x| AskRequest::new(x).with_redundancy(3)).collect();
+                        let reqs: Vec<AskRequest<'_>> = ts
+                            .iter()
+                            .map(|x| AskRequest::new(x).with_redundancy(3))
+                            .collect();
                         let outs = crowd.ask_batch(&reqs).unwrap();
                         outs.iter().map(|o| o.delivered() as u64).sum::<u64>()
                     })
@@ -1023,7 +1014,7 @@ mod qualification_tests {
     }
 
     #[test]
-    fn qualification_spends_budget_and_records_ledger() {
+    fn qualification_spends_budget() {
         let crowd = PlatformBuilder::new(mixed_pop())
             .qualification(Qualification {
                 questions: 4,
@@ -1032,8 +1023,7 @@ mod qualification_tests {
             })
             .budget(Budget::new(1e6))
             .build();
-        let entry = crowd.ledger().entry("qualification").unwrap();
-        assert_eq!(entry.count, 40 * 4, "every worker screened with 4 questions");
+        // Every worker screened with 4 questions at the unit price.
         assert_eq!(crowd.budget().spent(), 160.0);
     }
 
@@ -1106,8 +1096,18 @@ mod churn_tests {
         let a = crowd_with_churn(1.0, 10);
         let b = SimulatedCrowd::new(pop(10), 4);
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
-        let ra: Vec<u64> = a.ask_many(&task, 5).unwrap().iter().map(|x| x.worker.raw()).collect();
-        let rb: Vec<u64> = b.ask_many(&task, 5).unwrap().iter().map(|x| x.worker.raw()).collect();
+        let ra: Vec<u64> = a
+            .ask_many(&task, 5)
+            .unwrap()
+            .iter()
+            .map(|x| x.worker.raw())
+            .collect();
+        let rb: Vec<u64> = b
+            .ask_many(&task, 5)
+            .unwrap()
+            .iter()
+            .map(|x| x.worker.raw())
+            .collect();
         assert_eq!(ra, rb, "duty 1.0 never filters or waits");
         assert_eq!(a.now(), b.now());
     }
@@ -1198,7 +1198,10 @@ mod churn_tests {
         let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
         assert!(crowd.ask_one(&task).is_ok());
         assert!(crowd.ask_one(&task).is_ok());
-        assert_eq!(crowd.ask_one(&task).unwrap_err(), CrowdError::NoWorkerAvailable);
+        assert_eq!(
+            crowd.ask_one(&task).unwrap_err(),
+            CrowdError::NoWorkerAvailable
+        );
     }
 
     #[test]

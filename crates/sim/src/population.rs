@@ -134,7 +134,10 @@ impl Population {
     /// Ground-truth scalar quality per worker (aligned with
     /// [`Population::workers`]); used to evaluate worker-quality estimation.
     pub fn true_qualities(&self) -> Vec<f64> {
-        self.workers.iter().map(|w| w.model.true_quality()).collect()
+        self.workers
+            .iter()
+            .map(|w| w.model.true_quality())
+            .collect()
     }
 }
 
@@ -234,7 +237,10 @@ mod tests {
 
     #[test]
     fn builder_assigns_dense_ids() {
-        let p = PopulationBuilder::new().reliable(3, 0.8, 0.8).spammers(2).build(1);
+        let p = PopulationBuilder::new()
+            .reliable(3, 0.8, 0.8)
+            .spammers(2)
+            .build(1);
         assert_eq!(p.len(), 5);
         let ids: Vec<u64> = p.workers().iter().map(|w| w.id.raw()).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);

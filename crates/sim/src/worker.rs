@@ -131,9 +131,9 @@ impl WorkerProfile {
             .as_ref()
             .expect("simulated workers require tasks with ground truth"); // crowdkit-lint: allow(PANIC001) — documented contract: simulated tasks always carry ground truth
         match (&task.kind, truth) {
-            (TaskKind::SingleChoice { labels }, AnswerValue::Choice(t)) => {
-                AnswerValue::Choice(self.answer_choice(*t, labels.len() as u32, task.difficulty, rng))
-            }
+            (TaskKind::SingleChoice { labels }, AnswerValue::Choice(t)) => AnswerValue::Choice(
+                self.answer_choice(*t, labels.len() as u32, task.difficulty, rng),
+            ),
             (TaskKind::Pairwise { .. }, AnswerValue::Prefer(p)) => {
                 // A pairwise comparison is a 2-option choice; reuse the
                 // categorical machinery with truth index 0 = keep, 1 = flip.
@@ -163,9 +163,7 @@ impl WorkerProfile {
     fn answer_choice<R: Rng>(&self, t: u32, k: u32, difficulty: f64, rng: &mut R) -> u32 {
         debug_assert!(k >= 2, "choice tasks need at least 2 options");
         match &self.model {
-            WorkerModel::Reliable { accuracy } => {
-                coin_answer(t, k, *accuracy, rng)
-            }
+            WorkerModel::Reliable { accuracy } => coin_answer(t, k, *accuracy, rng),
             WorkerModel::Confusion { matrix } => {
                 let row = &matrix[t as usize];
                 sample_categorical(row, rng) as u32
@@ -200,9 +198,7 @@ impl WorkerProfile {
             }
             // Reliability p shrinks the noise: perfect workers (p=1) are
             // exact; coin-flippers (p=0.5) wander across half the range.
-            WorkerModel::Reliable { accuracy } => {
-                truth + gaussian(rng) * (1.0 - accuracy) * range
-            }
+            WorkerModel::Reliable { accuracy } => truth + gaussian(rng) * (1.0 - accuracy) * range,
             WorkerModel::Ability { ability } => {
                 let p = sigmoid(*ability);
                 truth + gaussian(rng) * (1.0 - p) * range
@@ -238,7 +234,9 @@ impl WorkerProfile {
         let skew = match &self.model {
             // Spammers contribute noise items not in the pool at all.
             WorkerModel::Spammer => {
-                return (0..batch).map(|i| format!("junk-{}", rng.gen_range(0..1000) + i)).collect();
+                return (0..batch)
+                    .map(|i| format!("junk-{}", rng.gen_range(0..1000) + i))
+                    .collect();
             }
             WorkerModel::Reliable { accuracy } => 2.0 - accuracy, // better workers dig deeper
             _ => 1.5,
@@ -425,7 +423,10 @@ mod tests {
         );
         let task = Task::new(
             TaskId::new(0),
-            TaskKind::Numeric { min: 0.0, max: 100.0 },
+            TaskKind::Numeric {
+                min: 0.0,
+                max: 100.0,
+            },
             "how many",
         )
         .with_truth(AnswerValue::Number(40.0));
@@ -437,7 +438,10 @@ mod tests {
             sum += v;
         }
         let mean = sum / 5_000.0;
-        assert!((mean - 40.0).abs() < 1.0, "unbiased worker mean {mean} ≈ 40");
+        assert!(
+            (mean - 40.0).abs() < 1.0,
+            "unbiased worker mean {mean} ≈ 40"
+        );
     }
 
     #[test]
@@ -527,7 +531,12 @@ mod tests {
         for _ in 0..10_000 {
             counts[zipf_index(10, 1.5, &mut r)] += 1;
         }
-        assert!(counts[0] > counts[9] * 3, "head {} tail {}", counts[0], counts[9]);
+        assert!(
+            counts[0] > counts[9] * 3,
+            "head {} tail {}",
+            counts[0],
+            counts[9]
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@ fn crowd(seed: u64, n_workers: usize, threads: usize) -> SimulatedCrowd {
     let pop = PopulationBuilder::new()
         .reliable(n_workers, 0.6, 0.95)
         .build(seed);
-    PlatformBuilder::new(pop).seed(seed).threads(threads).build()
+    PlatformBuilder::new(pop)
+        .seed(seed)
+        .threads(threads)
+        .build()
 }
 
 proptest! {

@@ -15,8 +15,9 @@
 //!    predicate pushdown, hash-join promotion, crowd-join formation and
 //!    reordering, top-k fusion, batching) produce candidate plans;
 //! 3. [`cost`](crate::cost) — candidates are scored on predicted spend,
-//!    round-latency and quality; the cheapest wins ([`QueryOpts`] carries
-//!    the weights);
+//!    round-latency and quality at unit prices and an assumed worker
+//!    accuracy of 0.9; the cheapest under the default [`CostWeights`]
+//!    wins;
 //! 4. `volcano` (crate-private) — the chosen plan executes as a pull
 //!    pipeline, metering actual spend and round-trips against the
 //!    prediction and feeding observed selectivities back into the memory.
@@ -90,12 +91,6 @@ pub struct QueryOpts {
     /// Crowd questions per platform round-trip (0 = one ask per
     /// question, the latency-naive default).
     pub batch: usize,
-    /// Scalarization weights for candidate selection.
-    pub weights: CostWeights,
-    /// Per-task-kind prices the cost model predicts spend with.
-    pub prices: CostModel,
-    /// Assumed per-worker accuracy for quality prediction.
-    pub accuracy: f64,
 }
 
 impl Default for QueryOpts {
@@ -104,9 +99,6 @@ impl Default for QueryOpts {
             votes: 3,
             optimize: true,
             batch: 0,
-            weights: CostWeights::default(),
-            prices: CostModel::unit(),
-            accuracy: 0.9,
         }
     }
 }
@@ -140,24 +132,6 @@ impl QueryOpts {
     /// Sets the questions-per-round-trip batching knob.
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Sets the plan-selection weights.
-    pub fn weights(mut self, weights: CostWeights) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// Sets the price table used for spend prediction.
-    pub fn prices(mut self, prices: CostModel) -> Self {
-        self.prices = prices;
-        self
-    }
-
-    /// Sets the assumed per-worker accuracy.
-    pub fn accuracy(mut self, accuracy: f64) -> Self {
-        self.accuracy = accuracy;
         self
     }
 }
@@ -268,6 +242,9 @@ struct Planned {
     predicted: PlanCost,
 }
 
+/// Per-worker accuracy the cost model assumes when it predicts quality.
+const ASSUMED_ACCURACY: f64 = 0.9;
+
 fn plan_select(
     state: &SessionState,
     select: &Select,
@@ -276,9 +253,10 @@ fn plan_select(
 ) -> Result<Planned> {
     let bound = bind(select, &state.catalog, opts.votes.max(1))?;
     let logical = bound.plan;
-    let est = Estimator::new(&state.catalog, &state.memory, &opts.prices, opts.accuracy);
+    let prices = CostModel::unit();
+    let est = Estimator::new(&state.catalog, &state.memory, &prices, ASSUMED_ACCURACY);
     let (chosen, rules) = if optimized {
-        let rw = optimize_plan(&logical, &est, &opts.weights, opts.batch);
+        let rw = optimize_plan(&logical, &est, &CostWeights::default(), opts.batch);
         (rw.plan, rw.rules.iter().map(|r| (*r).to_owned()).collect())
     } else {
         (logical.clone(), Vec::new())
@@ -341,8 +319,8 @@ impl Session {
         self.explain_with(sql, optimized, &QueryOpts::default())
     }
 
-    /// [`Session::explain`] under explicit [`QueryOpts`] (vote count,
-    /// batching and prices change the predicted numbers).
+    /// [`Session::explain`] under explicit [`QueryOpts`] (vote count and
+    /// batching change the predicted numbers).
     pub fn explain_with(
         &self,
         sql: &str,

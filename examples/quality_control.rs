@@ -47,7 +47,8 @@ fn main() {
         .seed(seed)
         .build();
     let pool_after = screened.population().len();
-    let screening_cost = screened.ledger().entry("qualification").unwrap().count;
+    // Screening is the only spend so far, one unit per question.
+    let screening_cost = screened.budget().spent();
     let out = label_tasks(&screened, &data.tasks, k, &MajorityVote).unwrap();
     println!(
         "qualification gate + majority vote: {:>5.1}%  ({} answers + {} screening questions, pool 80 → {pool_after})",

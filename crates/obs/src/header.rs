@@ -71,7 +71,11 @@ impl StreamHeader {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"stream\":\"{STREAM_MAGIC}\",\"schema\":{}", self.schema);
+        let _ = write!(
+            out,
+            "{{\"stream\":\"{STREAM_MAGIC}\",\"schema\":{}",
+            self.schema
+        );
         out.push_str(",\"git_rev\":");
         FieldValue::Str(self.git_rev.clone()).write_json(&mut out);
         let _ = write!(out, ",\"seed\":{},\"threads\":{}", self.seed, self.threads);

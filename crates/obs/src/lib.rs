@@ -64,8 +64,8 @@ pub use event::{wall_ns, Event, FieldValue, WallTimer};
 pub use header::{StreamHeader, STREAM_MAGIC, STREAM_SCHEMA_VERSION};
 pub use histogram::LogHistogram;
 pub use recorder::{
-    FieldStats, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, ShardBuffers,
-    ShardRecorder, Tee,
+    FieldStats, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, ShardBuffers, ShardRecorder,
+    Tee,
 };
 pub use report::{CostReport, ExperimentReport, InferenceReport, LatencyReport, RunReport};
 
@@ -166,7 +166,11 @@ pub fn record(event: Event) {
 /// current run as an `exp.quality` event. The per-metric means surface in
 /// the run's [`ExperimentReport`].
 pub fn quality(metric: &'static str, value: f64) {
-    record(Event::new("exp.quality").str("metric", metric).f64("value", value));
+    record(
+        Event::new("exp.quality")
+            .str("metric", metric)
+            .f64("value", value),
+    );
 }
 
 #[cfg(test)]

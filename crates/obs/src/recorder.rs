@@ -549,14 +549,30 @@ mod tests {
     #[test]
     fn memory_recorder_groups_by_string_fields() {
         let r = MemoryRecorder::new();
-        r.record(Event::new("exp.quality").str("metric", "accuracy").f64("value", 0.8));
-        r.record(Event::new("exp.quality").str("metric", "accuracy").f64("value", 0.9));
-        r.record(Event::new("exp.quality").str("metric", "f1").f64("value", 0.5));
+        r.record(
+            Event::new("exp.quality")
+                .str("metric", "accuracy")
+                .f64("value", 0.8),
+        );
+        r.record(
+            Event::new("exp.quality")
+                .str("metric", "accuracy")
+                .f64("value", 0.9),
+        );
+        r.record(
+            Event::new("exp.quality")
+                .str("metric", "f1")
+                .f64("value", 0.5),
+        );
         assert_eq!(r.groups("exp.quality"), vec!["accuracy", "f1"]);
-        let acc = r.grouped_field_stats("exp.quality", "accuracy", "value").unwrap();
+        let acc = r
+            .grouped_field_stats("exp.quality", "accuracy", "value")
+            .unwrap();
         assert_eq!(acc.count, 2);
         assert!((acc.mean() - 0.85).abs() < 1e-12);
-        assert!(r.grouped_field_stats("exp.quality", "missing", "value").is_none());
+        assert!(r
+            .grouped_field_stats("exp.quality", "missing", "value")
+            .is_none());
         // Ungrouped aggregate still sees every event.
         assert_eq!(r.field_stats("exp.quality", "value").unwrap().count, 3);
     }
@@ -578,7 +594,10 @@ mod tests {
         r.record(Event::new("k").at(1.0).u64("n", 2));
         r.record(Event::new("k2"));
         let text = String::from_utf8(r.take_bytes()).unwrap();
-        assert_eq!(text, "{\"key\":\"k\",\"sim\":1,\"n\":2}\n{\"key\":\"k2\"}\n");
+        assert_eq!(
+            text,
+            "{\"key\":\"k\",\"sim\":1,\"n\":2}\n{\"key\":\"k2\"}\n"
+        );
         assert!(r.take_bytes().is_empty());
     }
 

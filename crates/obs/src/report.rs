@@ -315,7 +315,11 @@ mod tests {
                 .u64("iters", 12)
                 .u64("converged", 1),
         );
-        rec.record(Event::new("exp.quality").str("metric", "accuracy").f64("value", 0.9));
+        rec.record(
+            Event::new("exp.quality")
+                .str("metric", "accuracy")
+                .f64("value", 0.9),
+        );
         rec.record(
             Event::new("prov.run")
                 .str("algo", "ds")
@@ -347,7 +351,10 @@ mod tests {
         assert_eq!(rep.provenance.flips, 5);
         assert_eq!(rep.provenance.margin_mean, 0.8);
         assert_eq!(rep.quality, vec![("accuracy".to_owned(), 0.9)]);
-        assert!(rep.event_counts.iter().any(|(k, n)| k == "truth.run" && *n == 1));
+        assert!(rep
+            .event_counts
+            .iter()
+            .any(|(k, n)| k == "truth.run" && *n == 1));
     }
 
     #[test]
@@ -363,10 +370,7 @@ mod tests {
         assert!(json.contains("\"accuracy\":0.9"));
         assert!(json.contains("\"provenance\":{\"runs\":1,\"contested\":3"));
         // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 

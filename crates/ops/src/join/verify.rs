@@ -67,6 +67,10 @@ pub struct JoinOutcome {
     /// Pairs whose crowd verdict contradicted an existing constraint and
     /// was discarded (noisy-crowd bookkeeping).
     pub contradictions: usize,
+    /// Pairs put to the crowd that no worker was left to answer. They
+    /// stay undecided: neither asked nor deduced, and no verdict of theirs
+    /// reaches the clustering.
+    pub pairs_without_worker: usize,
 }
 
 /// Resolves entities among `n_records` records by crowd-verifying
@@ -120,6 +124,7 @@ where
     let mut deduced_different = 0usize;
     let mut questions = 0usize;
     let mut contradictions = 0usize;
+    let mut pairs_without_worker = 0usize;
 
     let mut pending = order;
     'waves: while !pending.is_empty() {
@@ -175,6 +180,7 @@ where
                     break 'waves;
                 }
                 // No worker left for this pair: it stays undecided.
+                pairs_without_worker += 1;
                 continue;
             }
             questions += out.answers.len();
@@ -200,6 +206,7 @@ where
         deduced_different,
         questions_asked: questions,
         contradictions,
+        pairs_without_worker,
     })
 }
 
@@ -443,6 +450,7 @@ mod tests {
         assert_eq!(oracle.answers_delivered(), 3);
         assert_eq!(out.questions_asked, 3, "every bought verdict is counted");
         assert_eq!(out.pairs_asked, 1);
+        assert_eq!(out.pairs_without_worker, 1, "the starved pair is counted");
         assert_eq!(
             out.clusters[2], out.clusters[3],
             "the bought verdict is applied"

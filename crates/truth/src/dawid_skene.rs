@@ -23,10 +23,14 @@
 //! indexing, and each M-step precomputes a **transposed log table**
 //! `log π_w[t][l]` stored as `lt[w·k² + l·k + t]` so the E-step inner
 //! loop is pure adds over one contiguous `k`-slice per observation (no
-//! `ln` calls, no indirection). The soft-count M-step shards over worker
-//! ranges via [`parallel_items_mut`]; each worker writes its own slots
-//! from shared read-only state, so results are byte-identical at any
-//! thread count.
+//! `ln` calls, no indirection). An observation of worker `w` with label
+//! `l` reads only slice `(w, l)`, so the M-step writes only the slices of
+//! labels the worker gave, selected by a worker × label mask built once
+//! from the worker CSR: `k` logarithms per (worker, label) pair in the
+//! data, where a long-tailed crowd's workers mostly gave one label each.
+//! The soft-count M-step shards over worker ranges via
+//! [`parallel_items_mut`]; each worker writes its own slots from shared
+//! read-only state, so results are byte-identical at any thread count.
 //!
 //! With [`crate::freeze::FreezeConfig`] enabled (`config.freeze`), the
 //! E-step goes sparse: converged tasks freeze out of the worklist (their
@@ -69,10 +73,20 @@ impl DawidSkene {
             cfg.tol,
             cfg.threads,
             cfg.freeze,
-            |cx| DsModel {
-                smoothing: cfg.smoothing,
-                confusion: vec![0.0; cx.num_workers() * cx.k * cx.k],
-                log_table: vec![0.0; cx.num_workers() * cx.k * cx.k],
+            |cx| {
+                let (k, n_workers) = (cx.k, cx.num_workers());
+                let mut gave = vec![false; n_workers * k];
+                for w in 0..n_workers {
+                    for &(_, l) in cx.worker(w) {
+                        gave[w * k + l as usize] = true;
+                    }
+                }
+                DsModel {
+                    smoothing: cfg.smoothing,
+                    confusion: vec![0.0; n_workers * k * k],
+                    log_table: vec![0.0; n_workers * k * k],
+                    gave,
+                }
             },
         )?;
         let k = matrix.num_labels();
@@ -91,8 +105,12 @@ struct DsModel {
     /// `confusion[w*k*k + t*k + l] = π_w[t][l]`.
     confusion: Vec<f64>,
     /// Transposed log table: `log_table[w*k*k + l*k + t] = ln π_w[t][l]`,
-    /// so the E-step reads one contiguous k-slice per observation.
+    /// so the E-step reads one contiguous k-slice per observation. Only
+    /// the slices of labels the worker gave are written, since no other
+    /// slice is read.
     log_table: Vec<f64>,
+    /// `gave[w*k + l]`: worker `w` answered label `l` at least once.
+    gave: Vec<bool>,
 }
 
 impl EmModel for DsModel {
@@ -128,9 +146,9 @@ impl EmModel for DsModel {
         });
 
         // Log-table transpose, also over worker ranges: all `ln` calls
-        // happen here (W·k² of them) instead of per observation in the
-        // E-step.
-        let conf = &self.confusion;
+        // happen here instead of per observation in the E-step, k of them
+        // for each label a worker gave (the E-step reads no other slice).
+        let (conf, gave) = (&self.confusion, &self.gave);
         parallel_items_mut(&mut self.log_table, k * k, cx.threads, |w0, run| {
             for (i, lt) in run.chunks_mut(k * k).enumerate() {
                 let w = w0 + i;
@@ -138,7 +156,7 @@ impl EmModel for DsModel {
                     continue;
                 }
                 let cm = &conf[w * k * k..(w + 1) * k * k];
-                for l in 0..k {
+                for l in (0..k).filter(|&l| gave[w * k + l]) {
                     for t in 0..k {
                         lt[l * k + t] = cm[t * k + l].max(LN_FLOOR).ln();
                     }

@@ -57,10 +57,16 @@ pub(crate) fn normalize(row: &mut [f64]) {
 
 /// Exponentiates and normalizes a log-space row in place, subtracting the
 /// max first for numerical stability.
+///
+/// A max entry becomes exactly `1.0`, which is `exp(0.0)`, without the
+/// call, so a row with one max costs `k − 1` calls to `exp`. The rows the
+/// E-steps hand in are finite (`LN_FLOOR` and GLAD's clamp keep every log
+/// term finite), and for finite `x`, `x − max` is zero exactly when
+/// `x == max`, so the result is the all-`exp` one bit for bit.
 pub(crate) fn log_normalize(row: &mut [f64]) {
     let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     for x in row.iter_mut() {
-        *x = (*x - max).exp();
+        *x = if *x == max { 1.0 } else { (*x - max).exp() };
     }
     normalize(row);
 }
@@ -393,6 +399,7 @@ impl EmConfig {
 mod tests {
     use super::*;
     use crowdkit_core::ids::{TaskId, WorkerId};
+    use proptest::prelude::*;
 
     #[test]
     fn normalize_handles_zero_mass() {
@@ -435,6 +442,43 @@ mod tests {
             posterior_rows(&flat, 2),
             vec![vec![0.25, 0.75], vec![1.0, 0.0]]
         );
+    }
+
+    /// Random finite log rows of 2 to 6 labels. A cell of kind 2 sits at
+    /// `LN_FLOOR.ln()`, a cell of kind 3 ties the row's max, and the range
+    /// is wide enough that some `exp` calls underflow.
+    fn log_rows() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec((0u8..4, -750.0f64..50.0), 2..7).prop_map(|cells| {
+            let mut row: Vec<f64> = cells
+                .iter()
+                .map(|&(kind, x)| if kind == 2 { LN_FLOOR.ln() } else { x })
+                .collect();
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            for (x, &(kind, _)) in row.iter_mut().zip(&cells) {
+                if kind == 3 {
+                    *x = max;
+                }
+            }
+            row
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn log_normalize_equals_the_all_exp_reference(row in log_rows()) {
+            let mut reference = row.clone();
+            let max = reference.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            for x in reference.iter_mut() {
+                *x = (*x - max).exp();
+            }
+            normalize(&mut reference);
+            let mut fast = row.clone();
+            log_normalize(&mut fast);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&reference), "row {:?}", row);
+        }
     }
 
     #[test]

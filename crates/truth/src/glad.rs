@@ -22,7 +22,10 @@
 //! creeping toward it at a fixed rate. The M-step is the one place GLAD
 //! walks its edges: α over worker ranges (worker CSR), b over task ranges
 //! (task CSR), each entity's sums running in fixed insertion order — so
-//! results are byte-identical at any thread count.
+//! results are byte-identical at any thread count. Each task keeps
+//! `β = e^b` beside `b`, written by the b step whenever `b` moves, so the
+//! α step takes one `exp` per edge (the sigmoid's) and the E-step none for
+//! `β`.
 //!
 //! With the sparse incremental E-step on (`config.freeze`, see
 //! [`crate::freeze`]), freezing pins a frozen task's posterior row *and*
@@ -138,8 +141,8 @@ impl Glad {
                     freeze: cfg.freeze,
                     wrong_share: 1.0 / (cx.k as f64 - 1.0).max(1.0),
                     alpha: vec![1.0; n_workers],
-                    b: vec![0.0; n_tasks],
-                    b_active: vec![0.0; n_tasks],
+                    difficulty: vec![Difficulty::new(0.0); n_tasks],
+                    difficulty_active: vec![Difficulty::new(0.0); n_tasks],
                     alpha_prev: vec![1.0; n_workers],
                     alpha_streak: vec![0; n_workers],
                     alpha_pinned: vec![false; n_workers],
@@ -147,7 +150,7 @@ impl Glad {
             },
         )?;
         let params = GladParams {
-            inverse_difficulties: model.b.iter().map(|&x| x.exp()).collect(),
+            inverse_difficulties: model.difficulty.iter().map(|d| d.beta).collect(),
             abilities: model.alpha,
         };
         Ok((result, params))
@@ -161,16 +164,31 @@ struct GladModel {
     wrong_share: f64,
     /// Ability per worker.
     alpha: Vec<f64>,
-    /// Log inverse difficulty per task (`β = e^b`).
-    b: Vec<f64>,
-    /// On the worklist path: the new `b` of each active task, one compact
-    /// slot per worklist entry.
-    b_active: Vec<f64>,
+    /// Difficulty per task.
+    difficulty: Vec<Difficulty>,
+    /// On the worklist path: the new difficulty of each active task, one
+    /// compact slot per worklist entry.
+    difficulty_active: Vec<Difficulty>,
     /// Ability pinning: α one M-step ago, the count of consecutive
     /// M-steps it moved less than `eps`, and whether it is pinned.
     alpha_prev: Vec<f64>,
     alpha_streak: Vec<u32>,
     alpha_pinned: Vec<bool>,
+}
+
+/// A task's log inverse difficulty `b` and its `β = e^b`. The b step
+/// writes both whenever `b` moves, so every other reader of `β` (the α
+/// step on each edge, the E-step, `infer_full`) takes no `exp` for it.
+#[derive(Clone, Copy)]
+struct Difficulty {
+    b: f64,
+    beta: f64,
+}
+
+impl Difficulty {
+    fn new(b: f64) -> Self {
+        Self { b, beta: b.exp() }
+    }
 }
 
 impl EmModel for GladModel {
@@ -181,7 +199,7 @@ impl EmModel for GladModel {
         // α first, at the current b. A worker's step reads only its own
         // α, so the kernel updates α in place. With freezing on, α only
         // moves for unfrozen, unpinned workers.
-        let (b, pinned) = (&self.b, &self.alpha_pinned);
+        let (difficulty, pinned) = (&self.difficulty, &self.alpha_pinned);
         parallel_items_mut(&mut self.alpha, 1, cx.threads, |w0, run| {
             for (i, a) in run.iter_mut().enumerate() {
                 let w = w0 + i;
@@ -191,7 +209,7 @@ impl EmModel for GladModel {
                 let mut grad = -ALPHA_PRECISION * (*a - 1.0);
                 let mut curv = ALPHA_PRECISION;
                 for &(t, l) in cx.worker(w) {
-                    let beta = b[t as usize].exp();
+                    let beta = difficulty[t as usize].beta;
                     let s = sigmoid(*a * beta);
                     grad += beta * (posteriors[t as usize * k + l as usize] - s);
                     curv += beta * beta * s * (1.0 - s);
@@ -200,13 +218,14 @@ impl EmModel for GladModel {
             }
         });
 
-        // Then b, at the new α. b only moves for active tasks: on the
-        // worklist path the kernel shards over the active set into the
-        // compact slots of `b_active`, scattered back in ascending task
-        // order; everywhere else it updates b in place over the full range.
+        // Then b, at the new α, with β = e^b refreshed in the same step.
+        // b only moves for active tasks: on the worklist path the kernel
+        // shards over the active set into the compact slots of
+        // `difficulty_active`, scattered back in ascending task order;
+        // everywhere else it updates `difficulty` in place over the full
+        // range.
         let alpha = &self.alpha;
-        let task_step = |t: usize, bt: f64| {
-            let beta = bt.exp();
+        let task_step = |t: usize, Difficulty { b: bt, beta }: Difficulty| {
             let mut grad = -B_PRECISION * bt;
             let mut curv = B_PRECISION;
             for &(w, l) in cx.task(t) {
@@ -215,25 +234,25 @@ impl EmModel for GladModel {
                 grad += ab * (posteriors[t * k + l as usize] - s);
                 curv += ab * ab * s * (1.0 - s);
             }
-            (bt + grad / curv).clamp(-4.0, 4.0)
+            Difficulty::new((bt + grad / curv).clamp(-4.0, 4.0))
         };
         if aset.use_worklist() {
-            let b = &self.b;
+            let difficulty = &self.difficulty;
             parallel_active_items_mut(
-                &mut self.b_active,
+                &mut self.difficulty_active,
                 1,
                 aset.active(),
                 cx.threads,
-                |_, t, out| out[0] = task_step(t, b[t]),
+                |_, t, out| out[0] = task_step(t, difficulty[t]),
             );
-            for (&t, &bt) in aset.active().iter().zip(&self.b_active) {
-                self.b[t as usize] = bt;
+            for (&t, &d) in aset.active().iter().zip(&self.difficulty_active) {
+                self.difficulty[t as usize] = d;
             }
         } else {
-            parallel_items_mut(&mut self.b, 1, cx.threads, |t0, run| {
-                for (i, bt) in run.iter_mut().enumerate() {
+            parallel_items_mut(&mut self.difficulty, 1, cx.threads, |t0, run| {
+                for (i, d) in run.iter_mut().enumerate() {
                     if !aset.task_frozen(t0 + i) {
-                        *bt = task_step(t0 + i, *bt);
+                        *d = task_step(t0 + i, *d);
                     }
                 }
             });
@@ -262,7 +281,7 @@ impl EmModel for GladModel {
     /// labels and a right/wrong correction to its own.
     #[inline]
     fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
-        let beta = self.b[t].exp();
+        let beta = self.difficulty[t].beta;
         let mut base = 0.0;
         for &(w, l) in cx.task(t) {
             let s = sigmoid(self.alpha[w as usize] * beta).clamp(1e-9, 1.0 - 1e-9);

@@ -1,12 +1,13 @@
 //! Pins the EM kernels' outputs and event streams. Dawid–Skene, one-coin
 //! and GLAD run dense and with `FreezeConfig::sparse(1e-3)` on seeded
-//! matrices: a small one at 1 thread, and one large enough for the kernels
-//! to fork at 1 and 2 threads; each run is digested over its posterior
-//! bits, labels, worker quality, iteration count and convergence flag,
-//! the model's own parameters (DS confusion matrices, GLAD abilities and
-//! inverse difficulties), and the wall-free event stream it records
-//! (`truth.iter`, `truth.freeze`, `truth.run` and the `prov.*` lineage).
-//! A change to any kernel's arithmetic, its freezing decisions or its
+//! matrices: a small one at 1 thread, one large enough for the kernels to
+//! fork at 1 and 2 threads, and a long-tailed crowd whose workers mostly
+//! answer once, at k = 2 and 3 and 1 thread; each run is digested over its
+//! posterior bits, labels, worker quality, iteration count and convergence
+//! flag, the model's own parameters (DS confusion matrices, GLAD abilities
+//! and inverse difficulties), and the wall-free event stream it records
+//! (`truth.iter`, `truth.freeze`, `truth.run` and the `prov.*` lineage). A
+//! change to any kernel's arithmetic, its freezing decisions or its
 //! telemetry fails here, not only as shifted experiment numerics.
 
 use std::sync::Arc;
@@ -122,6 +123,53 @@ fn matrix(seed: u64, k: u32, scale: u64) -> ResponseMatrix {
                 .unwrap();
         }
     }
+    m
+}
+
+/// A long-tailed `k`-label crowd of 400 tasks with 4 answers each, shaped
+/// like an adaptive labelling job over a churned pool: 30% of answers come
+/// from 40 regulars (right 40% to 90% of the time, as in [`matrix`]) and
+/// the rest from a pool of 3,000 occasional workers (right 55% to 95% of
+/// the time), most of whom answer once or twice and so give a strict
+/// subset of the labels. It asserts that more than half of its workers
+/// answer exactly once.
+fn long_tail(seed: u64, k: u32) -> ResponseMatrix {
+    let mut rng = SplitMix(seed);
+    let mut m = ResponseMatrix::new(k as usize);
+    for t in 0..400 {
+        let truth = rng.below(u64::from(k)) as u32;
+        let mut asked: Vec<u64> = Vec::new();
+        while asked.len() < 4 {
+            let w = if rng.unit() < 0.3 {
+                rng.below(40)
+            } else {
+                40 + rng.below(3000)
+            };
+            if !asked.contains(&w) {
+                asked.push(w);
+            }
+        }
+        for w in asked {
+            let accuracy = if w < 40 {
+                0.4 + 0.5 * (w % 10) as f64 / 9.0
+            } else {
+                0.55 + 0.4 * (w % 17) as f64 / 16.0
+            };
+            let l = if rng.unit() < accuracy {
+                truth
+            } else {
+                (truth + 1 + rng.below(u64::from(k) - 1) as u32) % k
+            };
+            m.push(TaskId::new(t), WorkerId::new(w), l).unwrap();
+        }
+    }
+    let (w_off, _) = m.worker_csr();
+    let once = w_off.windows(2).filter(|d| d[1] - d[0] == 1).count();
+    assert!(
+        once * 2 > m.num_workers(),
+        "only {once} of {} workers answer once",
+        m.num_workers()
+    );
     m
 }
 
@@ -268,5 +316,45 @@ fn glad_streams_are_pinned_when_forked() {
     assert_eq!(
         glad(&m, &[2]),
         [0xBA98_D482_89BE_5B93, 0xB887_A518_1E31_B5AF]
+    );
+}
+
+// The long-tailed crowds: most workers answer once or twice, so a
+// worker's confusion rows, ability and log terms rest on a strict subset
+// of the labels. Recorded at f24dd91.
+
+#[test]
+fn dawid_skene_long_tail_streams_are_pinned() {
+    assert_eq!(
+        dawid_skene(&long_tail(41, 2), &[]),
+        [0x85B5_5008_AEA4_6540, 0xC061_3BB2_CDFC_731D]
+    );
+    assert_eq!(
+        dawid_skene(&long_tail(42, 3), &[]),
+        [0xFF03_E08D_F962_9B6C, 0x8592_ED3B_292B_4EA1]
+    );
+}
+
+#[test]
+fn one_coin_long_tail_streams_are_pinned() {
+    assert_eq!(
+        one_coin(&long_tail(43, 2), &[]),
+        [0xEC66_66D2_426D_06CC, 0xFCC4_4C03_F816_D5E4]
+    );
+    assert_eq!(
+        one_coin(&long_tail(44, 3), &[]),
+        [0x3255_1A15_059D_4486, 0x9103_2B11_8896_737D]
+    );
+}
+
+#[test]
+fn glad_long_tail_streams_are_pinned() {
+    assert_eq!(
+        glad(&long_tail(45, 2), &[]),
+        [0xCD4B_2C04_9BF0_99C4, 0x31B0_F45F_9B3B_58AA]
+    );
+    assert_eq!(
+        glad(&long_tail(46, 3), &[]),
+        [0x8109_59B6_CEDF_F131, 0x87DB_EFAC_7262_D57E]
     );
 }

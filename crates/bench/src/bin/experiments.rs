@@ -11,8 +11,9 @@
 //!
 //! `--report` runs the selection instrumented: every experiment executes
 //! under its own in-memory recorder and the distilled cost/latency/quality
-//! triangle lands in `RUNREPORT.json`. `--log <path>` additionally captures
-//! the full deterministic event stream (wall-clock data omitted) as JSONL.
+//! triangle lands in `RUNREPORT.json`. `--log <path>` runs it instrumented
+//! too and captures the full deterministic event stream (wall-clock data
+//! omitted) as JSONL; it writes `RUNREPORT.json` only next to `--report`.
 
 use std::process::ExitCode;
 
@@ -69,16 +70,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         print!("{}", suite.rendered);
-        if let Err(e) = std::fs::write("RUNREPORT.json", suite.report.to_json()) {
-            eprintln!("failed to write RUNREPORT.json: {e}");
-            return ExitCode::FAILURE;
+        if report {
+            if let Err(e) = std::fs::write("RUNREPORT.json", suite.report.to_json()) {
+                eprintln!("failed to write RUNREPORT.json: {e}");
+                return ExitCode::FAILURE;
+            }
+            eprintln!(
+                "RUNREPORT.json: {} experiments, {} crowd questions, {:.2} spent",
+                suite.report.experiments.len(),
+                suite.report.total_questions(),
+                suite.report.total_spend(),
+            );
         }
-        eprintln!(
-            "RUNREPORT.json: {} experiments, {} crowd questions, {:.2} spent",
-            suite.report.experiments.len(),
-            suite.report.total_questions(),
-            suite.report.total_spend(),
-        );
         if let Some(path) = log_path {
             if let Err(e) = std::fs::write(&path, &suite.events) {
                 eprintln!("failed to write {path}: {e}");

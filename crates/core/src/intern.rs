@@ -20,14 +20,17 @@
 //! two) and use [`IdInterner::expect_dense`] where density is assumed —
 //! that path debug-asserts instead of corrupting.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use crate::hash::IdMap;
 
 /// Maps sparse external ids to dense `u32` indices in first-seen order.
 ///
 /// Works for any id type that round-trips through `u64` — in this
 /// workspace that is [`crate::ids::TaskId`], [`crate::ids::WorkerId`] and
-/// [`crate::ids::ItemId`].
+/// [`crate::ids::ItemId`]. The map hashes with the unkeyed
+/// [`crate::hash::IdHasher`]: fast on ids the program makes, but ids
+/// picked to collide would slow every lookup toward a scan.
 ///
 /// ```
 /// use crowdkit_core::ids::TaskId;
@@ -43,14 +46,15 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct IdInterner<I> {
     ids: Vec<I>,
-    dense: HashMap<I, u32>,
+    /// Looked up, never iterated, so its hasher cannot change an output.
+    dense: IdMap<I, u32>,
 }
 
 impl<I> Default for IdInterner<I> {
     fn default() -> Self {
         Self {
             ids: Vec::new(),
-            dense: HashMap::new(),
+            dense: IdMap::default(),
         }
     }
 }
@@ -58,17 +62,14 @@ impl<I> Default for IdInterner<I> {
 impl<I: Copy + Eq + Hash> IdInterner<I> {
     /// Creates an empty interner.
     pub fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            dense: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Creates an interner preallocated for roughly `capacity` distinct ids.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             ids: Vec::with_capacity(capacity),
-            dense: HashMap::with_capacity(capacity),
+            dense: IdMap::with_capacity_and_hasher(capacity, Default::default()),
         }
     }
 
@@ -204,6 +205,36 @@ mod tests {
         assert!(it.is_identity());
         it.intern(TaskId::new(9));
         assert!(!it.is_identity());
+    }
+
+    #[test]
+    fn strided_ids_intern_in_first_seen_order() {
+        // The sparse ids `bench_scale` makes, against a SipHash map
+        // filled alongside: every lookup agrees, and dense indices follow
+        // first sight whatever the hasher.
+        let task = |t: u64| TaskId::new(t.wrapping_mul(2_654_435_761).wrapping_add(17));
+        let worker = |w: u64| WorkerId::new(w.wrapping_mul(40_503).wrapping_add(101));
+        let mut tasks = IdInterner::new();
+        let mut workers = IdInterner::with_capacity(16);
+        let mut sip = std::collections::HashMap::new();
+        for i in 0..5_000u64 {
+            let t = task(i % 3_001);
+            let w = worker(i * 7 % 1_009);
+            let d = tasks.intern(t);
+            assert_eq!(d, *sip.entry(t).or_insert(tasks.len() as u32 - 1));
+            assert_eq!(workers.intern(w), workers.dense(w).unwrap());
+        }
+        assert_eq!(tasks.len(), 3_001);
+        assert_eq!(workers.len(), 1_009);
+        for i in 0..3_001u64 {
+            assert_eq!(tasks.dense(task(i)), Some(i as u32));
+            assert_eq!(tasks.id(i as u32), task(i));
+            assert_eq!(tasks.dense(TaskId::new(task(i).raw() + 1)), None);
+        }
+        for (d, &w) in workers.ids().iter().enumerate() {
+            assert_eq!(workers.expect_dense(w), d as u32);
+        }
+        assert_eq!(workers.id(1), worker(7));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! This crate defines the vocabulary every other crate speaks:
 //!
 //! * [`ids`] — strongly-typed identifiers for tasks, workers and items.
+//! * [`hash`] — a fixed integer hasher for maps keyed by one id.
 //! * [`intern`] — dense `u32` interning of sparse external ids (the
 //!   bridge from platform ids to flat-array kernel indices).
 //! * [`label`] — categorical label spaces for classification tasks.
@@ -34,6 +35,7 @@ pub mod answer;
 pub mod ask;
 pub mod budget;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod label;

@@ -17,19 +17,21 @@
 //! of its planned seed, the combined result is byte-identical at any thread
 //! count — the property the concurrency proptests pin.
 
+use crowdkit_core::hash::mix64;
+
 /// Derives an independent 64-bit RNG seed for one assignment from the
 /// platform seed, the task id, and the per-task attempt ordinal.
 ///
-/// SplitMix64-style finalization: consecutive `(task, attempt)` pairs land
-/// far apart in seed space, so per-assignment `StdRng` streams are
-/// statistically independent even though they are planned sequentially.
+/// SplitMix64-style finalization ([`mix64`]): consecutive
+/// `(task, attempt)` pairs land far apart in seed space, so per-assignment
+/// `StdRng` streams are statistically independent even though they are
+/// planned sequentially.
 pub fn derive_seed(platform_seed: u64, task_raw: u64, attempt: u64) -> u64 {
-    let mut z = platform_seed
-        .wrapping_add(task_raw.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(attempt.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        platform_seed
+            .wrapping_add(task_raw.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(attempt.wrapping_mul(0xD1B5_4A32_D192_ED03)),
+    )
 }
 
 #[cfg(test)]

@@ -44,12 +44,11 @@
 //! eligible worker is online does a pick scan the pool for the earliest
 //! arrival.
 
-use std::collections::HashMap;
-
 use crowdkit_core::answer::Answer;
 use crowdkit_core::ask::{AskOutcome, AskRequest};
 use crowdkit_core::budget::{Budget, CostModel};
 use crowdkit_core::error::{CrowdError, Result};
+use crowdkit_core::hash::IdMap;
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::par::{default_threads, parallel_map};
 use crowdkit_core::task::Task;
@@ -264,7 +263,7 @@ impl PlatformBuilder {
             state: Mutex::new(State {
                 clock: 0.0,
                 budget,
-                tasks: HashMap::new(),
+                tasks: IdMap::default(),
                 delivered: 0,
             }),
         }
@@ -277,8 +276,9 @@ struct State {
     /// The simulated clock, in seconds.
     clock: f64,
     budget: Budget,
-    /// Reservations and attempt counts of every task asked so far.
-    tasks: HashMap<TaskId, TaskState>,
+    /// Reservations and attempt counts of every task asked so far; looked
+    /// up, never iterated, so its hasher cannot change an output.
+    tasks: IdMap<TaskId, TaskState>,
     /// Answers delivered so far.
     delivered: u64,
 }

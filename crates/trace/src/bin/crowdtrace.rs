@@ -191,7 +191,9 @@ fn load(path: &str) -> Result<LoadedStream, CliError> {
 fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
     let (positional, flags) = parse_flags(args, &["folded"])?;
     let [path] = positional[..] else {
-        return Err(CliError::Usage("replay wants exactly one stream path".into()));
+        return Err(CliError::Usage(
+            "replay wants exactly one stream path".into(),
+        ));
     };
     let stream = load(path)?;
     let rep = replay(&stream);
@@ -200,10 +202,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
         let folded = rep.folded();
         std::fs::write(out, &folded)
             .map_err(|e| CliError::Data(format!("cannot write `{out}`: {e}")))?;
-        println!(
-            "wrote {} collapsed stacks to {out}",
-            folded.lines().count()
-        );
+        println!("wrote {} collapsed stacks to {out}", folded.lines().count());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -211,7 +210,9 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
 fn cmd_diff(args: &[String]) -> Result<ExitCode, CliError> {
     let (positional, flags) = parse_flags(args, &["quality-tol", "spend-tol", "latency-tol"])?;
     let [path_a, path_b] = positional[..] else {
-        return Err(CliError::Usage("diff wants exactly two stream paths".into()));
+        return Err(CliError::Usage(
+            "diff wants exactly two stream paths".into(),
+        ));
     };
     let a = load(path_a)?;
     let b = load(path_b)?;
@@ -250,15 +251,16 @@ fn cmd_regress(args: &[String]) -> Result<ExitCode, CliError> {
         .ok_or_else(|| CliError::Usage("regress needs `--current <BENCH_truth.json>`".into()))?;
     let window = match flag(&flags, "window") {
         None => 5,
-        Some(v) => v.parse::<usize>().map_err(|_| {
-            CliError::Usage(format!("flag `--window` wants an integer, got `{v}`"))
-        })?,
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| CliError::Usage(format!("flag `--window` wants an integer, got `{v}`")))?,
     };
     let threshold = parse_f64_flag(&flags, "threshold")?.unwrap_or(0.25);
     let current = load_snapshot(current_path)?;
     let history = match std::fs::read_to_string(history_path) {
-        Ok(text) => parse_history(&text)
-            .map_err(|e| CliError::Data(format!("{history_path}: {e}")))?,
+        Ok(text) => {
+            parse_history(&text).map_err(|e| CliError::Data(format!("{history_path}: {e}")))?
+        }
         // A missing history file is an empty baseline, not an error: the
         // run exits NO_BASELINE below.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -386,12 +388,14 @@ fn cmd_why(args: &[String]) -> Result<ExitCode, CliError> {
 fn cmd_audit(args: &[String]) -> Result<ExitCode, CliError> {
     let (positional, flags) = parse_flags(args, &["margin"])?;
     let [path] = positional[..] else {
-        return Err(CliError::Usage("audit wants exactly one stream path".into()));
+        return Err(CliError::Usage(
+            "audit wants exactly one stream path".into(),
+        ));
     };
     let margin = parse_f64_flag(&flags, "margin")?.unwrap_or(0.1);
     let view = prov::collect(&load(path)?);
-    let out = prov::render_audit(&view, margin)
-        .map_err(|e| CliError::Data(format!("{path}: {e}")))?;
+    let out =
+        prov::render_audit(&view, margin).map_err(|e| CliError::Data(format!("{path}: {e}")))?;
     print!("{out}");
     Ok(ExitCode::SUCCESS)
 }

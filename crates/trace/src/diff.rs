@@ -339,7 +339,11 @@ mod tests {
         assert_eq!(d.index, 1);
         assert_eq!((d.line_a, d.line_b), (2, 2));
         assert_eq!(d.key_a, "x");
-        assert!(d.detail.contains("field `v` differs: 1.5 vs 2.5"), "{}", d.detail);
+        assert!(
+            d.detail.contains("field `v` differs: 1.5 vs 2.5"),
+            "{}",
+            d.detail
+        );
         assert!(d.render().contains("line 2"));
     }
 

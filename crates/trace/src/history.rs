@@ -309,9 +309,7 @@ impl RegressReport {
             "algo", "baseline ns", "current ns", "ratio"
         );
         for r in &self.rows {
-            let baseline = r
-                .baseline_ns
-                .map_or("(none)".to_owned(), |b| b.to_string());
+            let baseline = r.baseline_ns.map_or("(none)".to_owned(), |b| b.to_string());
             let _ = writeln!(
                 out,
                 "{:<8} {:>14} {:>14} {:>8.3}  {}",
@@ -534,7 +532,10 @@ mod tests {
         let rep = regress(&history, &entry("cur", 4, &[("ds", 1100)]), 5, 0.25);
         assert_eq!(rep.window_used, 1);
         assert_eq!(rep.rows[0].baseline_ns, Some(1000));
-        assert!(!rep.breached, "10ns scale entry must not poison the baseline");
+        assert!(
+            !rep.breached,
+            "10ns scale entry must not poison the baseline"
+        );
     }
 
     #[test]
@@ -550,11 +551,21 @@ mod tests {
         let history: Vec<BenchEntry> = (0..5)
             .map(|i| entry(&format!("r{i}"), 4, &[("ds", 1000 + i), ("mv", 100)]))
             .collect();
-        let ok = regress(&history, &entry("cur", 4, &[("ds", 1100), ("mv", 100)]), 5, 0.25);
+        let ok = regress(
+            &history,
+            &entry("cur", 4, &[("ds", 1100), ("mv", 100)]),
+            5,
+            0.25,
+        );
         assert!(!ok.breached);
         assert_eq!(ok.window_used, 5);
 
-        let bad = regress(&history, &entry("cur", 4, &[("ds", 1600), ("mv", 100)]), 5, 0.25);
+        let bad = regress(
+            &history,
+            &entry("cur", 4, &[("ds", 1600), ("mv", 100)]),
+            5,
+            0.25,
+        );
         assert!(bad.breached);
         let ds = bad.rows.iter().find(|r| r.algo == "ds").unwrap();
         assert!(ds.breach);

@@ -289,7 +289,9 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+                    let esc = self
+                        .peek()
+                        .ok_or_else(|| self.error("unterminated escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -315,9 +317,7 @@ impl Parser<'_> {
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => {
-                            return Err(
-                                self.error(format!("invalid escape '\\{}'", other as char))
-                            )
+                            return Err(self.error(format!("invalid escape '\\{}'", other as char)))
                         }
                     }
                 }
@@ -423,7 +423,10 @@ mod tests {
     #[test]
     fn escapes_roundtrip_through_unescape() {
         let v = parse("{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}").unwrap();
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\te\u{1}f"));
+        assert_eq!(
+            v.get("s").and_then(Json::as_str),
+            Some("a\"b\\c\nd\te\u{1}f")
+        );
         assert_eq!(
             v.to_string_compact(),
             "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}"

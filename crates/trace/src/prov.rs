@@ -313,11 +313,7 @@ pub fn render_why(
             .iter()
             .filter(|s| s.exp == r.exp && s.scope == "task" && s.id == Some(task))
         {
-            let _ = writeln!(
-                out,
-                "  spend: {:.4} over {} answer(s)",
-                s.spend, s.answers
-            );
+            let _ = writeln!(out, "  spend: {:.4} over {} answer(s)", s.spend, s.answers);
         }
     }
     Ok(out)
@@ -355,7 +351,11 @@ pub fn render_audit(view: &ProvView, margin_thr: f64) -> Result<String, String> 
         let _ = writeln!(
             out,
             "{:<24} {:<6} {:>7} {:>9} {:>6} {:>11.4}",
-            r.exp, r.algo, r.summary.tasks, r.summary.contested, r.summary.flips,
+            r.exp,
+            r.algo,
+            r.summary.tasks,
+            r.summary.contested,
+            r.summary.flips,
             r.summary.margin_mean
         );
     }
@@ -412,7 +412,10 @@ pub fn render_audit(view: &ProvView, margin_thr: f64) -> Result<String, String> 
         });
         let _ = writeln!(out, "\nmost influential workers (Σ weight × answers):");
         for (w, (infl, _, answers)) in influential.iter().take(5) {
-            let _ = writeln!(out, "  w{w:<8} influence {infl:.2} over {answers} answer(s)");
+            let _ = writeln!(
+                out,
+                "  w{w:<8} influence {infl:.2} over {answers} answer(s)"
+            );
         }
         let mut overruled: Vec<(&u64, &(f64, u64, u64))> = by_worker.iter().collect();
         overruled.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then_with(|| a.0.cmp(b.0)));

@@ -220,9 +220,7 @@ impl SpanBuilder {
                 f.questions += e.field_u64("answers").unwrap_or(0);
             }
             "exp.quality" => {
-                if let (Some(metric), Some(value)) =
-                    (e.field_str("metric"), e.field_f64("value"))
-                {
+                if let (Some(metric), Some(value)) = (e.field_str("metric"), e.field_f64("value")) {
                     let slot = self.quality.entry(metric.to_owned()).or_insert((0.0, 0));
                     slot.0 += value;
                     slot.1 += 1;

@@ -382,12 +382,13 @@ mod tests {
 
     #[test]
     fn det_projection_strips_wall_data() {
-        let s = parse_stream(
-            "{\"key\":\"k\",\"sim\":2,\"wall_ns\":9,\"n\":3,\"plan_ns\":5}\n",
-        )
-        .unwrap();
+        let s = parse_stream("{\"key\":\"k\",\"sim\":2,\"wall_ns\":9,\"n\":3,\"plan_ns\":5}\n")
+            .unwrap();
         assert_eq!(s.events[0].det_json(), "{\"key\":\"k\",\"sim\":2,\"n\":3}");
-        assert_eq!(s.events[0].to_json(), "{\"key\":\"k\",\"sim\":2,\"wall_ns\":9,\"n\":3,\"plan_ns\":5}");
+        assert_eq!(
+            s.events[0].to_json(),
+            "{\"key\":\"k\",\"sim\":2,\"wall_ns\":9,\"n\":3,\"plan_ns\":5}"
+        );
     }
 
     #[test]

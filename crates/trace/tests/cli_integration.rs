@@ -184,7 +184,11 @@ fn diff_exit_two_on_metric_threshold_breach() {
     ]);
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     if text.contains("BREACH") {
-        assert_eq!(out.status.code(), Some(2), "breach must exit 2, got:\n{text}");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "breach must exit 2, got:\n{text}"
+        );
     } else {
         // Seeds happened to land on identical aggregates — still divergent.
         assert_eq!(out.status.code(), Some(1), "got:\n{text}");
@@ -340,7 +344,11 @@ fn regress_gate_fails_synthetic_regression_and_passes_steady_state() {
         bad.to_str().unwrap(),
     ]);
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert_eq!(out.status.code(), Some(1), "regression must fail, got:\n{text}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "regression must fail, got:\n{text}"
+    );
     assert!(text.contains("REGRESSION"), "got:\n{text}");
     let entries = |path: &std::path::Path| {
         crowdkit_trace::history::parse_history(&std::fs::read_to_string(path).unwrap())
@@ -410,7 +418,11 @@ fn malformed_streams_fail_with_line_numbers() {
     let broken_line = text.lines().count();
     let path = write_stream(&dir, "broken.jsonl", text.as_bytes());
     let out = crowdtrace(&["replay", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(65), "malformed input is a data error");
+    assert_eq!(
+        out.status.code(),
+        Some(65),
+        "malformed input is a data error"
+    );
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
         err.contains(&format!("line {broken_line}")),

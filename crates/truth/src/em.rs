@@ -60,9 +60,9 @@ pub(crate) fn normalize(row: &mut [f64]) {
 ///
 /// A max entry becomes exactly `1.0`, which is `exp(0.0)`, without the
 /// call, so a row with one max costs `k − 1` calls to `exp`. The rows the
-/// E-steps hand in are finite (`LN_FLOOR` and GLAD's clamp keep every log
-/// term finite), and for finite `x`, `x − max` is zero exactly when
-/// `x == max`, so the result is the all-`exp` one bit for bit.
+/// E-steps hand in are finite (`LN_FLOOR` keeps every log term finite, and
+/// GLAD's log-odds are clamped), and for finite `x`, `x − max` is zero
+/// exactly when `x == max`, so the result is the all-`exp` one bit for bit.
 pub(crate) fn log_normalize(row: &mut [f64]) {
     let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     for x in row.iter_mut() {
@@ -207,7 +207,23 @@ pub(crate) struct Csr<'a> {
     w_entries: &'a [(u32, u32)],
 }
 
-impl Csr<'_> {
+impl<'a> Csr<'a> {
+    /// Both groupings of `matrix`, with `threads` resolved by
+    /// [`resolve_threads`] against its per-iteration work.
+    pub fn new(matrix: &'a ResponseMatrix, threads: usize) -> Self {
+        let k = matrix.num_labels();
+        let (t_off, t_entries) = matrix.task_csr();
+        let (w_off, w_entries) = matrix.worker_csr();
+        Self {
+            k,
+            threads: resolve_threads(threads, matrix.num_observations() * k),
+            t_off,
+            t_entries,
+            w_off,
+            w_entries,
+        }
+    }
+
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
         self.t_off.len() - 1
@@ -271,22 +287,13 @@ pub(crate) fn run<M: EmModel>(
     if matrix.is_empty() {
         return Err(CrowdError::EmptyInput("response matrix"));
     }
-    let k = matrix.num_labels();
-    let (t_off, t_entries) = matrix.task_csr();
-    let (w_off, w_entries) = matrix.worker_csr();
-    let cx = Csr {
-        k,
-        threads: resolve_threads(threads, matrix.num_observations() * k),
-        t_off,
-        t_entries,
-        w_off,
-        w_entries,
-    };
+    let cx = Csr::new(matrix, threads);
+    let (k, t_off, t_entries) = (cx.k, cx.t_off, cx.t_entries);
     let mut model = init(&cx);
 
     // Flat state, allocated once and reused every iteration.
     let mut posteriors = vote_fraction_posteriors(matrix);
-    let mut aset = ActiveSet::new(freeze, matrix.num_tasks(), k, w_off);
+    let mut aset = ActiveSet::new(freeze, matrix.num_tasks(), k, cx.w_off);
     let mut priors = vec![1.0 / k as f64; k];
     let mut log_priors = vec![0.0f64; k];
 

@@ -8,24 +8,31 @@
 //! labels. Gaussian priors `α ~ N(1, 1/λα)` and `b ~ N(0, 1/λb)` keep the
 //! parameters finite.
 //!
-//! Inference is EM, run by the driver in [`crate::em`]: the E-step
-//! computes task posteriors exactly as in the one-coin model but with a
-//! per-(worker, task) correctness probability; the M-step, this model's
-//! `m_step`, takes one Fisher-scoring step per coordinate on the expected
-//! complete log-posterior. With `p` the posterior that an edge's answer is
-//! right, each `α_w` moves by its gradient `Σ β(p − s) − λα(α − 1)` over
-//! its expected curvature `Σ β²s(1 − s) + λα` at the current `b`; then
-//! each `b_t` moves by `Σ αβ(p − s) − λb·b` over `Σ α²β²s(1 − s) + λb` at
-//! the new `α`. The curvatures are expectations and positive everywhere
-//! (for α the expectation is the exact curvature, so its step is a Newton
-//! step); each step lands near its coordinate's optimum instead of
-//! creeping toward it at a fixed rate. The M-step is the one place GLAD
-//! walks its edges: α over worker ranges (worker CSR), b over task ranges
-//! (task CSR), each entity's sums running in fixed insertion order — so
-//! results are byte-identical at any thread count. Each task keeps
-//! `β = e^b` beside `b`, written by the b step whenever `b` moves, so the
-//! α step takes one `exp` per edge (the sigmoid's) and the E-step none for
-//! `β`.
+//! Inference is EM, run by [`crate::em`]'s shared loop. In the E-step an
+//! answer of label `l` scales `l`'s likelihood by `s` and every other
+//! label's by `(1 − s)/(k − 1)`. In log space that is
+//! `ln((1 − s)/(k − 1))` on every label of the task, which the loop's
+//! `log_normalize` cancels, plus `ln s − ln((1 − s)/(k − 1))`, which is
+//! `αβ + ln(k − 1)`, on `l`; so an answer adds `αβ + ln(k − 1)` to its own
+//! label and nothing else, with no `exp`, `ln` or division. `αβ` is
+//! clamped to `±ln((1 − 1e-9)/1e-9)`, the log-odds of keeping `s` inside
+//! `[1e-9, 1 − 1e-9]`, so no one answer outweighs a billion to one.
+//!
+//! The M-step, this model's `m_step`, takes one Fisher-scoring step per
+//! coordinate on the expected complete log-posterior. With `p` the
+//! posterior that an edge's answer is right, each `α_w` moves by its
+//! gradient `Σ β(p − s) − λα(α − 1)` over its expected curvature
+//! `Σ β²s(1 − s) + λα` at the current `b`; then each `b_t` moves by
+//! `Σ αβ(p − s) − λb·b` over `Σ α²β²s(1 − s) + λb` at the new `α`. The
+//! curvatures are expectations and positive everywhere (for α the
+//! expectation is the exact curvature, so its step is a Newton step);
+//! each step lands near its coordinate's optimum instead of creeping
+//! toward it at a fixed rate. The M-step walks the edges twice: α over
+//! worker ranges (worker CSR), b over task ranges (task CSR), each
+//! entity's sums running in fixed insertion order — so results are
+//! byte-identical at any thread count. Each task keeps `β = e^b` beside
+//! `b`, written by the b step whenever `b` moves, so the α step takes one
+//! `exp` per edge (the sigmoid's) and the E-step none.
 //!
 //! With the sparse incremental E-step on (`config.freeze`, see
 //! [`crate::freeze`]), freezing pins a frozen task's posterior row *and*
@@ -62,6 +69,10 @@ const ALPHA_PRECISION: f64 = 0.1;
 /// Prior precision λb of `b ~ N(0, 1/λb)`. At 0.1 difficulties keep
 /// drifting and GLAD needs about 2.5 times the EM iterations.
 const B_PRECISION: f64 = 1.0;
+
+/// The most log-odds one answer carries, `ln((1 − 1e-9)/1e-9)`: the logit
+/// of the clamp `[1e-9, 1 − 1e-9]` on the correctness probability `s`.
+const MAX_LOG_ODDS: f64 = 20.723_265_835_946_41;
 
 /// Settings for [`Glad`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,19 +146,7 @@ impl Glad {
             cfg.tol,
             cfg.threads,
             cfg.freeze,
-            |cx| {
-                let (n_tasks, n_workers) = (cx.num_tasks(), cx.num_workers());
-                GladModel {
-                    freeze: cfg.freeze,
-                    wrong_share: 1.0 / (cx.k as f64 - 1.0).max(1.0),
-                    alpha: vec![1.0; n_workers],
-                    difficulty: vec![Difficulty::new(0.0); n_tasks],
-                    difficulty_active: vec![Difficulty::new(0.0); n_tasks],
-                    alpha_prev: vec![1.0; n_workers],
-                    alpha_streak: vec![0; n_workers],
-                    alpha_pinned: vec![false; n_workers],
-                }
-            },
+            |cx| GladModel::new(cx, cfg.freeze),
         )?;
         let params = GladParams {
             inverse_difficulties: model.difficulty.iter().map(|d| d.beta).collect(),
@@ -160,8 +159,9 @@ impl Glad {
 /// The GLAD worker-and-task model.
 struct GladModel {
     freeze: FreezeConfig,
-    /// Each wrong label's share of a wrong answer, `1 / (k − 1)`.
-    wrong_share: f64,
+    /// `ln(k − 1)`, what an answer adds to its label's log-odds against
+    /// any one wrong label beyond `αβ` (0 at `k ≤ 2`).
+    ln_wrong_labels: f64,
     /// Ability per worker.
     alpha: Vec<f64>,
     /// Difficulty per task.
@@ -188,6 +188,23 @@ struct Difficulty {
 impl Difficulty {
     fn new(b: f64) -> Self {
         Self { b, beta: b.exp() }
+    }
+}
+
+impl GladModel {
+    /// Every ability at the prior mean 1 and every difficulty at `b = 0`.
+    fn new(cx: &Csr<'_>, freeze: FreezeConfig) -> Self {
+        let (n_tasks, n_workers) = (cx.num_tasks(), cx.num_workers());
+        Self {
+            freeze,
+            ln_wrong_labels: (cx.k as f64 - 1.0).max(1.0).ln(),
+            alpha: vec![1.0; n_workers],
+            difficulty: vec![Difficulty::new(0.0); n_tasks],
+            difficulty_active: vec![Difficulty::new(0.0); n_tasks],
+            alpha_prev: vec![1.0; n_workers],
+            alpha_streak: vec![0; n_workers],
+            alpha_pinned: vec![false; n_workers],
+        }
     }
 }
 
@@ -276,22 +293,16 @@ impl EmModel for GladModel {
         }
     }
 
-    /// The one-coin scalar update with a per-edge correctness
-    /// probability: each observation contributes a base mass to all
-    /// labels and a right/wrong correction to its own.
+    /// Each answer adds its clamped log-odds `αβ` and `ln(k − 1)` to the
+    /// label it gave. The `ln((1 − s)/(k − 1))` every answer also puts on
+    /// every label is left out: it is the same for all of a task's labels,
+    /// so `em::log_normalize` would cancel it.
     #[inline]
     fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
         let beta = self.difficulty[t].beta;
-        let mut base = 0.0;
         for &(w, l) in cx.task(t) {
-            let s = sigmoid(self.alpha[w as usize] * beta).clamp(1e-9, 1.0 - 1e-9);
-            let right = s.ln();
-            let wrong = ((1.0 - s) * self.wrong_share).ln();
-            base += wrong;
-            row[l as usize] += right - wrong;
-        }
-        for x in row.iter_mut() {
-            *x += base;
+            let log_odds = (self.alpha[w as usize] * beta).clamp(-MAX_LOG_ODDS, MAX_LOG_ODDS);
+            row[l as usize] += log_odds + self.ln_wrong_labels;
         }
     }
 
@@ -320,6 +331,7 @@ impl TruthInferencer for Glad {
 mod tests {
     use super::*;
     use crowdkit_core::ids::{TaskId, WorkerId};
+    use proptest::prelude::*;
 
     fn matrix(rows: &[(u64, u64, u32)], k: usize) -> ResponseMatrix {
         let mut m = ResponseMatrix::new(k);
@@ -425,6 +437,95 @@ mod tests {
         let bad = m.worker_index(WorkerId::new(3)).unwrap();
         assert!(params.abilities[good] > params.abilities[bad]);
         assert!(params.abilities[bad] < 0.0);
+    }
+
+    /// The E-step term by term, as it was before it added log-odds:
+    /// `ln s − ln((1 − s)/(k − 1))` on each answer's label and
+    /// `ln((1 − s)/(k − 1))` on every label, with `s` clamped to
+    /// `[1e-9, 1 − 1e-9]`. Returns a bound on its own error in any one
+    /// label's sum: `s` carries an absolute rounding error of about `ε`,
+    /// which `1 − s` keeps, so `ln(1 − s)` is off by up to about
+    /// `ε/(1 − s)` (by 2.8e-8 at the upper clamp, where `1 − fl(1 − 1e-9)`
+    /// is 9.99999972e-10 rather than 1e-9); the bound takes twice that
+    /// per answer.
+    fn reference(model: &GladModel, cx: &Csr<'_>, t: usize, row: &mut [f64]) -> f64 {
+        let wrong_share = 1.0 / (cx.k as f64 - 1.0).max(1.0);
+        let beta = model.difficulty[t].beta;
+        let (mut base, mut err) = (0.0, 0.0);
+        for &(w, l) in cx.task(t) {
+            let s = sigmoid(model.alpha[w as usize] * beta).clamp(1e-9, 1.0 - 1e-9);
+            let right = s.ln();
+            let wrong = ((1.0 - s) * wrong_share).ln();
+            base += wrong;
+            row[l as usize] += right - wrong;
+            err += 2.0 * f64::EPSILON / (1.0 - s);
+        }
+        for x in row.iter_mut() {
+            *x += base;
+        }
+        err
+    }
+
+    /// One task's E-step inputs: `k` from 2 to 6, its log priors, its
+    /// `b`, and 1 to 12 answers as (the worker's `α`, the label). With
+    /// `β = e^b` up to 54.6, `|αβ|` reaches 437, far past the clamp.
+    fn task_inputs() -> impl Strategy<Value = (usize, Vec<f64>, f64, Vec<(f64, u32)>)> {
+        (
+            2usize..7,
+            prop::collection::vec(0.01f64..1.0, 6),
+            -4.0f64..4.0,
+            prop::collection::vec((-8.0f64..8.0, 0u32..60), 1..13),
+        )
+            .prop_map(|(k, priors, b, answers)| {
+                let log_priors = priors[..k].iter().map(|p| p.ln()).collect();
+                let answers = answers.iter().map(|&(a, l)| (a, l % k as u32)).collect();
+                (k, log_priors, b, answers)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// After `log_normalize`, the E-step's row equals the reference's
+        /// to 1e-12 plus what the reference's own error can move it: a
+        /// log term off by `δ` moves a posterior `p` by at most
+        /// `2p(1 − p)δ`.
+        #[test]
+        fn accumulate_matches_the_per_edge_reference(
+            (k, log_priors, b, answers) in task_inputs()
+        ) {
+            let rows: Vec<_> = answers
+                .iter()
+                .zip(0u64..)
+                .map(|(&(_, l), w)| (0, w, l))
+                .collect();
+            let m = matrix(&rows, k);
+            let cx = Csr::new(&m, 1);
+            let mut model = GladModel::new(&cx, FreezeConfig::disabled());
+            model.alpha = answers.iter().map(|&(a, _)| a).collect();
+            model.difficulty[0] = Difficulty::new(b);
+
+            let mut row = log_priors.clone();
+            model.accumulate(&cx, 0, &mut row);
+            em::log_normalize(&mut row);
+            let mut want = log_priors.clone();
+            let err = reference(&model, &cx, 0, &mut want);
+            em::log_normalize(&mut want);
+            for (&got, &p) in row.iter().zip(&want) {
+                let tol = 1e-12 + 2.0 * p * (1.0 - p) * err;
+                prop_assert!(
+                    (got - p).abs() <= tol,
+                    "k {} b {} answers {:?}: {:?} vs reference {:?}",
+                    k, b, answers, row, want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_log_odds_is_the_logit_of_the_clamp() {
+        let logit = ((1.0 - 1e-9) / 1e-9f64).ln();
+        assert!((MAX_LOG_ODDS - logit).abs() < 1e-14, "{logit}");
     }
 
     #[test]

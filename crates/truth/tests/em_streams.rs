@@ -276,18 +276,21 @@ fn one_coin_streams_are_pinned() {
 
 #[test]
 fn glad_streams_are_pinned() {
-    // Re-recorded for a deliberate numeric change: the M-step takes one
+    // Re-recorded for two deliberate numeric changes: the M-step takes one
     // Fisher-scoring step per coordinate under Gaussian priors on α and b,
-    // and a live worker's α step walks its frozen edges too.
+    // and a live worker's α step walks its frozen edges too; then the
+    // E-step added each answer's clamped log-odds αβ instead of the logs
+    // of s and (1 − s)/(k − 1).
     assert_eq!(
         glad(&matrix(23, 2, 1), &[]),
-        [0xC171_4530_C1C1_3FF4, 0x5F06_112E_8EEB_E4BB]
+        [0x2985_A82C_EC05_EF05, 0x4C0C_0CD2_153B_FE13]
     );
 }
 
 // The large matrices hold 64 Ki `obs · k` or more, the least work the
 // kernels fork for. Their digests were recorded at c5c3504, when an
-// explicit width was used whatever the problem size.
+// explicit width was used whatever the problem size; GLAD's was
+// re-recorded when its E-step began adding clamped log-odds.
 
 #[test]
 fn dawid_skene_streams_are_pinned_when_forked() {
@@ -315,13 +318,14 @@ fn glad_streams_are_pinned_when_forked() {
     assert!(m.num_observations() * 2 >= 64 * 1024);
     assert_eq!(
         glad(&m, &[2]),
-        [0xBA98_D482_89BE_5B93, 0xB887_A518_1E31_B5AF]
+        [0xBC58_6C39_063C_C091, 0xF0EF_2506_BD37_E2EA]
     );
 }
 
 // The long-tailed crowds: most workers answer once or twice, so a
 // worker's confusion rows, ability and log terms rest on a strict subset
-// of the labels. Recorded at f24dd91.
+// of the labels. Recorded at f24dd91; GLAD's were re-recorded when its
+// E-step began adding clamped log-odds.
 
 #[test]
 fn dawid_skene_long_tail_streams_are_pinned() {
@@ -351,10 +355,10 @@ fn one_coin_long_tail_streams_are_pinned() {
 fn glad_long_tail_streams_are_pinned() {
     assert_eq!(
         glad(&long_tail(45, 2), &[]),
-        [0xCD4B_2C04_9BF0_99C4, 0x31B0_F45F_9B3B_58AA]
+        [0xA43E_570C_E25A_C0B6, 0x4AF4_09E7_44FD_846E]
     );
     assert_eq!(
         glad(&long_tail(46, 3), &[]),
-        [0x8109_59B6_CEDF_F131, 0x87DB_EFAC_7262_D57E]
+        [0x1411_C49F_46C5_CFA2, 0x8AD0_A051_0C68_32F8]
     );
 }

@@ -364,7 +364,12 @@ mod tests {
     fn atom_variables_dedup_in_order() {
         let a = Atom::new(
             "p",
-            vec![Term::var("X"), Term::str("c"), Term::var("Y"), Term::var("X")],
+            vec![
+                Term::var("X"),
+                Term::str("c"),
+                Term::var("Y"),
+                Term::var("X"),
+            ],
         );
         assert_eq!(a.variables(), vec!["X", "Y"]);
         assert_eq!(a.arity(), 4);

@@ -733,9 +733,7 @@ fn validate_rule(rule: &Rule, crowd_preds: &BTreeMap<String, usize>) -> Result<(
             )));
         }
     }
-    if rule.aggregates.is_empty()
-        && rule.head.args.iter().any(|t| matches!(t, Term::Wildcard))
-    {
+    if rule.aggregates.is_empty() && rule.head.args.iter().any(|t| matches!(t, Term::Wildcard)) {
         return Err(CrowdError::Semantic(format!(
             "wildcard in rule head: {rule}"
         )));
@@ -788,8 +786,7 @@ fn stratify(program: &Program) -> Result<HashMap<String, usize>> {
             }
         }
     }
-    let mut stratum: HashMap<String, usize> =
-        preds.iter().map(|p| ((*p).to_owned(), 0)).collect();
+    let mut stratum: HashMap<String, usize> = preds.iter().map(|p| ((*p).to_owned(), 0)).collect();
     let n = preds.len().max(1);
 
     for round in 0..=(n * n) {
@@ -877,21 +874,24 @@ mod tests {
 
     #[test]
     fn unstratifiable_program_rejected() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             p(X) :- q(X), not r(X).
             r(X) :- q(X), not p(X).
             q("a").
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         assert!(matches!(Engine::new(program), Err(CrowdError::Semantic(_))));
     }
 
     #[test]
     fn unsafe_rules_rejected() {
         for src in [
-            r#"p(X) :- q(Y)."#,                    // head var unbound
-            r#"p(X) :- q(X), not r(Y)."#,          // negated var unbound
-            r#"p(X) :- q(X), Y > 1."#,             // comparison var unbound
-            r#"p(X)."#,                            // non-ground fact
+            r#"p(X) :- q(Y)."#,           // head var unbound
+            r#"p(X) :- q(X), not r(Y)."#, // negated var unbound
+            r#"p(X) :- q(X), Y > 1."#,    // comparison var unbound
+            r#"p(X)."#,                   // non-ground fact
         ] {
             let program = parse_program(src).unwrap();
             assert!(Engine::new(program).is_err(), "should reject: {src}");
@@ -900,20 +900,26 @@ mod tests {
 
     #[test]
     fn crowd_head_rejected() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             @crowd c/1.
             c(X) :- p(X).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         assert!(Engine::new(program).is_err());
     }
 
     #[test]
     fn crowd_fetch_fills_missing_values() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             restaurant("joes"). restaurant("moes").
             @crowd city_of/2.
             located(R, C) :- restaurant(R), city_of(R, C).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let mut resolver = TableResolver::new();
         resolver.insert("city_of", vec![s("joes"), s("tokyo")]);
@@ -929,27 +935,36 @@ mod tests {
 
     #[test]
     fn fetch_cache_prevents_duplicate_asks() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             r("a"). r("b").
             @crowd v/2.
             out1(X, V) :- r(X), v(X, V).
             out2(X, V) :- r(X), v(X, V), V != "none".
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let mut resolver = TableResolver::new();
         resolver.insert("v", vec![s("a"), s("x")]);
         resolver.insert("v", vec![s("b"), s("y")]);
         let (_, stats) = engine.run(&mut resolver).unwrap();
-        assert_eq!(stats.fetches, 2, "two bindings, each fetched once across both rules");
+        assert_eq!(
+            stats.fetches, 2,
+            "two bindings, each fetched once across both rules"
+        );
     }
 
     #[test]
     fn fetch_budget_caps_crowd_spend() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             r("a"). r("b"). r("c"). r("d").
             @crowd v/2.
             out(X, V) :- r(X), v(X, V).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap().with_config(EngineConfig {
             max_fetches: 2,
             max_iterations: 100,
@@ -1010,7 +1025,11 @@ mod tests {
         let first = fetch_order(1000);
         assert_eq!(first, fetch_order(1000));
         assert_eq!(first.len(), 100);
-        let v: Vec<_> = first.iter().filter(|(p, _)| p == "v").map(|(_, b)| b.clone()).collect();
+        let v: Vec<_> = first
+            .iter()
+            .filter(|(p, _)| p == "v")
+            .map(|(_, b)| b.clone())
+            .collect();
         let want: Vec<_> = (0..50).map(|i| vec![(0, Const::Int(i))]).collect();
         assert_eq!(v, want, "ascending bound order");
         // A fetch cap keeps the same (smallest) bindings every run.
@@ -1021,12 +1040,15 @@ mod tests {
 
     #[test]
     fn crowd_predicate_facts_preempt_fetches() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             r("a").
             @crowd v/2.
             v("a", "known").
             out(X, V) :- r(X), v(X, V).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let mut resolver = TableResolver::new();
         resolver.insert("v", vec![s("a"), s("crowdval")]);
@@ -1040,11 +1062,14 @@ mod tests {
         // Only tokyo restaurants surface, but every restaurant is fetched
         // (the filter runs after the fetch — machine-first ordering is the
         // optimizer's job, tested in crowdkit-sql).
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             restaurant("joes"). restaurant("moes").
             @crowd city_of/2.
             in_tokyo(R) :- restaurant(R), city_of(R, C), C = "tokyo".
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let mut resolver = TableResolver::new();
         resolver.insert("city_of", vec![s("joes"), s("tokyo")]);
@@ -1058,12 +1083,15 @@ mod tests {
     fn recursion_with_crowd_predicate_is_bounded_by_cache() {
         // The crowd supplies successor edges; recursion walks them. The
         // fetch cache (plus budget) keeps evaluation finite.
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             start("n0").
             @crowd next/2.
             reach(X) :- start(X).
             reach(Y) :- reach(X), next(X, Y).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap().with_config(EngineConfig {
             max_fetches: 10,
             max_iterations: 1000,
@@ -1094,11 +1122,14 @@ mod tests {
 
     #[test]
     fn crowd_arity_mismatch_rejected_at_run() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             r("a").
             @crowd v/3.
             out(X, V) :- r(X), v(X, V).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let err = engine.run(&mut NullResolver).unwrap_err();
         assert!(matches!(err, CrowdError::Semantic(_)));
@@ -1108,12 +1139,15 @@ mod tests {
     fn crowd_fact_arity_mismatch_rejected_at_new() {
         // Were it stored, the one-column `v` fact would reach the fetch's
         // stored-match check, which reads the bound second column.
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             r("a").
             @crowd v/2.
             v("a").
             out(X, V) :- r(V), v(X, V).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let err = Engine::new(program).unwrap_err();
         assert!(matches!(err, CrowdError::Semantic(_)), "{err:?}");
     }
@@ -1202,12 +1236,15 @@ mod aggregate_tests {
 
     #[test]
     fn aggregate_over_crowd_fetched_tuples() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             item("x"). item("y").
             @crowd rating/2.
             rated(I, R) :- item(I), rating(I, R).
             n_rated(count<I>) :- rated(I, _).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         let mut resolver = TableResolver::new();
         resolver.insert("rating", vec![s("x"), i(4)]);
@@ -1223,15 +1260,21 @@ mod aggregate_tests {
             p("a").
             c(count<X>) :- q(X).
         "#);
-        assert!(db.relation("c").is_empty(), "no matching bindings → no groups");
+        assert!(
+            db.relation("c").is_empty(),
+            "no matching bindings → no groups"
+        );
     }
 
     #[test]
     fn sum_over_strings_is_rejected() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             p("a", "oops").
             t(X, sum<Y>) :- p(X, Y).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         let engine = Engine::new(program).unwrap();
         assert!(matches!(
             engine.run(&mut NullResolver).unwrap_err(),
@@ -1241,30 +1284,39 @@ mod aggregate_tests {
 
     #[test]
     fn recursion_through_aggregation_is_rejected() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             base("a", 1).
             p(X, Y) :- base(X, Y).
             p(X, C) :- t(X, C).
             t(X, count<Y>) :- p(X, Y).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         assert!(matches!(Engine::new(program), Err(CrowdError::Semantic(_))));
     }
 
     #[test]
     fn aggregate_variable_must_be_bound() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             p("a").
             t(X, count<Y>) :- p(X).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         assert!(Engine::new(program).is_err());
     }
 
     #[test]
     fn aggregate_variable_cannot_be_grouped() {
-        let program = parse_program(r#"
+        let program = parse_program(
+            r#"
             p("a", 1).
             t(Y, count<Y>) :- p(_, Y).
-        "#).unwrap();
+        "#,
+        )
+        .unwrap();
         assert!(Engine::new(program).is_err());
     }
 
@@ -1292,21 +1344,19 @@ mod aggregate_tests {
         "#;
         let program = parse_program(src).unwrap();
         let run_mode = |semi_naive: bool| {
-            let engine = Engine::new(program.clone()).unwrap().with_config(EngineConfig {
-                semi_naive,
-                ..EngineConfig::default()
-            });
+            let engine = Engine::new(program.clone())
+                .unwrap()
+                .with_config(EngineConfig {
+                    semi_naive,
+                    ..EngineConfig::default()
+                });
             engine.run(&mut NullResolver).unwrap().0.relation("reach")
         };
         let semi = run_mode(true);
         assert_eq!(semi, run_mode(false));
         assert_eq!(
             semi,
-            vec![
-                vec![s("a"), i(3)],
-                vec![s("b"), i(2)],
-                vec![s("c"), i(1)],
-            ]
+            vec![vec![s("a"), i(3)], vec![s("b"), i(2)], vec![s("c"), i(1)],]
         );
     }
 }

@@ -25,8 +25,8 @@ use crate::ast::{AggFunc, AggSlot, Atom, Clause, CmpOp, Const, Literal, Program,
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
-    Ident(String),   // lowercase-initial identifier
-    Var(String),     // uppercase-initial identifier
+    Ident(String), // lowercase-initial identifier
+    Var(String),   // uppercase-initial identifier
     Int(i64),
     Str(String),
     LParen,
@@ -49,7 +49,7 @@ struct Spanned {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -58,7 +58,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Self {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -70,7 +70,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -79,10 +79,22 @@ impl<'a> Lexer<'a> {
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if c & 0xC0 != 0x80 {
+            // A UTF-8 continuation byte does not start a character.
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// Consumes bytes while `keep` holds and returns them as a slice of
+    /// the source. Every caller stops on an ASCII byte or at the end, so
+    /// the slice ends on a character boundary.
+    fn eat_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
     }
 
     fn skip_trivia(&mut self) {
@@ -186,6 +198,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     let mut s = String::new();
                     loop {
+                        s.push_str(self.eat_while(|c| c != b'"' && c != b'\\'));
                         match self.bump() {
                             Some(b'"') => break,
                             Some(b'\\') => match self.bump() {
@@ -194,51 +207,43 @@ impl<'a> Lexer<'a> {
                                 Some(b'n') => s.push('\n'),
                                 _ => return Err(self.err("invalid escape in string")),
                             },
-                            Some(c) => s.push(c as char),
-                            None => return Err(self.err("unterminated string literal")),
+                            _ => return Err(self.err("unterminated string literal")),
                         }
                     }
                     Tok::Str(s)
                 }
                 c if c.is_ascii_digit() || c == b'-' => {
-                    let mut s = String::new();
+                    let start = self.pos;
                     if c == b'-' {
-                        s.push(self.bump().unwrap() as char); // crowdkit-lint: allow(PANIC001) — peek() returned Some for this byte just above
+                        self.bump();
                         if !matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
                             return Err(self.err("expected digits after '-'"));
                         }
                     }
-                    while let Some(d) = self.peek() {
-                        if d.is_ascii_digit() {
-                            s.push(self.bump().unwrap() as char); // crowdkit-lint: allow(PANIC001) — peek() returned Some for this byte just above
-                        } else {
-                            break;
-                        }
-                    }
+                    self.eat_while(|d| d.is_ascii_digit());
+                    let s = &self.src[start..self.pos];
                     let v: i64 = s
                         .parse()
                         .map_err(|_| self.err(format!("integer out of range: {s}")))?;
                     Tok::Int(v)
                 }
                 c if c.is_ascii_alphabetic() => {
-                    let mut s = String::new();
-                    while let Some(d) = self.peek() {
-                        if d.is_ascii_alphanumeric() || d == b'_' {
-                            s.push(self.bump().unwrap() as char); // crowdkit-lint: allow(PANIC001) — peek() returned Some for this byte just above
-                        } else {
-                            break;
-                        }
-                    }
+                    let s = self.eat_while(|d| d.is_ascii_alphanumeric() || d == b'_');
                     if s == "not" {
                         Tok::Not
-                    } else if s.as_bytes()[0].is_ascii_uppercase() {
-                        Tok::Var(s)
+                    } else if c.is_ascii_uppercase() {
+                        Tok::Var(s.to_owned())
                     } else {
-                        Tok::Ident(s)
+                        Tok::Ident(s.to_owned())
                     }
                 }
-                other => {
-                    return Err(self.err(format!("unexpected character '{}'", other as char)))
+                _ => {
+                    // Every arm above stops on a character boundary.
+                    let ch = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(self.err(format!("unexpected character '{ch}'")));
                 }
             };
             out.push(Spanned { tok, line, col });
@@ -257,11 +262,7 @@ impl Parser {
         match self.toks.get(self.pos) {
             Some(s) => CrowdError::parse(s.line, s.col, msg),
             None => {
-                let (l, c) = self
-                    .toks
-                    .last()
-                    .map(|s| (s.line, s.col))
-                    .unwrap_or((1, 1));
+                let (l, c) = self.toks.last().map(|s| (s.line, s.col)).unwrap_or((1, 1));
                 CrowdError::parse(l, c, format!("{} (at end of input)", msg.into()))
             }
         }
@@ -408,7 +409,10 @@ impl Parser {
         }
         // Lookahead: `IDENT (` is an atom; otherwise parse a comparison.
         if matches!(self.peek(), Some(Tok::Ident(_)))
-            && matches!(self.toks.get(self.pos + 1).map(|s| &s.tok), Some(Tok::LParen))
+            && matches!(
+                self.toks.get(self.pos + 1).map(|s| &s.tok),
+                Some(Tok::LParen)
+            )
         {
             return Ok(Literal::Pos(self.atom()?));
         }
@@ -548,6 +552,15 @@ mod tests {
         assert!(parse_program("@crowd p/0.").is_err());
         assert!(parse_program(r#"p("unterminated)."#).is_err());
         assert!(parse_program("p(X) : q(X).").is_err());
+        match parse_program("p(ç).").unwrap_err() {
+            CrowdError::Parse {
+                column, message, ..
+            } => {
+                assert_eq!(column, 3);
+                assert_eq!(message, "unexpected character 'ç'");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

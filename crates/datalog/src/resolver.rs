@@ -281,14 +281,13 @@ mod tests {
         }
     }
 
-    fn make_task(
-        id: TaskId,
-        pred: &str,
-        bound: &[(usize, Const)],
-        _free: usize,
-    ) -> Task {
+    fn make_task(id: TaskId, pred: &str, bound: &[(usize, Const)], _free: usize) -> Task {
         let desc: Vec<String> = bound.iter().map(|(i, c)| format!("{i}={c}")).collect();
-        Task::new(id, TaskKind::OpenText, format!("{pred}({})", desc.join(",")))
+        Task::new(
+            id,
+            TaskKind::OpenText,
+            format!("{pred}({})", desc.join(",")),
+        )
     }
 
     #[test]

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 fn const_strategy() -> impl Strategy<Value = Const> {
     prop_oneof![
         (-1000i64..1000).prop_map(Const::Int),
-        "[a-z][a-z0-9 _]{0,8}".prop_map(Const::Str),
+        // Non-ASCII letters too: strings are UTF-8 slices of the source.
+        "[a-zà-öø-ÿα-ω][a-zà-öø-ÿα-ω0-9 _]{0,8}".prop_map(Const::Str),
         // Strings that exercise escaping.
         Just(Const::Str("say \"hi\"".into())),
         Just(Const::Str("back\\slash".into())),
@@ -48,19 +49,28 @@ fn literal_strategy() -> impl Strategy<Value = Literal> {
     prop_oneof![
         atom_strategy().prop_map(Literal::Pos),
         atom_strategy().prop_map(Literal::Neg),
-        (term_strategy(), term_strategy()).prop_map(|(l, r)| {
-            Literal::Cmp(l, CmpOp::Ne, r)
-        }),
+        (term_strategy(), term_strategy()).prop_map(|(l, r)| { Literal::Cmp(l, CmpOp::Ne, r) }),
     ]
 }
 
 fn clause_strategy() -> impl Strategy<Value = Clause> {
     prop_oneof![
         // Ground fact.
-        ground_atom_strategy().prop_map(|head| Clause::Rule(Rule { head, body: vec![], aggregates: vec![] })),
+        ground_atom_strategy().prop_map(|head| Clause::Rule(Rule {
+            head,
+            body: vec![],
+            aggregates: vec![]
+        })),
         // Rule with a body.
-        (atom_strategy(), prop::collection::vec(literal_strategy(), 1..4))
-            .prop_map(|(head, body)| Clause::Rule(Rule { head, body, aggregates: vec![] })),
+        (
+            atom_strategy(),
+            prop::collection::vec(literal_strategy(), 1..4)
+        )
+            .prop_map(|(head, body)| Clause::Rule(Rule {
+                head,
+                body,
+                aggregates: vec![]
+            })),
         // Crowd declaration.
         ("[a-mo-z][a-z0-9_]{0,6}", 1usize..4)
             .prop_map(|(predicate, arity)| Clause::CrowdDecl { predicate, arity }),

@@ -183,7 +183,11 @@ impl<'a> Binder<'a> {
                         ));
                     }
                 }
-                Ok(BoundPredicate::Compare { left: l, op: *op, right: r })
+                Ok(BoundPredicate::Compare {
+                    left: l,
+                    op: *op,
+                    right: r,
+                })
             }
             Predicate::CrowdEqual { left, right } => Ok(BoundPredicate::CrowdEqual {
                 left: self.bind_expr(left)?,
@@ -392,7 +396,11 @@ mod tests {
     fn unknown_names_yield_bind_diagnostics_with_positions() {
         let err = bind_sql("SELECT price FROM products").unwrap_err();
         match err {
-            CrowdError::Bind { line, column, message } => {
+            CrowdError::Bind {
+                line,
+                column,
+                message,
+            } => {
                 assert_eq!((line, column), (1, 8));
                 assert!(message.contains("unknown column `price`"), "{message}");
             }
@@ -401,7 +409,11 @@ mod tests {
 
         let err = bind_sql("SELECT name\nFROM warehouse").unwrap_err();
         match err {
-            CrowdError::Bind { line, column, message } => {
+            CrowdError::Bind {
+                line,
+                column,
+                message,
+            } => {
                 assert_eq!((line, column), (2, 6));
                 assert!(message.contains("unknown table `warehouse`"), "{message}");
             }
@@ -442,7 +454,11 @@ mod tests {
         };
         let err = bind(&sel, &c, 3).unwrap_err();
         match err {
-            CrowdError::Bind { line, column, message } => {
+            CrowdError::Bind {
+                line,
+                column,
+                message,
+            } => {
                 assert_eq!((line, column), (1, 8));
                 assert!(message.contains("ambiguous column `name`"), "{message}");
             }
@@ -454,10 +470,17 @@ mod tests {
     fn predicate_type_mismatch_is_a_bind_error() {
         let err = bind_sql("SELECT name FROM products WHERE id = 'three'").unwrap_err();
         match err {
-            CrowdError::Bind { line, column, message } => {
+            CrowdError::Bind {
+                line,
+                column,
+                message,
+            } => {
                 assert_eq!((line, column), (1, 33));
                 assert!(message.contains("type mismatch"), "{message}");
-                assert!(message.contains("INT") && message.contains("TEXT"), "{message}");
+                assert!(
+                    message.contains("INT") && message.contains("TEXT"),
+                    "{message}"
+                );
             }
             other => panic!("unexpected {other:?}"),
         }

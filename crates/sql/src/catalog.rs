@@ -46,9 +46,7 @@ impl TableDef {
 
     /// Whether the named column is crowd-filled.
     pub fn is_crowd_column(&self, name: &str) -> bool {
-        self.columns
-            .iter()
-            .any(|c| c.name == name && c.crowd)
+        self.columns.iter().any(|c| c.name == name && c.crowd)
     }
 }
 
@@ -68,14 +66,11 @@ impl Catalog {
     }
 
     /// Creates a table from parsed column declarations.
-    pub fn create_table(
-        &mut self,
-        name: &str,
-        decls: &[ColumnDecl],
-        crowd: bool,
-    ) -> Result<()> {
+    pub fn create_table(&mut self, name: &str, decls: &[ColumnDecl], crowd: bool) -> Result<()> {
         if self.tables.contains_key(name) {
-            return Err(CrowdError::Semantic(format!("table '{name}' already exists")));
+            return Err(CrowdError::Semantic(format!(
+                "table '{name}' already exists"
+            )));
         }
         let mut seen = std::collections::HashSet::new();
         for d in decls {
@@ -113,7 +108,7 @@ impl Catalog {
     /// Inserts rows, checking arity and types (NULL is allowed anywhere;
     /// non-crowd NULLs simply stay NULL).
     pub fn insert(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        let def = self.table(table)?.clone();
+        let def = self.table(table)?;
         for row in &rows {
             if row.len() != def.columns.len() {
                 return Err(CrowdError::Semantic(format!(
@@ -163,9 +158,9 @@ impl Catalog {
             .rows
             .get_mut(table)
             .ok_or_else(|| CrowdError::Semantic(format!("unknown table '{table}'")))?;
-        let r = rows
-            .get_mut(row)
-            .ok_or_else(|| CrowdError::Execution(format!("row {row} out of range for '{table}'")))?;
+        let r = rows.get_mut(row).ok_or_else(|| {
+            CrowdError::Execution(format!("row {row} out of range for '{table}'"))
+        })?;
         let c = r
             .get_mut(col)
             .ok_or_else(|| CrowdError::Execution(format!("column {col} out of range")))?;
@@ -241,7 +236,10 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table("t", &decls(), false).unwrap();
         assert!(c
-            .insert("t", vec![vec![Value::Int(1), Value::text("a"), Value::Null]])
+            .insert(
+                "t",
+                vec![vec![Value::Int(1), Value::text("a"), Value::Null]]
+            )
             .is_ok());
         // Wrong arity.
         assert!(c.insert("t", vec![vec![Value::Int(1)]]).is_err());
@@ -259,8 +257,11 @@ mod tests {
     fn write_cell_updates_storage() {
         let mut c = Catalog::new();
         c.create_table("t", &decls(), false).unwrap();
-        c.insert("t", vec![vec![Value::Int(1), Value::text("a"), Value::Null]])
-            .unwrap();
+        c.insert(
+            "t",
+            vec![vec![Value::Int(1), Value::text("a"), Value::Null]],
+        )
+        .unwrap();
         c.write_cell("t", 0, 2, Value::text("phones")).unwrap();
         assert_eq!(c.rows("t").unwrap()[0][2], Value::text("phones"));
         assert!(c.write_cell("t", 5, 0, Value::Null).is_err());

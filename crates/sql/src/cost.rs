@@ -178,7 +178,10 @@ impl<'a> Estimator<'a> {
     }
 
     fn table_rows(&self, table: &str) -> f64 {
-        self.catalog.rows(table).map(|r| r.len() as f64).unwrap_or(0.0)
+        self.catalog
+            .rows(table)
+            .map(|r| r.len() as f64)
+            .unwrap_or(0.0)
     }
 
     /// Fraction of NULL cells in a base column (1.0 for empty tables,
@@ -223,10 +226,7 @@ impl<'a> Estimator<'a> {
         let total = CostVector {
             spend: nodes.iter().map(|n| n.cost.spend).sum(),
             rounds: nodes.iter().map(|n| n.cost.rounds).sum(),
-            quality: nodes
-                .iter()
-                .map(|n| n.cost.quality)
-                .fold(1.0, f64::min),
+            quality: nodes.iter().map(|n| n.cost.quality).fold(1.0, f64::min),
         };
         PlanCost { total, nodes }
     }
@@ -279,7 +279,11 @@ impl<'a> Estimator<'a> {
                 let cost = CostVector {
                     spend: cells * *redundancy as f64 * self.prices.fill,
                     rounds,
-                    quality: if cells > 0.0 { vote_quality(*redundancy) } else { 1.0 },
+                    quality: if cells > 0.0 {
+                        vote_quality(*redundancy)
+                    } else {
+                        1.0
+                    },
                 };
                 (rows, cost)
             }
@@ -297,7 +301,11 @@ impl<'a> Estimator<'a> {
                 let cost = CostVector {
                     spend: verdicts * *redundancy as f64 * self.prices.single_choice,
                     rounds: verdicts,
-                    quality: if verdicts > 0.0 { vote_quality(*redundancy) } else { 1.0 },
+                    quality: if verdicts > 0.0 {
+                        vote_quality(*redundancy)
+                    } else {
+                        1.0
+                    },
                 };
                 (rows, cost)
             }
@@ -327,7 +335,11 @@ impl<'a> Estimator<'a> {
                 let cost = CostVector {
                     spend: pairs * *redundancy as f64 * self.prices.single_choice,
                     rounds,
-                    quality: if pairs > 0.0 { vote_quality(*redundancy) } else { 1.0 },
+                    quality: if pairs > 0.0 {
+                        vote_quality(*redundancy)
+                    } else {
+                        1.0
+                    },
                 };
                 (pairs * sel, cost)
             }
@@ -359,7 +371,11 @@ impl<'a> Estimator<'a> {
                 let cost = CostVector {
                     spend: matches.max(0.0) * *redundancy as f64 * self.prices.pairwise,
                     rounds,
-                    quality: if matches > 0.0 { vote_quality(*redundancy) } else { 1.0 },
+                    quality: if matches > 0.0 {
+                        vote_quality(*redundancy)
+                    } else {
+                        1.0
+                    },
                 };
                 (n, cost)
             }

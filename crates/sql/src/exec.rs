@@ -373,7 +373,7 @@ impl Session {
         let planned = plan_select(&state, &select, &opts, true)?;
         let mut factory = NoTasks;
         let out = execute(&planned.chosen, &state.catalog, None, &mut factory)?;
-        Ok(out.rows.into_iter().map(|r| r.values).collect())
+        Ok(out.rows)
     }
 
     /// Runs a SELECT, buying crowd answers as the plan demands.
@@ -465,7 +465,7 @@ impl Session {
                     .f64("predicted_rounds", stats.predicted_rounds),
             );
         }
-        Ok((out.rows.into_iter().map(|r| r.values).collect(), stats))
+        Ok((out.rows, stats))
     }
 }
 
@@ -906,6 +906,37 @@ mod tests {
             "selectivity feedback changes the prediction: {} vs {}",
             report.predicted.spend,
             first.predicted_spend
+        );
+    }
+
+    #[test]
+    fn early_exit_limit_feeds_back_only_the_rows_its_filter_tested() {
+        let s = session_with_products(300);
+        let oracle = TruthfulOracle::new(1e9);
+        let mut f = factory();
+        let opts = QueryOpts::new();
+        let mut run = |sql: &str| s.query_crowd(sql, &oracle, &mut f, &opts).unwrap().0.len();
+        // The LIMIT stops after three rows: the filter has tested three
+        // rows and passed three, not 60 of 300.
+        assert_eq!(run("SELECT id FROM products WHERE id < 60 LIMIT 3"), 3);
+        assert_eq!(run("SELECT id FROM products WHERE id < 60"), 60);
+        // "id < 60" has passed 63 of 303 rows, so the fill below is
+        // predicted at 300 · 63/303 cells × 3 votes.
+        let report = s
+            .explain("SELECT category FROM products WHERE id < 60", true)
+            .unwrap();
+        assert_eq!(
+            report.to_string(),
+            "Project [category]\n  CrowdFill [products.category]\n    \
+             MachineFilter [id < 60]\n      Scan products\n"
+        );
+        assert!(
+            (report.predicted.spend - 187.128_712_871_287_1).abs() < 1e-9,
+            "{report:?}"
+        );
+        assert!(
+            (report.predicted.rounds - 62.376_237_623_762_37).abs() < 1e-9,
+            "{report:?}"
         );
     }
 }

@@ -437,7 +437,10 @@ mod tests {
             slots: vec![slot(1, "name")],
         };
         let text = plan.to_string();
-        assert_eq!(text, "Project [name]\n  MachineFilter [id >= 3]\n    Scan t\n");
+        assert_eq!(
+            text,
+            "Project [name]\n  MachineFilter [id >= 3]\n    Scan t\n"
+        );
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! SQL lexer.
 //!
-//! Case-insensitive keywords, `'single quoted'` strings with `''` escape,
-//! integers, identifiers (optionally qualified as `table.column` — the dot
-//! is its own token), and the operator set of the CrowdSQL dialect.
-//! `--` begins a line comment.
+//! Case-insensitive keywords, `'single quoted'` UTF-8 strings with `''`
+//! escape, integers with an optional `-` sign, identifiers (optionally
+//! qualified as `table.column` — the dot is its own token), and the
+//! operator set of the CrowdSQL dialect. `--` begins a line comment.
+//!
+//! Identifiers and string literals are slices of the source; only a
+//! string with a doubled quote is copied to unescape it.
 //!
 //! Every token carries its 1-based source position ([`SpannedToken`]) so
 //! the parser and binder can produce diagnostics that point at the
-//! offending text. [`lex`] strips the spans for callers that only need
-//! the token stream.
+//! offending text; columns count characters. [`lex`] strips the spans for
+//! callers that only need the token stream.
+
+use std::borrow::Cow;
 
 use crowdkit_core::error::{CrowdError, Result};
 
-/// A lexed token.
+/// A lexed token, borrowing the source text `'a`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
-    /// Keyword (uppercased).
+pub enum Token<'a> {
+    /// Keyword (matched in any letter case).
     Keyword(Keyword),
     /// Identifier (original case preserved; matching is case-sensitive for
     /// data, case-insensitive for keywords).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// String literal (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `(`
     LParen,
     /// `)`
@@ -52,9 +57,9 @@ pub enum Token {
 
 /// A token together with the 1-based line/column where it starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedToken {
+pub struct SpannedToken<'a> {
     /// The token itself.
-    pub tok: Token,
+    pub tok: Token<'a>,
     /// 1-based line of the token's first character.
     pub line: usize,
     /// 1-based column of the token's first character.
@@ -90,42 +95,48 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "AND" => Keyword::And,
-            "ORDER" => Keyword::Order,
-            "BY" => Keyword::By,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "LIMIT" => Keyword::Limit,
-            "CREATE" => Keyword::Create,
-            "TABLE" => Keyword::Table,
-            "CROWD" => Keyword::Crowd,
-            "INSERT" => Keyword::Insert,
-            "INTO" => Keyword::Into,
-            "VALUES" => Keyword::Values,
-            "INT" | "INTEGER" => Keyword::Int,
-            "TEXT" | "VARCHAR" | "STRING" => Keyword::Text,
-            "NULL" => Keyword::Null,
-            "CROWDEQUAL" => Keyword::Crowdequal,
-            "CROWDORDER" => Keyword::Crowdorder,
-            "EXPLAIN" => Keyword::Explain,
-            "COUNT" => Keyword::Count,
+    /// The keyword `word` spells, in any letter case.
+    fn from_word(word: &str) -> Option<Self> {
+        // The longest keyword, CROWDEQUAL, has ten letters.
+        let mut buf = [0u8; 10];
+        let upper = buf.get_mut(..word.len())?;
+        upper.copy_from_slice(word.as_bytes());
+        upper.make_ascii_uppercase();
+        Some(match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"AND" => Keyword::And,
+            b"ORDER" => Keyword::Order,
+            b"BY" => Keyword::By,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"LIMIT" => Keyword::Limit,
+            b"CREATE" => Keyword::Create,
+            b"TABLE" => Keyword::Table,
+            b"CROWD" => Keyword::Crowd,
+            b"INSERT" => Keyword::Insert,
+            b"INTO" => Keyword::Into,
+            b"VALUES" => Keyword::Values,
+            b"INT" | b"INTEGER" => Keyword::Int,
+            b"TEXT" | b"VARCHAR" | b"STRING" => Keyword::Text,
+            b"NULL" => Keyword::Null,
+            b"CROWDEQUAL" => Keyword::Crowdequal,
+            b"CROWDORDER" => Keyword::Crowdorder,
+            b"EXPLAIN" => Keyword::Explain,
+            b"COUNT" => Keyword::Count,
             _ => return None,
         })
     }
 }
 
 /// Tokenizes SQL text, keeping each token's source position.
-pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>> {
+pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken<'_>>> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
     let mut line = 1usize;
     let mut col = 1usize;
-    let mut out: Vec<SpannedToken> = Vec::new();
+    let mut out: Vec<SpannedToken<'_>> = Vec::new();
 
     macro_rules! bump {
         () => {{
@@ -134,7 +145,8 @@ pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>> {
             if c == b'\n' {
                 line += 1;
                 col = 1;
-            } else {
+            } else if c & 0xC0 != 0x80 {
+                // A UTF-8 continuation byte does not start a character.
                 col += 1;
             }
             c
@@ -226,53 +238,67 @@ pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>> {
             }
             b'\'' => {
                 bump!();
-                let mut s = String::new();
+                let start = pos;
+                let mut escaped = false;
                 loop {
-                    if pos >= bytes.len() {
-                        return Err(CrowdError::parse(line, col, "unterminated string literal"));
-                    }
-                    let ch = bump!();
-                    if ch == b'\'' {
-                        if bytes.get(pos) == Some(&b'\'') {
-                            bump!();
-                            s.push('\'');
-                        } else {
-                            break;
+                    match bytes.get(pos) {
+                        None => {
+                            return Err(CrowdError::parse(line, col, "unterminated string literal"))
                         }
-                    } else {
-                        s.push(ch as char);
+                        Some(b'\'') if bytes.get(pos + 1) == Some(&b'\'') => {
+                            bump!();
+                            bump!();
+                            escaped = true;
+                        }
+                        Some(b'\'') => break,
+                        Some(_) => {
+                            bump!();
+                        }
                     }
                 }
-                push!(Token::Str(s));
+                let raw = &src[start..pos];
+                bump!(); // the closing quote
+                push!(Token::Str(if escaped {
+                    Cow::Owned(raw.replace("''", "'"))
+                } else {
+                    Cow::Borrowed(raw)
+                }));
             }
-            c if c.is_ascii_digit() => {
-                let mut s = String::new();
+            c if c.is_ascii_digit()
+                || (c == b'-' && bytes.get(pos + 1).is_some_and(u8::is_ascii_digit)) =>
+            {
+                let start = pos;
+                bump!(); // a digit or the sign
                 while pos < bytes.len() && bytes[pos].is_ascii_digit() {
-                    s.push(bump!() as char);
+                    bump!();
                 }
+                let s = &src[start..pos];
                 let v: i64 = s
                     .parse()
                     .map_err(|_| CrowdError::parse(line, col, format!("integer overflow: {s}")))?;
                 push!(Token::Int(v));
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
-                let mut s = String::new();
+                let start = pos;
                 while pos < bytes.len()
                     && (bytes[pos].is_ascii_alphanumeric() || bytes[pos] == b'_')
                 {
-                    s.push(bump!() as char);
+                    bump!();
                 }
-                match Keyword::from_str(&s) {
-                    Some(kw) => push!(Token::Keyword(kw)),
-                    None => push!(Token::Ident(s)),
-                }
+                let word = &src[start..pos];
+                push!(Keyword::from_word(word).map_or(Token::Ident(word), Token::Keyword));
             }
-            other => {
+            _ => {
+                // Every arm above stops on a character boundary.
+                let ch = src[pos..]
+                    .chars()
+                    .next()
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
                 return Err(CrowdError::parse(
                     line,
                     col,
-                    format!("unexpected character '{}'", other as char),
-                ))
+                    format!("unexpected character '{ch}'"),
+                ));
             }
         }
     }
@@ -280,7 +306,7 @@ pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>> {
 }
 
 /// Tokenizes SQL text, discarding source positions.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
     Ok(lex_spanned(src)?.into_iter().map(|s| s.tok).collect())
 }
 
@@ -295,11 +321,11 @@ mod tests {
             toks,
             vec![
                 Token::Keyword(Keyword::Select),
-                Token::Ident("name".into()),
+                Token::Ident("name"),
                 Token::Keyword(Keyword::From),
-                Token::Ident("t".into()),
+                Token::Ident("t"),
                 Token::Keyword(Keyword::Where),
-                Token::Ident("id".into()),
+                Token::Ident("id"),
                 Token::Ge,
                 Token::Int(3),
                 Token::Semi,
@@ -315,8 +341,33 @@ mod tests {
 
     #[test]
     fn strings_unescape_doubled_quotes() {
-        let toks = lex("'it''s fine'").unwrap();
-        assert_eq!(toks, vec![Token::Str("it's fine".into())]);
+        let toks = lex("'it''s fine' 'héllo wörld'").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Str("it's fine".into()),
+                Token::Str("héllo wörld".into())
+            ]
+        );
+        // Only the escaped literal is copied.
+        assert!(matches!(&toks[0], Token::Str(Cow::Owned(_))));
+        assert!(matches!(&toks[1], Token::Str(Cow::Borrowed(_))));
+    }
+
+    #[test]
+    fn a_sign_directly_before_digits_is_part_of_the_integer() {
+        assert_eq!(
+            lex("a < -1, -9223372036854775808").unwrap(),
+            vec![
+                Token::Ident("a"),
+                Token::Lt,
+                Token::Int(-1),
+                Token::Comma,
+                Token::Int(i64::MIN),
+            ]
+        );
+        assert!(lex("- 1").is_err(), "a lone '-' is no token");
+        assert!(lex("-9223372036854775809").is_err());
     }
 
     #[test]
@@ -328,23 +379,13 @@ mod tests {
     #[test]
     fn comments_skipped() {
         let toks = lex("SELECT -- the projection\n1").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Keyword(Keyword::Select), Token::Int(1)]
-        );
+        assert_eq!(toks, vec![Token::Keyword(Keyword::Select), Token::Int(1)]);
     }
 
     #[test]
     fn qualified_names_tokenize_with_dot() {
         let toks = lex("a.b").unwrap();
-        assert_eq!(
-            toks,
-            vec![
-                Token::Ident("a".into()),
-                Token::Dot,
-                Token::Ident("b".into())
-            ]
-        );
+        assert_eq!(toks, vec![Token::Ident("a"), Token::Dot, Token::Ident("b")]);
     }
 
     #[test]
@@ -367,6 +408,9 @@ mod tests {
         assert_eq!((toks[1].line, toks[1].col), (1, 8), "name");
         assert_eq!((toks[2].line, toks[2].col), (2, 3), "FROM");
         assert_eq!((toks[3].line, toks[3].col), (2, 8), "t");
+        // Columns count characters, not bytes.
+        let toks = lex_spanned("'né' x").unwrap();
+        assert_eq!(toks[1].col, 6, "x");
     }
 
     #[test]
@@ -374,5 +418,16 @@ mod tests {
         assert!(lex("#").is_err());
         assert!(lex("'open").is_err());
         assert!(lex("!x").is_err());
+        match lex("a ç").unwrap_err() {
+            CrowdError::Parse {
+                line,
+                column,
+                message,
+            } => {
+                assert_eq!((line, column), (1, 3));
+                assert_eq!(message, "unexpected character 'ç'");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

@@ -25,12 +25,12 @@ use crate::ast::{
 use crate::lexer::{lex_spanned, Keyword, SpannedToken, Token};
 use crate::value::Value;
 
-struct Parser {
-    toks: Vec<SpannedToken>,
+struct Parser<'a> {
+    toks: Vec<SpannedToken<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Source position of the token at `pos`, or just past the last token
     /// when the stream is exhausted.
     fn span_here(&self) -> Span {
@@ -48,11 +48,11 @@ impl Parser {
         CrowdError::parse(span.line, span.col, msg)
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
 
-    fn bump(&mut self) -> Option<Token> {
+    fn bump(&mut self) -> Option<Token<'a>> {
         let t = self.toks.get(self.pos).map(|t| t.tok.clone());
         if t.is_some() {
             self.pos += 1;
@@ -60,7 +60,7 @@ impl Parser {
         t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: &Token<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -69,7 +69,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<()> {
+    fn expect(&mut self, t: &Token<'_>, what: &str) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -92,7 +92,7 @@ impl Parser {
     fn ident_spanned(&mut self, what: &str) -> Result<(String, Span)> {
         let span = self.span_here();
         match self.bump() {
-            Some(Token::Ident(s)) => Ok((s, span)),
+            Some(Token::Ident(s)) => Ok((s.to_owned(), span)),
             _ => Err(CrowdError::parse(
                 span.line,
                 span.col,
@@ -317,7 +317,7 @@ impl Parser {
         let span = self.span_here();
         match self.bump() {
             Some(Token::Int(i)) => Ok(Value::Int(i)),
-            Some(Token::Str(s)) => Ok(Value::Text(s)),
+            Some(Token::Str(s)) => Ok(Value::Text(s.into_owned())),
             Some(Token::Keyword(Keyword::Null)) => Ok(Value::Null),
             _ => Err(CrowdError::parse(
                 span.line,
@@ -341,10 +341,8 @@ mod tests {
 
     #[test]
     fn parses_create_with_crowd_column() {
-        let s = parse_statement(
-            "CREATE TABLE products (id INT, name TEXT, category CROWD TEXT)",
-        )
-        .unwrap();
+        let s = parse_statement("CREATE TABLE products (id INT, name TEXT, category CROWD TEXT)")
+            .unwrap();
         match s {
             Statement::CreateTable {
                 name,

@@ -287,7 +287,11 @@ fn prune_fill(plan: Plan, needed: &BTreeSet<usize>, applied: &mut Applied) -> Pl
 
 fn split_needed(needed: &BTreeSet<usize>, lw: usize) -> (BTreeSet<usize>, BTreeSet<usize>) {
     let ln = needed.iter().filter(|&&s| s < lw).copied().collect();
-    let rn = needed.iter().filter(|&&s| s >= lw).map(|s| s - lw).collect();
+    let rn = needed
+        .iter()
+        .filter(|&&s| s >= lw)
+        .map(|s| s - lw)
+        .collect();
     (ln, rn)
 }
 
@@ -347,20 +351,21 @@ fn sink(pred: BoundPredicate, plan: Plan, applied: &mut Applied) -> Plan {
                 redundancy,
             }
         }
-        Plan::CrossJoin { left, right } => match sink_into_join_side(pred, *left, *right, applied)
-        {
-            (None, l, r) => Plan::CrossJoin {
-                left: Box::new(l),
-                right: Box::new(r),
-            },
-            (Some(pred), l, r) => wrap(
-                pred,
-                Plan::CrossJoin {
+        Plan::CrossJoin { left, right } => {
+            match sink_into_join_side(pred, *left, *right, applied) {
+                (None, l, r) => Plan::CrossJoin {
                     left: Box::new(l),
                     right: Box::new(r),
                 },
-            ),
-        },
+                (Some(pred), l, r) => wrap(
+                    pred,
+                    Plan::CrossJoin {
+                        left: Box::new(l),
+                        right: Box::new(r),
+                    },
+                ),
+            }
+        }
         Plan::HashJoin {
             left,
             right,
@@ -808,13 +813,7 @@ mod tests {
         );
         exec_ddl(&mut c, "CREATE TABLE brands (bid INT, bname TEXT)");
         let rows: Vec<Vec<Value>> = (0..8)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::text(format!("p{i}")),
-                    Value::Null,
-                ]
-            })
+            .map(|i| vec![Value::Int(i), Value::text(format!("p{i}")), Value::Null])
             .collect();
         c.insert("products", rows).unwrap();
         c.insert(
@@ -905,10 +904,7 @@ mod tests {
     #[test]
     fn same_table_equality_is_not_a_join_condition() {
         let c = catalog();
-        let r = optimize_sql(
-            "SELECT name FROM products, brands WHERE bname = bname",
-            &c,
-        );
+        let r = optimize_sql("SELECT name FROM products, brands WHERE bname = bname", &c);
         let text = r.plan.to_string();
         assert!(!text.contains("HashJoin"), "{text}");
         assert!(text.contains("Join (cross)"), "{text}");

@@ -15,6 +15,17 @@
 //!   [`RoundOracle`] wrapper that counts platform round-trips and actual
 //!   money spent, the two quantities the optimizer predicts.
 //!
+//! **Rows.** The operator tree borrows the plan and the catalog (`'c`):
+//! the session holds the catalog's read lock until the root is drained.
+//! A scan reads base rows where they lie and copies a row only when it
+//! emits it, and a `MachineFilter` planned directly on a scan is folded
+//! into the scan, so rows the filter drops are never copied. The folded
+//! filter and [`FilterOp`] count `(passed, seen)` per predicate through
+//! one function, one row at a time, so a `Limit` that stops pulling early
+//! feeds the cost model the counts of the rows actually tested. Operators
+//! that must see their whole input (fill, joins, sorts) buffer it once and
+//! hand their output rows on by move, not by a clone per pull.
+//!
 //! Crowd purchases are *deduplicated by base cell / value pair* inside one
 //! query: a fill above a join asks once per underlying cell (not once per
 //! joined row), and CROWDEQUAL verdicts are cached per unordered value
@@ -60,13 +71,13 @@ const NO_ORACLE_JOIN: &str = "plan requires the crowd (CrowdJoin) but no oracle 
 const NO_ORACLE_SORT: &str = "plan requires the crowd (CrowdSort) but no oracle was provided";
 
 /// One in-flight row: its values plus provenance (base table, base row
-/// index) for crowd-fill write-back.
+/// index) for crowd-fill write-back. The table names borrow the plan.
 #[derive(Debug, Clone)]
-pub(crate) struct ExecRow {
+pub(crate) struct ExecRow<'c> {
     /// Column values in the operator's output layout.
     pub values: Vec<Value>,
     /// `(table, base_row_index)` per base table contributing to this row.
-    pub prov: Vec<(String, usize)>,
+    pub prov: Vec<(&'c str, usize)>,
 }
 
 /// Runtime statistics for one crowd operator, collected bottom-up after
@@ -280,36 +291,81 @@ fn equal_key(left: &Value, right: &Value) -> (String, String) {
     key
 }
 
-fn eval(e: &BoundExpr, row: &ExecRow) -> Value {
+fn eval<'v>(e: &'v BoundExpr, values: &'v [Value]) -> &'v Value {
     match e {
-        BoundExpr::Slot(s) => row.values[s.slot].clone(),
-        BoundExpr::Literal(v) => v.clone(),
+        BoundExpr::Slot(s) => &values[s.slot],
+        BoundExpr::Literal(v) => v,
     }
 }
 
 /// SQL WHERE semantics: NULL comparisons drop the row.
-fn eval_machine_predicate(p: &BoundPredicate, row: &ExecRow) -> Result<bool> {
+fn eval_machine_predicate(p: &BoundPredicate, values: &[Value]) -> Result<bool> {
     let BoundPredicate::Compare { left, op, right } = p else {
         return Err(CrowdError::Execution(
             "crowd predicate in MachineFilter".into(),
         ));
     };
-    let lv = eval(left, row);
-    let rv = eval(right, row);
+    let lv = eval(left, values);
+    let rv = eval(right, values);
     Ok(match op {
-        CompareOp::Eq => lv.sql_eq(&rv).unwrap_or(false),
-        CompareOp::Ne => lv.sql_eq(&rv).map(|b| !b).unwrap_or(false),
-        CompareOp::Lt => lv.compare(&rv).is_some_and(|o| o.is_lt()),
-        CompareOp::Le => lv.compare(&rv).is_some_and(|o| o.is_le()),
-        CompareOp::Gt => lv.compare(&rv).is_some_and(|o| o.is_gt()),
-        CompareOp::Ge => lv.compare(&rv).is_some_and(|o| o.is_ge()),
+        CompareOp::Eq => lv.sql_eq(rv).unwrap_or(false),
+        CompareOp::Ne => lv.sql_eq(rv).map(|b| !b).unwrap_or(false),
+        CompareOp::Lt => lv.compare(rv).is_some_and(|o| o.is_lt()),
+        CompareOp::Le => lv.compare(rv).is_some_and(|o| o.is_le()),
+        CompareOp::Gt => lv.compare(rv).is_some_and(|o| o.is_gt()),
+        CompareOp::Ge => lv.compare(rv).is_some_and(|o| o.is_ge()),
     })
 }
 
-/// The Volcano iterator interface.
-pub(crate) trait Operator {
+/// The conjunction of one `MachineFilter` and its selectivity counts.
+/// [`FilterOp`] and a scan with a folded filter both test rows through
+/// [`MachineTest::pass`], so a row counts the same wherever it is tested.
+struct MachineTest<'c> {
+    predicates: &'c [BoundPredicate],
+    /// `(passed, seen)` per predicate, flushed as selectivity feedback.
+    counts: Vec<(u64, u64)>,
+    reported: bool,
+}
+
+impl<'c> MachineTest<'c> {
+    fn new(predicates: &'c [BoundPredicate]) -> Self {
+        Self {
+            predicates,
+            counts: vec![(0, 0); predicates.len()],
+            reported: false,
+        }
+    }
+
+    /// Tests one row against the predicates in order, stopping at the
+    /// first that fails. Each predicate tested counts the row as seen, and
+    /// as passed when it holds; rows a `Limit` never pulls are not counted.
+    fn pass(&mut self, values: &[Value]) -> Result<bool> {
+        for (p, (passed, seen)) in self.predicates.iter().zip(&mut self.counts) {
+            *seen += 1;
+            if !eval_machine_predicate(p, values)? {
+                return Ok(false);
+            }
+            *passed += 1;
+        }
+        Ok(true)
+    }
+
+    /// Flushes one `(predicate, passed, seen)` observation per predicate.
+    fn report(&mut self, cx: &mut ExecCx<'_>) {
+        if !self.reported {
+            self.reported = true;
+            for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
+                cx.observations.push((p.to_string(), passed, seen));
+            }
+        }
+    }
+}
+
+/// The Volcano iterator interface. `'c` is the borrow of the plan and the
+/// catalog that the operator tree reads for the whole query.
+pub(crate) trait Operator<'c> {
     /// Pulls the next row, or `None` at end of stream.
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>>;
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>>;
 
     /// Called once after the root is drained (or abandoned by a limit):
     /// recurses into children first, then flushes this operator's
@@ -318,27 +374,22 @@ pub(crate) trait Operator {
     fn finish(&mut self, cx: &mut ExecCx<'_>);
 }
 
-/// Lowers a physical plan into an operator tree. Scans materialize their
-/// rows here (the caller holds the catalog lock only around this call).
-/// Plans that need the crowd fail here when no oracle was provided.
-pub(crate) fn build(
-    plan: &Plan,
-    catalog: &Catalog,
+/// A boxed operator over the borrow `'c`.
+type BoxedOp<'c> = Box<dyn Operator<'c> + 'c>;
+
+/// Lowers a physical plan into an operator tree that borrows the plan and
+/// the catalog; the caller holds the catalog's read lock until the tree
+/// is drained. Scans read rows where they lie, and a `MachineFilter`
+/// planned directly on a scan is folded into it, so a scan copies only
+/// the rows it keeps. Plans that need the crowd fail here when no oracle
+/// was provided.
+pub(crate) fn build<'c>(
+    plan: &'c Plan,
+    catalog: &'c Catalog,
     has_oracle: bool,
-) -> Result<Box<dyn Operator>> {
+) -> Result<BoxedOp<'c>> {
     Ok(match plan {
-        Plan::Scan { table, .. } => {
-            let rows = catalog
-                .rows(table)?
-                .iter()
-                .enumerate()
-                .map(|(i, r)| ExecRow {
-                    values: r.clone(),
-                    prov: vec![(table.clone(), i)],
-                })
-                .collect();
-            Box::new(ScanOp { rows, pos: 0 })
-        }
+        Plan::Scan { table, .. } => Box::new(ScanOp::new(table, catalog.rows(table)?, &[])),
         Plan::CrossJoin { left, right } => Box::new(CrossJoinOp {
             left: build(left, catalog, has_oracle)?,
             right: build(right, catalog, has_oracle)?,
@@ -361,21 +412,18 @@ pub(crate) fn build(
                 ri: right_slot.slot - lw,
                 table: HashMap::new(),
                 built: false,
-                queue: Vec::new(),
-                queue_pos: 0,
+                queue: Vec::new().into_iter(),
             })
         }
-        Plan::Filter { input, predicates } => {
-            let keys: Vec<String> = predicates.iter().map(|p| p.to_string()).collect();
-            let counts = vec![(0u64, 0u64); predicates.len()];
-            Box::new(FilterOp {
+        Plan::Filter { input, predicates } => match &**input {
+            Plan::Scan { table, .. } => {
+                Box::new(ScanOp::new(table, catalog.rows(table)?, predicates))
+            }
+            _ => Box::new(FilterOp {
                 child: build(input, catalog, has_oracle)?,
-                predicates: predicates.clone(),
-                keys,
-                counts,
-                reported: false,
-            })
-        }
+                test: MachineTest::new(predicates),
+            }),
+        },
         Plan::CrowdFill {
             input,
             slots,
@@ -387,11 +435,11 @@ pub(crate) fn build(
             }
             Box::new(CrowdFillOp {
                 child: build(input, catalog, has_oracle)?,
-                slots: slots.clone(),
+                slots,
                 redundancy: *redundancy,
                 batch: *batch,
-                buf: Vec::new(),
-                pos: 0,
+                out: Vec::new().into_iter(),
+                rows: 0,
                 built: false,
                 questions: 0,
                 spend: 0.0,
@@ -406,14 +454,11 @@ pub(crate) fn build(
             if !has_oracle {
                 return Err(CrowdError::Unsupported(NO_ORACLE_FILTER));
             }
-            let keys: Vec<String> = predicates.iter().map(|p| p.to_string()).collect();
-            let counts = vec![(0u64, 0u64); predicates.len()];
             Box::new(CrowdCompareOp {
                 child: build(input, catalog, has_oracle)?,
-                predicates: predicates.clone(),
+                predicates,
                 redundancy: *redundancy,
-                keys,
-                counts,
+                counts: vec![(0, 0); predicates.len()],
                 rows_in: 0,
                 rows_out: 0,
                 questions: 0,
@@ -433,19 +478,16 @@ pub(crate) fn build(
             if !has_oracle {
                 return Err(CrowdError::Unsupported(NO_ORACLE_JOIN));
             }
-            let lw = left.width();
             Box::new(CrowdJoinOp {
                 left: build(left, catalog, has_oracle)?,
                 right: build(right, catalog, has_oracle)?,
-                left_expr: left_expr.clone(),
-                right_expr: right_expr.clone(),
-                left_width: lw,
-                key_display: format!("CROWDEQUAL({left_expr}, {right_expr})"),
+                left_expr,
+                right_expr,
+                left_width: left.width(),
                 redundancy: *redundancy,
                 batch: *batch,
                 outer: *outer,
-                out: Vec::new(),
-                pos: 0,
+                out: Vec::new().into_iter(),
                 built: false,
                 rows_in: 0,
                 matched: 0,
@@ -459,8 +501,7 @@ pub(crate) fn build(
             child: build(input, catalog, has_oracle)?,
             slot: slot.slot,
             asc: *asc,
-            buf: Vec::new(),
-            pos: 0,
+            out: Vec::new().into_iter(),
             built: false,
         }),
         Plan::CrowdSort {
@@ -473,10 +514,10 @@ pub(crate) fn build(
             slot: slot.slot,
             top_k: *top_k,
             redundancy: *redundancy,
-            out: Vec::new(),
-            pos: 0,
+            out: Vec::new().into_iter(),
             built: false,
             rows_in: 0,
+            rows_out: 0,
             questions: 0,
             spend: 0.0,
             worked: false,
@@ -500,8 +541,8 @@ pub(crate) fn build(
 /// Runs `plan` to completion, returning the result rows plus everything
 /// the session layer needs for stats, write-back and cost feedback.
 pub(crate) struct ExecOutput {
-    /// Result rows, in plan order.
-    pub rows: Vec<ExecRow>,
+    /// Result rows' values, in plan order.
+    pub rows: Vec<Vec<Value>>,
     /// Cells to persist back into the catalog.
     pub writebacks: Vec<(String, usize, usize, Value)>,
     /// Cells successfully filled.
@@ -526,7 +567,7 @@ pub(crate) fn execute(
     let mut cx = ExecCx::new(oracle, factory);
     let mut rows = Vec::new();
     while let Some(r) = root.next(&mut cx)? {
-        rows.push(r);
+        rows.push(r.values);
     }
     root.finish(&mut cx);
     Ok(ExecOutput {
@@ -544,44 +585,66 @@ pub(crate) fn execute(
 // Operators
 // ---------------------------------------------------------------------
 
-struct ScanOp {
-    rows: Vec<ExecRow>,
-    pos: usize,
+/// Rows an operator materialized, handed out by move.
+type Buffered<'c> = std::vec::IntoIter<ExecRow<'c>>;
+
+/// Reads a base table's rows where they lie in the catalog. A machine
+/// filter folded into the scan tests each row in place, and only the rows
+/// that pass are copied out; a bare scan tests no predicates.
+struct ScanOp<'c> {
+    table: &'c str,
+    rows: std::iter::Enumerate<std::slice::Iter<'c, Vec<Value>>>,
+    filter: MachineTest<'c>,
 }
 
-impl Operator for ScanOp {
-    fn next(&mut self, _cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
-        if self.pos < self.rows.len() {
-            self.pos += 1;
-            Ok(Some(self.rows[self.pos - 1].clone()))
-        } else {
-            Ok(None)
+impl<'c> ScanOp<'c> {
+    fn new(table: &'c str, rows: &'c [Vec<Value>], predicates: &'c [BoundPredicate]) -> Self {
+        Self {
+            table,
+            rows: rows.iter().enumerate(),
+            filter: MachineTest::new(predicates),
         }
     }
+}
 
-    fn finish(&mut self, _cx: &mut ExecCx<'_>) {}
+impl<'c> Operator<'c> for ScanOp<'c> {
+    fn next(&mut self, _cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
+        for (i, values) in self.rows.by_ref() {
+            if self.filter.pass(values)? {
+                return Ok(Some(ExecRow {
+                    values: values.clone(),
+                    prov: vec![(self.table, i)],
+                }));
+            }
+        }
+        Ok(None)
+    }
+
+    fn finish(&mut self, cx: &mut ExecCx<'_>) {
+        self.filter.report(cx);
+    }
 }
 
 /// Combines a left and right row (values and provenance concatenated).
-fn combine(a: &ExecRow, b: &ExecRow) -> ExecRow {
+fn combine<'c>(a: &ExecRow<'c>, b: &ExecRow<'c>) -> ExecRow<'c> {
     let mut values = a.values.clone();
     values.extend(b.values.iter().cloned());
     let mut prov = a.prov.clone();
-    prov.extend(b.prov.iter().cloned());
+    prov.extend(b.prov.iter().copied());
     ExecRow { values, prov }
 }
 
-struct CrossJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    right_buf: Vec<ExecRow>,
+struct CrossJoinOp<'c> {
+    left: BoxedOp<'c>,
+    right: BoxedOp<'c>,
+    right_buf: Vec<ExecRow<'c>>,
     built: bool,
-    current: Option<ExecRow>,
+    current: Option<ExecRow<'c>>,
     right_pos: usize,
 }
 
-impl Operator for CrossJoinOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CrossJoinOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
             while let Some(r) = self.right.next(cx)? {
                 self.right_buf.push(r);
@@ -615,36 +678,38 @@ impl Operator for CrossJoinOp {
     }
 }
 
-struct HashJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
+struct HashJoinOp<'c> {
+    left: BoxedOp<'c>,
+    right: BoxedOp<'c>,
     /// Probe slot in the left row.
     li: usize,
     /// Build slot in the right row (already rebased below the join).
     ri: usize,
-    table: HashMap<Value, Vec<ExecRow>>,
+    table: HashMap<Value, Vec<ExecRow<'c>>>,
     built: bool,
-    queue: Vec<ExecRow>,
-    queue_pos: usize,
+    /// Joined rows of the current probe row.
+    queue: Buffered<'c>,
 }
 
-impl Operator for HashJoinOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for HashJoinOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
             // Build side: the right input, keyed by join value. Hash
             // order is safe: the table is only probed by key and output
             // order follows the probe side. NULL keys never match.
             while let Some(b) = self.right.next(cx)? {
                 if !b.values[self.ri].is_null() {
-                    self.table.entry(b.values[self.ri].clone()).or_default().push(b);
+                    self.table
+                        .entry(b.values[self.ri].clone())
+                        .or_default()
+                        .push(b);
                 }
             }
             self.built = true;
         }
         loop {
-            if self.queue_pos < self.queue.len() {
-                self.queue_pos += 1;
-                return Ok(Some(self.queue[self.queue_pos - 1].clone()));
+            if let Some(r) = self.queue.next() {
+                return Ok(Some(r));
             }
             let Some(a) = self.left.next(cx)? else {
                 return Ok(None);
@@ -653,8 +718,8 @@ impl Operator for HashJoinOp {
                 continue; // NULL keys never match
             }
             if let Some(matches) = self.table.get(&a.values[self.li]) {
-                self.queue = matches.iter().map(|b| combine(&a, b)).collect();
-                self.queue_pos = 0;
+                let joined: Vec<ExecRow<'c>> = matches.iter().map(|b| combine(&a, b)).collect();
+                self.queue = joined.into_iter();
             }
         }
     }
@@ -665,55 +730,37 @@ impl Operator for HashJoinOp {
     }
 }
 
-struct FilterOp {
-    child: Box<dyn Operator>,
-    predicates: Vec<BoundPredicate>,
-    keys: Vec<String>,
-    /// `(passed, seen)` per predicate, flushed as selectivity feedback.
-    counts: Vec<(u64, u64)>,
-    reported: bool,
+/// A machine filter above anything but a bare scan (a filter directly on
+/// a scan is folded into the [`ScanOp`]).
+struct FilterOp<'c> {
+    child: BoxedOp<'c>,
+    test: MachineTest<'c>,
 }
 
-impl Operator for FilterOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
-        loop {
-            let Some(row) = self.child.next(cx)? else {
-                return Ok(None);
-            };
-            let mut pass = true;
-            for (i, p) in self.predicates.iter().enumerate() {
-                self.counts[i].1 += 1;
-                if eval_machine_predicate(p, &row)? {
-                    self.counts[i].0 += 1;
-                } else {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
+impl<'c> Operator<'c> for FilterOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
+        while let Some(row) = self.child.next(cx)? {
+            if self.test.pass(&row.values)? {
                 return Ok(Some(row));
             }
         }
+        Ok(None)
     }
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
         self.child.finish(cx);
-        if !self.reported {
-            self.reported = true;
-            for (key, &(passed, seen)) in self.keys.iter().zip(&self.counts) {
-                cx.observations.push((key.clone(), passed, seen));
-            }
-        }
+        self.test.report(cx);
     }
 }
 
-struct CrowdFillOp {
-    child: Box<dyn Operator>,
-    slots: Vec<FillSlot>,
+struct CrowdFillOp<'c> {
+    child: BoxedOp<'c>,
+    slots: &'c [FillSlot],
     redundancy: u32,
     batch: usize,
-    buf: Vec<ExecRow>,
-    pos: usize,
+    out: Buffered<'c>,
+    /// Rows buffered (and passed on).
+    rows: u64,
     built: bool,
     questions: u64,
     spend: f64,
@@ -727,8 +774,8 @@ struct PendingFill {
     ty: ColumnType,
 }
 
-impl CrowdFillOp {
-    fn fill_all(&mut self, cx: &mut ExecCx<'_>) -> Result<()> {
+impl CrowdFillOp<'_> {
+    fn fill_all(&mut self, cx: &mut ExecCx<'_>, rows: &mut [ExecRow<'_>]) -> Result<()> {
         let oracle = cx.require_oracle(NO_ORACLE_FILL)?;
         let q0 = cx.delivered();
         let s0 = cx.spent();
@@ -736,12 +783,12 @@ impl CrowdFillOp {
         // column-major then row order (the old executor's ask order).
         let mut pending: Vec<PendingFill> = Vec::new();
         let mut queued: HashSet<(String, usize, usize)> = HashSet::new();
-        for fs in &self.slots {
-            for row in &self.buf {
+        for fs in self.slots {
+            for row in rows.iter() {
                 if !row.values[fs.slot].is_null() {
                     continue;
                 }
-                let Some(&(_, base_row)) = row.prov.iter().find(|(t, _)| t == &fs.table) else {
+                let Some(&(_, base_row)) = row.prov.iter().find(|(t, _)| *t == fs.table) else {
                     continue;
                 };
                 let key = (fs.table.clone(), base_row, fs.base_index);
@@ -752,7 +799,11 @@ impl CrowdFillOp {
                     cx.factory
                         .fill_task(cx.ids.next_task(), &fs.table, &row.values, &fs.column);
                 queued.insert(key.clone());
-                pending.push(PendingFill { key, task, ty: fs.ty });
+                pending.push(PendingFill {
+                    key,
+                    task,
+                    ty: fs.ty,
+                });
             }
         }
         // `batch` cells per round-trip; 0 means one cell per round-trip.
@@ -768,12 +819,12 @@ impl CrowdFillOp {
             }
         }
         // Apply reconciled values to every buffered row copy.
-        for fs in &self.slots {
-            for row in &mut self.buf {
+        for fs in self.slots {
+            for row in rows.iter_mut() {
                 if !row.values[fs.slot].is_null() {
                     continue;
                 }
-                let Some(&(_, base_row)) = row.prov.iter().find(|(t, _)| t == &fs.table) else {
+                let Some(&(_, base_row)) = row.prov.iter().find(|(t, _)| *t == fs.table) else {
                     continue;
                 };
                 let key = (fs.table.clone(), base_row, fs.base_index);
@@ -812,21 +863,19 @@ fn settle_fill(cx: &mut ExecCx<'_>, p: &PendingFill, out: &AskOutcome) -> Result
     Ok(())
 }
 
-impl Operator for CrowdFillOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CrowdFillOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
+            let mut rows = Vec::new();
             while let Some(r) = self.child.next(cx)? {
-                self.buf.push(r);
+                rows.push(r);
             }
             self.built = true;
-            self.fill_all(cx)?;
+            self.rows = rows.len() as u64;
+            self.fill_all(cx, &mut rows)?;
+            self.out = rows.into_iter();
         }
-        if self.pos < self.buf.len() {
-            self.pos += 1;
-            Ok(Some(self.buf[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.out.next())
     }
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
@@ -835,8 +884,8 @@ impl Operator for CrowdFillOp {
             self.reported = true;
             cx.node_stats.push(NodeRuntime {
                 node: "CrowdFill",
-                rows_in: self.buf.len() as u64,
-                rows_out: self.buf.len() as u64,
+                rows_in: self.rows,
+                rows_out: self.rows,
                 questions: self.questions,
                 spend: self.spend,
             });
@@ -844,11 +893,10 @@ impl Operator for CrowdFillOp {
     }
 }
 
-struct CrowdCompareOp {
-    child: Box<dyn Operator>,
-    predicates: Vec<BoundPredicate>,
+struct CrowdCompareOp<'c> {
+    child: BoxedOp<'c>,
+    predicates: &'c [BoundPredicate],
     redundancy: u32,
-    keys: Vec<String>,
     counts: Vec<(u64, u64)>,
     rows_in: u64,
     rows_out: u64,
@@ -857,8 +905,8 @@ struct CrowdCompareOp {
     reported: bool,
 }
 
-impl Operator for CrowdCompareOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CrowdCompareOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         loop {
             let Some(row) = self.child.next(cx)? else {
                 return Ok(None);
@@ -874,10 +922,10 @@ impl Operator for CrowdCompareOp {
                     ));
                 };
                 self.counts[i].1 += 1;
-                let lv = eval(left, &row);
-                let rv = eval(right, &row);
+                let lv = eval(left, &row.values);
+                let rv = eval(right, &row.values);
                 // NULL operands drop the row without asking the crowd.
-                if lv.is_null() || rv.is_null() || !cx.crowd_equal(&lv, &rv, self.redundancy)? {
+                if lv.is_null() || rv.is_null() || !cx.crowd_equal(lv, rv, self.redundancy)? {
                     pass = false;
                     break;
                 }
@@ -903,27 +951,26 @@ impl Operator for CrowdCompareOp {
                 questions: self.questions,
                 spend: self.spend,
             });
-            for (key, &(passed, seen)) in self.keys.iter().zip(&self.counts) {
-                cx.observations.push((key.clone(), passed, seen));
+            for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
+                cx.observations.push((p.to_string(), passed, seen));
             }
         }
     }
 }
 
-struct CrowdJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    left_expr: BoundExpr,
-    right_expr: BoundExpr,
+struct CrowdJoinOp<'c> {
+    left: BoxedOp<'c>,
+    right: BoxedOp<'c>,
+    left_expr: &'c BoundExpr,
+    right_expr: &'c BoundExpr,
     left_width: usize,
-    key_display: String,
     redundancy: u32,
     batch: usize,
     outer: Side,
-    out: Vec<ExecRow>,
-    pos: usize,
+    out: Buffered<'c>,
     built: bool,
     rows_in: u64,
+    /// Pairs judged equal: the rows emitted.
     matched: u64,
     pairs: u64,
     questions: u64,
@@ -931,21 +978,18 @@ struct CrowdJoinOp {
     reported: bool,
 }
 
-impl CrowdJoinOp {
-    /// Evaluates the join expression for one side's row. Join
-    /// expressions are written against the joined layout; right-side
-    /// slots are rebased by the left width.
-    fn side_value(&self, expr: &BoundExpr, row: &ExecRow, right: bool) -> Value {
-        match expr {
-            BoundExpr::Slot(s) => {
-                let idx = if right { s.slot - self.left_width } else { s.slot };
-                row.values[idx].clone()
-            }
-            BoundExpr::Literal(v) => v.clone(),
-        }
+/// A join expression's value on one side's row. Join expressions are
+/// written against the joined layout, so right-side slots are rebased by
+/// `offset`, the left input's width.
+fn side_value<'v>(expr: &'v BoundExpr, row: &'v ExecRow<'_>, offset: usize) -> &'v Value {
+    match expr {
+        BoundExpr::Slot(s) => &row.values[s.slot - offset],
+        BoundExpr::Literal(v) => v,
     }
+}
 
-    fn run(&mut self, cx: &mut ExecCx<'_>) -> Result<()> {
+impl<'c> CrowdJoinOp<'c> {
+    fn run(&mut self, cx: &mut ExecCx<'_>) -> Result<Vec<ExecRow<'c>>> {
         let mut lrows = Vec::new();
         while let Some(r) = self.left.next(cx)? {
             lrows.push(r);
@@ -955,13 +999,13 @@ impl CrowdJoinOp {
             rrows.push(r);
         }
         self.rows_in = (lrows.len() * rrows.len()) as u64;
-        let lvals: Vec<Value> = lrows
+        let lvals: Vec<&Value> = lrows
             .iter()
-            .map(|r| self.side_value(&self.left_expr, r, false))
+            .map(|r| side_value(self.left_expr, r, 0))
             .collect();
-        let rvals: Vec<Value> = rrows
+        let rvals: Vec<&Value> = rrows
             .iter()
-            .map(|r| self.side_value(&self.right_expr, r, true))
+            .map(|r| side_value(self.right_expr, r, self.left_width))
             .collect();
         let q0 = cx.delivered();
         let s0 = cx.spent();
@@ -974,7 +1018,7 @@ impl CrowdJoinOp {
         };
         let oracle = cx.require_oracle(NO_ORACLE_JOIN)?;
         let votes = self.redundancy.max(1) as usize;
-        for ov in outer_vals {
+        for &ov in outer_vals {
             if ov.is_null() {
                 continue;
             }
@@ -982,7 +1026,7 @@ impl CrowdJoinOp {
             // asked `batch` verdicts per platform round-trip (0 means one).
             let mut stripe: Vec<((String, String), Task)> = Vec::new();
             let mut queued: HashSet<(String, String)> = HashSet::new();
-            for iv in inner_vals {
+            for &iv in inner_vals {
                 if iv.is_null() {
                     continue;
                 }
@@ -1010,37 +1054,33 @@ impl CrowdJoinOp {
         self.spend = cx.spent() - s0;
         // Emit phase: always left-major, so the join's output order is
         // identical to CrowdFilter-over-cross regardless of `outer`.
-        for (a, lv) in lrows.iter().zip(&lvals) {
+        let mut out = Vec::new();
+        for (a, &lv) in lrows.iter().zip(&lvals) {
             if lv.is_null() {
                 continue;
             }
-            for (b, rv) in rrows.iter().zip(&rvals) {
+            for (b, &rv) in rrows.iter().zip(&rvals) {
                 if rv.is_null() {
                     continue;
                 }
                 self.pairs += 1;
                 if cx.cached_equal(lv, rv) == Some(true) {
                     self.matched += 1;
-                    self.out.push(combine(a, b));
+                    out.push(combine(a, b));
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
 
-impl Operator for CrowdJoinOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CrowdJoinOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
             self.built = true;
-            self.run(cx)?;
+            self.out = self.run(cx)?.into_iter();
         }
-        if self.pos < self.out.len() {
-            self.pos += 1;
-            Ok(Some(self.out[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.out.next())
     }
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
@@ -1051,33 +1091,36 @@ impl Operator for CrowdJoinOp {
             cx.node_stats.push(NodeRuntime {
                 node: "CrowdJoin",
                 rows_in: self.rows_in,
-                rows_out: self.out.len() as u64,
+                rows_out: self.matched,
                 questions: self.questions,
                 spend: self.spend,
             });
-            cx.observations
-                .push((self.key_display.clone(), self.matched, self.pairs));
+            cx.observations.push((
+                format!("CROWDEQUAL({}, {})", self.left_expr, self.right_expr),
+                self.matched,
+                self.pairs,
+            ));
         }
     }
 }
 
-struct SortOp {
-    child: Box<dyn Operator>,
+struct SortOp<'c> {
+    child: BoxedOp<'c>,
     slot: usize,
     asc: bool,
-    buf: Vec<ExecRow>,
-    pos: usize,
+    out: Buffered<'c>,
     built: bool,
 }
 
-impl Operator for SortOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for SortOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
+            let mut buf = Vec::new();
             while let Some(r) = self.child.next(cx)? {
-                self.buf.push(r);
+                buf.push(r);
             }
             let (slot, asc) = (self.slot, self.asc);
-            self.buf.sort_by(|a, b| {
+            buf.sort_by(|a: &ExecRow<'c>, b: &ExecRow<'c>| {
                 use std::cmp::Ordering;
                 let (av, bv) = (&a.values[slot], &b.values[slot]);
                 // NULLs sort last regardless of direction.
@@ -1096,13 +1139,9 @@ impl Operator for SortOp {
                 }
             });
             self.built = true;
+            self.out = buf.into_iter();
         }
-        if self.pos < self.buf.len() {
-            self.pos += 1;
-            Ok(Some(self.buf[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.out.next())
     }
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
@@ -1110,23 +1149,23 @@ impl Operator for SortOp {
     }
 }
 
-struct CrowdSortOp {
-    child: Box<dyn Operator>,
+struct CrowdSortOp<'c> {
+    child: BoxedOp<'c>,
     slot: usize,
     top_k: Option<usize>,
     redundancy: u32,
-    out: Vec<ExecRow>,
-    pos: usize,
+    out: Buffered<'c>,
     built: bool,
     rows_in: u64,
+    rows_out: u64,
     questions: u64,
     spend: f64,
     worked: bool,
     reported: bool,
 }
 
-impl Operator for CrowdSortOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CrowdSortOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if !self.built {
             let mut rows = Vec::new();
             while let Some(r) = self.child.next(cx)? {
@@ -1135,26 +1174,25 @@ impl Operator for CrowdSortOp {
             self.built = true;
             if rows.len() <= 1 {
                 // Nothing to order: succeed even without an oracle.
-                self.out = rows;
+                self.out = rows.into_iter();
             } else {
                 let q0 = cx.delivered();
                 let s0 = cx.spent();
-                let slot = self.slot;
-                let values: Vec<Value> = rows.iter().map(|r| r.values[slot].clone()).collect();
+                let values: Vec<&Value> = rows.iter().map(|r| &r.values[self.slot]).collect();
                 let order = crowd_sort_order(cx, &values, self.top_k, self.redundancy)?;
                 self.rows_in = rows.len() as u64;
-                self.out = order.into_iter().map(|i| rows[i].clone()).collect();
+                self.rows_out = order.len() as u64;
+                self.out = order
+                    .into_iter()
+                    .map(|i| rows[i].clone())
+                    .collect::<Vec<_>>()
+                    .into_iter();
                 self.questions = cx.delivered() - q0;
                 self.spend = cx.spent() - s0;
                 self.worked = true;
             }
         }
-        if self.pos < self.out.len() {
-            self.pos += 1;
-            Ok(Some(self.out[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.out.next())
     }
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
@@ -1164,7 +1202,7 @@ impl Operator for CrowdSortOp {
             cx.node_stats.push(NodeRuntime {
                 node: "CrowdSort",
                 rows_in: self.rows_in,
-                rows_out: self.out.len() as u64,
+                rows_out: self.rows_out,
                 questions: self.questions,
                 spend: self.spend,
             });
@@ -1175,7 +1213,7 @@ impl Operator for CrowdSortOp {
 /// Produces the best-first row ordering for a crowd sort.
 fn crowd_sort_order(
     cx: &mut ExecCx<'_>,
-    values: &[Value],
+    values: &[&Value],
     top_k: Option<usize>,
     votes: u32,
 ) -> Result<Vec<usize>> {
@@ -1186,7 +1224,7 @@ fn crowd_sort_order(
         Some(k) if k < n => {
             let k = k.max(1);
             let out = crowd_top_k(oracle, n, k, votes, |id, a, b| {
-                factory.compare_task(id, &values[a], &values[b])
+                factory.compare_task(id, values[a], values[b])
             })?;
             cx.comparisons += out.matches as u64;
             Ok(out.winners)
@@ -1196,22 +1234,23 @@ fn crowd_sort_order(
             let pairs: Vec<(usize, usize)> = (0..n)
                 .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
                 .collect();
-            let graph: ComparisonGraph = collect_comparisons(oracle, n, &pairs, votes, |id, a, b| {
-                factory.compare_task(id, &values[a], &values[b])
-            })?;
+            let graph: ComparisonGraph =
+                collect_comparisons(oracle, n, &pairs, votes, |id, a, b| {
+                    factory.compare_task(id, values[a], values[b])
+                })?;
             cx.comparisons += pairs.len() as u64;
             Ok(order_by_scores(&copeland(&graph)))
         }
     }
 }
 
-struct LimitOp {
-    child: Box<dyn Operator>,
+struct LimitOp<'c> {
+    child: BoxedOp<'c>,
     remaining: usize,
 }
 
-impl Operator for LimitOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for LimitOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if self.remaining == 0 {
             return Ok(None); // early exit: stop pulling from the child
         }
@@ -1232,14 +1271,14 @@ impl Operator for LimitOp {
     }
 }
 
-struct ProjectOp {
-    child: Box<dyn Operator>,
+struct ProjectOp<'c> {
+    child: BoxedOp<'c>,
     /// Projected slots; empty projects everything (star).
     indices: Vec<usize>,
 }
 
-impl Operator for ProjectOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for ProjectOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         let Some(row) = self.child.next(cx)? else {
             return Ok(None);
         };
@@ -1247,7 +1286,11 @@ impl Operator for ProjectOp {
             return Ok(Some(row));
         }
         Ok(Some(ExecRow {
-            values: self.indices.iter().map(|&i| row.values[i].clone()).collect(),
+            values: self
+                .indices
+                .iter()
+                .map(|&i| row.values[i].clone())
+                .collect(),
             prov: row.prov,
         }))
     }
@@ -1257,13 +1300,13 @@ impl Operator for ProjectOp {
     }
 }
 
-struct CountStarOp {
-    child: Box<dyn Operator>,
+struct CountStarOp<'c> {
+    child: BoxedOp<'c>,
     emitted: bool,
 }
 
-impl Operator for CountStarOp {
-    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+impl<'c> Operator<'c> for CountStarOp<'c> {
+    fn next(&mut self, cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'c>>> {
         if self.emitted {
             return Ok(None);
         }
@@ -1341,14 +1384,14 @@ mod tests {
         pulls: Cell<usize>,
     }
 
-    impl Operator for CountingScan {
-        fn next(&mut self, _cx: &mut ExecCx<'_>) -> Result<Option<ExecRow>> {
+    impl Operator<'static> for CountingScan {
+        fn next(&mut self, _cx: &mut ExecCx<'_>) -> Result<Option<ExecRow<'static>>> {
             let n = self.pulls.get();
             self.pulls.set(n + 1);
             if n < self.rows {
                 Ok(Some(ExecRow {
                     values: vec![Value::Int(n as i64)],
-                    prov: vec![("t".to_owned(), n)],
+                    prov: vec![("t", n)],
                 }))
             } else {
                 Ok(None)
@@ -1400,26 +1443,12 @@ mod tests {
 
     #[test]
     fn machine_sort_places_nulls_last() {
-        let rows = vec![
-            ExecRow {
-                values: vec![Value::Null],
-                prov: vec![],
-            },
-            ExecRow {
-                values: vec![Value::Int(2)],
-                prov: vec![],
-            },
-            ExecRow {
-                values: vec![Value::Int(1)],
-                prov: vec![],
-            },
-        ];
+        let rows = vec![vec![Value::Null], vec![Value::Int(2)], vec![Value::Int(1)]];
         let mut op = SortOp {
-            child: Box::new(ScanOp { rows, pos: 0 }),
+            child: Box::new(ScanOp::new("t", &rows, &[])),
             slot: 0,
             asc: true,
-            buf: Vec::new(),
-            pos: 0,
+            out: Vec::new().into_iter(),
             built: false,
         };
         let mut factory = NoFactory;
@@ -1431,6 +1460,77 @@ mod tests {
         assert_eq!(out, vec![Value::Int(1), Value::Int(2), Value::Null]);
     }
 
+    /// `x > 2 AND x < 8` over the column `x`.
+    fn band() -> Vec<BoundPredicate> {
+        let x = || {
+            BoundExpr::Slot(crate::ir::SlotRef {
+                slot: 0,
+                name: "x".to_owned(),
+            })
+        };
+        vec![
+            BoundPredicate::Compare {
+                left: x(),
+                op: CompareOp::Gt,
+                right: BoundExpr::Literal(Value::Int(2)),
+            },
+            BoundPredicate::Compare {
+                left: x(),
+                op: CompareOp::Lt,
+                right: BoundExpr::Literal(Value::Int(8)),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_folded_filter_keeps_and_counts_the_rows_filter_op_does() {
+        let rows: Vec<Vec<Value>> = [3, 9, 1, 7, 5, 2]
+            .into_iter()
+            .map(|x| vec![Value::Int(x)])
+            .collect();
+        let predicates = band();
+        type Kept<'c> = Vec<(Vec<Value>, Vec<(&'c str, usize)>)>;
+        let run = |folded: bool, limit: usize| -> (Kept<'_>, Vec<(String, u64, u64)>) {
+            let child: BoxedOp<'_> = if folded {
+                Box::new(ScanOp::new("t", &rows, &predicates))
+            } else {
+                Box::new(FilterOp {
+                    child: Box::new(ScanOp::new("t", &rows, &[])),
+                    test: MachineTest::new(&predicates),
+                })
+            };
+            let mut op = LimitOp {
+                child,
+                remaining: limit,
+            };
+            let mut factory = NoFactory;
+            let mut cx = ExecCx::new(None, &mut factory);
+            let mut kept = Vec::new();
+            while let Some(r) = op.next(&mut cx).unwrap() {
+                kept.push((r.values, r.prov));
+            }
+            op.finish(&mut cx);
+            (kept, cx.observations)
+        };
+        for limit in [0, 1, 2, 3, 10] {
+            assert_eq!(run(true, limit), run(false, limit), "LIMIT {limit}");
+        }
+        // LIMIT 2 stops at the fourth row, 7: rows 3, 9, 1 and 7 were
+        // tested by `x > 2`, and 3, 9 and 7 by `x < 8`.
+        let (kept, observed) = run(true, 2);
+        assert_eq!(
+            kept,
+            vec![
+                (vec![Value::Int(3)], vec![("t", 0)]),
+                (vec![Value::Int(7)], vec![("t", 3)])
+            ]
+        );
+        assert_eq!(
+            observed,
+            vec![("x > 2".to_owned(), 3, 4), ("x < 8".to_owned(), 2, 3)]
+        );
+    }
+
     #[test]
     fn fill_values_take_the_winners_surface_form_in_the_column_type() {
         let mk = |t: u64, text: &str| {
@@ -1440,12 +1540,19 @@ mod tests {
                 AnswerValue::Text(text.to_owned()),
             )
         };
-        let win = fill_value(&[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")], ColumnType::Text);
+        let win = fill_value(
+            &[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")],
+            ColumnType::Text,
+        );
         assert_eq!(win, Some(Value::Text("Phone".to_owned())));
         let int = fill_value(&[mk(0, " 42 ")], ColumnType::Int);
         assert_eq!(int, Some(Value::Int(42)));
         let bad_int = fill_value(&[mk(0, "many")], ColumnType::Int);
         assert_eq!(bad_int, None, "an unparsable INT stays NULL");
-        assert_eq!(fill_value(&[mk(0, "a"), mk(1, "b")], ColumnType::Int), None, "a tie stays NULL");
+        assert_eq!(
+            fill_value(&[mk(0, "a"), mk(1, "b")], ColumnType::Int),
+            None,
+            "a tie stays NULL"
+        );
     }
 }

@@ -66,8 +66,7 @@ fn qualifier_not_in_from_clause_is_reported() {
 #[test]
 fn ambiguous_column_asks_for_qualification() {
     let s = session();
-    let (line, column, message) =
-        bind_err(&s, "SELECT name FROM products, brands");
+    let (line, column, message) = bind_err(&s, "SELECT name FROM products, brands");
     assert_eq!((line, column), (1, 8));
     assert!(message.contains("ambiguous column `name`"), "{message}");
     assert!(message.contains("qualify"), "{message}");
@@ -78,7 +77,10 @@ fn type_mismatch_reports_both_types() {
     let s = session();
     let (_, _, message) = bind_err(&s, "SELECT id FROM products WHERE id = 'x'");
     assert!(message.contains("type mismatch"), "{message}");
-    assert!(message.contains("INT") && message.contains("TEXT"), "{message}");
+    assert!(
+        message.contains("INT") && message.contains("TEXT"),
+        "{message}"
+    );
 }
 
 #[test]

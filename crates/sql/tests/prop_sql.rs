@@ -249,17 +249,23 @@ proptest! {
         prop_assert_eq!(&all[..limited.len()], &limited[..]);
     }
 
-    /// Inserted values round-trip through storage and projection.
+    /// Inserted values round-trip through storage and projection: text
+    /// with non-ASCII letters, and ids down to `i64::MIN`, negative
+    /// literals in VALUES and in WHERE alike.
     #[test]
     fn insert_select_round_trip(
-        names in prop::collection::vec("[a-z]{1,8}", 1..20)
+        names in prop::collection::vec("[a-zà-öø-ÿα-ω]{1,8}", 1..20),
+        first_id in prop_oneof![Just(i64::MIN), -1000i64..1000],
     ) {
         let s = Session::new();
         s.execute_ddl("CREATE TABLE t (id INT, name TEXT)").unwrap();
         for (i, n) in names.iter().enumerate() {
-            s.execute_ddl(&format!("INSERT INTO t VALUES ({i}, '{n}')")).unwrap();
+            let id = first_id + i as i64;
+            s.execute_ddl(&format!("INSERT INTO t VALUES ({id}, '{n}')")).unwrap();
         }
-        let rows = s.query_machine("SELECT name FROM t ORDER BY id ASC").unwrap();
+        let rows = s
+            .query_machine(&format!("SELECT name FROM t WHERE id >= {first_id} ORDER BY id ASC"))
+            .unwrap();
         let got: Vec<String> = rows.iter().map(|r| r[0].display_raw()).collect();
         prop_assert_eq!(got, names);
     }

@@ -71,10 +71,7 @@ fn mark_tests(tokens: &[Token], brace_match: &[Option<usize>]) -> Vec<bool> {
     let mut i = 0usize;
     while i < tokens.len() {
         // `#[...]` attribute: scan its bracket contents.
-        if punct_is(&tokens[i], '#')
-            && i + 1 < tokens.len()
-            && punct_is(&tokens[i + 1], '[')
-        {
+        if punct_is(&tokens[i], '#') && i + 1 < tokens.len() && punct_is(&tokens[i + 1], '[') {
             let attr_start = i;
             let mut depth = 0usize;
             let mut j = i + 1;

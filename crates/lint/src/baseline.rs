@@ -303,10 +303,7 @@ debt exactly (it only goes down)",
             entries.len()
         ));
     }
-    Ok(Baseline {
-        burn_down,
-        entries,
-    })
+    Ok(Baseline { burn_down, entries })
 }
 
 /// Renders a baseline file from `(fingerprint, rule, file, reason)` rows —

@@ -163,6 +163,10 @@ mod tests {
         assert!(taint[by("relay").into_iter().next().unwrap_or(usize::MAX)].is_some());
         // `sink` returns nothing: not tainted, and its caller cannot be.
         assert!(taint[by("sink").into_iter().next().unwrap_or(usize::MAX)].is_none());
-        assert!(taint[by("caller_of_sink").into_iter().next().unwrap_or(usize::MAX)].is_none());
+        assert!(taint[by("caller_of_sink")
+            .into_iter()
+            .next()
+            .unwrap_or(usize::MAX)]
+        .is_none());
     }
 }

@@ -255,9 +255,11 @@ pub fn file_acquisitions(unit: &FileUnit, crate_name: &str) -> Vec<Acquisition> 
         // name is the identifier after `let [mut]`.
         if let_bound {
             let mut g = stmt + 1;
-            while tokens.get(g).and_then(ident_of).is_some_and(|w| {
-                w == "let" || w == "mut" || w == "if" || w == "while"
-            }) {
+            while tokens
+                .get(g)
+                .and_then(ident_of)
+                .is_some_and(|w| w == "let" || w == "mut" || w == "if" || w == "while")
+            {
                 g += 1;
             }
             if let Some(guard) = tokens.get(g).and_then(ident_of) {
@@ -488,12 +490,7 @@ fn sccs(nodes: &BTreeSet<String>, adj: &BTreeMap<String, BTreeSet<String>>) -> V
     comps
 }
 
-fn conc001(
-    units: &[FileUnit],
-    table: &SymbolTable,
-    model: &LockModel,
-    out: &mut Vec<Finding>,
-) {
+fn conc001(units: &[FileUnit], table: &SymbolTable, model: &LockModel, out: &mut Vec<Finding>) {
     let edges = order_edges(units, table, model);
     let mut nodes: BTreeSet<String> = BTreeSet::new();
     let mut adj: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -603,9 +600,11 @@ fn atomic_sites(units: &[FileUnit]) -> Vec<AtomicSite> {
             let line = tokens[i].line;
             // A reasoned `// ORDERING:` comment on the line or within the
             // two lines above justifies deliberate mixing.
-            let justified = unit.lexed.comments.iter().any(|c| {
-                c.text.contains("ORDERING:") && c.line + 2 >= line && c.line <= line
-            });
+            let justified = unit
+                .lexed
+                .comments
+                .iter()
+                .any(|c| c.text.contains("ORDERING:") && c.line + 2 >= line && c.line <= line);
             sites.push(AtomicSite {
                 file: unit.rel.clone(),
                 field,
@@ -669,12 +668,7 @@ deliberate, say why in an `// ORDERING: <reason>` comment at the site",
 
 // ---------------------------------------------------------------- CONC003
 
-fn conc003(
-    units: &[FileUnit],
-    table: &SymbolTable,
-    model: &LockModel,
-    out: &mut Vec<Finding>,
-) {
+fn conc003(units: &[FileUnit], table: &SymbolTable, model: &LockModel, out: &mut Vec<Finding>) {
     let mut seen: BTreeSet<(usize, String, String)> = BTreeSet::new();
     for f in &table.fns {
         if f.is_test {

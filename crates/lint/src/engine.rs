@@ -138,11 +138,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.')
-                || name == "target"
-                || name == "vendor"
-                || name == "fixtures"
-            {
+            if name.starts_with('.') || name == "target" || name == "vendor" || name == "fixtures" {
                 continue;
             }
             walk(&path, out);
@@ -176,7 +172,11 @@ fn parse_suppressions(
         } else if let Some(r) = rest.strip_prefix("allow(") {
             (false, r)
         } else {
-            bad.push(malformed(rel_path, c, "expected `allow(RULE)` or `allow-file(RULE)`"));
+            bad.push(malformed(
+                rel_path,
+                c,
+                "expected `allow(RULE)` or `allow-file(RULE)`",
+            ));
             continue;
         };
         let Some(close) = rest.find(')') else {

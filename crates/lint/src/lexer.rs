@@ -215,8 +215,7 @@ pub fn lex(source: &str) -> Lexed {
                 last_tok_line = line;
                 continue;
             }
-            let raw_string = (word == "r" || word == "br")
-                && matches!(next, Some('"') | Some('#'));
+            let raw_string = (word == "r" || word == "br") && matches!(next, Some('"') | Some('#'));
             let byte_string = word == "b" && matches!(next, Some('"') | Some('\''));
             if raw_string {
                 // r"..." / r#"..."# / br##"..."## — count the hashes,
@@ -280,9 +279,7 @@ pub fn lex(source: &str) -> Lexed {
                 i += 1;
             }
             // Fractional part: a dot followed by a digit (not `..`).
-            if chars.get(i) == Some(&'.')
-                && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit())
-            {
+            if chars.get(i) == Some(&'.') && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()) {
                 i += 1;
                 while i < chars.len() && is_ident_continue(chars[i]) {
                     i += 1;
@@ -290,7 +287,9 @@ pub fn lex(source: &str) -> Lexed {
             }
             // Exponent sign: `1e-5`.
             if matches!(chars.get(i), Some('+') | Some('-'))
-                && chars[start..i].last().is_some_and(|l| *l == 'e' || *l == 'E')
+                && chars[start..i]
+                    .last()
+                    .is_some_and(|l| *l == 'e' || *l == 'E')
             {
                 i += 1;
                 while i < chars.len() && chars[i].is_ascii_digit() {

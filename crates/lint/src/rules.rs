@@ -61,7 +61,14 @@ pub struct FileCtx<'a> {
 /// and the interprocedural (taint-chain) findings; the CONC family is
 /// implemented in [`crate::conc`].
 pub const ALL_RULES: [&str; 8] = [
-    "DET001", "DET002", "PANIC001", "SAFETY001", "DOC001", "CONC001", "CONC002", "CONC003",
+    "DET001",
+    "DET002",
+    "PANIC001",
+    "SAFETY001",
+    "DOC001",
+    "CONC001",
+    "CONC002",
+    "CONC003",
 ];
 
 /// Files allowed to read the wall clock without a suppression: the obs
@@ -196,7 +203,10 @@ fn hash_receiver(tokens: &[Token], i: usize, names: &BTreeSet<String>) -> Option
             }
             return Some(w.clone());
         }
-        if i >= 2 && punct_is(&tokens[i - 1], '.') && ident_is(&tokens[i - 2], "self") && names.contains(w)
+        if i >= 2
+            && punct_is(&tokens[i - 1], '.')
+            && ident_is(&tokens[i - 2], "self")
+            && names.contains(w)
         {
             return Some(format!("self.{w}"));
         }
@@ -438,9 +448,7 @@ fn panic001(ctx: &FileCtx<'_>, lexed: &Lexed, analysis: &Analysis, out: &mut Vec
             && top_level_commas(tokens, i + 2) == 0
         {
             Some(("expect(…)", tokens[i + 1].line))
-        } else if ident_is(t, "panic")
-            && tokens.get(i + 1).is_some_and(|n| punct_is(n, '!'))
-        {
+        } else if ident_is(t, "panic") && tokens.get(i + 1).is_some_and(|n| punct_is(n, '!')) {
             Some(("panic!", t.line))
         } else {
             None
@@ -467,9 +475,10 @@ fn safety001(ctx: &FileCtx<'_>, lexed: &Lexed, analysis: &Analysis, out: &mut Ve
         if analysis.is_test[i] || !ident_is(t, "unsafe") {
             continue;
         }
-        let justified = lexed.comments.iter().any(|c| {
-            c.text.contains("SAFETY:") && c.line + 3 >= t.line && c.line <= t.line
-        });
+        let justified = lexed
+            .comments
+            .iter()
+            .any(|c| c.text.contains("SAFETY:") && c.line + 3 >= t.line && c.line <= t.line);
         if !justified {
             out.push(Finding {
                 rule: "SAFETY001",

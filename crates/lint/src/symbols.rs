@@ -136,11 +136,54 @@ const NON_CALL_KEYWORDS: [&str; 18] = [
 /// to do with a local `fn iter`. Plain (non-method) calls are exempt from
 /// this list — `iter(…)` written bare is most likely the local function.
 const EXTERNAL_METHODS: [&str; 48] = [
-    "lock", "read", "write", "unwrap", "expect", "clone", "iter", "iter_mut", "into_iter",
-    "keys", "values", "drain", "len", "is_empty", "push", "pop", "insert", "remove", "get",
-    "get_mut", "contains", "contains_key", "extend", "collect", "map", "filter", "fold", "sum",
-    "min", "max", "sort", "to_owned", "to_string", "as_str", "as_ref", "take", "next", "load",
-    "store", "swap", "new", "default", "from", "into", "clear", "entry", "join", "drop",
+    "lock",
+    "read",
+    "write",
+    "unwrap",
+    "expect",
+    "clone",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "keys",
+    "values",
+    "drain",
+    "len",
+    "is_empty",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "get",
+    "get_mut",
+    "contains",
+    "contains_key",
+    "extend",
+    "collect",
+    "map",
+    "filter",
+    "fold",
+    "sum",
+    "min",
+    "max",
+    "sort",
+    "to_owned",
+    "to_string",
+    "as_str",
+    "as_ref",
+    "take",
+    "next",
+    "load",
+    "store",
+    "swap",
+    "new",
+    "default",
+    "from",
+    "into",
+    "clear",
+    "entry",
+    "join",
+    "drop",
 ];
 
 fn is_non_call_keyword(w: &str) -> bool {
@@ -411,16 +454,28 @@ mod tests {
         // `.rebuild()` resolves to the local fn; `.clear()` and `Vec::new()`
         // hit the external bucket (`new` is deny-listed as a method; here it
         // is a path call but ambiguity rules still apply — no local `new`).
-        assert_eq!(resolved_pairs(&t), vec![("refresh".into(), "rebuild".into())]);
+        assert_eq!(
+            resolved_pairs(&t),
+            vec![("refresh".into(), "rebuild".into())]
+        );
         assert!(t.stats.unresolved_names.contains("clear"));
     }
 
     #[test]
     fn shadowed_names_prefer_the_callers_crate_and_cross_crate_uniques_resolve() {
         let units = vec![
-            parse_unit("crates/a/src/lib.rs", "fn score() -> u32 { 1 }\nfn use_a() { score(); }"),
-            parse_unit("crates/b/src/lib.rs", "fn score() -> u32 { 2 }\nfn use_b() { score(); }"),
-            parse_unit("crates/c/src/lib.rs", "fn use_c() { score(); only_in_a(); }"),
+            parse_unit(
+                "crates/a/src/lib.rs",
+                "fn score() -> u32 { 1 }\nfn use_a() { score(); }",
+            ),
+            parse_unit(
+                "crates/b/src/lib.rs",
+                "fn score() -> u32 { 2 }\nfn use_b() { score(); }",
+            ),
+            parse_unit(
+                "crates/c/src/lib.rs",
+                "fn use_c() { score(); only_in_a(); }",
+            ),
             parse_unit("crates/a/src/extra.rs", "fn only_in_a() {}"),
         ];
         let t = SymbolTable::build(&units);
@@ -428,7 +483,10 @@ mod tests {
         // a::use_a -> a::score, b::use_b -> b::score.
         assert!(pairs.contains(&("use_a".into(), "score".into())));
         assert!(pairs.contains(&("use_b".into(), "score".into())));
-        let a_score = t.fns.iter().find(|f| f.name == "score" && f.crate_name == "a");
+        let a_score = t
+            .fns
+            .iter()
+            .find(|f| f.name == "score" && f.crate_name == "a");
         let resolved_use_a = t
             .calls
             .iter()
@@ -436,7 +494,9 @@ mod tests {
             .map(|c| c.resolution.clone());
         assert_eq!(
             resolved_use_a,
-            Some(Resolution::Resolved(a_score.map(|f| f.id).unwrap_or(usize::MAX)))
+            Some(Resolution::Resolved(
+                a_score.map(|f| f.id).unwrap_or(usize::MAX)
+            ))
         );
         // c has no `score`: two workspace candidates -> ambiguous bucket.
         let c_score = t

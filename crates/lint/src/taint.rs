@@ -24,9 +24,9 @@
 use std::collections::BTreeSet;
 
 use crate::callgraph::{witness_chain, CallGraph, TaintMap};
+use crate::lexer::Tok;
 use crate::rules::{fold_profile, hash_iter_sites, hash_named_bindings, Finding, DET002_ALLOWLIST};
 use crate::symbols::{FileUnit, FnDef, SymbolTable};
-use crate::lexer::Tok;
 
 /// Runs both taint analyses; `want` filters by rule id.
 pub fn run(
@@ -57,17 +57,27 @@ fn wall_clock_seed(unit: &FileUnit, f: &FnDef) -> Option<(u32, String)> {
         }
         match &tokens[i].tok {
             Tok::Ident(w) if w == "Instant" => {
-                let now = tokens.get(i + 1).is_some_and(|t| matches!(&t.tok, Tok::Punct(':')))
-                    && tokens.get(i + 2).is_some_and(|t| matches!(&t.tok, Tok::Punct(':')))
+                let now = tokens
+                    .get(i + 1)
+                    .is_some_and(|t| matches!(&t.tok, Tok::Punct(':')))
+                    && tokens
+                        .get(i + 2)
+                        .is_some_and(|t| matches!(&t.tok, Tok::Punct(':')))
                     && tokens
                         .get(i + 3)
                         .is_some_and(|t| matches!(&t.tok, Tok::Ident(n) if n == "now"));
                 if now {
-                    return Some((tokens[i].line, format!("Instant::now() ({}:{})", f.file, tokens[i].line)));
+                    return Some((
+                        tokens[i].line,
+                        format!("Instant::now() ({}:{})", f.file, tokens[i].line),
+                    ));
                 }
             }
             Tok::Ident(w) if w == "SystemTime" => {
-                return Some((tokens[i].line, format!("SystemTime ({}:{})", f.file, tokens[i].line)));
+                return Some((
+                    tokens[i].line,
+                    format!("SystemTime ({}:{})", f.file, tokens[i].line),
+                ));
             }
             _ => {}
         }
@@ -102,9 +112,7 @@ fn det002_taint(
         |_caller| true,
         "DET002",
         |callee, chain_tail| {
-            format!(
-                "wall-clock value reaches here through `{callee}` (chain: {chain_tail})"
-            )
+            format!("wall-clock value reaches here through `{callee}` (chain: {chain_tail})")
         },
         "taint-wall",
         "the callee transitively reads the host clock; route the timing through \
@@ -131,12 +139,7 @@ fn det001_taint(
         if names.is_empty() {
             continue;
         }
-        let span = match unit
-            .analysis
-            .fns
-            .iter()
-            .find(|s| s.kw == f.kw)
-        {
+        let span = match unit.analysis.fns.iter().find(|s| s.kw == f.kw) {
             Some(s) => s,
             None => continue,
         };

@@ -27,7 +27,10 @@ fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
 fn det001_flags_hash_iteration_with_float_accumulation_and_output() {
     let (kept, _) = scan_fixture("det001_bad.rs", "DET001");
     assert_eq!(rules_of(&kept), vec!["DET001", "DET001"]);
-    assert_eq!(kept[0].line, 5, "scores.iter() in the float-accumulating fn");
+    assert_eq!(
+        kept[0].line, 5,
+        "scores.iter() in the float-accumulating fn"
+    );
     assert_eq!(kept[1].line, 12, "for … in m in the serializing fn");
 }
 

@@ -60,7 +60,11 @@ fn det001_taint_requires_an_order_sensitive_consumer() {
     let f = &report.findings[0];
     assert_eq!(f.rule, "DET001");
     assert!(f.scope == "total", "scope: {}", f.scope);
-    assert!(f.chain.iter().any(|l| l.starts_with("leak_order ")), "{:?}", f.chain);
+    assert!(
+        f.chain.iter().any(|l| l.starts_with("leak_order ")),
+        "{:?}",
+        f.chain
+    );
     assert!(
         f.chain.last().is_some_and(|l| l.contains("m.values()")),
         "{:?}",
@@ -82,14 +86,16 @@ fn conc001_reports_the_ab_ba_cycle_with_both_acquisition_sites() {
     assert!(f.message.contains("lock-ordering cycle"), "{}", f.message);
     // Both edges, each with its two acquisition sites.
     assert!(
-        f.message
-            .contains("local::alpha acquired at conc001_bad.rs:11 then local::beta at conc001_bad.rs:12"),
+        f.message.contains(
+            "local::alpha acquired at conc001_bad.rs:11 then local::beta at conc001_bad.rs:12"
+        ),
         "{}",
         f.message
     );
     assert!(
-        f.message
-            .contains("local::beta acquired at conc001_bad.rs:17 then local::alpha at conc001_bad.rs:18"),
+        f.message.contains(
+            "local::beta acquired at conc001_bad.rs:17 then local::alpha at conc001_bad.rs:18"
+        ),
         "{}",
         f.message
     );
@@ -102,7 +108,9 @@ fn conc002_flags_unjustified_seqcst_mixing() {
     let report = scan_workspace(&["conc002_bad.rs"], "CONC002");
     assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
     assert_eq!(report.findings[0].line, 5);
-    assert!(report.findings[0].message.contains("mixed atomic orderings"));
+    assert!(report.findings[0]
+        .message
+        .contains("mixed atomic orderings"));
 
     // An `// ORDERING:` comment justifies deliberate mixing.
     let clean = scan_workspace(&["conc002_good.rs"], "CONC002");
@@ -130,7 +138,11 @@ fn conc003_flags_guards_held_across_oracle_calls_and_nested_locks() {
 #[test]
 fn fingerprints_are_stable_across_unrelated_line_drift() {
     let report = scan_workspace(&["conc003_bad.rs"], "CONC003");
-    let fp: Vec<&str> = report.findings.iter().map(|f| f.fingerprint.as_str()).collect();
+    let fp: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| f.fingerprint.as_str())
+        .collect();
     assert!(fp.iter().all(|f| f.len() == 16), "{fp:?}");
     // Same file scanned from a copy with lines shifted: the fingerprint
     // must not move (it hashes rule|file|scope|key|ordinal, not the line).
@@ -141,7 +153,11 @@ fn fingerprints_are_stable_across_unrelated_line_drift() {
     std::fs::write(dir.join("conc003_bad.rs"), shifted).expect("write shifted copy");
     let only: BTreeSet<String> = ["CONC003".to_owned()].into();
     let report2 = scan_paths(&dir, &[dir.join("conc003_bad.rs")], &only);
-    let fp2: Vec<String> = report2.findings.iter().map(|f| f.fingerprint.clone()).collect();
+    let fp2: Vec<String> = report2
+        .findings
+        .iter()
+        .map(|f| f.fingerprint.clone())
+        .collect();
     assert_eq!(fp, fp2, "fingerprints moved under pure line drift");
 }
 

@@ -14,7 +14,7 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # Formatting is enforced crate by crate as crates become rustfmt-clean.
-cargo fmt -p crowdkit-assign -p crowdkit-core -p crowdkit-datalog -p crowdkit-obs -p crowdkit-ops -p crowdkit-sim -p crowdkit-sql -p crowdkit-trace -p crowdkit-truth --check
+cargo fmt -p crowdkit-assign -p crowdkit-core -p crowdkit-datalog -p crowdkit-lint -p crowdkit-obs -p crowdkit-ops -p crowdkit-sim -p crowdkit-sql -p crowdkit-trace -p crowdkit-truth --check
 
 # The benchmark (crates/bench/src/bin/crowdbench, see BENCHMARK.json) is a
 # package of its own outside the workspace, so `--workspace` misses it:

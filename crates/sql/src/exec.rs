@@ -228,6 +228,16 @@ struct SessionState {
     memory: SelectivityMemory,
 }
 
+impl SessionState {
+    /// Feeds an execution's observed predicate pass rates back into the
+    /// cost model, as every SELECT does, crowd-powered or not.
+    fn learn(&mut self, observations: &[(String, u64, u64)]) {
+        for (key, passed, total) in observations {
+            self.memory.record(key, *passed, *total);
+        }
+    }
+}
+
 /// A CrowdSQL session: catalog, optimizer memory, statement execution.
 #[derive(Debug, Default)]
 pub struct Session {
@@ -342,7 +352,8 @@ impl Session {
 
     /// Runs a SELECT that must not require the crowd. Fails with
     /// [`CrowdError::Unsupported`] if the chosen plan contains a crowd
-    /// operator.
+    /// operator. Its observed pass rates feed the cost model, as
+    /// [`Session::query_crowd`]'s do.
     pub fn query_machine(&self, sql: &str) -> Result<Vec<Vec<Value>>> {
         let select = match parse_statement(sql)? {
             Statement::Select(s) => s,
@@ -368,11 +379,12 @@ impl Session {
                 Task::binary(id, "unreachable")
             }
         }
-        let opts = QueryOpts::default();
-        let state = self.inner.read();
-        let planned = plan_select(&state, &select, &opts, true)?;
-        let mut factory = NoTasks;
-        let out = execute(&planned.chosen, &state.catalog, None, &mut factory)?;
+        let out = {
+            let state = self.inner.read();
+            let planned = plan_select(&state, &select, &QueryOpts::default(), true)?;
+            execute(&planned.chosen, &state.catalog, None, &mut NoTasks)?
+        };
+        self.inner.write().learn(&out.observations);
         Ok(out.rows)
     }
 
@@ -408,9 +420,7 @@ impl Session {
             for (table, row, col, value) in &out.writebacks {
                 state.catalog.write_cell(table, *row, *col, value.clone())?;
             }
-            for (key, passed, total) in &out.observations {
-                state.memory.record(key, *passed, *total);
-            }
+            state.learn(&out.observations);
         }
         let stats = QueryStats {
             questions: oracle.answers_delivered() - before,
@@ -907,6 +917,30 @@ mod tests {
             report.predicted.spend,
             first.predicted_spend
         );
+    }
+
+    #[test]
+    fn machine_queries_feed_the_selectivity_memory_like_crowd_queries() {
+        let predict = |s: &Session| {
+            s.explain("SELECT category FROM products WHERE id < 10", true)
+                .unwrap()
+                .predicted
+                .spend
+        };
+        let sql = "SELECT id FROM products WHERE id < 10";
+        let machine = session_with_products(100);
+        // The default selectivity of one third: 100 rows / 3 × 3 votes.
+        assert!((predict(&machine) - 100.0).abs() < 1e-9);
+        assert_eq!(machine.query_machine(sql).unwrap().len(), 10);
+
+        let crowd = session_with_products(100);
+        let oracle = TruthfulOracle::new(1e9);
+        crowd
+            .query_crowd(sql, &oracle, &mut factory(), &QueryOpts::new())
+            .unwrap();
+        // Both learned that "id < 10" passes 10 of 100 rows.
+        assert!((predict(&crowd) - 30.0).abs() < 1e-9);
+        assert_eq!(predict(&machine).to_bits(), predict(&crowd).to_bits());
     }
 
     #[test]

@@ -202,8 +202,10 @@ pub(crate) struct ExecCx<'a> {
     pub factory: &'a mut (dyn TaskFactory + 'a),
     /// Task id generator (fresh per query).
     pub ids: IdGen,
-    /// CROWDEQUAL verdict cache, keyed by unordered display pair.
-    equal_cache: HashMap<(String, String), bool>,
+    /// CROWDEQUAL verdict cache over unordered pairs of raw renderings:
+    /// `equal_cache[lo][hi]`, where `lo` is the smaller, so a lookup
+    /// borrows both renderings instead of building a key.
+    equal_cache: HashMap<String, HashMap<String, bool>>,
     /// Fill results keyed by base cell `(table, row, column)` — a fill
     /// above a join buys each underlying cell once.
     fill_results: HashMap<(String, usize, usize), Option<Value>>,
@@ -254,41 +256,44 @@ impl<'a> ExecCx<'a> {
         self.oracle.ok_or(CrowdError::Unsupported(msg))
     }
 
-    /// Cached CROWDEQUAL verdict for a value pair, if one was purchased.
-    fn cached_equal(&self, left: &Value, right: &Value) -> Option<bool> {
-        self.equal_cache.get(&equal_key(left, right)).copied()
+    /// Cached CROWDEQUAL verdict for a pair of raw renderings, in either
+    /// order, if one was purchased.
+    fn cached_equal(&self, a: &str, b: &str) -> Option<bool> {
+        let (lo, hi) = ordered(a, b);
+        self.equal_cache.get(lo)?.get(hi).copied()
     }
 
     /// Buys (or reuses) one CROWDEQUAL verdict.
     fn crowd_equal(&mut self, left: &Value, right: &Value, votes: u32) -> Result<bool> {
-        let key = equal_key(left, right);
-        if let Some(&v) = self.equal_cache.get(&key) {
+        let (a, b) = (left.display_raw(), right.display_raw());
+        if let Some(v) = self.cached_equal(&a, &b) {
             return Ok(v);
         }
         let oracle = self.require_oracle(NO_ORACLE_FILTER)?;
         let task = self.factory.equal_task(self.ids.next_task(), left, right);
         let out = oracle.ask(&AskRequest::new(&task).with_redundancy(votes.max(1) as usize))?;
-        self.settle_equal(key, &out)
+        self.settle_equal(a, b, &out)
     }
 
-    /// Records one purchased CROWDEQUAL verdict: the yes/no majority of
-    /// its answers (ties are "no").
-    fn settle_equal(&mut self, key: (String, String), out: &AskOutcome) -> Result<bool> {
+    /// Records one purchased CROWDEQUAL verdict on the raw renderings `a`
+    /// and `b`: the yes/no majority of its answers (ties are "no").
+    fn settle_equal(&mut self, a: String, b: String, out: &AskOutcome) -> Result<bool> {
         out.check()?;
         let verdict = yes_majority(&out.answers);
-        self.equal_cache.insert(key, verdict);
+        let (lo, hi) = ordered(a, b);
+        self.equal_cache.entry(lo).or_default().insert(hi, verdict);
         self.equal_checks += 1;
         Ok(verdict)
     }
 }
 
-/// Unordered cache key for a CROWDEQUAL value pair.
-fn equal_key(left: &Value, right: &Value) -> (String, String) {
-    let mut key = (left.display_raw(), right.display_raw());
-    if key.0 > key.1 {
-        std::mem::swap(&mut key.0, &mut key.1);
+/// A CROWDEQUAL pair's two renderings in cache order, the smaller first.
+fn ordered<S: PartialOrd>(a: S, b: S) -> (S, S) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
     }
-    key
 }
 
 fn eval<'v>(e: &'v BoundExpr, values: &'v [Value]) -> &'v Value {
@@ -1007,36 +1012,39 @@ impl<'c> CrowdJoinOp<'c> {
             .iter()
             .map(|r| side_value(self.right_expr, r, self.left_width))
             .collect();
+        // Each join value's raw rendering, the form the verdict cache is
+        // keyed on, made once per row (`None` for NULL, which never joins).
+        let render = |vals: &[&Value]| -> Vec<Option<String>> {
+            vals.iter()
+                .map(|v| (!v.is_null()).then(|| v.display_raw()))
+                .collect()
+        };
+        let (ltext, rtext) = (render(&lvals), render(&rvals));
         let q0 = cx.delivered();
         let s0 = cx.spent();
         // Verdict phase: buy every needed CROWDEQUAL verdict in
         // outer-major order (the `outer` knob controls which side's
         // stripes form the batched round-trips).
-        let (outer_vals, inner_vals, outer_is_left) = match self.outer {
-            Side::Left => (&lvals, &rvals, true),
-            Side::Right => (&rvals, &lvals, false),
+        let ((outer_vals, outer_text), (inner_vals, inner_text), outer_is_left) = match self.outer {
+            Side::Left => ((&lvals, &ltext), (&rvals, &rtext), true),
+            Side::Right => ((&rvals, &rtext), (&lvals, &ltext), false),
         };
         let oracle = cx.require_oracle(NO_ORACLE_JOIN)?;
         let votes = self.redundancy.max(1) as usize;
-        for &ov in outer_vals {
-            if ov.is_null() {
-                continue;
-            }
+        for (&ov, ot) in outer_vals.iter().zip(outer_text) {
+            let Some(ot) = ot else { continue };
             // One stripe: all still-unjudged pairs for this outer row,
             // asked `batch` verdicts per platform round-trip (0 means one).
-            let mut stripe: Vec<((String, String), Task)> = Vec::new();
-            let mut queued: HashSet<(String, String)> = HashSet::new();
-            for &iv in inner_vals {
-                if iv.is_null() {
-                    continue;
-                }
+            let mut stripe: Vec<((&str, &str), Task)> = Vec::new();
+            let mut queued: HashSet<(&str, &str)> = HashSet::new();
+            for (&iv, it) in inner_vals.iter().zip(inner_text) {
+                let Some(it) = it else { continue };
                 let (lv, rv) = if outer_is_left { (ov, iv) } else { (iv, ov) };
-                let key = equal_key(lv, rv);
-                if cx.equal_cache.contains_key(&key) || queued.contains(&key) {
+                let key = ordered(ot.as_str(), it.as_str());
+                if cx.cached_equal(key.0, key.1).is_some() || !queued.insert(key) {
                     continue;
                 }
                 let task = cx.factory.equal_task(cx.ids.next_task(), lv, rv);
-                queued.insert(key.clone());
                 stripe.push((key, task));
             }
             for chunk in stripe.chunks(self.batch.max(1)) {
@@ -1045,8 +1053,8 @@ impl<'c> CrowdJoinOp<'c> {
                     .map(|(_, task)| AskRequest::new(task).with_redundancy(votes))
                     .collect();
                 let outs = oracle.ask_batch(&reqs)?;
-                for ((key, _), out) in chunk.iter().zip(&outs) {
-                    cx.settle_equal(key.clone(), out)?;
+                for (((a, b), _), out) in chunk.iter().zip(&outs) {
+                    cx.settle_equal((*a).to_owned(), (*b).to_owned(), out)?;
                 }
             }
         }
@@ -1055,16 +1063,12 @@ impl<'c> CrowdJoinOp<'c> {
         // Emit phase: always left-major, so the join's output order is
         // identical to CrowdFilter-over-cross regardless of `outer`.
         let mut out = Vec::new();
-        for (a, &lv) in lrows.iter().zip(&lvals) {
-            if lv.is_null() {
-                continue;
-            }
-            for (b, &rv) in rrows.iter().zip(&rvals) {
-                if rv.is_null() {
-                    continue;
-                }
+        for (a, lt) in lrows.iter().zip(&ltext) {
+            let Some(lt) = lt else { continue };
+            for (b, rt) in rrows.iter().zip(&rtext) {
+                let Some(rt) = rt else { continue };
                 self.pairs += 1;
-                if cx.cached_equal(lv, rv) == Some(true) {
+                if cx.cached_equal(lt, rt) == Some(true) {
                     self.matched += 1;
                     out.push(combine(a, b));
                 }

@@ -11,26 +11,24 @@
 //! * **M-step** — re-estimate `ρ` and every `π_w` from the current soft
 //!   posteriors (with Laplace smoothing so sparse workers stay defined);
 //! * **E-step** — recompute task posteriors
-//!   `P(t | answers) ∝ ρ[t] · Π_answers π_w[t][l]` in log space to avoid
-//!   underflow on high-redundancy tasks.
+//!   `P(t | answers) ∝ ρ[t] · Π_answers π_w[t][l]` as that product.
 //!
 //! This module is the model: the confusion-matrix M-step and the E-step's
-//! per-task log-likelihood terms.
+//! posterior row.
 //!
 //! # Kernel layout
 //!
 //! Confusion matrices live in one flat `Vec<f64>` with `w·k² + t·k + l`
-//! indexing, and each M-step precomputes a **transposed log table**
-//! `log π_w[t][l]` stored as `lt[w·k² + l·k + t]` so the E-step inner
-//! loop is pure adds over one contiguous `k`-slice per observation (no
-//! `ln` calls, no indirection). An observation of worker `w` with label
-//! `l` reads only slice `(w, l)`, so the M-step writes only the slices of
-//! labels the worker gave, selected by a worker × label mask built once
-//! from the worker CSR: `k` logarithms per (worker, label) pair in the
-//! data, where a long-tailed crowd's workers mostly gave one label each.
-//! The soft-count M-step shards over worker ranges via
-//! [`parallel_items_mut`]; each worker writes its own slots from shared
-//! read-only state, so results are byte-identical at any thread count.
+//! indexing. The soft-count M-step shards over worker ranges via
+//! [`parallel_items_mut`]; each worker writes its own `k²` slots from
+//! shared read-only state, so results are byte-identical at any thread
+//! count. The E-step works in probability space, so neither step takes an
+//! `exp` or `ln`: a task's row starts from `ρ`, each answer `(w, l)`
+//! multiplies in the column `π_w[·][l]` (stride `k`, each entry floored at
+//! `em::LN_FLOOR`), and `em::normalize` closes the row. Whenever the row's
+//! max falls below `RESCALE_BELOW`, the row is scaled by the power of two
+//! that brings the max into `[1, 2)`: exact, and cancelled by the
+//! normalization, so a task with thousands of answers never underflows.
 //!
 //! With [`crate::freeze::FreezeConfig`] enabled (`config.freeze`), the
 //! E-step goes sparse: converged tasks freeze out of the worklist (their
@@ -43,7 +41,7 @@ use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
-use crate::em::{self, normalize, Csr, EmConfig, EmModel, LN_FLOOR};
+use crate::em::{self, normalize, Csr, EmConfig, EmModel, Priors, LN_FLOOR};
 use crate::freeze::ActiveSet;
 
 /// The Dawid–Skene EM algorithm.
@@ -73,20 +71,9 @@ impl DawidSkene {
             cfg.tol,
             cfg.threads,
             cfg.freeze,
-            |cx| {
-                let (k, n_workers) = (cx.k, cx.num_workers());
-                let mut gave = vec![false; n_workers * k];
-                for w in 0..n_workers {
-                    for &(_, l) in cx.worker(w) {
-                        gave[w * k + l as usize] = true;
-                    }
-                }
-                DsModel {
-                    smoothing: cfg.smoothing,
-                    confusion: vec![0.0; n_workers * k * k],
-                    log_table: vec![0.0; n_workers * k * k],
-                    gave,
-                }
+            |cx| DsModel {
+                smoothing: cfg.smoothing,
+                confusion: vec![0.0; cx.num_workers() * cx.k * cx.k],
             },
         )?;
         let k = matrix.num_labels();
@@ -99,18 +86,16 @@ impl DawidSkene {
     }
 }
 
+/// The row max below which the E-step rescales, `2^-24`: one factor of at
+/// least `LN_FLOOR` leaves a max above it a normal float (asserted below).
+const RESCALE_BELOW: f64 = 1.0 / (1u64 << 24) as f64;
+const _: () = assert!(RESCALE_BELOW * LN_FLOOR >= f64::MIN_POSITIVE);
+
 /// The Dawid–Skene worker model: one confusion matrix per worker.
 struct DsModel {
     smoothing: f64,
     /// `confusion[w*k*k + t*k + l] = π_w[t][l]`.
     confusion: Vec<f64>,
-    /// Transposed log table: `log_table[w*k*k + l*k + t] = ln π_w[t][l]`,
-    /// so the E-step reads one contiguous k-slice per observation. Only
-    /// the slices of labels the worker gave are written, since no other
-    /// slice is read.
-    log_table: Vec<f64>,
-    /// `gave[w*k + l]`: worker `w` answered label `l` at least once.
-    gave: Vec<bool>,
 }
 
 impl EmModel for DsModel {
@@ -144,37 +129,33 @@ impl EmModel for DsModel {
                 }
             }
         });
-
-        // Log-table transpose, also over worker ranges: all `ln` calls
-        // happen here instead of per observation in the E-step, k of them
-        // for each label a worker gave (the E-step reads no other slice).
-        let (conf, gave) = (&self.confusion, &self.gave);
-        parallel_items_mut(&mut self.log_table, k * k, cx.threads, |w0, run| {
-            for (i, lt) in run.chunks_mut(k * k).enumerate() {
-                let w = w0 + i;
-                if aset.can_skip_worker_update(w) {
-                    continue;
-                }
-                let cm = &conf[w * k * k..(w + 1) * k * k];
-                for l in (0..k).filter(|&l| gave[w * k + l]) {
-                    for t in 0..k {
-                        lt[l * k + t] = cm[t * k + l].max(LN_FLOOR).ln();
-                    }
-                }
-            }
-        });
     }
 
-    /// Adds one contiguous log-table slice per observation.
+    /// `ρ · Π π_w[·][l]`, rescaled and normalized (see the module docs).
     #[inline]
-    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
+    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, row: &mut [f64]) {
         let k = cx.k;
+        for (x, &p) in row.iter_mut().zip(&priors.p) {
+            *x = p.max(LN_FLOOR);
+        }
         for &(w, l) in cx.task(t) {
-            let base = (w as usize * k + l as usize) * k;
-            for (x, &add) in row.iter_mut().zip(&self.log_table[base..base + k]) {
-                *x += add;
+            let base = w as usize * k * k;
+            let column = self.confusion[base + l as usize..base + k * k]
+                .iter()
+                .step_by(k);
+            let mut max = 0.0f64;
+            for (x, &pi) in row.iter_mut().zip(column) {
+                *x *= pi.max(LN_FLOOR);
+                max = max.max(*x);
+            }
+            if max < RESCALE_BELOW {
+                let scale = pow2_to_unit(max);
+                for x in row.iter_mut() {
+                    *x *= scale;
+                }
             }
         }
+        normalize(row);
     }
 
     /// The prior-weighted confusion diagonal: each worker's marginal
@@ -186,6 +167,12 @@ impl EmModel for DsModel {
             .map(|cm| (0..k).map(|t| priors[t] * cm[t * k + t]).sum::<f64>())
             .collect()
     }
+}
+
+/// `2^-e` for `x` in `[2^e, 2^(e+1))`, from the exponent field `e + 1023`
+/// of a positive normal `x` (a zero or subnormal `x` gets `2^1023`).
+fn pow2_to_unit(x: f64) -> f64 {
+    f64::from_bits((2046 - (x.to_bits() >> 52)) << 52)
 }
 
 impl TruthInferencer for DawidSkene {
@@ -201,7 +188,9 @@ impl TruthInferencer for DawidSkene {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::em::log_normalize;
     use crowdkit_core::ids::{TaskId, WorkerId};
+    use proptest::prelude::*;
 
     fn matrix(rows: &[(u64, u64, u32)], k: usize) -> ResponseMatrix {
         let mut m = ResponseMatrix::new(k);
@@ -318,6 +307,152 @@ mod tests {
         let r = DawidSkene::default().infer(&m).unwrap();
         assert!(r.converged, "did not converge in {} iters", r.iterations);
         assert!(r.iterations < 100);
+    }
+
+    /// A model whose worker `w` (dense index, in answer order) has the
+    /// `w`-th `k × k` block of the flat `confusions`, over one task holding
+    /// one answer of label `labels[w]` from each worker.
+    fn one_task(k: usize, confusions: Vec<f64>, labels: &[u32]) -> (ResponseMatrix, DsModel) {
+        let rows: Vec<_> = labels.iter().zip(0u64..).map(|(&l, w)| (0, w, l)).collect();
+        let model = DsModel {
+            smoothing: 0.0,
+            confusion: confusions,
+        };
+        (matrix(&rows, k), model)
+    }
+
+    /// The E-step row as it was in log space: the floored log priors, plus
+    /// `ln π_w[t][l]` floored at `LN_FLOOR` for each answer, then
+    /// `log_normalize`. Returns with it a bound on its own error in any one
+    /// label's log sum: each `ln` is off by up to an ulp of its result and
+    /// each addition by up to an ulp of the running sum.
+    fn reference(model: &DsModel, cx: &Csr<'_>, t: usize, priors: &[f64]) -> (Vec<f64>, f64) {
+        let k = cx.k;
+        let mut row: Vec<f64> = priors.iter().map(|p| p.max(LN_FLOOR).ln()).collect();
+        let mut err: Vec<f64> = row.iter().map(|x| x.abs() * f64::EPSILON).collect();
+        for &(w, l) in cx.task(t) {
+            for (truth, x) in row.iter_mut().enumerate() {
+                let pi = model.confusion[(w as usize * k + truth) * k + l as usize];
+                let term = pi.max(LN_FLOOR).ln();
+                *x += term;
+                err[truth] += (term.abs() + x.abs()) * f64::EPSILON;
+            }
+        }
+        log_normalize(&mut row);
+        (row, err.into_iter().fold(0.0, f64::max))
+    }
+
+    /// Checks the product-space row against the log-space reference to
+    /// 1e-12 plus what the reference's own error can move it: a log term
+    /// off by `δ` moves a posterior `p` by at most `2p(1 − p)δ`.
+    fn assert_matches_reference(model: &DsModel, cx: &Csr<'_>, priors: &[f64]) -> Vec<f64> {
+        let mut row = vec![0.0; cx.k];
+        let given = Priors {
+            p: priors.to_vec(),
+            ln: Vec::new(),
+        };
+        model.posterior_row(cx, 0, &given, &mut row);
+        let (want, err) = reference(model, cx, 0, priors);
+        for (&got, &p) in row.iter().zip(&want) {
+            let tol = 1e-12 + 2.0 * p * (1.0 - p) * err;
+            assert!(
+                (got - p).abs() <= tol,
+                "{row:?} vs reference {want:?} (log error {err:e})"
+            );
+        }
+        row
+    }
+
+    /// One task's E-step inputs: `k` from 2 to 6, the class priors, and 1
+    /// to 12 answers as (the worker's `k × k` confusion matrix, flat and
+    /// row-stochastic, and the label). About a quarter of the priors and
+    /// confusion entries sit at or under `LN_FLOOR` (zero included), as
+    /// zero smoothing leaves them, except those of one truth `t0`: DS's soft
+    /// counts keep mass on a label the task's posterior has not ruled out.
+    /// Without such a label the answers could floor the labels against each
+    /// other in turn, and a float row cannot hold the `e^-1381` ratios the
+    /// log form carries through that.
+    #[allow(clippy::type_complexity)]
+    fn task_inputs() -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>, Vec<u32>)> {
+        let cell = || (0u8..4, 1e-3f64..1.0);
+        (
+            2usize..7,
+            0usize..6,
+            prop::collection::vec(cell(), 6),
+            prop::collection::vec((prop::collection::vec(cell(), 36), 0u32..60), 1..13),
+        )
+            .prop_map(|(k, t0, prior_cells, answers)| {
+                let t0 = t0 % k;
+                let floored = |(kind, x): (u8, f64), t: usize| match kind {
+                    3 if t != t0 => [0.0, 0.5 * LN_FLOOR, LN_FLOOR][(x * 3.0) as usize % 3],
+                    _ => x,
+                };
+                let mut priors: Vec<f64> = (0..k).map(|t| floored(prior_cells[t], t)).collect();
+                normalize(&mut priors);
+                let mut confusions = Vec::new();
+                for (cells, _) in &answers {
+                    for t in 0..k {
+                        let start = confusions.len();
+                        confusions.extend((0..k).map(|l| floored(cells[t * k + l], t)));
+                        normalize(&mut confusions[start..]);
+                    }
+                }
+                let labels = answers.iter().map(|&(_, l)| l % k as u32).collect();
+                (k, priors, confusions, labels)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn posterior_row_matches_the_log_space_reference(
+            (k, priors, confusions, labels) in task_inputs()
+        ) {
+            let (m, model) = one_task(k, confusions, &labels);
+            assert_matches_reference(&model, &Csr::new(&m, 1), &priors);
+        }
+    }
+
+    #[test]
+    fn a_task_of_thousands_of_small_factors_is_rescaled_not_flattened() {
+        // 2,000 answers whose columns come in pairs multiplying every truth
+        // by 2e-4, so the posterior is the priors again, while the plain
+        // product falls to about 1e-3700, far under the smallest float.
+        let (k, n) = (3, 2000);
+        let priors = [0.5, 0.3, 0.2];
+        let columns = [[0.02, 0.01, 0.04], [0.01, 0.02, 0.005]];
+        let labels: Vec<u32> = (0..n).map(|w| (w % k) as u32).collect();
+        let mut confusions = vec![0.0; n * k * k];
+        for (w, &l) in labels.iter().enumerate() {
+            for (t, &pi) in columns[w % 2].iter().enumerate() {
+                confusions[(w * k + t) * k + l as usize] = pi;
+            }
+        }
+        let unscaled = (0..k).map(|t| (0..n).fold(priors[t], |x, w| x * columns[w % 2][t]));
+        assert!(
+            unscaled.into_iter().all(|x| x == 0.0),
+            "the plain product must underflow"
+        );
+
+        let (m, model) = one_task(k, confusions, &labels);
+        let row = assert_matches_reference(&model, &Csr::new(&m, 1), &priors);
+        for (&got, &want) in row.iter().zip(&priors) {
+            assert!((got - want).abs() < 1e-9, "{row:?} is not the priors");
+        }
+    }
+
+    #[test]
+    fn rescaling_brings_the_max_into_one_to_two() {
+        for x in [
+            RESCALE_BELOW,
+            0.75 * RESCALE_BELOW,
+            3e-200,
+            RESCALE_BELOW * LN_FLOOR,
+        ] {
+            let scaled = x * pow2_to_unit(x);
+            assert!((1.0..2.0).contains(&scaled), "{x:e} scales to {scaled}");
+        }
     }
 
     #[test]

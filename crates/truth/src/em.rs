@@ -9,11 +9,10 @@
 //! (`freeze::ActiveSet`), lineage, the `truth.iter` /
 //! `truth.freeze` / `truth.run` telemetry and the assembled
 //! `InferenceResult`. A model (`EmModel`) supplies the M-step over the
-//! committed posteriors, one task's log-likelihood terms for the E-step
-//! (the driver seeds each row with the log-priors and normalizes it
-//! afterwards) and its per-worker quality. `run` is generic over the
-//! model, so each model's E-step accumulate is monomorphized into the
-//! sweep.
+//! committed posteriors, one task's normalized E-step row from the class
+//! priors (Dawid–Skene multiplies probabilities, one-coin and GLAD add
+//! logs), and its per-worker quality. `run` is generic over the model, so
+//! each model's row is monomorphized into the sweep.
 //!
 //! # Flat state and deterministic parallelism
 //!
@@ -36,7 +35,8 @@ use crowdkit_obs::{self as obs, Event, Scope};
 use crate::freeze::{ActiveSet, FreezeConfig};
 use crate::lineage::RunLineage;
 
-/// Floor applied before `ln` so log-space tables stay finite.
+/// The least a class prior or likelihood factor counts for, so that a
+/// zero (zero smoothing) scales a label down and every log stays finite.
 pub(crate) const LN_FLOOR: f64 = 1e-300;
 
 /// Normalizes `row` in place to sum to one; falls back to uniform when the
@@ -247,6 +247,13 @@ impl<'a> Csr<'a> {
     }
 }
 
+/// The class priors an E-step row starts from, as probabilities `p` and as
+/// logs `ln` floored at `LN_FLOOR`.
+pub(crate) struct Priors {
+    pub p: Vec<f64>,
+    pub ln: Vec<f64>,
+}
+
 /// A worker model the EM driver ([`run`]) iterates.
 pub(crate) trait EmModel: Sync {
     /// Algorithm tag in telemetry and lineage.
@@ -257,10 +264,9 @@ pub(crate) trait EmModel: Sync {
     /// frozen may be skipped.
     fn m_step(&mut self, cx: &Csr<'_>, posteriors: &[f64], aset: &ActiveSet);
 
-    /// Adds task `t`'s log-likelihood terms to `row`, which holds the
-    /// log-priors; the driver normalizes the row afterwards. Runs on the
-    /// kernel threads, so it must be a pure function of `self` and `t`.
-    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]);
+    /// Writes task `t`'s normalized posterior row from `priors`. Runs on
+    /// the kernel threads, so it must be a pure function of its inputs.
+    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, row: &mut [f64]);
 
     /// Per-worker quality for the result and the lineage, given the class
     /// priors of the last M-step.
@@ -294,8 +300,10 @@ pub(crate) fn run<M: EmModel>(
     // Flat state, allocated once and reused every iteration.
     let mut posteriors = vote_fraction_posteriors(matrix);
     let mut aset = ActiveSet::new(freeze, matrix.num_tasks(), k, cx.w_off);
-    let mut priors = vec![1.0 / k as f64; k];
-    let mut log_priors = vec![0.0f64; k];
+    let mut priors = Priors {
+        p: vec![1.0 / k as f64; k],
+        ln: vec![0.0; k],
+    };
 
     let tel = obs::scope();
     let obs_on = tel.recorder.enabled();
@@ -308,8 +316,8 @@ pub(crate) fn run<M: EmModel>(
     while iterations < max_iters {
         iterations += 1;
         let t_m = obs_on.then(obs::WallTimer::start);
-        update_priors(&posteriors, k, &mut priors);
-        for (lp, &p) in log_priors.iter_mut().zip(&priors) {
+        update_priors(&posteriors, k, &mut priors.p);
+        for (lp, &p) in priors.ln.iter_mut().zip(&priors.p) {
             *lp = p.max(LN_FLOOR).ln();
         }
         model.m_step(&cx, &posteriors, &aset);
@@ -317,12 +325,9 @@ pub(crate) fn run<M: EmModel>(
         let t_e = obs_on.then(obs::WallTimer::start);
 
         // E-step over the active worklist (all tasks while freezing is
-        // off): each row starts from the log priors and gathers the
-        // model's per-observation terms.
+        // off): the model writes each row whole from the priors.
         let out = aset.sweep(&mut posteriors, t_off, t_entries, cx.threads, |t, row| {
-            row.copy_from_slice(&log_priors);
-            model.accumulate(&cx, t, row);
-            log_normalize(row);
+            model.posterior_row(&cx, t, &priors, row);
         });
 
         if let Some(l) = &mut lineage {
@@ -342,7 +347,7 @@ pub(crate) fn run<M: EmModel>(
         }
     }
 
-    let worker_quality = model.worker_quality(&priors);
+    let worker_quality = model.worker_quality(&priors.p);
     if let Some(l) = lineage.take() {
         l.finish(&*tel.recorder, matrix, &posteriors, Some(&worker_quality));
     }

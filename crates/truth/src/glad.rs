@@ -11,12 +11,12 @@
 //! Inference is EM, run by [`crate::em`]'s shared loop. In the E-step an
 //! answer of label `l` scales `l`'s likelihood by `s` and every other
 //! label's by `(1 − s)/(k − 1)`. In log space that is
-//! `ln((1 − s)/(k − 1))` on every label of the task, which the loop's
-//! `log_normalize` cancels, plus `ln s − ln((1 − s)/(k − 1))`, which is
-//! `αβ + ln(k − 1)`, on `l`; so an answer adds `αβ + ln(k − 1)` to its own
-//! label and nothing else, with no `exp`, `ln` or division. `αβ` is
-//! clamped to `±ln((1 − 1e-9)/1e-9)`, the log-odds of keeping `s` inside
-//! `[1e-9, 1 − 1e-9]`, so no one answer outweighs a billion to one.
+//! `ln((1 − s)/(k − 1))` on every label of the task, which the row's
+//! closing `log_normalize` cancels, plus `ln s − ln((1 − s)/(k − 1))`,
+//! which is `αβ + ln(k − 1)`, on `l`; so an answer adds `αβ + ln(k − 1)`
+//! to its own label and nothing else, with no `exp`, `ln` or division.
+//! `αβ` is clamped to `±ln((1 − 1e-9)/1e-9)`, the log-odds of keeping `s`
+//! inside `[1e-9, 1 − 1e-9]`, so no one answer outweighs a billion to one.
 //!
 //! The M-step, this model's `m_step`, takes one Fisher-scoring step per
 //! coordinate on the expected complete log-posterior. With `p` the
@@ -58,7 +58,7 @@ use crowdkit_core::par::{parallel_active_items_mut, parallel_items_mut};
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
-use crate::em::{self, Csr, EmModel};
+use crate::em::{self, Csr, EmModel, Priors};
 use crate::freeze::{ActiveSet, FreezeConfig, PATIENCE};
 
 /// Prior precision λα of `α ~ N(1, 1/λα)`. At 1 it holds abilities so
@@ -293,17 +293,19 @@ impl EmModel for GladModel {
         }
     }
 
-    /// Each answer adds its clamped log-odds `αβ` and `ln(k − 1)` to the
-    /// label it gave. The `ln((1 − s)/(k − 1))` every answer also puts on
-    /// every label is left out: it is the same for all of a task's labels,
-    /// so `em::log_normalize` would cancel it.
+    /// From the log priors, each answer adds its clamped log-odds `αβ` and
+    /// `ln(k − 1)` to the label it gave. The `ln((1 − s)/(k − 1))` every
+    /// answer also puts on every label is left out: the same for all of a
+    /// task's labels, it cancels in `em::log_normalize`.
     #[inline]
-    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
+    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, row: &mut [f64]) {
+        row.copy_from_slice(&priors.ln);
         let beta = self.difficulty[t].beta;
         for &(w, l) in cx.task(t) {
             let log_odds = (self.alpha[w as usize] * beta).clamp(-MAX_LOG_ODDS, MAX_LOG_ODDS);
             row[l as usize] += log_odds + self.ln_wrong_labels;
         }
+        em::log_normalize(row);
     }
 
     /// σ(α): the correctness probability on a task of reference difficulty
@@ -505,9 +507,9 @@ mod tests {
             model.alpha = answers.iter().map(|&(a, _)| a).collect();
             model.difficulty[0] = Difficulty::new(b);
 
-            let mut row = log_priors.clone();
-            model.accumulate(&cx, 0, &mut row);
-            em::log_normalize(&mut row);
+            let mut row = vec![0.0; k];
+            let priors = Priors { p: Vec::new(), ln: log_priors.clone() };
+            model.posterior_row(&cx, 0, &priors, &mut row);
             let mut want = log_priors.clone();
             let err = reference(&model, &cx, 0, &mut want);
             em::log_normalize(&mut want);

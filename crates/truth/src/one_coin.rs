@@ -20,7 +20,7 @@ use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
-use crate::em::{self, Csr, EmConfig, EmModel, LN_FLOOR};
+use crate::em::{self, Csr, EmConfig, EmModel, Priors, LN_FLOOR};
 use crate::freeze::ActiveSet;
 
 /// The one-coin EM algorithm.
@@ -112,11 +112,12 @@ impl EmModel for OneCoinModel {
         }
     }
 
-    /// Per observation the update is a scalar: every label gets the
-    /// worker's wrong-answer mass, the observed label the right/wrong
-    /// correction — O(obs + k) per task instead of O(obs · k).
+    /// From the log priors, per observation a scalar update: every label
+    /// gets the worker's wrong-answer mass, the observed label the
+    /// right/wrong correction — O(obs + k) per task instead of O(obs · k).
     #[inline]
-    fn accumulate(&self, cx: &Csr<'_>, t: usize, row: &mut [f64]) {
+    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, row: &mut [f64]) {
+        row.copy_from_slice(&priors.ln);
         let mut base = 0.0;
         for &(w, l) in cx.task(t) {
             let w = w as usize;
@@ -126,6 +127,7 @@ impl EmModel for OneCoinModel {
         for x in row.iter_mut() {
             *x += base;
         }
+        em::log_normalize(row);
     }
 
     fn worker_quality(&self, _priors: &[f64]) -> Vec<f64> {

@@ -256,11 +256,12 @@ fn glad(m: &ResponseMatrix, wide: &[usize]) -> [u64; 2] {
 
 #[test]
 fn dawid_skene_streams_are_pinned() {
-    // Recorded while each kernel ran its own EM loop, before freezing
-    // lost its recheck and thaw path.
+    // Re-recorded when the E-step moved to probability space: each answer
+    // multiplies its confusion column into the row, which is rescaled by
+    // exact powers of two, instead of adding a table of logarithms.
     assert_eq!(
         dawid_skene(&matrix(21, 3, 1), &[]),
-        [0x6826_6C24_90B6_1578, 0x0793_3E52_CE5A_71C8]
+        [0xAD6E_C5C9_B2A9_B714, 0x1753_428F_2CE0_E7A1]
     );
 }
 
@@ -290,7 +291,8 @@ fn glad_streams_are_pinned() {
 // The large matrices hold 64 Ki `obs · k` or more, the least work the
 // kernels fork for. Their digests were recorded at c5c3504, when an
 // explicit width was used whatever the problem size; GLAD's was
-// re-recorded when its E-step began adding clamped log-odds.
+// re-recorded when its E-step began adding clamped log-odds, and
+// Dawid–Skene's when its E-step moved to probability space.
 
 #[test]
 fn dawid_skene_streams_are_pinned_when_forked() {
@@ -298,7 +300,7 @@ fn dawid_skene_streams_are_pinned_when_forked() {
     assert!(m.num_observations() * 3 >= 64 * 1024);
     assert_eq!(
         dawid_skene(&m, &[2]),
-        [0xC1EA_02AC_7C13_2670, 0x61CF_DE94_9FB4_C991]
+        [0x4718_87B1_992C_B649, 0x85BE_DB4C_5185_B58A]
     );
 }
 
@@ -325,17 +327,18 @@ fn glad_streams_are_pinned_when_forked() {
 // The long-tailed crowds: most workers answer once or twice, so a
 // worker's confusion rows, ability and log terms rest on a strict subset
 // of the labels. Recorded at f24dd91; GLAD's were re-recorded when its
-// E-step began adding clamped log-odds.
+// E-step began adding clamped log-odds, and Dawid–Skene's when its E-step
+// moved to probability space.
 
 #[test]
 fn dawid_skene_long_tail_streams_are_pinned() {
     assert_eq!(
         dawid_skene(&long_tail(41, 2), &[]),
-        [0x85B5_5008_AEA4_6540, 0xC061_3BB2_CDFC_731D]
+        [0xDDFC_4A37_D4EB_0596, 0x3646_4CFF_8BF0_1C49]
     );
     assert_eq!(
         dawid_skene(&long_tail(42, 3), &[]),
-        [0xFF03_E08D_F962_9B6C, 0x8592_ED3B_292B_4EA1]
+        [0xB29A_AE14_1202_DE6B, 0x4B31_FFC3_AC77_7338]
     );
 }
 

@@ -1,57 +1,61 @@
 // crowdkit-lint: allow-file(PANIC001) — bench harness: inputs are self-generated and fail-fast on violated invariants is the correct idiom
+// crowdkit-lint: allow-file(DET002) — bench harness: timing wall clock is what this binary is for
 //! `bench_scale` — the million-scale truth-inference macrobench.
 //!
 //! Synthesizes a large sparse labeling workload directly into a
 //! [`ResponseMatrix`] (no `SimulatedCrowd` machinery — at 10M observations
 //! the generator itself must be a few hundred ms) and times full
-//! `infer` runs of the EM-family algorithms, each in two variants:
+//! `infer` runs of the EM-family algorithms, each as a pair of twins:
 //!
 //! * `ds` / `zc` / `glad` — freezing enabled ([`FreezeConfig::sparse`]),
 //!   the sparse incremental E-step this bench exists to measure;
 //! * `ds_dense` / `zc_dense` / `glad_dense` — freezing disabled, the
-//!   pre-freezing dense kernels, kept as the in-run baseline so every
-//!   history line carries its own speedup evidence;
+//!   pre-freezing dense kernels, the in-run baseline of each sparse arm;
 //! * `kos` — message passing has no posterior-freezing analogue, so it
-//!   runs once, as the non-EM reference point.
+//!   runs alone, as the non-EM reference point.
 //!
-//! The workload is a pure function of `--seed` (splitmix64 throughout):
-//! binary labels so KOS participates, external task/worker ids
-//! deliberately sparse (large odd-stride multiples) so the run exercises
-//! the `IdInterner` dense-mapping path rather than identity ids.
+//! The two arms of a pair are sampled interleaved (dense, sparse, dense,
+//! …), so a slow spell of the host hits both alike. Each arm reports its
+//! median ns per full `infer` run, its iterations and ns per iteration;
+//! each pair reports its speedup, the median over samples of dense ns over
+//! sparse ns. The run exits nonzero when a pair's speedup falls under its
+//! floor ([`PAIRS`]), so the check needs no stored baseline. The last line
+//! is the process peak RSS (`VmHWM`) over the whole run.
 //!
-//! Results go to `BENCH_scale.json` (`bench: "scale"`) with per-algorithm
-//! `ns_per_iter` and `peak_rss` (the process `VmHWM` high-water mark after
-//! that algorithm ran — monotone across the run by construction).
-//! `crowdtrace regress` baselines scale runs only against other scale
-//! lines of `BENCH_HISTORY.jsonl`, and appends the run there once it
-//! passed.
+//! The workload is a pure function of its tier's seed (splitmix64
+//! throughout): binary labels so KOS participates, external task/worker
+//! ids deliberately sparse (large odd-stride multiples) so the run
+//! exercises the `IdInterner` dense-mapping path rather than identity ids.
 //!
 //! ```sh
 //! cargo run --release -p crowdkit-bench --bin bench_scale -- smoke
 //! cargo run --release -p crowdkit-bench --bin bench_scale -- full
-//! cargo run --release -p crowdkit-bench --bin bench_scale -- smoke \
-//!     --tasks 20000 --workers 2000 --responses 200000 --seed 7
 //! ```
 
 use crowdkit_core::ids::{TaskId, WorkerId};
 use crowdkit_core::par::default_threads;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::TruthInferencer;
-use crowdkit_trace::history::{git_short_rev, AlgoTiming};
 use crowdkit_truth::em::EmConfig;
 use crowdkit_truth::glad::GladConfig;
 use crowdkit_truth::{DawidSkene, FreezeConfig, Glad, Kos, OneCoinEm};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Freeze tolerance for the sparse variants: loose enough that settled
 /// tasks leave the worklist (and settled GLAD abilities pin) within a
 /// few sweeps. 1e-3 is the documented speed/fidelity knob setting —
 /// label preservation at this tolerance is pinned by the truth crate's
-/// freezing unit tests; tighten via `--eps` to trade speed back for
-/// posterior fidelity.
+/// freezing unit tests.
 const FREEZE_EPS: f64 = 1e-3;
 
-/// One timing sample per algorithm on the full workload, three on smoke.
+/// Each sparse/dense pair and the floor its speedup must reach: at most
+/// half the smallest speedup the pair read over ten smoke runs on a
+/// 2-vCPU host (DS 8.17×, one-coin 3.90×, GLAD 2.55×).
+const PAIRS: [(&str, f64); 3] = [("ds", 4.0), ("zc", 1.9), ("glad", 1.2)];
+
+/// A workload tier: its shape and seed, and per arm `warmup` untimed
+/// runs before `samples` timed ones.
 struct Workload {
     tasks: u64,
     workers: u64,
@@ -67,7 +71,7 @@ const SMOKE: Workload = Workload {
     responses: 100_000,
     seed: 0xC0FFEE,
     warmup: 1,
-    samples: 3,
+    samples: 9,
 };
 
 const FULL: Workload = Workload {
@@ -123,22 +127,99 @@ fn workload(w: &Workload) -> ResponseMatrix {
     m
 }
 
-/// Median ns per full `infer` call, plus the post-run RSS high-water mark.
-fn time_algo(algo: &dyn TruthInferencer, m: &ResponseMatrix, w: &Workload) -> AlgoTiming {
-    for _ in 0..w.warmup {
-        std::hint::black_box(algo.infer(std::hint::black_box(m)).unwrap());
+/// One timed `infer` run: wall ns and the iterations it took.
+fn run_once(algo: &dyn TruthInferencer, m: &ResponseMatrix) -> (u64, usize) {
+    let start = Instant::now();
+    let result = algo.infer(std::hint::black_box(m)).unwrap();
+    let ns = start.elapsed().as_nanos() as u64;
+    (ns, std::hint::black_box(result).iterations)
+}
+
+fn median<T: Copy + PartialOrd>(mut xs: Vec<T>) -> T {
+    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
+    xs[xs.len() / 2]
+}
+
+/// One arm's median ns per full `infer` run and its iteration count
+/// (the kernels are deterministic, so every sample takes the same).
+struct ArmTiming {
+    ns_per_run: u64,
+    iters: usize,
+}
+
+impl ArmTiming {
+    fn from_samples(samples: Vec<(u64, usize)>) -> Self {
+        Self {
+            iters: samples[0].1,
+            ns_per_run: median(samples.into_iter().map(|(ns, _)| ns).collect()),
+        }
     }
-    let mut samples: Vec<u64> = (0..w.samples)
-        .map(|_| {
-            let start = Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
-            std::hint::black_box(algo.infer(std::hint::black_box(m)).unwrap());
-            start.elapsed().as_nanos() as u64
+
+    fn ns_per_iter(&self) -> u64 {
+        self.ns_per_run / self.iters.max(1) as u64
+    }
+
+    fn print(&self, name: &str) {
+        println!(
+            "{name:<10} {:>12} ns/run {:>5} iters {:>12} ns/iter",
+            self.ns_per_run,
+            self.iters,
+            self.ns_per_iter()
+        );
+    }
+}
+
+/// A sparse/dense pair's result and the floor its speedup must reach.
+struct PairTiming {
+    algo: &'static str,
+    floor: f64,
+    /// Median over samples of dense ns over the adjacent sparse ns.
+    speedup: f64,
+}
+
+/// Times one pair with interleaved samples (dense, sparse, dense, …).
+fn time_pair(
+    dense: &dyn TruthInferencer,
+    sparse: &dyn TruthInferencer,
+    m: &ResponseMatrix,
+    w: &Workload,
+) -> (ArmTiming, ArmTiming, f64) {
+    for _ in 0..w.warmup {
+        run_once(dense, m);
+        run_once(sparse, m);
+    }
+    let (d, s): (Vec<_>, Vec<_>) = (0..w.samples)
+        .map(|_| (run_once(dense, m), run_once(sparse, m)))
+        .unzip();
+    let speedup = median(
+        d.iter()
+            .zip(&s)
+            .map(|(d, s)| d.0 as f64 / s.0.max(1) as f64)
+            .collect(),
+    );
+    (
+        ArmTiming::from_samples(d),
+        ArmTiming::from_samples(s),
+        speedup,
+    )
+}
+
+/// `Err` naming every pair whose speedup fell under its floor.
+fn check_floors(pairs: &[PairTiming]) -> Result<(), String> {
+    let under: Vec<String> = pairs
+        .iter()
+        .filter(|p| p.speedup < p.floor)
+        .map(|p| {
+            format!(
+                "{}: sparse speedup {:.2}x is under its {:.1}x floor",
+                p.algo, p.speedup, p.floor
+            )
         })
         .collect();
-    samples.sort_unstable();
-    AlgoTiming {
-        ns_per_iter: samples[samples.len() / 2],
-        peak_rss: peak_rss_bytes(),
+    if under.is_empty() {
+        Ok(())
+    } else {
+        Err(under.join("; "))
     }
 }
 
@@ -159,135 +240,99 @@ fn peak_rss_bytes() -> Option<u64> {
     parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("flag {name} needs a value"))
-            .as_str()
-    })
-}
-
-fn parse_u64_flag(args: &[String], name: &str, default: u64) -> u64 {
-    flag_value(args, name)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("flag {name} wants an integer")))
-        .unwrap_or(default)
-}
-
-fn parse_f64_flag(args: &[String], name: &str, default: f64) -> f64 {
-    flag_value(args, name)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("flag {name} wants a number")))
-        .unwrap_or(default)
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first() {
-        Some(a) if !a.starts_with("--") => a.as_str(),
-        _ => "smoke",
-    };
-    let base = match mode {
-        "smoke" => SMOKE,
-        "full" => FULL,
-        other => panic!("unknown mode `{other}` (expected `smoke` or `full`)"),
-    };
-    let w = Workload {
-        tasks: parse_u64_flag(&args, "--tasks", base.tasks),
-        workers: parse_u64_flag(&args, "--workers", base.workers),
-        responses: parse_u64_flag(&args, "--responses", base.responses),
-        seed: parse_u64_flag(&args, "--seed", base.seed),
-        ..base
+    let (mode, w) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] | ["smoke"] => ("smoke", SMOKE),
+        ["full"] => ("full", FULL),
+        _ => {
+            eprintln!("usage: bench_scale [smoke|full]");
+            return ExitCode::from(2);
+        }
     };
 
-    let gen_start = Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
+    let gen_start = Instant::now();
     let m = workload(&w);
     println!(
-        "workload[{mode}]: {} tasks, {} workers, {} observations (seed {:#x}) in {:.1} ms",
+        "workload[{mode}]: {} tasks, {} workers, {} observations (seed {:#x}) in {:.1} ms, {} threads",
         m.num_tasks(),
         m.num_workers(),
         m.num_observations(),
         w.seed,
-        gen_start.elapsed().as_secs_f64() * 1e3
+        gen_start.elapsed().as_secs_f64() * 1e3,
+        default_threads()
     );
 
-    let eps = parse_f64_flag(&args, "--eps", FREEZE_EPS);
-    let sparse = FreezeConfig::sparse(eps);
+    let sparse = FreezeConfig::sparse(FREEZE_EPS);
     let em_sparse = EmConfig::default().with_freeze(sparse);
-    let glad_sparse = GladConfig::default().with_freeze(sparse);
-    let algos: Vec<(&str, Box<dyn TruthInferencer>)> = vec![
-        ("ds_dense", Box::new(DawidSkene::default())),
-        ("ds", Box::new(DawidSkene::with_config(em_sparse))),
-        ("zc_dense", Box::new(OneCoinEm::default())),
-        ("zc", Box::new(OneCoinEm::with_config(em_sparse))),
-        ("glad_dense", Box::new(Glad::default())),
-        ("glad", Box::new(Glad::with_config(glad_sparse))),
-        ("kos", Box::new(Kos::default())),
+    // (dense, sparse) per pair, in `PAIRS` order.
+    let twins: [(Box<dyn TruthInferencer>, Box<dyn TruthInferencer>); 3] = [
+        (
+            Box::new(DawidSkene::default()),
+            Box::new(DawidSkene::with_config(em_sparse)),
+        ),
+        (
+            Box::new(OneCoinEm::default()),
+            Box::new(OneCoinEm::with_config(em_sparse)),
+        ),
+        (
+            Box::new(Glad::default()),
+            Box::new(Glad::with_config(GladConfig::default().with_freeze(sparse))),
+        ),
     ];
-    let timings: Vec<(&str, AlgoTiming)> = algos
-        .iter()
-        .map(|(name, algo)| {
-            let t = time_algo(algo.as_ref(), &m, &w);
-            println!(
-                "{name:<10} {:>14} ns/iter   peak_rss {:>10}",
-                t.ns_per_iter,
-                t.peak_rss.map_or("n/a".to_string(), |b| format!("{b}")),
-            );
-            (*name, t)
-        })
-        .collect();
-
-    let ns_of = |name: &str| {
-        timings
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, t)| t.ns_per_iter)
-            .expect("algorithm was timed")
-    };
-    for algo in ["ds", "zc", "glad"] {
-        let dense = ns_of(&format!("{algo}_dense"));
-        let sparse_ns = ns_of(algo);
-        println!(
-            "{algo:<5} sparse speedup: {:.2}x (dense {dense} ns → sparse {sparse_ns} ns)",
-            dense as f64 / sparse_ns.max(1) as f64
-        );
+    let mut pairs = Vec::new();
+    for ((algo, floor), (dense, sparse)) in PAIRS.into_iter().zip(&twins) {
+        let (d, s, speedup) = time_pair(dense.as_ref(), sparse.as_ref(), &m, &w);
+        d.print(&format!("{algo}_dense"));
+        s.print(algo);
+        println!("{algo:<10} sparse speedup {speedup:.2}x (floor {floor:.1}x)");
+        pairs.push(PairTiming {
+            algo,
+            floor,
+            speedup,
+        });
     }
-
-    let out_path = "BENCH_scale.json";
-    // Hand-rolled JSON, as in bench_truth: flat structure with a fixed key
-    // set, so a serde dependency would be pure weight.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{\"mode\": \"{mode}\", \"tasks\": {}, \"workers\": {}, \"observations\": {}, \"seed\": {}}},\n",
-        m.num_tasks(),
-        m.num_workers(),
-        m.num_observations(),
-        w.seed
-    ));
-    json.push_str("  \"bench\": \"scale\",\n");
-    json.push_str(&format!("  \"threads\": {},\n", default_threads()));
-    json.push_str(&format!("  \"git_rev\": \"{}\",\n", git_short_rev()));
-    json.push_str("  \"algorithms\": {\n");
-    for (i, (name, t)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        // An explicit null keeps the snapshot schema fixed when VmHWM is
-        // unavailable; readers treat it as "not measured". History lines
-        // omit the field instead — their compact form is the bare ns
-        // integer.
-        let rss = t
-            .peak_rss
-            .map_or("null".to_string(), |rss| rss.to_string());
-        json.push_str(&format!(
-            "    \"{name}\": {{\"ns_per_iter\": {}, \"peak_rss\": {rss}}}{comma}\n",
-            t.ns_per_iter
-        ));
+    let kos = Kos::default();
+    for _ in 0..w.warmup {
+        run_once(&kos, &m);
     }
-    json.push_str("  }\n}\n");
-    std::fs::write(out_path, json).expect("write bench results");
-    println!("wrote {out_path}");
+    ArmTiming::from_samples((0..w.samples).map(|_| run_once(&kos, &m)).collect()).print("kos");
+
+    match peak_rss_bytes() {
+        Some(b) => println!("peak_rss   {b} bytes (process VmHWM over the whole run)"),
+        None => println!("peak_rss   n/a"),
+    }
+    match check_floors(&pairs) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("bench_scale: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pair(algo: &'static str, floor: f64, speedup: f64) -> PairTiming {
+        PairTiming {
+            algo,
+            floor,
+            speedup,
+        }
+    }
+
+    #[test]
+    fn a_pair_under_its_floor_fails_and_is_named() {
+        assert_eq!(
+            check_floors(&[pair("ds", 4.0, 8.0), pair("zc", 1.9, 1.9)]),
+            Ok(())
+        );
+        let err = check_floors(&[pair("ds", 4.0, 8.0), pair("glad", 1.2, 1.1)]).unwrap_err();
+        assert!(err.starts_with("glad:"), "{err}");
+        assert!(!err.contains("ds:"), "{err}");
+    }
 
     #[test]
     fn vm_hwm_parses_the_linux_status_format() {

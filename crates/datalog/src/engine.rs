@@ -82,7 +82,7 @@ pub struct EngineConfig {
     /// instead of re-running every rule against the full database each
     /// round. Semantics are identical; semi-naive avoids re-deriving the
     /// whole relation per round and is the production setting. Naive mode
-    /// exists for the evaluation-strategy ablation bench.
+    /// is the reference the property tests hold semi-naive evaluation to.
     pub semi_naive: bool,
 }
 

@@ -808,6 +808,32 @@ mod batch_tests {
             batched.now(),
             seq.now()
         );
+
+        // An E1-style workload under human latency: 200 binary tasks × 3
+        // votes from 80 reliable workers, asked one request at a time on
+        // one thread against one `ask_batch` on four.
+        let data = crate::dataset::LabelingDataset::binary(200, 7);
+        let crowd = |threads: usize| {
+            PlatformBuilder::new(PopulationBuilder::new().reliable(80, 0.8, 0.95).build(7))
+                .latency(LatencyModel::human_default())
+                .seed(7)
+                .threads(threads)
+                .build()
+        };
+        let seq = crowd(1);
+        for t in &data.tasks {
+            let out = seq.ask(&AskRequest::new(t).with_redundancy(3)).unwrap();
+            assert_eq!(out.delivered(), 3);
+        }
+        let batched = crowd(4);
+        let outs = batched.ask_batch(&batch_of(&data.tasks, 3)).unwrap();
+        assert!(outs.iter().all(|o| o.delivered() == 3));
+        assert!(
+            batched.now() * 2.0 <= seq.now(),
+            "batched ({}) must be at least 2x faster than sequential ({})",
+            batched.now(),
+            seq.now()
+        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Crowd-native cost model for CrowdSQL plans.
 //!
 //! Plans are scored on three axes instead of CPU time:
-//! **spend** (expected monetary cost: answers bought × per-kind price from
-//! a [`CostModel`]), **rounds** (expected platform round-trips, the
-//! latency proxy — one `ask`/`ask_batch` call is one round), and
-//! **quality** (probability a majority vote of `redundancy` workers with
-//! the assumed accuracy returns the true answer; a plan is as good as its
-//! weakest crowd operator).
+//! **spend** (expected monetary cost: answers bought, each priced at one
+//! unit as under `CostModel::unit`), **rounds** (expected platform
+//! round-trips, the latency proxy — one `ask`/`ask_batch` call is one
+//! round), and **quality** (probability a majority vote of `redundancy`
+//! workers with the assumed accuracy returns the true answer; a plan is as
+//! good as its weakest crowd operator).
 //!
 //! [`SelectivityMemory`] feeds observed pass-rates from prior executions
 //! back into the estimator, so crowd-join reordering and predicate
 //! placement improve as a session answers queries.
 
 use std::collections::BTreeMap;
-
-use crowdkit_core::budget::CostModel;
 
 use crate::ast::CompareOp;
 use crate::catalog::Catalog;
@@ -32,6 +30,14 @@ pub struct CostVector {
     pub quality: f64,
 }
 
+// Scalarization weights used to pick between candidate plans. Spend
+// dominates; rounds break ties between equal-spend plans; the quality
+// term (on expected error, `1 - quality`) only matters when redundancy
+// knobs differ.
+const SPEND_WEIGHT: f64 = 1.0;
+const ROUNDS_WEIGHT: f64 = 0.05;
+const QUALITY_WEIGHT: f64 = 10.0;
+
 impl CostVector {
     /// The zero cost of a machine-only operator.
     pub fn free() -> Self {
@@ -41,35 +47,12 @@ impl CostVector {
             quality: 1.0,
         }
     }
-}
 
-/// Scalarization weights used to pick between candidate plans.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Weight on expected spend.
-    pub spend: f64,
-    /// Weight on expected rounds.
-    pub rounds: f64,
-    /// Weight on expected error (`1 - quality`).
-    pub quality: f64,
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        // Spend dominates; rounds break ties between equal-spend plans;
-        // the quality term only matters when redundancy knobs differ.
-        Self {
-            spend: 1.0,
-            rounds: 0.05,
-            quality: 10.0,
-        }
-    }
-}
-
-impl CostWeights {
-    /// Collapses a cost vector to a single comparable score.
-    pub fn scalarize(&self, v: &CostVector) -> f64 {
-        self.spend * v.spend + self.rounds * v.rounds + self.quality * (1.0 - v.quality)
+    /// Collapses the vector to the single score the optimizer compares.
+    pub fn scalarize(&self) -> f64 {
+        SPEND_WEIGHT * self.spend
+            + ROUNDS_WEIGHT * self.rounds
+            + QUALITY_WEIGHT * (1.0 - self.quality)
     }
 }
 
@@ -152,27 +135,20 @@ pub fn majority_prob(accuracy: f64, votes: u32) -> f64 {
 }
 
 /// Estimates plan cost against catalog statistics and remembered
-/// selectivities.
+/// selectivities, pricing every answer at one unit.
 pub struct Estimator<'a> {
     catalog: &'a Catalog,
     memory: &'a SelectivityMemory,
-    prices: &'a CostModel,
     accuracy: f64,
 }
 
 impl<'a> Estimator<'a> {
     /// An estimator over the given catalog and memory; `accuracy` is the
     /// assumed per-worker probability of a correct answer.
-    pub fn new(
-        catalog: &'a Catalog,
-        memory: &'a SelectivityMemory,
-        prices: &'a CostModel,
-        accuracy: f64,
-    ) -> Self {
+    pub fn new(catalog: &'a Catalog, memory: &'a SelectivityMemory, accuracy: f64) -> Self {
         Self {
             catalog,
             memory,
-            prices,
             accuracy,
         }
     }
@@ -277,7 +253,7 @@ impl<'a> Estimator<'a> {
                     cells
                 };
                 let cost = CostVector {
-                    spend: cells * *redundancy as f64 * self.prices.fill,
+                    spend: cells * *redundancy as f64,
                     rounds,
                     quality: if cells > 0.0 {
                         vote_quality(*redundancy)
@@ -299,7 +275,7 @@ impl<'a> Estimator<'a> {
                     rows *= self.predicate_selectivity(p);
                 }
                 let cost = CostVector {
-                    spend: verdicts * *redundancy as f64 * self.prices.single_choice,
+                    spend: verdicts * *redundancy as f64,
                     rounds: verdicts,
                     quality: if verdicts > 0.0 {
                         vote_quality(*redundancy)
@@ -333,7 +309,7 @@ impl<'a> Estimator<'a> {
                 let key = format!("CROWDEQUAL({left_expr}, {right_expr})");
                 let sel = self.memory.selectivity(&key).unwrap_or(0.1);
                 let cost = CostVector {
-                    spend: pairs * *redundancy as f64 * self.prices.single_choice,
+                    spend: pairs * *redundancy as f64,
                     rounds,
                     quality: if pairs > 0.0 {
                         vote_quality(*redundancy)
@@ -369,7 +345,7 @@ impl<'a> Estimator<'a> {
                     }
                 };
                 let cost = CostVector {
-                    spend: matches.max(0.0) * *redundancy as f64 * self.prices.pairwise,
+                    spend: matches.max(0.0) * *redundancy as f64,
                     rounds,
                     quality: if matches > 0.0 {
                         vote_quality(*redundancy)
@@ -465,8 +441,7 @@ mod tests {
     fn filtered_fill_predicted_cheaper_than_eager_fill() {
         let catalog = catalog_with_rows(10);
         let memory = SelectivityMemory::new();
-        let prices = CostModel::unit();
-        let est = Estimator::new(&catalog, &memory, &prices, 0.9);
+        let est = Estimator::new(&catalog, &memory, 0.9);
 
         let scan = Plan::Scan {
             table: "t".into(),
@@ -497,10 +472,9 @@ mod tests {
     #[test]
     fn tournament_beats_full_sort_only_when_k_is_small() {
         let memory = SelectivityMemory::new();
-        let prices = CostModel::unit();
 
         let sort = |catalog: &Catalog, top_k: Option<usize>| {
-            let est = Estimator::new(catalog, &memory, &prices, 0.95);
+            let est = Estimator::new(catalog, &memory, 0.95);
             est.estimate(&Plan::CrowdSort {
                 input: Box::new(Plan::Scan {
                     table: "t".into(),
@@ -530,7 +504,6 @@ mod tests {
 
     #[test]
     fn weights_prefer_cheaper_spend_then_fewer_rounds() {
-        let w = CostWeights::default();
         let a = CostVector {
             spend: 10.0,
             rounds: 10.0,
@@ -541,12 +514,12 @@ mod tests {
             rounds: 1.0,
             quality: 0.97,
         };
-        assert!(w.scalarize(&a) < w.scalarize(&b), "spend dominates");
+        assert!(a.scalarize() < b.scalarize(), "spend dominates");
         let c = CostVector {
             spend: 10.0,
             rounds: 2.0,
             quality: 0.97,
         };
-        assert!(w.scalarize(&c) < w.scalarize(&a), "rounds break ties");
+        assert!(c.scalarize() < a.scalarize(), "rounds break ties");
     }
 }

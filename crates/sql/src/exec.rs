@@ -16,8 +16,7 @@
 //!    reordering, top-k fusion, batching) produce candidate plans;
 //! 3. [`cost`](crate::cost) — candidates are scored on predicted spend,
 //!    round-latency and quality at unit prices and an assumed worker
-//!    accuracy of 0.9; the cheapest under the default [`CostWeights`]
-//!    wins;
+//!    accuracy of 0.9; the lowest [`CostVector::scalarize`] score wins;
 //! 4. `volcano` (crate-private) — the chosen plan executes as a pull
 //!    pipeline, metering actual spend and round-trips against the
 //!    prediction and feeding observed selectivities back into the memory.
@@ -40,7 +39,6 @@ use std::fmt::Write as _;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crowdkit_core::answer::Preference;
-use crowdkit_core::budget::CostModel;
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::TaskId;
 use crowdkit_core::task::Task;
@@ -50,7 +48,7 @@ use crowdkit_obs::{self as obs, Event};
 use crate::ast::{Select, Statement};
 use crate::binder::bind;
 use crate::catalog::Catalog;
-use crate::cost::{CostVector, CostWeights, Estimator, NodeCost, PlanCost, SelectivityMemory};
+use crate::cost::{CostVector, Estimator, NodeCost, PlanCost, SelectivityMemory};
 use crate::ir::Plan;
 use crate::parser::parse_statement;
 use crate::rewrite::optimize as optimize_plan;
@@ -263,10 +261,9 @@ fn plan_select(
 ) -> Result<Planned> {
     let bound = bind(select, &state.catalog, opts.votes.max(1))?;
     let logical = bound.plan;
-    let prices = CostModel::unit();
-    let est = Estimator::new(&state.catalog, &state.memory, &prices, ASSUMED_ACCURACY);
+    let est = Estimator::new(&state.catalog, &state.memory, ASSUMED_ACCURACY);
     let (chosen, rules) = if optimized {
-        let rw = optimize_plan(&logical, &est, &CostWeights::default(), opts.batch);
+        let rw = optimize_plan(&logical, &est, opts.batch);
         (rw.plan, rw.rules.iter().map(|r| (*r).to_owned()).collect())
     } else {
         (logical.clone(), Vec::new())
@@ -476,49 +473,6 @@ impl Session {
             );
         }
         Ok((out.rows, stats))
-    }
-}
-
-/// Builds a [`TaskFactory`] from three closures — handy for tests and
-/// simulations.
-pub struct FnTaskFactory<F1, F2, F3> {
-    fill: F1,
-    equal: F2,
-    compare: F3,
-}
-
-impl<F1, F2, F3> FnTaskFactory<F1, F2, F3>
-where
-    F1: FnMut(TaskId, &str, &[Value], &str) -> Task,
-    F2: FnMut(TaskId, &Value, &Value) -> Task,
-    F3: FnMut(TaskId, &Value, &Value) -> Task,
-{
-    /// Wraps the three task builders.
-    pub fn new(fill: F1, equal: F2, compare: F3) -> Self {
-        Self {
-            fill,
-            equal,
-            compare,
-        }
-    }
-}
-
-impl<F1, F2, F3> TaskFactory for FnTaskFactory<F1, F2, F3>
-where
-    F1: FnMut(TaskId, &str, &[Value], &str) -> Task,
-    F2: FnMut(TaskId, &Value, &Value) -> Task,
-    F3: FnMut(TaskId, &Value, &Value) -> Task,
-{
-    fn fill_task(&mut self, id: TaskId, table: &str, row: &[Value], column: &str) -> Task {
-        (self.fill)(id, table, row, column)
-    }
-
-    fn equal_task(&mut self, id: TaskId, left: &Value, right: &Value) -> Task {
-        (self.equal)(id, left, right)
-    }
-
-    fn compare_task(&mut self, id: TaskId, left: &Value, right: &Value) -> Task {
-        (self.compare)(id, left, right)
     }
 }
 

@@ -84,10 +84,8 @@ mod volcano;
 
 pub use binder::{bind, BoundCol, BoundQuery};
 pub use catalog::{Catalog, ColumnDef, ColumnType, TableDef};
-pub use cost::{CostVector, CostWeights, Estimator, NodeCost, PlanCost, SelectivityMemory};
-pub use exec::{
-    ExplainReport, FnTaskFactory, QueryOpts, QueryStats, Session, SimTaskFactory, TaskFactory,
-};
+pub use cost::{CostVector, Estimator, NodeCost, PlanCost, SelectivityMemory};
+pub use exec::{ExplainReport, QueryOpts, QueryStats, Session, SimTaskFactory, TaskFactory};
 pub use ir::Plan;
 pub use rewrite::{optimize, Rewritten};
 pub use value::Value;

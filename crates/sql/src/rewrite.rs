@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use crate::ast::CompareOp;
-use crate::cost::{CostWeights, Estimator};
+use crate::cost::Estimator;
 use crate::ir::{BoundExpr, BoundPredicate, Plan, Side};
 
 /// A rewritten plan plus the names of the rules that produced it.
@@ -725,14 +725,10 @@ fn batch_ops(plan: Plan, batch: usize, applied: &mut Applied) -> Plan {
     }
 }
 
-/// Rewrites the canonical plan and picks the cheapest candidate under
-/// the given weights. `batch` > 0 also turns on operator batching.
-pub fn optimize(
-    canonical: &Plan,
-    est: &Estimator<'_>,
-    weights: &CostWeights,
-    batch: usize,
-) -> Rewritten {
+/// Rewrites the canonical plan and picks the candidate with the lowest
+/// [`CostVector::scalarize`](crate::cost::CostVector::scalarize) score.
+/// `batch` > 0 also turns on operator batching.
+pub fn optimize(canonical: &Plan, est: &Estimator<'_>, batch: usize) -> Rewritten {
     let mut applied = Applied::new();
     let mut plan = canonical.clone();
     for _ in 0..16 {
@@ -769,7 +765,7 @@ pub fn optimize(
     let mut best = 0;
     let mut best_score = f64::INFINITY;
     for (i, (p, _)) in candidates.iter().enumerate() {
-        let score = weights.scalarize(&est.estimate(p).total);
+        let score = est.estimate(p).total.scalarize();
         if score < best_score {
             best_score = score;
             best = i;
@@ -791,7 +787,6 @@ mod tests {
     use crate::cost::SelectivityMemory;
     use crate::parser::parse_statement;
     use crate::value::Value;
-    use crowdkit_core::budget::CostModel;
 
     fn exec_ddl(c: &mut Catalog, sql: &str) {
         match parse_statement(sql).unwrap() {
@@ -833,9 +828,8 @@ mod tests {
         };
         let bound = bind(&sel, catalog, 3).unwrap();
         let memory = SelectivityMemory::new();
-        let prices = CostModel::unit();
-        let est = Estimator::new(catalog, &memory, &prices, 0.9);
-        optimize(&bound.plan, &est, &CostWeights::default(), 0)
+        let est = Estimator::new(catalog, &memory, 0.9);
+        optimize(&bound.plan, &est, 0)
     }
 
     #[test]
@@ -937,9 +931,8 @@ mod tests {
         };
         let bound = bind(&sel, &c, 3).unwrap();
         let memory = SelectivityMemory::new();
-        let prices = CostModel::unit();
-        let est = Estimator::new(&c, &memory, &prices, 0.9);
-        let r = optimize(&bound.plan, &est, &CostWeights::default(), 4);
+        let est = Estimator::new(&c, &memory, 0.9);
+        let r = optimize(&bound.plan, &est, 4);
         assert!(r.plan.to_string().contains("(batch=4)"), "{}", r.plan);
         assert!(r.rules.contains(&"op-batching"), "{:?}", r.rules);
     }
@@ -948,8 +941,7 @@ mod tests {
     fn rewrites_are_deterministic_and_never_predicted_worse() {
         let c = catalog();
         let memory = SelectivityMemory::new();
-        let prices = CostModel::unit();
-        let est = Estimator::new(&c, &memory, &prices, 0.9);
+        let est = Estimator::new(&c, &memory, 0.9);
         for sql in [
             "SELECT name FROM products WHERE id >= 2",
             "SELECT * FROM products WHERE category = 'x'",
@@ -962,8 +954,8 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             };
             let bound = bind(&sel, &c, 3).unwrap();
-            let a = optimize(&bound.plan, &est, &CostWeights::default(), 0);
-            let b = optimize(&bound.plan, &est, &CostWeights::default(), 0);
+            let a = optimize(&bound.plan, &est, 0);
+            let b = optimize(&bound.plan, &est, 0);
             assert_eq!(a, b, "optimizer must be deterministic for {sql}");
             let naive = est.estimate(&bound.plan).total;
             let opt = est.estimate(&a.plan).total;

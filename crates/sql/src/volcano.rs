@@ -329,7 +329,6 @@ struct MachineTest<'c> {
     predicates: &'c [BoundPredicate],
     /// `(passed, seen)` per predicate, flushed as selectivity feedback.
     counts: Vec<(u64, u64)>,
-    reported: bool,
 }
 
 impl<'c> MachineTest<'c> {
@@ -337,7 +336,6 @@ impl<'c> MachineTest<'c> {
         Self {
             predicates,
             counts: vec![(0, 0); predicates.len()],
-            reported: false,
         }
     }
 
@@ -356,12 +354,9 @@ impl<'c> MachineTest<'c> {
     }
 
     /// Flushes one `(predicate, passed, seen)` observation per predicate.
-    fn report(&mut self, cx: &mut ExecCx<'_>) {
-        if !self.reported {
-            self.reported = true;
-            for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
-                cx.observations.push((p.to_string(), passed, seen));
-            }
+    fn report(&self, cx: &mut ExecCx<'_>) {
+        for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
+            cx.observations.push((p.to_string(), passed, seen));
         }
     }
 }
@@ -448,7 +443,6 @@ pub(crate) fn build<'c>(
                 built: false,
                 questions: 0,
                 spend: 0.0,
-                reported: false,
             })
         }
         Plan::CrowdCompare {
@@ -468,7 +462,6 @@ pub(crate) fn build<'c>(
                 rows_out: 0,
                 questions: 0,
                 spend: 0.0,
-                reported: false,
             })
         }
         Plan::CrowdJoin {
@@ -499,7 +492,6 @@ pub(crate) fn build<'c>(
                 pairs: 0,
                 questions: 0,
                 spend: 0.0,
-                reported: false,
             })
         }
         Plan::Sort { input, slot, asc } => Box::new(SortOp {
@@ -526,7 +518,6 @@ pub(crate) fn build<'c>(
             questions: 0,
             spend: 0.0,
             worked: false,
-            reported: false,
         }),
         Plan::Limit { input, n } => Box::new(LimitOp {
             child: build(input, catalog, has_oracle)?,
@@ -769,7 +760,6 @@ struct CrowdFillOp<'c> {
     built: bool,
     questions: u64,
     spend: f64,
-    reported: bool,
 }
 
 /// One fill purchase order: base cell key, the task to ask, target type.
@@ -885,16 +875,13 @@ impl<'c> Operator<'c> for CrowdFillOp<'c> {
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
         self.child.finish(cx);
-        if !self.reported {
-            self.reported = true;
-            cx.node_stats.push(NodeRuntime {
-                node: "CrowdFill",
-                rows_in: self.rows,
-                rows_out: self.rows,
-                questions: self.questions,
-                spend: self.spend,
-            });
-        }
+        cx.node_stats.push(NodeRuntime {
+            node: "CrowdFill",
+            rows_in: self.rows,
+            rows_out: self.rows,
+            questions: self.questions,
+            spend: self.spend,
+        });
     }
 }
 
@@ -907,7 +894,6 @@ struct CrowdCompareOp<'c> {
     rows_out: u64,
     questions: u64,
     spend: f64,
-    reported: bool,
 }
 
 impl<'c> Operator<'c> for CrowdCompareOp<'c> {
@@ -947,18 +933,15 @@ impl<'c> Operator<'c> for CrowdCompareOp<'c> {
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
         self.child.finish(cx);
-        if !self.reported {
-            self.reported = true;
-            cx.node_stats.push(NodeRuntime {
-                node: "CrowdFilter",
-                rows_in: self.rows_in,
-                rows_out: self.rows_out,
-                questions: self.questions,
-                spend: self.spend,
-            });
-            for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
-                cx.observations.push((p.to_string(), passed, seen));
-            }
+        cx.node_stats.push(NodeRuntime {
+            node: "CrowdFilter",
+            rows_in: self.rows_in,
+            rows_out: self.rows_out,
+            questions: self.questions,
+            spend: self.spend,
+        });
+        for (p, &(passed, seen)) in self.predicates.iter().zip(&self.counts) {
+            cx.observations.push((p.to_string(), passed, seen));
         }
     }
 }
@@ -980,7 +963,6 @@ struct CrowdJoinOp<'c> {
     pairs: u64,
     questions: u64,
     spend: f64,
-    reported: bool,
 }
 
 /// A join expression's value on one side's row. Join expressions are
@@ -1090,21 +1072,18 @@ impl<'c> Operator<'c> for CrowdJoinOp<'c> {
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
         self.left.finish(cx);
         self.right.finish(cx);
-        if !self.reported {
-            self.reported = true;
-            cx.node_stats.push(NodeRuntime {
-                node: "CrowdJoin",
-                rows_in: self.rows_in,
-                rows_out: self.matched,
-                questions: self.questions,
-                spend: self.spend,
-            });
-            cx.observations.push((
-                format!("CROWDEQUAL({}, {})", self.left_expr, self.right_expr),
-                self.matched,
-                self.pairs,
-            ));
-        }
+        cx.node_stats.push(NodeRuntime {
+            node: "CrowdJoin",
+            rows_in: self.rows_in,
+            rows_out: self.matched,
+            questions: self.questions,
+            spend: self.spend,
+        });
+        cx.observations.push((
+            format!("CROWDEQUAL({}, {})", self.left_expr, self.right_expr),
+            self.matched,
+            self.pairs,
+        ));
     }
 }
 
@@ -1165,7 +1144,6 @@ struct CrowdSortOp<'c> {
     questions: u64,
     spend: f64,
     worked: bool,
-    reported: bool,
 }
 
 impl<'c> Operator<'c> for CrowdSortOp<'c> {
@@ -1201,8 +1179,7 @@ impl<'c> Operator<'c> for CrowdSortOp<'c> {
 
     fn finish(&mut self, cx: &mut ExecCx<'_>) {
         self.child.finish(cx);
-        if self.worked && !self.reported {
-            self.reported = true;
+        if self.worked {
             cx.node_stats.push(NodeRuntime {
                 node: "CrowdSort",
                 rows_in: self.rows_in,

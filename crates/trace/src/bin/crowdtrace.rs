@@ -1,22 +1,17 @@
-//! `crowdtrace` — inspect, compare, and gate crowdkit obs streams.
+//! `crowdtrace` — inspect and compare crowdkit obs streams.
 //!
 //! ```text
 //! crowdtrace replay <stream.jsonl> [--folded <out.folded>]
 //! crowdtrace diff <a.jsonl> <b.jsonl> [--quality-tol F] [--spend-tol F] [--latency-tol F]
-//! crowdtrace regress --history <BENCH_HISTORY.jsonl> --current <BENCH_truth.json>
-//!                    [--window N] [--threshold F]
-//! crowdtrace history <BENCH_truth.json> --history <BENCH_HISTORY.jsonl>
-//! crowdtrace history --history <BENCH_HISTORY.jsonl> [--bench FAMILY] [--last N]
 //! crowdtrace top <stream.jsonl> [--watch SECS]
 //! crowdtrace why <task-id> <stream.jsonl> [--exp ID] [--algo NAME]
 //! crowdtrace audit <stream.jsonl> [--margin F]
 //! ```
 //!
 //! Exit codes: `diff` exits 0 when the deterministic event bodies are
-//! identical, 1 on divergence, 2 on a metric-threshold breach; `regress`
-//! exits 1 on a perf regression and 3 when there was no comparable
-//! baseline to gate against; usage errors exit 64 and unreadable or
-//! malformed inputs exit 65 (the BSD sysexits conventions).
+//! identical, 1 on divergence, 2 on a metric-threshold breach; usage
+//! errors exit 64 and unreadable or malformed inputs exit 65 (the BSD
+//! sysexits conventions).
 
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
@@ -24,16 +19,12 @@
 use std::process::ExitCode;
 
 use crowdkit_trace::diff::{first_divergence, metric_deltas, render_deltas, DeltaThresholds};
-use crowdkit_trace::history::{
-    append_history, parse_bench_snapshot, parse_history, regress, render_history_listing,
-    BenchEntry,
-};
 use crowdkit_trace::prov;
 use crowdkit_trace::replay::replay;
 use crowdkit_trace::stream::{complete_lines, parse_stream, LoadedStream};
 use crowdkit_trace::top;
 
-const USAGE: &str = "crowdtrace — inspect, compare, and gate crowdkit obs streams
+const USAGE: &str = "crowdtrace — inspect and compare crowdkit obs streams
 
 USAGE:
   crowdtrace replay <stream.jsonl> [--folded <out.folded>]
@@ -47,25 +38,6 @@ USAGE:
       first divergent event (line numbers and keys), then report per-
       experiment metric deltas. Exit 0 = identical, 1 = divergent,
       2 = a configured relative threshold was breached.
-
-  crowdtrace regress --history <BENCH_HISTORY.jsonl> --current <BENCH_*.json>
-                     [--window N] [--threshold F]
-      Compare current per-algorithm ns/iter against the rolling median of
-      the last N (default 5) history entries with the same bench family
-      and thread count (truth microbench and scale macrobench numbers
-      never share a baseline). Exit 1 when any algorithm is more than F
-      (default 0.25 = +25%) slower; the history is left untouched. Exit 3
-      when no comparable entry exists, so nothing was gated. Otherwise
-      (exit 0 or 3) the current snapshot is appended to the history.
-
-  crowdtrace history <BENCH_*.json> --history <BENCH_HISTORY.jsonl>
-      Append the current bench snapshot (truth or scale) to the history
-      file.
-
-  crowdtrace history --history <BENCH_HISTORY.jsonl> [--bench FAMILY] [--last N]
-      Without a snapshot path: list the history entries instead, newest
-      last, optionally filtered to one bench family and limited to the
-      last N matching entries.
 
   crowdtrace top <stream.jsonl> [--watch SECS]
       Fold the stream's events into one table per subsystem (the key
@@ -89,9 +61,6 @@ USAGE:
       most-influential and most-overruled workers, and spend-per-correct-
       label by experiment.
 ";
-
-/// `regress` exit code: no comparable history entry, so nothing was gated.
-const NO_BASELINE: u8 = 3;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,8 +91,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     match cmd.as_str() {
         "replay" => cmd_replay(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
-        "regress" => cmd_regress(&args[1..]),
-        "history" => cmd_history(&args[1..]),
         "top" => cmd_top(&args[1..]),
         "why" => cmd_why(&args[1..]),
         "audit" => cmd_audit(&args[1..]),
@@ -240,96 +207,6 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-fn cmd_regress(args: &[String]) -> Result<ExitCode, CliError> {
-    let (positional, flags) = parse_flags(args, &["history", "current", "window", "threshold"])?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage("regress takes only flags".into()));
-    }
-    let history_path = flag(&flags, "history")
-        .ok_or_else(|| CliError::Usage("regress needs `--history <BENCH_HISTORY.jsonl>`".into()))?;
-    let current_path = flag(&flags, "current")
-        .ok_or_else(|| CliError::Usage("regress needs `--current <BENCH_truth.json>`".into()))?;
-    let window = match flag(&flags, "window") {
-        None => 5,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("flag `--window` wants an integer, got `{v}`")))?,
-    };
-    let threshold = parse_f64_flag(&flags, "threshold")?.unwrap_or(0.25);
-    let current = load_snapshot(current_path)?;
-    let history = match std::fs::read_to_string(history_path) {
-        Ok(text) => {
-            parse_history(&text).map_err(|e| CliError::Data(format!("{history_path}: {e}")))?
-        }
-        // A missing history file is an empty baseline, not an error: the
-        // run exits NO_BASELINE below.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(CliError::Data(format!("cannot read `{history_path}`: {e}"))),
-    };
-    let report = regress(&history, &current, window, threshold);
-    print!("{}", report.render(threshold));
-    if report.breached {
-        // A regressed sample must not become part of later baselines.
-        return Ok(ExitCode::from(1));
-    }
-    // Gate first, then append: the sample never sits in its own baseline.
-    append_history(history_path, &current)
-        .map_err(|e| CliError::Data(format!("cannot append to `{history_path}`: {e}")))?;
-    if report.window_used == 0 {
-        println!(
-            "no comparable baseline ({} bench, {} threads): nothing was gated; \
-             this run seeds {history_path}",
-            current.bench, current.threads
-        );
-        return Ok(ExitCode::from(NO_BASELINE));
-    }
-    println!("appended {} to {history_path}", current.git_rev);
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_history(args: &[String]) -> Result<ExitCode, CliError> {
-    let (positional, flags) = parse_flags(args, &["history", "bench", "last"])?;
-    let history_path = flag(&flags, "history")
-        .ok_or_else(|| CliError::Usage("history needs `--history <BENCH_HISTORY.jsonl>`".into()))?;
-    match positional[..] {
-        // Append mode: a snapshot path adds one line to the history file.
-        [current_path] => {
-            if flag(&flags, "bench").is_some() || flag(&flags, "last").is_some() {
-                return Err(CliError::Usage(
-                    "`--bench`/`--last` list history; omit the snapshot path".into(),
-                ));
-            }
-            let entry = load_snapshot(current_path)?;
-            append_history(history_path, &entry)
-                .map_err(|e| CliError::Data(format!("cannot append to `{history_path}`: {e}")))?;
-            println!(
-                "appended {} ({} algorithms, {} threads) to {history_path}",
-                entry.git_rev,
-                entry.algorithms.len(),
-                entry.threads
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        // Listing mode: no snapshot path, optional family filter and limit.
-        [] => {
-            let bench = flag(&flags, "bench");
-            let last = match flag(&flags, "last") {
-                None => None,
-                Some(v) => Some(v.parse::<usize>().map_err(|_| {
-                    CliError::Usage(format!("flag `--last` wants an integer, got `{v}`"))
-                })?),
-            };
-            let entries = parse_history(&read_file(history_path)?)
-                .map_err(|e| CliError::Data(format!("{history_path}: {e}")))?;
-            print!("{}", render_history_listing(&entries, bench, last));
-            Ok(ExitCode::SUCCESS)
-        }
-        _ => Err(CliError::Usage(
-            "history wants at most one snapshot path".into(),
-        )),
-    }
-}
-
 fn cmd_top(args: &[String]) -> Result<ExitCode, CliError> {
     let (positional, flags) = parse_flags(args, &["watch"])?;
     let [path] = positional[..] else {
@@ -398,9 +275,4 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, CliError> {
         prov::render_audit(&view, margin).map_err(|e| CliError::Data(format!("{path}: {e}")))?;
     print!("{out}");
     Ok(ExitCode::SUCCESS)
-}
-
-fn load_snapshot(path: &str) -> Result<BenchEntry, CliError> {
-    let text = read_file(path)?;
-    parse_bench_snapshot(&text).map_err(|e| CliError::Data(format!("{path}: {e}")))
 }

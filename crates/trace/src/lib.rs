@@ -1,5 +1,5 @@
-//! `crowdkit-trace` — replay, diff, and perf-regression tooling over
-//! the `crowdkit-obs` event stream.
+//! `crowdkit-trace` — replay, diff and query tooling over the
+//! `crowdkit-obs` event stream.
 //!
 //! The obs layer records what a run *did* as a JSONL stream whose
 //! deterministic fields are a pure function of `(seed, inputs)`. This
@@ -11,8 +11,6 @@
 //!   cost and wall time, and emits collapsed-stack (`folded`) profiles;
 //! - [`diff`] localizes the first divergent event between two runs and
 //!   gates metric deltas against configurable thresholds;
-//! - [`history`] compares the current bench run against a rolling median
-//!   baseline from `BENCH_HISTORY.jsonl`, and appends runs that passed;
 //! - [`top`] folds the events into per-subsystem totals: each key's event
 //!   count and field sums, split by `algo`, with wall-time quantiles;
 //! - [`prov`] folds `prov.*` decision-lineage events into per-run records
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod diff;
-pub mod history;
 pub mod json;
 pub mod prov;
 pub mod replay;
@@ -33,10 +30,6 @@ pub mod stream;
 pub mod top;
 
 pub use diff::{first_divergence, metric_deltas, render_deltas, DeltaThresholds, Divergence};
-pub use history::{
-    append_history, git_short_rev, parse_bench_snapshot, parse_history, regress,
-    render_history_listing, AlgoTiming, BenchEntry, RegressReport,
-};
 pub use prov::{render_audit, render_why, ProvView};
 pub use replay::{replay, Replay};
 pub use stream::{complete_lines, parse_stream, LoadedStream, OwnedEvent, StreamError};

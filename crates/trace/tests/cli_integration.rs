@@ -314,102 +314,6 @@ fn top_totals_match_the_runs_own_counts() {
 }
 
 #[test]
-fn regress_gate_fails_synthetic_regression_and_passes_steady_state() {
-    let dir = scratch_dir("regress");
-    let history = dir.join("BENCH_HISTORY.jsonl");
-    let mut lines = String::new();
-    for i in 0..5 {
-        lines.push_str(&format!(
-            "{{\"git_rev\":\"r{i}\",\"threads\":4,\"algorithms\":{{\"mv\":100,\"ds\":{}}}}}\n",
-            1000 + i
-        ));
-    }
-    std::fs::write(&history, lines).unwrap();
-    let snapshot = |ds_ns: u64| {
-        format!(
-            "{{\n  \"workload\": {{\"n_tasks\": 1000, \"redundancy\": 5, \"observations\": 5000}},\n  \
-\"threads\": 4,\n  \"git_rev\": \"cur\",\n  \"algorithms\": {{\n    \
-\"mv\": {{\"ns_per_iter\": 100}},\n    \"ds\": {{\"ns_per_iter\": {ds_ns}}}\n  }}\n}}\n"
-        )
-    };
-
-    // ds jumps from a ~1002 median to 1300 — a 29.7% regression.
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, snapshot(1300)).unwrap();
-    let out = crowdtrace(&[
-        "regress",
-        "--history",
-        history.to_str().unwrap(),
-        "--current",
-        bad.to_str().unwrap(),
-    ]);
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "regression must fail, got:\n{text}"
-    );
-    assert!(text.contains("REGRESSION"), "got:\n{text}");
-    let entries = |path: &std::path::Path| {
-        crowdkit_trace::history::parse_history(&std::fs::read_to_string(path).unwrap())
-            .unwrap()
-            .len()
-    };
-    assert_eq!(entries(&history), 5, "a regressed sample is not appended");
-
-    // Within threshold: passes, and only then joins the history.
-    let good = dir.join("good.json");
-    std::fs::write(&good, snapshot(1100)).unwrap();
-    let regress_against = |history: &std::path::Path| {
-        crowdtrace(&[
-            "regress",
-            "--history",
-            history.to_str().unwrap(),
-            "--current",
-            good.to_str().unwrap(),
-        ])
-    };
-    assert_eq!(regress_against(&history).status.code(), Some(0));
-    assert_eq!(entries(&history), 6);
-
-    // No history file yet: nothing was gated, which is its own exit code;
-    // the run seeds the history, so the next run is gated.
-    let absent = dir.join("absent.jsonl");
-    let out = regress_against(&absent);
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert_eq!(out.status.code(), Some(3), "got:\n{text}");
-    assert!(text.contains("no comparable baseline"), "got:\n{text}");
-    assert_eq!(entries(&absent), 1);
-    assert_eq!(regress_against(&absent).status.code(), Some(0));
-}
-
-#[test]
-fn history_subcommand_appends_snapshot_entries() {
-    let dir = scratch_dir("history");
-    let snapshot = dir.join("BENCH_truth.json");
-    std::fs::write(
-        &snapshot,
-        "{\"threads\": 2, \"git_rev\": \"abc\", \"algorithms\": {\"mv\": {\"ns_per_iter\": 42}}}",
-    )
-    .unwrap();
-    let history = dir.join("hist.jsonl");
-    for _ in 0..2 {
-        let out = crowdtrace(&[
-            "history",
-            snapshot.to_str().unwrap(),
-            "--history",
-            history.to_str().unwrap(),
-        ]);
-        assert_eq!(out.status.code(), Some(0));
-    }
-    let text = std::fs::read_to_string(&history).unwrap();
-    let entries = crowdkit_trace::history::parse_history(&text).unwrap();
-    assert_eq!(entries.len(), 2);
-    assert_eq!(entries[0].git_rev, "abc");
-    assert_eq!(entries[0].ns("mv"), Some(42));
-}
-
-#[test]
 fn malformed_streams_fail_with_line_numbers() {
     let dir = scratch_dir("malformed");
     let good = record_run(1, 1, false);

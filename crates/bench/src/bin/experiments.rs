@@ -88,7 +88,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let lines = suite.events.iter().filter(|&&b| b == b'\n').count();
-            eprintln!("{path}: {} events (+ stream header)", lines.saturating_sub(1));
+            eprintln!(
+                "{path}: {} events (+ stream header)",
+                lines.saturating_sub(1)
+            );
         }
         return ExitCode::SUCCESS;
     }

@@ -9,8 +9,8 @@
 //! `k`.
 
 use crowdkit_core::metrics::accuracy;
-use crowdkit_obs as obs;
 use crowdkit_core::traits::TruthInferencer;
+use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::{mixes, Population};
 use crowdkit_sim::SimulatedCrowd;
@@ -35,7 +35,10 @@ fn algorithms() -> Vec<Box<dyn TruthInferencer>> {
 fn mix_table(name: &str, make_pop: fn(usize, u64) -> Population) -> Table {
     let ks = [1usize, 3, 5, 7, 9];
     let mut t = Table::new(
-        format!("E1: label accuracy, {name} crowd ({N_TASKS} binary tasks, mean of {} seeds)", SEEDS.len()),
+        format!(
+            "E1: label accuracy, {name} crowd ({N_TASKS} binary tasks, mean of {} seeds)",
+            SEEDS.len()
+        ),
         &["algorithm", "k=1", "k=3", "k=5", "k=7", "k=9"],
     );
     for algo in algorithms() {

@@ -8,8 +8,8 @@
 //! more data than the one-coin model at small counts.
 
 use crowdkit_core::metrics::mae;
-use crowdkit_obs as obs;
 use crowdkit_core::traits::TruthInferencer;
+use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::PopulationBuilder;
 use crowdkit_sim::SimulatedCrowd;
@@ -25,7 +25,9 @@ const SEEDS: [u64; 3] = [11, 12, 13];
 fn estimation_error<I: TruthInferencer + ?Sized>(n_tasks: usize, seed: u64, algo: &I) -> f64 {
     let data = LabelingDataset::binary(n_tasks, seed);
     // A spread of one-coin workers so there is real signal to recover.
-    let pop = PopulationBuilder::new().reliable(POP, 0.55, 0.98).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(POP, 0.55, 0.98)
+        .build(seed);
     let truth_q = pop.true_qualities();
     let crowd = SimulatedCrowd::new(pop, seed);
     let out = label_tasks(&crowd, &data.tasks, K, algo).expect("collection succeeds");
@@ -87,6 +89,9 @@ mod tests {
             err_large < err_small,
             "more answers per worker must reduce estimation error: {err_small:.3} → {err_large:.3}"
         );
-        assert!(err_large < 0.08, "asymptotic error should be small: {err_large:.3}");
+        assert!(
+            err_large < 0.08,
+            "asymptotic error should be small: {err_large:.3}"
+        );
     }
 }

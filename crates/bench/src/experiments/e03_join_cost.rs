@@ -9,8 +9,8 @@
 
 use crowdkit_core::answer::AnswerValue;
 use crowdkit_core::metrics::pairwise_cluster_f1;
-use crowdkit_obs as obs;
 use crowdkit_core::task::Task;
+use crowdkit_obs as obs;
 use crowdkit_ops::join::{
     all_pairs_count, candidate_pairs, crowd_join, AskOrder, CandidatePair, JoinConfig,
 };
@@ -72,7 +72,13 @@ pub fn run() -> Vec<Table> {
 
     let mut t = Table::new(
         format!("E3: crowd join cost ladder ({n} records, {ENTITIES} entities, 3 votes/pair)"),
-        &["strategy", "candidate pairs", "pairs asked", "questions", "cluster F1"],
+        &[
+            "strategy",
+            "candidate pairs",
+            "pairs asked",
+            "questions",
+            "cluster F1",
+        ],
     );
     let (asked, q, f1) = join_with(&data, &everything, false);
     t.row(vec![

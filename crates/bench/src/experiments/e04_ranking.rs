@@ -56,7 +56,10 @@ pub fn run() -> Vec<Table> {
     let full = N * (N - 1) / 2;
     let budgets = [50usize, 150, 400, full];
     let mut t = Table::new(
-        format!("E4: Kendall tau vs comparison budget ({N} items, 3 votes/pair, mean of {} seeds)", SEEDS.len()),
+        format!(
+            "E4: Kendall tau vs comparison budget ({N} items, 3 votes/pair, mean of {} seeds)",
+            SEEDS.len()
+        ),
         &["budget", "borda", "copeland", "elo", "btl"],
     );
     for &b in &budgets {
@@ -83,7 +86,9 @@ pub fn run() -> Vec<Table> {
     let runs = 10;
     for seed in 0..runs {
         let data = RankingDataset::generate(N, seed);
-        let pop = PopulationBuilder::new().reliable(60, 0.85, 0.97).build(seed);
+        let pop = PopulationBuilder::new()
+            .reliable(60, 0.85, 0.97)
+            .build(seed);
         let crowd = SimulatedCrowd::new(pop, seed);
         let out = crowd_max(&crowd, N, 3, |id, a, b| data.comparison_task(id, a, b))
             .expect("tournament succeeds");
@@ -131,7 +136,10 @@ pub fn run() -> Vec<Table> {
                 &crowd,
                 N,
                 budget / 2,
-                ActiveConfig { votes: 2, round_size: 20 },
+                ActiveConfig {
+                    votes: 2,
+                    round_size: 20,
+                },
                 |id, a, b| data.comparison_task(id, a, b),
             )
             .expect("collection succeeds");

@@ -8,8 +8,8 @@
 //! largest when answers are lopsided.
 
 use crowdkit_core::metrics::accuracy;
-use crowdkit_obs as obs;
 use crowdkit_core::traits::StoppingRule;
+use crowdkit_obs as obs;
 use crowdkit_ops::filter::crowd_filter;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::mixes;
@@ -28,8 +28,7 @@ fn run_rule(rule: &dyn StoppingRule, selectivity: f64) -> (f64, f64) {
     for &seed in &SEEDS {
         let data = LabelingDataset::generate(N, 2, 1.0 - selectivity, (0.3, 0.6), seed);
         let crowd = SimulatedCrowd::new(mixes::mixed(80, seed), seed);
-        let out = crowd_filter(&crowd, &data.tasks, rule, MAX_ANSWERS)
-            .expect("filter succeeds");
+        let out = crowd_filter(&crowd, &data.tasks, rule, MAX_ANSWERS).expect("filter succeeds");
         let predicted: Vec<u32> = out
             .decisions
             .iter()

@@ -27,11 +27,13 @@ fn at_fraction(fraction: f64) -> (f64, f64, f64) {
     for &seed in &SEEDS {
         let data = CountingDataset::generate(POPULATION, PREVALENCE, seed);
         let truth = data.true_count() as f64;
-        let pop = PopulationBuilder::new().reliable(POPULATION, 0.92, 0.99).build(seed);
+        let pop = PopulationBuilder::new()
+            .reliable(POPULATION, 0.92, 0.99)
+            .build(seed);
         let crowd = SimulatedCrowd::new(pop, seed);
         let m = ((POPULATION as f64) * fraction).round() as usize;
-        let est = estimate_count(&crowd, &data.tasks, m, 3, 1.96, seed)
-            .expect("estimation succeeds");
+        let est =
+            estimate_count(&crowd, &data.tasks, m, 3, 1.96, seed).expect("estimation succeeds");
         rel += relative_error(est.estimate, truth);
         width += (est.ci_high - est.ci_low) / POPULATION as f64;
         if est.ci_low <= truth && truth <= est.ci_high {
@@ -55,12 +57,7 @@ pub fn run() -> Vec<Table> {
         let (rel, width, cov) = at_fraction(fraction);
         obs::quality("count_rel_error", rel);
         obs::quality("ci_coverage", cov);
-        t.row(vec![
-            format!("{fraction}"),
-            f3(rel),
-            f3(width),
-            f3(cov),
-        ]);
+        t.row(vec![format!("{fraction}"), f3(rel), f3(width), f3(cov)]);
     }
     vec![t]
 }
@@ -74,7 +71,10 @@ mod tests {
         let (rel_small, width_small, _) = at_fraction(0.02);
         let (rel_big, width_big, _) = at_fraction(0.5);
         assert!(rel_big < rel_small, "rel err {rel_small:.3} → {rel_big:.3}");
-        assert!(width_big < width_small, "CI width {width_small:.3} → {width_big:.3}");
+        assert!(
+            width_big < width_small,
+            "CI width {width_small:.3} → {width_big:.3}"
+        );
     }
 
     #[test]

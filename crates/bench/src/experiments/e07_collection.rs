@@ -23,7 +23,9 @@ const SEED: u64 = 71;
 pub fn run() -> Vec<Table> {
     let pool = CollectionPool::generate(RICHNESS, SEED);
     let task = pool.task(TaskId::new(0));
-    let pop = PopulationBuilder::new().reliable(600, 0.8, 0.95).build(SEED);
+    let pop = PopulationBuilder::new()
+        .reliable(600, 0.8, 0.95)
+        .build(SEED);
     let crowd = SimulatedCrowd::new(pop, SEED);
     let out = crowd_collect(&crowd, &task, 2.0, 400).expect("collection succeeds");
 

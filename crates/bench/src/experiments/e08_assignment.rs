@@ -7,7 +7,9 @@
 //! policies beat random under tight budgets and converge with it as the
 //! budget loosens.
 
-use crowdkit_assign::{run_assignment, AssignmentPolicy, EntropyGreedy, ExpectedAccuracyGain, RandomAssign, RoundRobin};
+use crowdkit_assign::{
+    run_assignment, AssignmentPolicy, EntropyGreedy, ExpectedAccuracyGain, RandomAssign, RoundRobin,
+};
 use crowdkit_core::traits::TruthInferencer;
 use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
@@ -36,8 +38,7 @@ fn accuracy_under_budget(policy_name: &str, budget: usize, seed: u64) -> f64 {
         "entropy" => &mut entropy,
         _ => &mut gain,
     };
-    let out = run_assignment(&crowd, &data.tasks, policy, budget, 25)
-        .expect("assignment succeeds");
+    let out = run_assignment(&crowd, &data.tasks, policy, budget, 25).expect("assignment succeeds");
     let inference = OneCoinEm::default().infer(&out.matrix).expect("non-empty");
     let mut correct = 0usize;
     for (task, &truth) in data.tasks.iter().zip(&data.truths) {
@@ -107,6 +108,9 @@ mod tests {
     fn e8_shape_more_budget_more_accuracy() {
         let tight = accuracy_under_budget("round_robin", 2 * N_TASKS, 81);
         let loose = accuracy_under_budget("round_robin", 5 * N_TASKS, 81);
-        assert!(loose >= tight, "budget 5n ({loose:.3}) ≥ budget 2n ({tight:.3})");
+        assert!(
+            loose >= tight,
+            "budget 5n ({loose:.3}) ≥ budget 2n ({tight:.3})"
+        );
     }
 }

@@ -88,6 +88,9 @@ mod tests {
     fn e9_shape_bigger_rounds_are_faster_with_a_wide_pool() {
         let (small, _, _) = simulate(20, StragglerPolicy::Wait);
         let (big, _, _) = simulate(200, StragglerPolicy::Wait);
-        assert!(big < small, "round 200 ({big:.0}s) < round 20 ({small:.0}s)");
+        assert!(
+            big < small,
+            "round 200 ({big:.0}s) < round 20 ({small:.0}s)"
+        );
     }
 }

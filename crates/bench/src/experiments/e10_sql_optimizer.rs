@@ -89,11 +89,24 @@ fn optimized_opts() -> QueryOpts {
 pub fn run() -> Vec<Table> {
     let mut spend = Table::new(
         "E10a: CrowdSQL spend, predicted vs actual (20 rows, 3 votes)",
-        &["query", "naive pred", "naive actual", "opt pred", "opt actual", "saving"],
+        &[
+            "query",
+            "naive pred",
+            "naive actual",
+            "opt pred",
+            "opt actual",
+            "saving",
+        ],
     );
     let mut rounds = Table::new(
         "E10b: CrowdSQL round-trips (latency proxy), predicted vs actual",
-        &["query", "naive pred", "naive actual", "opt pred", "opt actual"],
+        &[
+            "query",
+            "naive pred",
+            "naive actual",
+            "opt pred",
+            "opt actual",
+        ],
     );
     for (name, sql) in QUERIES {
         let (naive_rows, naive) = run_query(sql, &naive_opts());
@@ -122,10 +135,7 @@ pub fn run() -> Vec<Table> {
         obs::quality("rounds_actual_naive", naive.rounds as f64);
         obs::quality("rounds_pred_opt", opt.predicted_rounds);
         obs::quality("rounds_actual_opt", opt.rounds as f64);
-        let saving = format!(
-            "{:.0}%",
-            100.0 * (naive.spend - opt.spend) / naive.spend
-        );
+        let saving = format!("{:.0}%", 100.0 * (naive.spend - opt.spend) / naive.spend);
         spend.row(vec![
             name.to_string(),
             format!("{:.0}", naive.predicted_spend),

@@ -63,7 +63,12 @@ fn fetches(src: &str, n: usize) -> (usize, usize) {
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         format!("E11: crowd-Datalog fetches by body order ({N_ITEMS} items)"),
-        &["selectivity", "filter-first fetches", "fetch-first fetches", "answers"],
+        &[
+            "selectivity",
+            "filter-first fetches",
+            "fetch-first fetches",
+            "answers",
+        ],
     );
     for cutoff in [36usize, 30, 20, 0] {
         let selectivity = (N_ITEMS - cutoff) as f64 / N_ITEMS as f64;

@@ -10,8 +10,8 @@
 
 use crowdkit_core::answer::AnswerValue;
 use crowdkit_core::metrics::pairwise_cluster_f1;
-use crowdkit_obs as obs;
 use crowdkit_core::task::Task;
+use crowdkit_obs as obs;
 use crowdkit_ops::join::{candidate_pairs, crowd_join, AskOrder, JoinConfig};
 use crowdkit_sim::dataset::EntityDataset;
 use crowdkit_sim::population::PopulationBuilder;
@@ -29,7 +29,9 @@ fn run_config_seeded(use_transitivity: bool, order: AskOrder, seed: u64) -> (usi
     let data = EntityDataset::generate(70, 4, 1, seed);
     let texts: Vec<String> = data.records.iter().map(|r| r.text.clone()).collect();
     let cands = candidate_pairs(&texts, 0.35);
-    let pop = PopulationBuilder::new().reliable(60, 0.92, 0.99).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(60, 0.92, 0.99)
+        .build(seed);
     let crowd = SimulatedCrowd::new(pop, seed);
     let out = crowd_join(
         &crowd,
@@ -58,12 +60,25 @@ fn run_config_seeded(use_transitivity: bool, order: AskOrder, seed: u64) -> (usi
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         "E12: ER ablation — transitive deduction × ask order (70 entities, 3 votes/pair)",
-        &["configuration", "pairs asked", "pairs deduced", "cluster F1"],
+        &[
+            "configuration",
+            "pairs asked",
+            "pairs deduced",
+            "cluster F1",
+        ],
     );
     for (name, trans, order) in [
-        ("deduction + similarity order", true, AskOrder::SimilarityDesc),
+        (
+            "deduction + similarity order",
+            true,
+            AskOrder::SimilarityDesc,
+        ),
         ("deduction + random order", true, AskOrder::Random(SEED)),
-        ("no deduction + similarity order", false, AskOrder::SimilarityDesc),
+        (
+            "no deduction + similarity order",
+            false,
+            AskOrder::SimilarityDesc,
+        ),
         ("no deduction + random order", false, AskOrder::Random(SEED)),
     ] {
         let (asked, deduced, f1) = run_config(trans, order);
@@ -90,19 +105,18 @@ mod tests {
         let seeds = [121u64, 122, 123, 124, 125];
         let (mut sim_sum, mut rand_sum) = (0usize, 0usize);
         for &seed in &seeds {
-            let (sim_ded, ded1, f1a) =
-                run_config_seeded(true, AskOrder::SimilarityDesc, seed);
-            let (rand_ded, _, _) =
-                run_config_seeded(true, AskOrder::Random(seed), seed);
-            let (no_ded_sim, z1, f1b) =
-                run_config_seeded(false, AskOrder::SimilarityDesc, seed);
-            let (no_ded_rand, z2, _) =
-                run_config_seeded(false, AskOrder::Random(seed), seed);
+            let (sim_ded, ded1, f1a) = run_config_seeded(true, AskOrder::SimilarityDesc, seed);
+            let (rand_ded, _, _) = run_config_seeded(true, AskOrder::Random(seed), seed);
+            let (no_ded_sim, z1, f1b) = run_config_seeded(false, AskOrder::SimilarityDesc, seed);
+            let (no_ded_rand, z2, _) = run_config_seeded(false, AskOrder::Random(seed), seed);
 
             assert!(ded1 > 0, "deduction fires (seed {seed})");
             assert_eq!(z1, 0);
             assert_eq!(z2, 0);
-            assert!(sim_ded < no_ded_sim, "deduction asks fewer pairs (seed {seed})");
+            assert!(
+                sim_ded < no_ded_sim,
+                "deduction asks fewer pairs (seed {seed})"
+            );
             assert_eq!(
                 no_ded_sim, no_ded_rand,
                 "without deduction, order is cost-neutral (seed {seed})"

@@ -10,9 +10,7 @@
 //! entities.
 
 use crowdkit_obs as obs;
-use crowdkit_ops::join::{
-    candidate_pairs, cluster_based_hits, hits_cover_all, pair_based_hits,
-};
+use crowdkit_ops::join::{candidate_pairs, cluster_based_hits, hits_cover_all, pair_based_hits};
 use crowdkit_sim::dataset::EntityDataset;
 
 use crate::table::Table;

@@ -94,7 +94,10 @@ mod tests {
         let ds = DawidSkene::default();
         let (cov_low, acc_low) = tradeoff(&ds, 0.5);
         let (cov_high, acc_high) = tradeoff(&ds, 0.99);
-        assert!(cov_high < cov_low, "coverage falls: {cov_low:.3} → {cov_high:.3}");
+        assert!(
+            cov_high < cov_low,
+            "coverage falls: {cov_low:.3} → {cov_high:.3}"
+        );
         assert!(
             acc_high > acc_low,
             "accuracy on the kept subset rises: {acc_low:.3} → {acc_high:.3}"
@@ -102,7 +105,10 @@ mod tests {
         // EM posteriors are known to be somewhat overconfident, so the
         // τ=0.99 subset is not perfect — but it must be clearly better
         // than the unfiltered output.
-        assert!(acc_high > 0.85, "high-confidence subset is high quality: {acc_high:.3}");
+        assert!(
+            acc_high > 0.85,
+            "high-confidence subset is high quality: {acc_high:.3}"
+        );
     }
 
     #[test]

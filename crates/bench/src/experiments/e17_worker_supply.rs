@@ -13,8 +13,8 @@ use crowdkit_core::traits::CrowdOracle;
 use crowdkit_obs as obs;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::latency::LatencyModel;
-use crowdkit_sim::population::PopulationBuilder;
 use crowdkit_sim::platform::Churn;
+use crowdkit_sim::population::PopulationBuilder;
 use crowdkit_sim::PlatformBuilder;
 
 use crate::table::{f3, Table};
@@ -25,7 +25,9 @@ const SEEDS: [u64; 3] = [171, 172, 173];
 
 /// Wall-clock seconds to buy K answers for every task.
 fn completion_time(duty: f64, pool: usize, seed: u64) -> f64 {
-    let population = PopulationBuilder::new().reliable(pool, 0.85, 0.95).build(seed);
+    let population = PopulationBuilder::new()
+        .reliable(pool, 0.85, 0.95)
+        .build(seed);
     let mut builder = PlatformBuilder::new(population)
         .latency(LatencyModel::Exponential { mean: 15.0 })
         .seed(seed);

@@ -77,7 +77,14 @@ impl Table {
             }
         };
         let mut out = String::new();
-        out.push_str(&self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
+        out.push_str(
+            &self
+                .header
+                .iter()
+                .map(|h| esc(h))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
         out.push('\n');
         for row in &self.rows {
             out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));

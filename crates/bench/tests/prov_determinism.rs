@@ -31,7 +31,13 @@ use common::assert_thread_count_invariant;
 /// The JSONL recorder reports detail, so full per-task lineage lands.
 fn capture(f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    obs::with_scope(obs::Scope { recorder: rec.clone(), provenance: true }, f);
+    obs::with_scope(
+        obs::Scope {
+            recorder: rec.clone(),
+            provenance: true,
+        },
+        f,
+    );
     rec.take_bytes()
 }
 
@@ -140,5 +146,8 @@ fn no_scope_means_no_provenance_events() {
     });
     let text = String::from_utf8(rec.take_bytes()).expect("utf8");
     assert!(!text.contains("\"key\":\"prov."));
-    assert!(text.contains("\"key\":\"truth.run\""), "obs itself still on");
+    assert!(
+        text.contains("\"key\":\"truth.run\""),
+        "obs itself still on"
+    );
 }

@@ -18,7 +18,9 @@ fn main() {
         .unwrap();
     for i in 0..12 {
         session
-            .execute_ddl(&format!("INSERT INTO products VALUES ({i}, 'product{i}', NULL)"))
+            .execute_ddl(&format!(
+                "INSERT INTO products VALUES ({i}, 'product{i}', NULL)"
+            ))
             .unwrap();
     }
 
@@ -54,8 +56,10 @@ fn main() {
         s.execute_ddl("CREATE TABLE products (id INT, name TEXT, category CROWD TEXT)")
             .unwrap();
         for i in 0..12 {
-            s.execute_ddl(&format!("INSERT INTO products VALUES ({i}, 'product{i}', NULL)"))
-                .unwrap();
+            s.execute_ddl(&format!(
+                "INSERT INTO products VALUES ({i}, 'product{i}', NULL)"
+            ))
+            .unwrap();
         }
         let pop = PopulationBuilder::new().reliable(40, 0.9, 0.99).build(seed);
         let crowd = SimulatedCrowd::new(pop, seed);

@@ -44,7 +44,9 @@ fn main() {
         }
     };
 
-    let pop = PopulationBuilder::new().reliable(30, 0.85, 0.98).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(30, 0.85, 0.98)
+        .build(seed);
     let crowd = SimulatedCrowd::new(pop, seed);
     let mut resolver = OracleResolver::new(&crowd, 5, |id, pred, bound, _free| {
         // Render the fetch as an open-text task with latent truth attached.
@@ -52,8 +54,12 @@ fn main() {
             .first()
             .map(|(_, c)| c.display_raw())
             .unwrap_or_default();
-        Task::new(id, TaskKind::OpenText, format!("{pred}: city of {restaurant}?"))
-            .with_truth(AnswerValue::Text(city(&restaurant).to_owned()))
+        Task::new(
+            id,
+            TaskKind::OpenText,
+            format!("{pred}: city of {restaurant}?"),
+        )
+        .with_truth(AnswerValue::Text(city(&restaurant).to_owned()))
     });
 
     let (db, stats) = engine.run(&mut resolver).expect("evaluation succeeds");

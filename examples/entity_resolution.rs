@@ -33,7 +33,9 @@ fn main() {
     // Rung 2 & 3: crowd verification, with and without transitivity.
     let truth_clusters = data.truth_clusters();
     for (label, use_transitivity) in [("verification only", false), ("with transitivity", true)] {
-        let pop = PopulationBuilder::new().reliable(50, 0.85, 0.97).build(seed);
+        let pop = PopulationBuilder::new()
+            .reliable(50, 0.85, 0.97)
+            .build(seed);
         let crowd = SimulatedCrowd::new(pop, seed);
         let outcome = crowd_join(
             &crowd,

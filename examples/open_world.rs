@@ -26,10 +26,12 @@ fn main() {
 
     // Phase 1 — enumerate: buy collection answers until Good–Turing
     // coverage says the unseen tail is small.
-    let pop = PopulationBuilder::new().reliable(300, 0.85, 0.97).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(300, 0.85, 0.97)
+        .build(seed);
     let crowd = SimulatedCrowd::new(pop, seed);
-    let out = crowd_collect(&crowd, &pool.task(TaskId::new(0)), 0.97, 300)
-        .expect("enumeration succeeds");
+    let out =
+        crowd_collect(&crowd, &pool.task(TaskId::new(0)), 0.97, 300).expect("enumeration succeeds");
     println!(
         "enumeration: {} answers → {} distinct entities (chao92 estimates {:.1}, truth {})",
         out.questions_asked,
@@ -55,16 +57,20 @@ fn main() {
     let mut factory = SimTaskFactory {
         fill_truth: |_: &str, row: &[Value], _: &str| {
             let name = row[0].display_raw();
-            let idx: usize = name
-                .trim_start_matches("species-")
-                .parse()
-                .unwrap_or(0);
-            if idx.is_multiple_of(2) { "tokyo" } else { "osaka" }.to_owned()
+            let idx: usize = name.trim_start_matches("species-").parse().unwrap_or(0);
+            if idx.is_multiple_of(2) {
+                "tokyo"
+            } else {
+                "osaka"
+            }
+            .to_owned()
         },
         equal_truth: |l: &Value, r: &Value| l == r,
         left_wins_truth: |l: &Value, r: &Value| l.display_raw() > r.display_raw(),
     };
-    let pop = PopulationBuilder::new().reliable(200, 0.9, 0.99).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(200, 0.9, 0.99)
+        .build(seed);
     let crowd = SimulatedCrowd::new(pop, seed);
     let (rows, stats) = session
         .query_crowd(

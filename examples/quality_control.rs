@@ -18,7 +18,9 @@ fn main() {
     let k = 5;
     let data = LabelingDataset::binary(n_tasks, seed);
 
-    println!("{n_tasks} binary tasks, {k} votes each, spam-heavy crowd (40% spam, 20% adversarial)\n");
+    println!(
+        "{n_tasks} binary tasks, {k} votes each, spam-heavy crowd (40% spam, 20% adversarial)\n"
+    );
 
     // Baseline: majority vote on the raw crowd.
     let crowd = SimulatedCrowd::new(mixes::spam_heavy(80, seed), seed);

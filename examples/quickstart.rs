@@ -21,7 +21,10 @@ fn main() {
     // the regime where modelling workers pays off.
     let data = LabelingDataset::binary(n_tasks, seed);
     println!("labeling {n_tasks} binary tasks, {redundancy} votes each, spam-heavy crowd\n");
-    println!("{:<10} {:>9} {:>10} {:>11}", "algorithm", "accuracy", "questions", "iterations");
+    println!(
+        "{:<10} {:>9} {:>10} {:>11}",
+        "algorithm", "accuracy", "questions", "iterations"
+    );
 
     let algorithms: Vec<Box<dyn TruthInferencer>> = vec![
         Box::new(MajorityVote),

@@ -50,7 +50,9 @@ fn main() {
     }
 
     // Max via tournament: n−1 matches instead of a full graph.
-    let pop = PopulationBuilder::new().reliable(40, 0.85, 0.97).build(seed);
+    let pop = PopulationBuilder::new()
+        .reliable(40, 0.85, 0.97)
+        .build(seed);
     let crowd = SimulatedCrowd::new(pop, seed);
     let out = crowd_max(&crowd, n, 3, |id, a, b| data.comparison_task(id, a, b))
         .expect("tournament succeeds");

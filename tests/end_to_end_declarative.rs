@@ -46,7 +46,11 @@ fn crowdsql_query_with_noisy_crowd_still_answers_correctly() {
         )
         .unwrap();
     let names: Vec<String> = rows.iter().map(|r| r[0].display_raw()).collect();
-    assert_eq!(names, vec!["p0", "p3", "p6"], "ids divisible by 3 are phones");
+    assert_eq!(
+        names,
+        vec!["p0", "p3", "p6"],
+        "ids divisible by 3 are phones"
+    );
     assert!(stats.questions > 0);
 }
 
@@ -75,7 +79,8 @@ fn crowdsql_crowdorder_limit_returns_the_best_row() {
     let s = Session::new();
     s.execute_ddl("CREATE TABLE t (name TEXT)").unwrap();
     for n in ["delta", "alpha", "omega", "kappa", "sigma"] {
-        s.execute_ddl(&format!("INSERT INTO t VALUES ('{n}')")).unwrap();
+        s.execute_ddl(&format!("INSERT INTO t VALUES ('{n}')"))
+            .unwrap();
     }
     let pop = PopulationBuilder::new().reliable(60, 0.95, 1.0).build(3);
     let crowd = SimulatedCrowd::new(pop, 3);
@@ -109,7 +114,11 @@ fn datalog_program_with_simulated_crowd_and_negation() {
     let crowd = SimulatedCrowd::new(pop, 5);
     let mut resolver = OracleResolver::new(&crowd, 5, |id, _pred, bound, _free| {
         let who = bound[0].1.display_raw();
-        let truth = if who == "ada" || who == "cyd" { "paris" } else { "berlin" };
+        let truth = if who == "ada" || who == "cyd" {
+            "paris"
+        } else {
+            "berlin"
+        };
         Task::new(id, TaskKind::OpenText, format!("hometown of {who}?"))
             .with_truth(AnswerValue::Text(truth.into()))
     });

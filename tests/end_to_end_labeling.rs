@@ -120,5 +120,8 @@ fn platform_budget_bounds_total_spend() {
     let pop = mixes::reliable(30, 4);
     let crowd = PlatformBuilder::new(pop).budget(Budget::new(50.0)).build();
     let outcome = label_tasks(&crowd, &data.tasks, 5, &MajorityVote).unwrap();
-    assert_eq!(outcome.answers_bought, 50, "spend equals the budget exactly");
+    assert_eq!(
+        outcome.answers_bought, 50,
+        "spend equals the budget exactly"
+    );
 }

@@ -1,9 +1,9 @@
 //! Integration: crowd operators running against the simulated platform.
 
 use crowdkit::core::answer::AnswerValue;
+use crowdkit::core::ids::TaskId;
 use crowdkit::core::metrics::pairwise_cluster_f1;
 use crowdkit::core::task::{Task, TaskKind};
-use crowdkit::core::ids::TaskId;
 use crowdkit::ops::agg::estimate_count;
 use crowdkit::ops::collect::{chao92, crowd_collect};
 use crowdkit::ops::filter::crowd_filter;
@@ -28,16 +28,31 @@ fn filter_with_margin_rule_is_cheaper_than_fixed_k_at_similar_accuracy() {
             .zip(&data.truths)
             .filter(|(d, &t)| matches!(d, Some(d) if d.keep == (t == 1)))
             .count();
-        (out.questions_asked, correct as f64 / data.tasks.len() as f64)
+        (
+            out.questions_asked,
+            correct as f64 / data.tasks.len() as f64,
+        )
     };
     let (fixed_cost, fixed_acc) = run(&crowdkit::truth::sequential::FixedK { k: 7 });
     let (margin_cost, margin_acc) = run(&MajorityMargin { margin: 2 });
     let (sprt_cost, sprt_acc) = run(&Sprt::default());
 
-    assert!(margin_cost < fixed_cost, "margin {margin_cost} < fixed {fixed_cost}");
-    assert!(sprt_cost < fixed_cost, "sprt {sprt_cost} < fixed {fixed_cost}");
-    assert!(margin_acc > fixed_acc - 0.05, "margin acc {margin_acc} vs {fixed_acc}");
-    assert!(sprt_acc > fixed_acc - 0.05, "sprt acc {sprt_acc} vs {fixed_acc}");
+    assert!(
+        margin_cost < fixed_cost,
+        "margin {margin_cost} < fixed {fixed_cost}"
+    );
+    assert!(
+        sprt_cost < fixed_cost,
+        "sprt {sprt_cost} < fixed {fixed_cost}"
+    );
+    assert!(
+        margin_acc > fixed_acc - 0.05,
+        "margin acc {margin_acc} vs {fixed_acc}"
+    );
+    assert!(
+        sprt_acc > fixed_acc - 0.05,
+        "sprt acc {sprt_acc} vs {fixed_acc}"
+    );
 }
 
 #[test]
@@ -71,10 +86,7 @@ fn top_k_recovers_the_true_top_items() {
     let data = RankingDataset::generate(32, 21);
     let pop = PopulationBuilder::new().reliable(60, 0.93, 0.99).build(21);
     let crowd = SimulatedCrowd::new(pop, 21);
-    let out = crowd_top_k(&crowd, 32, 3, 3, |id, a, b| {
-        data.comparison_task(id, a, b)
-    })
-    .unwrap();
+    let out = crowd_top_k(&crowd, 32, 3, 3, |id, a, b| data.comparison_task(id, a, b)).unwrap();
     let positions = data.true_positions();
     // The returned champions should all be genuinely near the top.
     for &w in &out.winners {
@@ -94,7 +106,9 @@ fn count_estimation_ci_covers_truth_most_of_the_time() {
     let mut covered = 0;
     let runs = 10;
     for seed in 0..runs {
-        let pop = PopulationBuilder::new().reliable(400, 0.95, 1.0).build(seed);
+        let pop = PopulationBuilder::new()
+            .reliable(400, 0.95, 1.0)
+            .build(seed);
         let crowd = SimulatedCrowd::new(pop, seed);
         let est = estimate_count(&crowd, &data.tasks, 300, 3, 1.96, seed).unwrap();
         if est.ci_low <= truth && truth <= est.ci_high {
@@ -102,7 +116,10 @@ fn count_estimation_ci_covers_truth_most_of_the_time() {
         }
         assert!((est.estimate - truth).abs() / truth < 0.35);
     }
-    assert!(covered >= 7, "95% CI covered truth only {covered}/{runs} times");
+    assert!(
+        covered >= 7,
+        "95% CI covered truth only {covered}/{runs} times"
+    );
 }
 
 #[test]

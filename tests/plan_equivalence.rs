@@ -62,7 +62,10 @@ fn crowd(threads: usize) -> SimulatedCrowd {
     // Perfect accuracy, so answers (and therefore result sets) are a
     // pure function of the query plan's question sequence.
     let pop = PopulationBuilder::new().reliable(60, 1.0, 1.0).build(SEED);
-    PlatformBuilder::new(pop).seed(SEED).threads(threads).build()
+    PlatformBuilder::new(pop)
+        .seed(SEED)
+        .threads(threads)
+        .build()
 }
 
 fn run(sql: &str, opts: &QueryOpts, threads: usize) -> (Vec<Vec<Value>>, QueryStats) {

@@ -10,14 +10,16 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # Formatting is enforced crate by crate as crates become rustfmt-clean.
-cargo fmt -p crowdkit-assign -p crowdkit-bench -p crowdkit-core -p crowdkit-datalog -p crowdkit-lint -p crowdkit-obs -p crowdkit-ops -p crowdkit-sim -p crowdkit-sql -p crowdkit-trace -p crowdkit-truth --check
+cargo fmt -p crowdkit -p crowdkit-assign -p crowdkit-bench -p crowdkit-core -p crowdkit-datalog -p crowdkit-lint -p crowdkit-obs -p crowdkit-ops -p crowdkit-sim -p crowdkit-sql -p crowdkit-trace -p crowdkit-truth --check
 
 # The benchmark (crates/bench/src/bin/crowdbench, see BENCHMARK.json) is a
 # package of its own outside the workspace, so `--workspace` misses it:
 # run its unit tests, then its correctness gate (one job per workload at
-# 1 and 2 threads and traced, seed purity, per-job checks).
+# 1 and 2 threads and traced, seed purity, per-job checks) at three seeds.
 cargo test --release --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml
-cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml -- check --seed 1
+for seed in 1 7 13; do
+    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml -- check --seed "$seed"
+done
 
 # Workspace static analysis: per-file determinism & safety rules (DET/
 # PANIC/SAFETY/DOC) plus the interprocedural passes (taint chains, CONC

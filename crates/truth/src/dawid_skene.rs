@@ -30,6 +30,18 @@
 //! that brings the max into `[1, 2)`: exact, and cancelled by the
 //! normalization, so a task with thousands of answers never underflows.
 //!
+//! Both steps are compiled for a label width (`Width`) that a run picks
+//! once from the matrix's `k`. A binary matrix runs `Fixed<2>`: a task's
+//! row is built in a local `[f64; 2]` and a worker's soft counts in a
+//! local `[[f64; 2]; 2]` over posterior rows read as `&[f64; 2]`, each
+//! stored in the shared table once. Every other `k` runs `AnyWidth`,
+//! which builds both in place in the shared tables. The E-step row is one
+//! body for both widths; the M-step keeps the in-place slice kernel as
+//! `AnyWidth`'s, because the same body over slices, even with `k` a
+//! constant, was no faster than that kernel at `k = 2`. Both widths add
+//! and multiply in the same order, so they agree bit for bit (a property
+//! test runs `k = 2` matrices through both).
+//!
 //! With [`crate::freeze::FreezeConfig`] enabled (`config.freeze`), the
 //! E-step goes sparse: converged tasks freeze out of the worklist (their
 //! pinned posterior rows keep feeding the M-step), and workers whose tasks
@@ -59,11 +71,35 @@ impl DawidSkene {
 
     /// Runs EM and additionally returns the estimated per-worker confusion
     /// matrices (dense worker index → k×k matrix). The plain
-    /// [`TruthInferencer::infer`] entry point discards them.
+    /// [`TruthInferencer::infer`] entry point skips building them.
     pub fn infer_full(
         &self,
         matrix: &ResponseMatrix,
     ) -> Result<(InferenceResult, Vec<Vec<Vec<f64>>>)> {
+        let (result, confusion) = self.fit(matrix)?;
+        let k = matrix.num_labels();
+        let confusion_rows = confusion
+            .chunks(k * k)
+            .map(|cm| cm.chunks(k).map(<[f64]>::to_vec).collect())
+            .collect();
+        Ok((result, confusion_rows))
+    }
+
+    /// Runs EM at the width the matrix's label count selects and returns
+    /// the result with the flat confusion table.
+    fn fit(&self, matrix: &ResponseMatrix) -> Result<(InferenceResult, Vec<f64>)> {
+        match matrix.num_labels() {
+            2 => self.fit_at(matrix, Fixed::<2>),
+            k => self.fit_at(matrix, AnyWidth(k)),
+        }
+    }
+
+    /// Runs EM with both steps compiled for `width`.
+    fn fit_at<W: Width>(
+        &self,
+        matrix: &ResponseMatrix,
+        width: W,
+    ) -> Result<(InferenceResult, Vec<f64>)> {
         let cfg = self.config;
         let (result, model) = em::run(
             matrix,
@@ -72,17 +108,105 @@ impl DawidSkene {
             cfg.threads,
             cfg.freeze,
             |cx| DsModel {
+                width,
                 smoothing: cfg.smoothing,
                 confusion: vec![0.0; cx.num_workers() * cx.k * cx.k],
             },
         )?;
-        let k = matrix.num_labels();
-        let confusion_rows = model
-            .confusion
-            .chunks(k * k)
-            .map(|cm| cm.chunks(k).map(<[f64]>::to_vec).collect())
-            .collect();
-        Ok((result, confusion_rows))
+        Ok((result, model.confusion))
+    }
+}
+
+/// The label width the Dawid–Skene steps are compiled for, chosen once per
+/// run from the matrix (see the module docs).
+trait Width: Copy + Sync {
+    /// The label count `k`.
+    fn k(self) -> usize;
+
+    /// Runs `build` on a `k`-entry row buffer, then stores it in `out`.
+    fn row(self, out: &mut [f64], build: impl FnOnce(&mut [f64]));
+
+    /// Fits one worker's row-stochastic `k × k` confusion matrix `cm` from
+    /// its `(task, label)` answers: `smoothing` plus the answers' posterior
+    /// rows, added in answer order, each confusion row then normalized.
+    fn fit_worker(self, cm: &mut [f64], answers: &[(u32, u32)], posteriors: &[f64], smoothing: f64);
+}
+
+/// A width known at compile time: a task's row and a worker's counts are
+/// fresh local arrays, read and written whole.
+#[derive(Debug, Clone, Copy)]
+struct Fixed<const K: usize>;
+
+impl<const K: usize> Width for Fixed<K> {
+    #[inline(always)]
+    fn k(self) -> usize {
+        K
+    }
+
+    #[inline(always)]
+    fn row(self, out: &mut [f64], build: impl FnOnce(&mut [f64])) {
+        let mut row = [0.0; K];
+        build(&mut row);
+        out.copy_from_slice(&row);
+    }
+
+    #[inline(always)]
+    fn fit_worker(
+        self,
+        cm: &mut [f64],
+        answers: &[(u32, u32)],
+        posteriors: &[f64],
+        smoothing: f64,
+    ) {
+        let (rows, _) = posteriors.as_chunks::<K>();
+        let mut counts = [[smoothing; K]; K];
+        for &(t, l) in answers {
+            for (truth, &p) in rows[t as usize].iter().enumerate() {
+                counts[truth][l as usize] += p;
+            }
+        }
+        for (out, row) in cm.chunks_exact_mut(K).zip(&mut counts) {
+            normalize(row);
+            out.copy_from_slice(row);
+        }
+    }
+}
+
+/// Any width, read at run time: the steps work in place in the shared
+/// tables.
+#[derive(Debug, Clone, Copy)]
+struct AnyWidth(usize);
+
+impl Width for AnyWidth {
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn row(self, out: &mut [f64], build: impl FnOnce(&mut [f64])) {
+        build(out);
+    }
+
+    #[inline(always)]
+    fn fit_worker(
+        self,
+        cm: &mut [f64],
+        answers: &[(u32, u32)],
+        posteriors: &[f64],
+        smoothing: f64,
+    ) {
+        let k = self.0;
+        cm.fill(smoothing);
+        for &(t, l) in answers {
+            let row = &posteriors[t as usize * k..][..k];
+            for (truth, &p) in row.iter().enumerate() {
+                cm[truth * k + l as usize] += p;
+            }
+        }
+        for row in cm.chunks_mut(k) {
+            normalize(row);
+        }
     }
 }
 
@@ -92,18 +216,19 @@ const RESCALE_BELOW: f64 = 1.0 / (1u64 << 24) as f64;
 const _: () = assert!(RESCALE_BELOW * LN_FLOOR >= f64::MIN_POSITIVE);
 
 /// The Dawid–Skene worker model: one confusion matrix per worker.
-struct DsModel {
+struct DsModel<W> {
+    width: W,
     smoothing: f64,
     /// `confusion[w*k*k + t*k + l] = π_w[t][l]`.
     confusion: Vec<f64>,
 }
 
-impl EmModel for DsModel {
+impl<W: Width> EmModel for DsModel<W> {
     const ALGO: &'static str = "ds";
 
     fn m_step(&mut self, cx: &Csr<'_>, posteriors: &[f64], aset: &ActiveSet) {
-        let k = cx.k;
-        let smoothing = self.smoothing;
+        let (width, smoothing) = (self.width, self.smoothing);
+        let k = width.k();
         // Per-worker confusion soft counts over worker ranges. Each
         // worker's accumulation walks its CSR entries in insertion order,
         // so the float sum order is fixed regardless of sharding.
@@ -117,45 +242,35 @@ impl EmModel for DsModel {
                 if aset.can_skip_worker_update(w) {
                     continue;
                 }
-                cm.fill(smoothing);
-                for &(t, l) in cx.worker(w) {
-                    let row = &posteriors[t as usize * k..t as usize * k + k];
-                    for (truth, &p) in row.iter().enumerate() {
-                        cm[truth * k + l as usize] += p;
-                    }
-                }
-                for row in cm.chunks_mut(k) {
-                    normalize(row);
-                }
+                width.fit_worker(cm, cx.worker(w), posteriors, smoothing);
             }
         });
     }
 
     /// `ρ · Π π_w[·][l]`, rescaled and normalized (see the module docs).
     #[inline]
-    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, row: &mut [f64]) {
-        let k = cx.k;
-        for (x, &p) in row.iter_mut().zip(&priors.p) {
-            *x = p.max(LN_FLOOR);
-        }
-        for &(w, l) in cx.task(t) {
-            let base = w as usize * k * k;
-            let column = self.confusion[base + l as usize..base + k * k]
-                .iter()
-                .step_by(k);
-            let mut max = 0.0f64;
-            for (x, &pi) in row.iter_mut().zip(column) {
-                *x *= pi.max(LN_FLOOR);
-                max = max.max(*x);
+    fn posterior_row(&self, cx: &Csr<'_>, t: usize, priors: &Priors, out: &mut [f64]) {
+        let k = self.width.k();
+        self.width.row(out, |row| {
+            for (x, &p) in row.iter_mut().zip(&priors.p) {
+                *x = p.max(LN_FLOOR);
             }
-            if max < RESCALE_BELOW {
-                let scale = pow2_to_unit(max);
-                for x in row.iter_mut() {
-                    *x *= scale;
+            for &(w, l) in cx.task(t) {
+                let cm = &self.confusion[w as usize * k * k..][..k * k];
+                let mut max = 0.0f64;
+                for (x, truth) in row.iter_mut().zip(cm.chunks_exact(k)) {
+                    *x *= truth[l as usize].max(LN_FLOOR);
+                    max = max.max(*x);
+                }
+                if max < RESCALE_BELOW {
+                    let scale = pow2_to_unit(max);
+                    for x in row.iter_mut() {
+                        *x *= scale;
+                    }
                 }
             }
-        }
-        normalize(row);
+            normalize(row);
+        });
     }
 
     /// The prior-weighted confusion diagonal: each worker's marginal
@@ -181,7 +296,7 @@ impl TruthInferencer for DawidSkene {
     }
 
     fn infer(&self, matrix: &ResponseMatrix) -> Result<InferenceResult> {
-        self.infer_full(matrix).map(|(r, _)| r)
+        self.fit(matrix).map(|(r, _)| r)
     }
 }
 
@@ -189,6 +304,7 @@ impl TruthInferencer for DawidSkene {
 mod tests {
     use super::*;
     use crate::em::log_normalize;
+    use crate::freeze::FreezeConfig;
     use crowdkit_core::ids::{TaskId, WorkerId};
     use proptest::prelude::*;
 
@@ -312,9 +428,14 @@ mod tests {
     /// A model whose worker `w` (dense index, in answer order) has the
     /// `w`-th `k × k` block of the flat `confusions`, over one task holding
     /// one answer of label `labels[w]` from each worker.
-    fn one_task(k: usize, confusions: Vec<f64>, labels: &[u32]) -> (ResponseMatrix, DsModel) {
+    fn one_task(
+        k: usize,
+        confusions: Vec<f64>,
+        labels: &[u32],
+    ) -> (ResponseMatrix, DsModel<AnyWidth>) {
         let rows: Vec<_> = labels.iter().zip(0u64..).map(|(&l, w)| (0, w, l)).collect();
         let model = DsModel {
+            width: AnyWidth(k),
             smoothing: 0.0,
             confusion: confusions,
         };
@@ -326,7 +447,12 @@ mod tests {
     /// `log_normalize`. Returns with it a bound on its own error in any one
     /// label's log sum: each `ln` is off by up to an ulp of its result and
     /// each addition by up to an ulp of the running sum.
-    fn reference(model: &DsModel, cx: &Csr<'_>, t: usize, priors: &[f64]) -> (Vec<f64>, f64) {
+    fn reference(
+        model: &DsModel<AnyWidth>,
+        cx: &Csr<'_>,
+        t: usize,
+        priors: &[f64],
+    ) -> (Vec<f64>, f64) {
         let k = cx.k;
         let mut row: Vec<f64> = priors.iter().map(|p| p.max(LN_FLOOR).ln()).collect();
         let mut err: Vec<f64> = row.iter().map(|x| x.abs() * f64::EPSILON).collect();
@@ -345,7 +471,11 @@ mod tests {
     /// Checks the product-space row against the log-space reference to
     /// 1e-12 plus what the reference's own error can move it: a log term
     /// off by `δ` moves a posterior `p` by at most `2p(1 − p)δ`.
-    fn assert_matches_reference(model: &DsModel, cx: &Csr<'_>, priors: &[f64]) -> Vec<f64> {
+    fn assert_matches_reference(
+        model: &DsModel<AnyWidth>,
+        cx: &Csr<'_>,
+        priors: &[f64],
+    ) -> Vec<f64> {
         let mut row = vec![0.0; cx.k];
         let given = Priors {
             p: priors.to_vec(),
@@ -452,6 +582,42 @@ mod tests {
         ] {
             let scaled = x * pow2_to_unit(x);
             assert!((1.0..2.0).contains(&scaled), "{x:e} scales to {scaled}");
+        }
+    }
+
+    /// Binary matrices of up to 40 tasks and 12 workers, some workers
+    /// answering a task twice.
+    fn binary_matrices() -> impl Strategy<Value = ResponseMatrix> {
+        prop::collection::vec((0u64..40, 0u64..12, 0u32..2), 1..240)
+            .prop_map(|rows| matrix(&rows, 2))
+    }
+
+    /// Every bit a run hands back: posteriors, labels, worker quality,
+    /// iteration count, convergence flag and the confusion table.
+    fn run_bits(run: (InferenceResult, Vec<f64>)) -> Vec<u64> {
+        let (r, confusion) = run;
+        let floats = r.posteriors.iter().flatten();
+        let floats = floats.chain(r.worker_quality.iter().flatten());
+        let mut bits: Vec<u64> = floats.chain(&confusion).map(|x| x.to_bits()).collect();
+        bits.extend(r.labels.iter().map(|&l| u64::from(l)));
+        bits.extend([r.iterations as u64, u64::from(r.converged)]);
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn binary_and_general_widths_agree_bit_for_bit(
+            m in binary_matrices(),
+            eps in prop_oneof![Just(1e-4f64), Just(1e-3), Just(1e-2)],
+        ) {
+            for freeze in [FreezeConfig::disabled(), FreezeConfig::sparse(eps)] {
+                let ds = DawidSkene::with_config(EmConfig::default().with_freeze(freeze));
+                let binary = ds.fit_at(&m, Fixed::<2>).expect("non-empty matrix");
+                let general = ds.fit_at(&m, AnyWidth(2)).expect("non-empty matrix");
+                prop_assert_eq!(run_bits(binary), run_bits(general), "freeze {:?}", freeze);
+            }
         }
     }
 

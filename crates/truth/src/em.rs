@@ -88,21 +88,22 @@ pub(crate) fn vote_fraction_posteriors(matrix: &ResponseMatrix) -> Vec<f64> {
     post
 }
 
-/// Picks the argmax label of each `k`-wide row of a flat posterior table
-/// (ties → smallest index, so results are deterministic).
+/// The argmax label of one posterior row (ties → smallest index, so
+/// results are deterministic).
+pub(crate) fn argmax(row: &[f64]) -> u32 {
+    let mut best = 0usize;
+    for (i, &p) in row.iter().enumerate().skip(1) {
+        if p > row[best] {
+            best = i;
+        }
+    }
+    best as u32
+}
+
+/// Picks the [`argmax`] label of each `k`-wide row of a flat posterior
+/// table.
 pub(crate) fn argmax_labels(posteriors: &[f64], k: usize) -> Vec<u32> {
-    posteriors
-        .chunks(k)
-        .map(|row| {
-            let mut best = 0usize;
-            for (i, &p) in row.iter().enumerate().skip(1) {
-                if p > row[best] {
-                    best = i;
-                }
-            }
-            best as u32
-        })
-        .collect()
+    posteriors.chunks(k).map(argmax).collect()
 }
 
 /// Class priors implied by a flat posterior table:

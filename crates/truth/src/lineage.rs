@@ -9,15 +9,15 @@
 //! committed table is bit-identical to the dense reference's, so the
 //! recorded lineage is too), and closes it with the final posteriors and
 //! per-worker quality. All bookkeeping is `O(tasks · labels)` per
-//! iteration — a couple of compares per task next to the transcendentals
-//! the E-step just spent — and everything is emitted from the sequential
+//! iteration — a couple of compares per task, on the committed rows in
+//! place, with no allocation — and everything is emitted from the sequential
 //! tail of the run, in ascending dense-index order, which keeps the
 //! stream deterministic at any thread count.
 
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_obs::{Event, Recorder, Scope};
 
-use crate::em::argmax_labels;
+use crate::em::{argmax, argmax_labels};
 
 /// Tasks whose posterior margin (top-1 minus top-2 probability) falls
 /// strictly below this count as *contested* in the `prov.run` summary,
@@ -93,17 +93,17 @@ impl RunLineage {
     /// (1-based), reading the *committed* posterior table after the
     /// E-step. Call once per completed iteration, from sequential code.
     pub(crate) fn observe_iter(&mut self, iter: usize, posteriors: &[f64]) {
-        for (t, new) in argmax_labels(posteriors, self.k).into_iter().enumerate() {
-            if let Some(cur) = self.labels.get_mut(t) {
-                if *cur != new {
-                    self.flips.push(Flip {
-                        iter: iter as u32,
-                        task: t as u32,
-                        from: *cur,
-                        to: new,
-                    });
-                    *cur = new;
-                }
+        let rows = posteriors.chunks(self.k);
+        for (t, (cur, row)) in self.labels.iter_mut().zip(rows).enumerate() {
+            let new = argmax(row);
+            if *cur != new {
+                self.flips.push(Flip {
+                    iter: iter as u32,
+                    task: t as u32,
+                    from: *cur,
+                    to: new,
+                });
+                *cur = new;
             }
         }
     }

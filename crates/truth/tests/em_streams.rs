@@ -1,7 +1,8 @@
 //! Pins the EM kernels' outputs and event streams. Dawid–Skene, one-coin
 //! and GLAD run dense and with `FreezeConfig::sparse(1e-3)` on seeded
 //! matrices: a small one at 1 thread, one large enough for the kernels to
-//! fork at 1 and 2 threads, and a long-tailed crowd whose workers mostly
+//! fork at 1 and 2 threads (Dawid–Skene at k = 3 and at k = 2, the width
+//! it compiles apart), and a long-tailed crowd whose workers mostly
 //! answer once, at k = 2 and 3 and 1 thread; each run is digested over its
 //! posterior bits, labels, worker quality, iteration count and convergence
 //! flag, the model's own parameters (DS confusion matrices, GLAD abilities
@@ -301,6 +302,19 @@ fn dawid_skene_streams_are_pinned_when_forked() {
     assert_eq!(
         dawid_skene(&m, &[2]),
         [0x4718_87B1_992C_B649, 0x85BE_DB4C_5185_B58A]
+    );
+}
+
+/// Every labelling input the benchmark and the examples run is binary, so
+/// Dawid–Skene's k = 2 path gets a forked pin of its own. Recorded at
+/// 2aced11, before the binary rows moved into fixed-size arrays.
+#[test]
+fn dawid_skene_binary_streams_are_pinned_when_forked() {
+    let m = matrix(34, 2, 18);
+    assert!(m.num_observations() * 2 >= 64 * 1024);
+    assert_eq!(
+        dawid_skene(&m, &[2]),
+        [0x7902_EF8C_6376_853A, 0x0080_6B42_0BA5_7F7D]
     );
 }
 

@@ -72,11 +72,13 @@ EOF
 # Full experiment suite with telemetry: RUNREPORT.json + the headered
 # deterministic event log, then replay and rollup smoke-checks over that
 # log (`top` must fold the suite's platform.batch events into a row of
-# totals).
+# totals). The `truth.run` rows are printed, so the log shows each
+# inferencer's runs, iterations and convergence over the suite.
 cargo run --release -p crowdkit-bench --bin experiments -- all --report --log RUNLOG.jsonl > /dev/null
 cargo run --release -p crowdkit-trace --bin crowdtrace -- replay RUNLOG.jsonl > /dev/null
 cargo run --release -p crowdkit-trace --bin crowdtrace -- top RUNLOG.jsonl > TOP.txt
 grep -qE '^  platform\.batch +[0-9]+  requests=[0-9]+  delivered=[0-9]+' TOP.txt
+grep -E '^  truth\.run ' TOP.txt
 rm -f TOP.txt
 
 # Decision-provenance smoke-check: the suite log must explain a known

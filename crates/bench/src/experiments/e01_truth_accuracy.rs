@@ -22,6 +22,9 @@ const N_TASKS: usize = 300;
 const POP: usize = 50;
 const SEEDS: [u64; 3] = [1, 2, 3];
 
+/// Builds a crowd of `n` workers from a seed.
+type MakePop = fn(usize, u64) -> Population;
+
 fn algorithms() -> Vec<Box<dyn TruthInferencer>> {
     vec![
         Box::new(MajorityVote),
@@ -32,7 +35,25 @@ fn algorithms() -> Vec<Box<dyn TruthInferencer>> {
     ]
 }
 
-fn mix_table(name: &str, make_pop: fn(usize, u64) -> Population) -> Table {
+/// Mean accuracy over [`SEEDS`] of `algo` on `k` answers a task from the
+/// crowd `make_pop` builds.
+fn mean_accuracy(algo: &dyn TruthInferencer, make_pop: MakePop, k: usize) -> f64 {
+    let mut acc = 0.0;
+    for &seed in &SEEDS {
+        let data = LabelingDataset::binary(N_TASKS, seed);
+        let crowd = SimulatedCrowd::new(make_pop(POP, seed), seed);
+        let out = label_tasks(&crowd, &data.tasks, k, algo).expect("collection succeeds");
+        let predicted: Vec<u32> = data
+            .tasks
+            .iter()
+            .map(|task| out.label_for(task).expect("labelled"))
+            .collect();
+        acc += accuracy(&predicted, &data.truths);
+    }
+    acc / SEEDS.len() as f64
+}
+
+fn mix_table(name: &str, make_pop: MakePop) -> Table {
     let ks = [1usize, 3, 5, 7, 9];
     let mut t = Table::new(
         format!(
@@ -44,34 +65,28 @@ fn mix_table(name: &str, make_pop: fn(usize, u64) -> Population) -> Table {
     for algo in algorithms() {
         let mut cells = vec![algo.name().to_owned()];
         for &k in &ks {
-            let mut acc = 0.0;
-            for &seed in &SEEDS {
-                let data = LabelingDataset::binary(N_TASKS, seed);
-                let crowd = SimulatedCrowd::new(make_pop(POP, seed), seed);
-                let out = label_tasks(&crowd, &data.tasks, k, algo.as_ref())
-                    .expect("collection succeeds");
-                let predicted: Vec<u32> = data
-                    .tasks
-                    .iter()
-                    .map(|task| out.label_for(task).expect("labelled"))
-                    .collect();
-                acc += accuracy(&predicted, &data.truths);
-            }
-            obs::quality("accuracy", acc / SEEDS.len() as f64);
-            cells.push(pct(acc / SEEDS.len() as f64));
+            let acc = mean_accuracy(algo.as_ref(), make_pop, k);
+            obs::quality("accuracy", acc);
+            cells.push(pct(acc));
         }
         t.row(cells);
     }
     t
 }
 
+/// The three crowd mixes, in table order.
+const MIXES: [(&str, MakePop); 3] = [
+    ("reliable", mixes::reliable),
+    ("mixed", mixes::mixed),
+    ("spam-heavy", mixes::spam_heavy),
+];
+
 /// Runs E1.
 pub fn run() -> Vec<Table> {
-    vec![
-        mix_table("reliable", mixes::reliable),
-        mix_table("mixed", mixes::mixed),
-        mix_table("spam-heavy", mixes::spam_heavy),
-    ]
+    MIXES
+        .iter()
+        .map(|&(name, make_pop)| mix_table(name, make_pop))
+        .collect()
 }
 
 #[cfg(test)]
@@ -92,5 +107,26 @@ mod tests {
             ds_k5 > mv_k5,
             "DS ({ds_k5}) must beat MV ({mv_k5}) on the spam-heavy mix"
         );
+    }
+
+    #[test]
+    fn e1_shape_ds_and_kos_keep_up_with_mv_at_k1() {
+        // One answer a task: nothing to learn a worker from, so the vote
+        // is the best anyone can do. DS's diagonal prior and KOS's vote
+        // fallback must stay within 2 points of it on every crowd.
+        for (name, make_pop) in MIXES {
+            let mv = mean_accuracy(&MajorityVote, make_pop, 1);
+            let algos: [&dyn TruthInferencer; 2] = [&DawidSkene::default(), &Kos::default()];
+            for algo in algos {
+                let acc = mean_accuracy(algo, make_pop, 1);
+                assert!(
+                    acc >= mv - 0.02,
+                    "{} reads {:.1} % against MV's {:.1} % at k=1 on the {name} crowd",
+                    algo.name(),
+                    100.0 * acc,
+                    100.0 * mv
+                );
+            }
+        }
     }
 }

@@ -14,10 +14,13 @@ use crowdkit_truth::{pipeline::label_tasks, DawidSkene, MajorityVote};
 
 /// Frozen copy of the seed Dawid–Skene kernel: nested `Vec<Vec<f64>>`
 /// state, per-iteration allocations, and `ln` calls in the E-step inner
-/// loop. Kept verbatim (modulo visibility) as the baseline the flat
-/// kernel is gated against — do not "optimize" this module.
+/// loop. Kept verbatim (modulo visibility, and the diagonal pseudo-answer
+/// each confusion row starts with, `DawidSkene::DIAGONAL_PRIOR`) as the
+/// baseline the flat kernel is gated against — do not "optimize" this
+/// module.
 mod seed_ds {
     use crowdkit_core::response::ResponseMatrix;
+    use crowdkit_truth::DawidSkene;
 
     fn normalize(row: &mut [f64]) {
         let sum: f64 = row.iter().sum();
@@ -66,8 +69,9 @@ mod seed_ds {
             }
             normalize(&mut priors);
             for cm in &mut confusion {
-                for row in cm.iter_mut() {
+                for (t, row) in cm.iter_mut().enumerate() {
                     row.fill(smoothing);
+                    row[t] += DawidSkene::DIAGONAL_PRIOR;
                 }
             }
             for o in matrix.observations() {

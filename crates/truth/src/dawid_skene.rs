@@ -9,7 +9,10 @@
 //! The EM driver ([`crate::em`]) alternates:
 //!
 //! * **M-step** — re-estimate `ρ` and every `π_w` from the current soft
-//!   posteriors (with Laplace smoothing so sparse workers stay defined);
+//!   posteriors: a maximum-a-posteriori estimate (Raykar et al., 2010)
+//!   under a Dirichlet prior of Laplace `smoothing` on every entry plus
+//!   [`DawidSkene::DIAGONAL_PRIOR`] pseudo-answers on each row's diagonal,
+//!   so a worker with one or two answers keeps a non-degenerate matrix;
 //! * **E-step** — recompute task posteriors
 //!   `P(t | answers) ∝ ρ[t] · Π_answers π_w[t][l]` as that product.
 //!
@@ -46,7 +49,9 @@
 //! E-step goes sparse: converged tasks freeze out of the worklist (their
 //! pinned posterior rows keep feeding the M-step), and workers whose tasks
 //! have all frozen skip their confusion-matrix recompute — a pure no-op,
-//! since recomputing from pinned inputs reproduces the same bits.
+//! since recomputing from pinned inputs reproduces the same bits (the
+//! diagonal prior is a constant, the same for every worker and iteration,
+//! so it is one of those inputs).
 
 use crowdkit_core::error::Result;
 use crowdkit_core::par::parallel_items_mut;
@@ -64,6 +69,16 @@ pub struct DawidSkene {
 }
 
 impl DawidSkene {
+    /// Pseudo-answers each confusion row `π_w[t]` starts with on its
+    /// diagonal `π_w[t][t]`, on top of the `smoothing` every entry gets: one
+    /// correct answer per true label, the same for every worker. Without
+    /// it, a worker who answered once or twice fits a matrix that can only
+    /// agree with itself, and EM on low-redundancy inputs runs to its
+    /// iteration cap below majority vote. One pseudo-answer is the most
+    /// that costs no E1 cell at `k ≥ 5` more than a point (see `DESIGN.md`
+    /// §2).
+    pub const DIAGONAL_PRIOR: f64 = 1.0;
+
     /// Creates the algorithm with custom EM settings.
     pub fn with_config(config: EmConfig) -> Self {
         Self { config }
@@ -127,8 +142,10 @@ trait Width: Copy + Sync {
     fn row(self, out: &mut [f64], build: impl FnOnce(&mut [f64]));
 
     /// Fits one worker's row-stochastic `k × k` confusion matrix `cm` from
-    /// its `(task, label)` answers: `smoothing` plus the answers' posterior
-    /// rows, added in answer order, each confusion row then normalized.
+    /// its `(task, label)` answers: `smoothing`, plus
+    /// [`DawidSkene::DIAGONAL_PRIOR`] on the diagonal, plus the answers'
+    /// posterior rows, added in answer order, each confusion row then
+    /// normalized.
     fn fit_worker(self, cm: &mut [f64], answers: &[(u32, u32)], posteriors: &[f64], smoothing: f64);
 }
 
@@ -160,6 +177,9 @@ impl<const K: usize> Width for Fixed<K> {
     ) {
         let (rows, _) = posteriors.as_chunks::<K>();
         let mut counts = [[smoothing; K]; K];
+        for (truth, row) in counts.iter_mut().enumerate() {
+            row[truth] += DawidSkene::DIAGONAL_PRIOR;
+        }
         for &(t, l) in answers {
             for (truth, &p) in rows[t as usize].iter().enumerate() {
                 counts[truth][l as usize] += p;
@@ -198,6 +218,9 @@ impl Width for AnyWidth {
     ) {
         let k = self.0;
         cm.fill(smoothing);
+        for truth in 0..k {
+            cm[truth * k + truth] += DawidSkene::DIAGONAL_PRIOR;
+        }
         for &(t, l) in answers {
             let row = &posteriors[t as usize * k..][..k];
             for (truth, &p) in row.iter().enumerate() {

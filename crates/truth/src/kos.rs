@@ -121,16 +121,36 @@ impl TruthInferencer for Kos {
             w_cur[o.worker] += 1;
         }
 
-        // Decision snapshot for lineage capture: the current per-task
-        // belief as a flat [P(0), P(1)] table (logistic squash of the
-        // signed decision sum, matching the final posterior construction
-        // below). Only evaluated while provenance capture is on.
-        let snapshot = |y: &[f64]| -> Vec<f64> {
+        // Each task's signed vote sum: the decision wherever the messages
+        // carry nothing.
+        let mut votes = vec![0.0f64; n_tasks];
+        for (o, &s) in obs.iter().zip(&sign) {
+            votes[o.task] += s;
+        }
+        // Decision: the sign of Σ_w A_{t,w} · y_{w→t}. A task whose sum is
+        // exactly 0 falls back to its vote sum, so an exact tie there is
+        // MV's tie, label 0. With one answer per task every message is 0
+        // after the first round (no other worker on the task to pass one
+        // on), so the vote is all such a task has.
+        let decisions = |y: &[f64]| -> Vec<f64> {
             let mut d = vec![0.0f64; n_tasks];
             for (i, o) in obs.iter().enumerate() {
                 d[o.task] += sign[i] * y[i];
             }
-            d.iter()
+            for (d, &v) in d.iter_mut().zip(&votes) {
+                if *d == 0.0 {
+                    *d = v;
+                }
+            }
+            d
+        };
+        // Decision snapshot for lineage capture: the current per-task
+        // belief as a flat [P(0), P(1)] table (logistic squash of the
+        // decision, matching the final posterior construction below).
+        // Only evaluated while provenance capture is on.
+        let snapshot = |y: &[f64]| -> Vec<f64> {
+            decisions(y)
+                .iter()
                 .flat_map(|&d| {
                     let p1 = 1.0 / (1.0 + (-d).exp());
                     [1.0 - p1, p1]
@@ -207,11 +227,7 @@ impl TruthInferencer for Kos {
             }
         }
 
-        // Decision: sign of Σ_w A_{t,w} · y_{w→t}.
-        let mut decision = vec![0.0f64; matrix.num_tasks()];
-        for (i, o) in obs.iter().enumerate() {
-            decision[o.task] += sign[i] * y[i];
-        }
+        let decision = decisions(&y);
         let labels: Vec<u32> = decision.iter().map(|&d| (d > 0.0) as u32).collect();
 
         // Pseudo-posteriors via a logistic squash of the decision margin
@@ -304,6 +320,20 @@ mod tests {
         let good = m.worker_index(WorkerId::new(0)).unwrap();
         let bad = m.worker_index(WorkerId::new(3)).unwrap();
         assert!(q[good] > q[bad]);
+    }
+
+    #[test]
+    fn one_answer_per_task_follows_the_vote() {
+        // Every message is 0 once a task has no second worker to pass one
+        // on, so each decision falls back to the task's single vote.
+        let rows: Vec<(u64, u64, u32)> = (0..12).map(|t| (t, t % 4, (t % 3 == 0) as u32)).collect();
+        let m = matrix(&rows);
+        let r = Kos::default().infer(&m).unwrap();
+        for &(t, _, l) in &rows {
+            let t = m.task_index(TaskId::new(t)).unwrap();
+            assert_eq!(r.labels[t], l, "task {t} follows its vote");
+            assert!(r.posteriors[t][l as usize] > 0.5, "{:?}", r.posteriors[t]);
+        }
     }
 
     #[test]

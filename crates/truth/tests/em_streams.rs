@@ -259,10 +259,13 @@ fn glad(m: &ResponseMatrix, wide: &[usize]) -> [u64; 2] {
 fn dawid_skene_streams_are_pinned() {
     // Re-recorded when the E-step moved to probability space: each answer
     // multiplies its confusion column into the row, which is rescaled by
-    // exact powers of two, instead of adding a table of logarithms.
+    // exact powers of two, instead of adding a table of logarithms; and
+    // again when each confusion row gained one diagonal pseudo-answer
+    // (`DawidSkene::DIAGONAL_PRIOR`), which moves every Dawid–Skene digest
+    // in this file.
     assert_eq!(
         dawid_skene(&matrix(21, 3, 1), &[]),
-        [0xAD6E_C5C9_B2A9_B714, 0x1753_428F_2CE0_E7A1]
+        [0xE634_0FC8_D6D2_C8DF, 0x5E54_74B6_36F8_1A57]
     );
 }
 
@@ -293,7 +296,8 @@ fn glad_streams_are_pinned() {
 // kernels fork for. Their digests were recorded at c5c3504, when an
 // explicit width was used whatever the problem size; GLAD's was
 // re-recorded when its E-step began adding clamped log-odds, and
-// Dawid–Skene's when its E-step moved to probability space.
+// Dawid–Skene's when its E-step moved to probability space and when its
+// confusion rows gained the diagonal prior.
 
 #[test]
 fn dawid_skene_streams_are_pinned_when_forked() {
@@ -301,20 +305,21 @@ fn dawid_skene_streams_are_pinned_when_forked() {
     assert!(m.num_observations() * 3 >= 64 * 1024);
     assert_eq!(
         dawid_skene(&m, &[2]),
-        [0x4718_87B1_992C_B649, 0x85BE_DB4C_5185_B58A]
+        [0x53B3_4A64_5722_6E4C, 0xC169_36AF_7EF5_C199]
     );
 }
 
 /// Every labelling input the benchmark and the examples run is binary, so
 /// Dawid–Skene's k = 2 path gets a forked pin of its own. Recorded at
-/// 2aced11, before the binary rows moved into fixed-size arrays.
+/// 2aced11, before the binary rows moved into fixed-size arrays, and
+/// re-recorded when the confusion rows gained the diagonal prior.
 #[test]
 fn dawid_skene_binary_streams_are_pinned_when_forked() {
     let m = matrix(34, 2, 18);
     assert!(m.num_observations() * 2 >= 64 * 1024);
     assert_eq!(
         dawid_skene(&m, &[2]),
-        [0x7902_EF8C_6376_853A, 0x0080_6B42_0BA5_7F7D]
+        [0x204D_868E_2E66_4C17, 0xF649_08F0_9E52_9FE6]
     );
 }
 
@@ -342,17 +347,18 @@ fn glad_streams_are_pinned_when_forked() {
 // worker's confusion rows, ability and log terms rest on a strict subset
 // of the labels. Recorded at f24dd91; GLAD's were re-recorded when its
 // E-step began adding clamped log-odds, and Dawid–Skene's when its E-step
-// moved to probability space.
+// moved to probability space and when its confusion rows gained the
+// diagonal prior.
 
 #[test]
 fn dawid_skene_long_tail_streams_are_pinned() {
     assert_eq!(
         dawid_skene(&long_tail(41, 2), &[]),
-        [0xDDFC_4A37_D4EB_0596, 0x3646_4CFF_8BF0_1C49]
+        [0xD9C9_F603_BB6A_8917, 0x4187_3FA8_CB77_C6CB]
     );
     assert_eq!(
         dawid_skene(&long_tail(42, 3), &[]),
-        [0xB29A_AE14_1202_DE6B, 0x4B31_FFC3_AC77_7338]
+        [0x4D43_9C81_AEBF_3815, 0xC10A_2E57_1722_D627]
     );
 }
 

@@ -75,6 +75,21 @@ EOF
 # totals). The `truth.run` rows are printed, so the log shows each
 # inferencer's runs, iterations and convergence over the suite.
 cargo run --release -p crowdkit-bench --bin experiments -- all --report --log RUNLOG.jsonl > /dev/null
+# The report's one grouped read is each experiment's per-metric quality
+# means (every experiment calls obs::quality), so none may be empty, and
+# the suite must have bought answers.
+python3 - <<'EOF'
+import json
+r = json.load(open("RUNREPORT.json"))
+assert r["runs"] and len(r["runs"]) == r["experiments"], \
+    f"RUNREPORT lists {len(r['runs'])} runs for {r['experiments']} experiments"
+empty = [x["id"] for x in r["runs"] if not x["quality"]]
+assert not empty, f"experiments without quality means: {empty}"
+assert r["total_questions"] > 0 and r["total_spend"] > 0, \
+    f"suite bought {r['total_questions']} answers for {r['total_spend']}"
+print(f"RUNREPORT: {len(r['runs'])} experiments, each with quality means; "
+      f"{r['total_questions']} questions, {r['total_spend']:.2f} spent")
+EOF
 cargo run --release -p crowdkit-trace --bin crowdtrace -- replay RUNLOG.jsonl > /dev/null
 cargo run --release -p crowdkit-trace --bin crowdtrace -- top RUNLOG.jsonl > TOP.txt
 grep -qE '^  platform\.batch +[0-9]+  requests=[0-9]+  delivered=[0-9]+' TOP.txt

@@ -5,21 +5,21 @@
 //! site reduces to a branch, and with everything on — an aggregating
 //! [`obs::MemoryRecorder`] and provenance capture — the work stays per-wave/per-iteration summaries
 //! plus `O(tasks × labels)` lineage compares per EM iteration, never
-//! per-observation work inside the kernels. `main` enforces that contract
-//! before the benches run: the full-scope arm of each workload must stay
-//! within [`MAX_OVERHEAD`] of the null arm. The two workloads cover the
-//! instrumented layers that matter for throughput — batched platform
-//! execution (`ask_batch` 200×3) and EM truth inference (Dawid–Skene
-//! 500×5).
+//! per-observation work inside the kernels. `main` enforces that contract:
+//! the full-scope arm of each workload must stay within [`MAX_OVERHEAD`]
+//! of the null arm. The two workloads cover the instrumented layers that
+//! matter for throughput — batched platform execution (`ask_batch` 200×3)
+//! and EM truth inference (Dawid–Skene 500×5).
 //!
 //! Samples are interleaved (null, full, null, …) so clock drift and
 //! thermal effects hit both arms equally, and the gate compares minima,
-//! the statistic least sensitive to scheduler noise.
+//! the statistic least sensitive to scheduler noise. Each arm's median is
+//! printed beside its minimum, so a reading that a short stall moved shows
+//! as minima and medians that disagree.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::task::Task;
@@ -79,33 +79,57 @@ fn full_scope() -> obs::Scope {
     }
 }
 
-/// Interleaved min-of-N comparison: runs `f` alternately under the null
-/// scope and under a fresh [`full_scope`], returning
-/// `(null_min_ns, full_min_ns)`.
-fn gate_pair(mut f: impl FnMut()) -> (u64, u64) {
+/// One arm's wall times: its minimum and median (the upper middle of an
+/// even count), in ns.
+struct Arm {
+    min: u64,
+    median: u64,
+}
+
+impl Arm {
+    fn of(mut ns: Vec<u64>) -> Self {
+        ns.sort_unstable();
+        Self {
+            min: ns[0],
+            median: ns[ns.len() / 2],
+        }
+    }
+}
+
+/// Interleaved comparison: runs `f` [`GATE_SAMPLES`] times alternately
+/// under the null scope and under a fresh [`full_scope`], returning the
+/// `(null, full)` arms.
+fn gate_pair(mut f: impl FnMut()) -> (Arm, Arm) {
     // Warm both arms.
     f();
     obs::with_scope(full_scope(), &mut f);
-    let mut null_min = u64::MAX;
-    let mut full_min = u64::MAX;
+    let mut null = Vec::with_capacity(GATE_SAMPLES);
+    let mut full = Vec::with_capacity(GATE_SAMPLES);
     for _ in 0..GATE_SAMPLES {
         let t0 = Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
         f();
-        null_min = null_min.min(t0.elapsed().as_nanos() as u64);
+        null.push(t0.elapsed().as_nanos() as u64);
         let scope = full_scope();
         let t0 = Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
         obs::with_scope(scope, &mut f);
-        full_min = full_min.min(t0.elapsed().as_nanos() as u64);
+        full.push(t0.elapsed().as_nanos() as u64);
     }
-    (null_min, full_min)
+    (Arm::of(null), Arm::of(full))
 }
 
 fn check_overhead(name: &str, f: impl FnMut()) {
-    let (null_min, full_min) = gate_pair(f); // crowdkit-lint: allow(DET002) — benchmark harness: comparing wall times is the point
-    let overhead = full_min as f64 / null_min as f64 - 1.0;
+    let (null, full) = gate_pair(f); // crowdkit-lint: allow(DET002) — benchmark harness: comparing wall times is the point
+    let ratio = |full_ns: u64, null_ns: u64| full_ns as f64 / null_ns as f64 - 1.0;
+    let overhead = ratio(full.min, null.min);
     println!(
-        "{name}: null {null_min} ns, full {full_min} ns ({:+.2}%)",
-        overhead * 100.0
+        "{name}: {GATE_SAMPLES} samples an arm; null min {} ns, median {} ns; \
+         full min {} ns, median {} ns; {:+.2}% by minima (gated), {:+.2}% by medians",
+        null.min,
+        null.median,
+        full.min,
+        full.median,
+        overhead * 100.0,
+        ratio(full.median, null.median) * 100.0
     );
     assert!(
         overhead < MAX_OVERHEAD,
@@ -115,33 +139,6 @@ fn check_overhead(name: &str, f: impl FnMut()) {
     );
 }
 
-fn bench_ask_batch(c: &mut Criterion) {
-    let tasks = workload();
-    let mut group = c.benchmark_group("telemetry_ask_batch_200x3");
-    group.bench_function("null", |b| {
-        b.iter(|| run_batch(std::hint::black_box(&tasks)));
-    });
-    group.bench_function("full", |b| {
-        b.iter(|| obs::with_scope(full_scope(), || run_batch(std::hint::black_box(&tasks))));
-    });
-    group.finish();
-}
-
-fn bench_dawid_skene(c: &mut Criterion) {
-    let m = inference_matrix();
-    let ds = DawidSkene::default();
-    let mut group = c.benchmark_group("telemetry_dawid_skene_500x5");
-    group.bench_function("null", |b| {
-        b.iter(|| ds.infer(std::hint::black_box(&m)).unwrap());
-    });
-    group.bench_function("full", |b| {
-        b.iter(|| obs::with_scope(full_scope(), || ds.infer(std::hint::black_box(&m)).unwrap()));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_ask_batch, bench_dawid_skene);
-
 fn main() {
     let tasks = workload();
     check_overhead("ask_batch", || run_batch(&tasks));
@@ -150,5 +147,4 @@ fn main() {
     check_overhead("dawid_skene", || {
         std::hint::black_box(ds.infer(&m).unwrap());
     });
-    benches();
 }

@@ -158,7 +158,7 @@ pub fn run_all() -> String {
     results.concat()
 }
 
-/// Output of an instrumented suite run ([`run_all_with_report`]).
+/// Output of an instrumented suite run ([`run_with_report`]).
 pub struct SuiteRun {
     /// Concatenated rendered tables, in registry order (same text as
     /// [`run_all`]).
@@ -170,42 +170,49 @@ pub struct SuiteRun {
     pub events: Vec<u8>,
 }
 
-/// Runs every experiment like [`run_all`], but with telemetry: each
-/// experiment executes under its own [`obs::MemoryRecorder`] and the
-/// distilled [`ExperimentReport`]s land in a [`RunReport`], in registry
-/// order.
+/// Runs the given experiments (in the given order) like [`run_all`], but
+/// with telemetry: each experiment executes under its own
+/// [`obs::MemoryRecorder`] and the distilled [`ExperimentReport`]s land in
+/// a [`RunReport`], in the given order. Returns `None` if any id is
+/// unknown.
 ///
-/// With `capture_events` the full event streams are also captured, one
-/// [`obs::ShardBuffers`] shard per experiment, and merged in registry order
-/// into one JSONL log. The first line is a versioned [`obs::StreamHeader`]
-/// carrying run metadata (git rev, thread count, workload id); every line
-/// after it omits wall-clock data, so the event bytes are a pure function
-/// of the experiments' seeds — identical at any thread count and across
-/// repeat runs. `crowdtrace diff` compares exactly that deterministic
-/// portion.
-pub fn run_all_with_report(capture_events: bool) -> SuiteRun {
-    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    run_with_report(&ids, capture_events) // crowdkit-lint: allow(DET002) — suite driver: per-run wall timings are reported on purpose
-        .expect("registry ids are valid")
-}
-
-/// Runs a subset of experiments instrumented, like [`run_all_with_report`]
-/// but only for the given ids (in the given order). Returns `None` if any
-/// id is unknown.
+/// With `capture_events` each experiment's full event stream is also
+/// captured, by a [`obs::JsonlRecorder`] of its own, and the streams are
+/// concatenated in the given order into one JSONL log. The first line is a
+/// versioned [`obs::StreamHeader`] carrying run metadata (git rev, thread
+/// count, workload id); every line after it omits wall-clock data, so the
+/// event bytes are a pure function of the experiments' seeds — identical
+/// at any thread count and across repeat runs. `crowdtrace diff` compares
+/// exactly that deterministic portion.
 pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
     let selected: Vec<&Experiment> = ids
         .iter()
         .map(|id| EXPERIMENTS.iter().find(|e| e.id == *id))
         .collect::<Option<Vec<_>>>()?;
-    let shards = obs::ShardBuffers::new(selected.len(), capture_events);
+    // Header first: schema version, provenance (git rev, thread count),
+    // and the workload id. Thread count is metadata — the event bytes
+    // after it are identical at any parallelism.
+    let mut events = Vec::new();
+    if capture_events {
+        let header = obs::StreamHeader::new(
+            git_short_rev(),
+            0,
+            crowdkit_core::par::default_threads() as u32,
+            &if ids.len() == EXPERIMENTS.len() {
+                "experiments:all".to_owned()
+            } else {
+                format!("experiments:{}", ids.join(","))
+            },
+        );
+        events.extend_from_slice(header.to_json().as_bytes());
+        events.push(b'\n');
+    }
     let mut rendered = String::new();
     let mut report = RunReport::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = selected
             .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let shard = shards.shard(i);
+            .map(|e| {
                 scope.spawn(move || {
                     // The telemetry scope is thread-local, so it must be
                     // entered *inside* the experiment's own thread.
@@ -215,10 +222,11 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
                     // (--log). The Tee keeps those detail events out of
                     // `mem`, so the report does not depend on --log.
                     let mem = Arc::new(obs::MemoryRecorder::new());
-                    let rec: Arc<dyn obs::Recorder> = if capture_events {
-                        Arc::new(obs::Tee(shard, mem.clone()))
-                    } else {
-                        mem.clone()
+                    let log = capture_events
+                        .then(|| Arc::new(obs::JsonlRecorder::in_memory().with_wall(false)));
+                    let rec: Arc<dyn obs::Recorder> = match &log {
+                        Some(log) => Arc::new(obs::Tee(log.clone(), mem.clone())),
+                        None => mem.clone(),
                     };
                     let start = std::time::Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
                     let scope = obs::Scope {
@@ -233,36 +241,17 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
                     });
                     let wall_ms = start.elapsed().as_millis() as u64;
                     let rep = ExperimentReport::from_recorder(e.id, e.description, wall_ms, &mem);
-                    (text, rep)
+                    (text, rep, log.map(|log| log.take_bytes()))
                 })
             })
             .collect();
         for h in handles {
-            let (text, rep) = h.join().expect("experiment thread panicked");
+            let (text, rep, log) = h.join().expect("experiment thread panicked");
             rendered.push_str(&text);
             report.experiments.push(rep);
+            events.extend(log.unwrap_or_default());
         }
     });
-    let events = if capture_events {
-        let sink = obs::JsonlRecorder::in_memory().with_wall(false);
-        // Header first: schema version, provenance (git rev, thread
-        // count), and the workload id. Thread count is metadata — the
-        // event bytes below it are identical at any parallelism.
-        sink.write_header(&obs::StreamHeader::new(
-            git_short_rev(),
-            0,
-            crowdkit_core::par::default_threads() as u32,
-            &if ids.len() == EXPERIMENTS.len() {
-                "experiments:all".to_owned()
-            } else {
-                format!("experiments:{}", ids.join(","))
-            },
-        ));
-        shards.flush_to(&sink);
-        sink.take_bytes()
-    } else {
-        Vec::new()
-    };
     Some(SuiteRun {
         rendered,
         report,
@@ -321,5 +310,28 @@ mod tests {
         let counts = &plain.experiments[0].event_counts;
         assert!(counts.iter().any(|(k, _)| k == "platform.batch"));
         assert!(counts.iter().all(|(k, _)| k != "platform.assign"));
+    }
+
+    #[test]
+    fn the_log_holds_each_experiment_whole_in_the_given_order() {
+        let run = run_with_report(&["e12", "e11"], true).expect("both are registered");
+        let text = String::from_utf8(run.events).expect("the log is UTF-8");
+        let mut lines = text.lines();
+        let header = lines.next().expect("a header line");
+        assert!(header.contains("\"workload\":\"experiments:e12,e11\""));
+        let markers: Vec<&str> = lines
+            .filter(|l| {
+                l.starts_with("{\"key\":\"exp.begin\"") || l.starts_with("{\"key\":\"exp.end\"")
+            })
+            .collect();
+        assert_eq!(
+            markers,
+            [
+                "{\"key\":\"exp.begin\",\"id\":\"e12\"}",
+                "{\"key\":\"exp.end\",\"id\":\"e12\"}",
+                "{\"key\":\"exp.begin\",\"id\":\"e11\"}",
+                "{\"key\":\"exp.end\",\"id\":\"e11\"}",
+            ]
+        );
     }
 }

@@ -23,6 +23,4 @@
 pub mod experiments;
 pub mod table;
 
-pub use experiments::{
-    run_all, run_all_with_report, run_by_name, run_with_report, SuiteRun, EXPERIMENTS,
-};
+pub use experiments::{run_all, run_by_name, run_with_report, SuiteRun, EXPERIMENTS};

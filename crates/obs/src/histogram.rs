@@ -2,13 +2,13 @@
 //!
 //! Buckets are powers of two over a fixed-point representation (values are
 //! scaled by [`SCALE`] before bucketing), so the histogram covers ~nine
-//! decades — sub-millisecond to weeks of simulated seconds — in 64 buckets
-//! with bounded relative error. Buckets are atomics: recording is lock-free
-//! and safe from any thread, and *where* a sample lands never depends on
-//! which thread recorded it, so histogram contents obey the same
-//! determinism contract as the event stream.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! decades — sub-millisecond to weeks of simulated seconds — in 64 buckets.
+//! A quantile reads its bucket's lower edge, so it can sit up to a factor
+//! of two below the sample it stands for. Buckets are plain counts: the
+//! [`MemoryRecorder`](crate::MemoryRecorder) that owns a histogram writes
+//! it under its lock, and *where* a sample lands never depends on which
+//! thread recorded it, so histogram contents obey the same determinism
+//! contract as the event stream.
 
 /// Fixed-point scale applied before bucketing: 1 unit = 1 microsecond when
 /// samples are seconds.
@@ -16,16 +16,16 @@ pub const SCALE: f64 = 1e6;
 
 const BUCKETS: usize = 64;
 
-/// A lock-free power-of-two histogram.
-#[derive(Debug)]
+/// A power-of-two histogram.
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: [u64; BUCKETS],
 }
 
 impl Default for LogHistogram {
     fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [0; BUCKETS],
         }
     }
 }
@@ -58,13 +58,13 @@ impl LogHistogram {
     }
 
     /// Records one sample.
-    pub fn record(&self, value: f64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&mut self, value: f64) {
+        self.buckets[bucket_of(value)] += 1;
     }
 
     /// Total number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.buckets.iter().sum()
     }
 
     /// Approximate `q`-quantile (`0 ≤ q ≤ 1`): the lower edge of the bucket
@@ -77,39 +77,12 @@ impl LogHistogram {
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b;
             if seen >= rank {
                 return bucket_floor(i);
             }
         }
         bucket_floor(BUCKETS - 1)
-    }
-
-    /// Merges another histogram's counts into this one.
-    pub fn merge(&self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter().zip(&other.buckets) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// `(bucket_floor, count)` for every non-empty bucket, in value order.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_floor(i), n))
-            })
-            .collect()
-    }
-}
-
-impl Clone for LogHistogram {
-    fn clone(&self) -> Self {
-        let h = LogHistogram::new();
-        h.merge(self);
-        h
     }
 }
 
@@ -119,7 +92,7 @@ mod tests {
 
     #[test]
     fn quantiles_bracket_the_data() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         for _ in 0..90 {
             h.record(1.0);
         }
@@ -137,7 +110,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_land_in_the_zero_bucket() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(0.0);
         h.record(-5.0);
         h.record(f64::NAN);
@@ -149,7 +122,6 @@ mod tests {
     fn empty_histogram_quantile_is_zero() {
         let h = LogHistogram::new();
         assert_eq!(h.count(), 0);
-        assert!(h.nonzero_buckets().is_empty());
         // Every quantile of an empty histogram is the 0 sentinel, including
         // the extremes.
         for q in [0.0, 0.25, 0.5, 1.0] {
@@ -159,7 +131,7 @@ mod tests {
 
     #[test]
     fn single_sample_dominates_every_quantile() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(3.0);
         assert_eq!(h.count(), 1);
         let floor = h.quantile(0.5);
@@ -174,7 +146,7 @@ mod tests {
 
     #[test]
     fn p0_and_p100_bracket_a_spread_distribution() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(0.001);
         h.record(1.0);
         h.record(4000.0);
@@ -189,45 +161,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_disjoint_ranges_preserves_both_tails() {
-        let lo = LogHistogram::new();
-        let hi = LogHistogram::new();
-        for _ in 0..10 {
-            lo.record(0.01);
-        }
-        for _ in 0..10 {
-            hi.record(10_000.0);
-        }
-        // Ranges are disjoint: no bucket overlap between the two.
-        let lo_buckets: Vec<f64> = lo.nonzero_buckets().iter().map(|(f, _)| *f).collect();
-        let hi_buckets: Vec<f64> = hi.nonzero_buckets().iter().map(|(f, _)| *f).collect();
-        assert!(lo_buckets.iter().all(|f| !hi_buckets.contains(f)));
-        lo.merge(&hi);
-        assert_eq!(lo.count(), 20);
-        assert_eq!(lo.nonzero_buckets().len(), 2);
-        // The merged histogram keeps both tails: median from the low range,
-        // p95 from the high range.
-        assert!(lo.quantile(0.5) <= 0.01);
-        assert!(lo.quantile(0.95) >= 2500.0);
-        // The donor histogram is unchanged by merge.
-        assert_eq!(hi.count(), 10);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(1.0);
-        b.record(1.0);
-        b.record(64.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.nonzero_buckets().len(), 2);
-    }
-
-    #[test]
     fn huge_values_saturate_the_top_bucket() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(f64::MAX);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) > 0.0);

@@ -63,10 +63,7 @@ pub mod report;
 pub use event::{wall_ns, Event, FieldValue, WallTimer};
 pub use header::{StreamHeader, STREAM_MAGIC, STREAM_SCHEMA_VERSION};
 pub use histogram::LogHistogram;
-pub use recorder::{
-    FieldStats, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, ShardBuffers, ShardRecorder,
-    Tee,
-};
+pub use recorder::{JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, Tee};
 pub use report::{CostReport, ExperimentReport, InferenceReport, LatencyReport, RunReport};
 
 use std::cell::RefCell;

@@ -8,26 +8,24 @@
 //!   instrumentation sites skip event construction entirely; the residual
 //!   cost is one thread-local read and a branch.
 //! * [`MemoryRecorder`] — aggregates in memory: per-key event counts,
-//!   per-`(key, field)` sum/min/max, and log-scale histograms for
-//!   [`sample`](Recorder::sample) calls. `detail()` is `false`, so
-//!   per-assignment events are skipped and only wave/run summaries land.
+//!   per-`(key, field)` sums, per-group sums for the events' string
+//!   fields, and log-scale histograms for [`sample`](Recorder::sample)
+//!   calls. `detail()` is `false`, so per-assignment events are skipped
+//!   and only wave/run summaries land.
 //! * [`JsonlRecorder`] — writes one JSON object per event to a buffer or
 //!   file, the replayable run log. `detail()` is `true`.
 //! * [`Tee`] — fans out to two recorders (e.g. aggregate + JSONL); a
 //!   detail event goes only to the sides that want detail.
-//! * [`ShardBuffers`] — N ordered shards, each buffering events from one
-//!   logical stream (e.g. one experiment); flushing replays shards in index
-//!   order so a parallel harness still yields one fixed-order stream.
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::event::Event;
+use crate::event::{Event, FieldValue};
 use crate::histogram::LogHistogram;
 
 /// A destination for telemetry events and latency samples.
@@ -89,63 +87,64 @@ impl Recorder for NullRecorder {
     fn sample(&self, _key: &'static str, _values: &[f64]) {}
 }
 
-/// Sum/min/max/count aggregate of one numeric field across events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FieldStats {
-    /// Number of events carrying the field.
-    pub count: u64,
-    /// Sum of the field across those events.
-    pub sum: f64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
+/// What the events of one key added up to.
+#[derive(Default)]
+struct KeyStats {
+    count: u64,
+    /// The running sum of every numeric and wall field, in the order the
+    /// fields first arrived.
+    sums: Vec<(&'static str, f64)>,
+    groups: Vec<Group>,
 }
 
-impl FieldStats {
-    fn observe(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Mean of the observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-impl Default for FieldStats {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
+/// The events of one key that carried the same string values.
+struct Group {
+    values: Vec<String>,
+    count: u64,
+    /// The running sum of every numeric field, as in [`KeyStats::sums`].
+    sums: Vec<(&'static str, f64)>,
 }
 
 #[derive(Default)]
 struct MemoryState {
-    event_counts: BTreeMap<&'static str, u64>,
-    field_stats: BTreeMap<(&'static str, &'static str), FieldStats>,
-    grouped: BTreeMap<(&'static str, String, &'static str), FieldStats>,
+    keys: BTreeMap<&'static str, KeyStats>,
+    histograms: BTreeMap<&'static str, LogHistogram>,
 }
 
-/// In-memory aggregating recorder: counts events by key, aggregates every
-/// numeric field, and buckets [`sample`](Recorder::sample) calls into
-/// log-scale histograms. Cheap enough to leave on for whole experiment
-/// suites; skips per-assignment detail events.
+/// Adds `v` to the running sum of `name`, starting it at zero the first
+/// time `name` arrives.
+fn add(sums: &mut Vec<(&'static str, f64)>, name: &'static str, v: f64) {
+    let i = match sums.iter().position(|(n, _)| *n == name) {
+        Some(i) => i,
+        None => {
+            sums.push((name, 0.0));
+            sums.len() - 1
+        }
+    };
+    sums[i].1 += v;
+}
+
+/// The running sum of `name` in `sums`, if it arrived.
+fn sum_of(sums: &[(&'static str, f64)], name: &str) -> Option<f64> {
+    sums.iter().find(|(n, _)| *n == name).map(|(_, s)| *s)
+}
+
+/// The string values of `fields`, in field order.
+fn strings<'a>(fields: &'a [(&'static str, FieldValue)]) -> impl Iterator<Item = &'a str> {
+    fields.iter().filter_map(|(_, v)| match v {
+        FieldValue::Str(s) => Some(s.as_str()),
+        _ => None,
+    })
+}
+
+/// In-memory aggregating recorder: counts events by key, sums every
+/// numeric and wall field per key and per string-field group, and buckets
+/// [`sample`](Recorder::sample) calls into log-scale histograms, all under
+/// one lock. Cheap enough to leave on for whole experiment suites; skips
+/// per-assignment detail events.
 #[derive(Default)]
 pub struct MemoryRecorder {
     state: Mutex<MemoryState>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<LogHistogram>>>,
 }
 
 impl MemoryRecorder {
@@ -156,90 +155,54 @@ impl MemoryRecorder {
 
     /// Number of events recorded under `key`.
     pub fn count(&self, key: &str) -> u64 {
-        *self.state.lock().event_counts.get(key).unwrap_or(&0)
+        self.state.lock().keys.get(key).map_or(0, |s| s.count)
     }
 
-    /// Aggregate of field `field` across all `key` events, if any such
-    /// event carried it.
-    pub fn field_stats(&self, key: &str, field: &str) -> Option<FieldStats> {
-        self.state
-            .lock()
-            .field_stats
-            .get(&(key, field))
-            .map(|s| FieldStats {
-                count: s.count,
-                sum: s.sum,
-                min: s.min,
-                max: s.max,
-            })
-            .filter(|s| s.count > 0)
-    }
-
-    /// Sum of field `field` across all `key` events (0 when absent).
+    /// Sum of field `field` across all `key` events, added in arrival order
+    /// (0 when absent). Wall fields sum like numeric ones.
     pub fn field_sum(&self, key: &str, field: &str) -> f64 {
-        self.field_stats(key, field).map_or(0.0, |s| s.sum)
+        let state = self.state.lock();
+        state
+            .keys
+            .get(key)
+            .and_then(|s| sum_of(&s.sums, field))
+            .unwrap_or(0.0)
     }
 
     /// The histogram accumulated for sample key `key`, if any samples
     /// arrived.
-    pub fn histogram(&self, key: &str) -> Option<Arc<LogHistogram>> {
-        self.histograms.lock().get(key).cloned()
+    pub fn histogram(&self, key: &str) -> Option<LogHistogram> {
+        self.state.lock().histograms.get(key).cloned()
     }
 
     /// All event keys seen, in lexicographic order, with counts.
     pub fn event_counts(&self) -> Vec<(&'static str, u64)> {
         self.state
             .lock()
-            .event_counts
+            .keys
             .iter()
-            .map(|(k, v)| (*k, *v))
+            .map(|(k, s)| (*k, s.count))
             .collect()
     }
 
-    /// All `(key, field)` aggregates, in lexicographic order.
-    pub fn all_field_stats(&self) -> Vec<((&'static str, &'static str), FieldStats)> {
-        self.state
-            .lock()
-            .field_stats
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-
-    /// All sample histograms, in lexicographic key order.
-    pub fn all_histograms(&self) -> Vec<(&'static str, Arc<LogHistogram>)> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
-
-    /// The distinct group labels seen for `key` events, in lexicographic
-    /// order. An event's group is the `:`-joined values of its string
-    /// fields (e.g. a `sql.node` event with `node = "CrowdFilter"` lands in
-    /// group `"CrowdFilter"`); events with no string field are ungrouped.
-    pub fn groups(&self, key: &str) -> Vec<String> {
+    /// The mean of numeric field `field` in each group of `key` events it
+    /// arrived in — the group's sum of it over the group's event count — as
+    /// `(label, mean)` in label order. An event's group is the values of
+    /// its string fields and its label those values `:`-joined (a
+    /// `sql.node` event with `node = "CrowdFilter"` is in group
+    /// `"CrowdFilter"`); events with no string field are in none.
+    pub fn group_means(&self, key: &str, field: &str) -> Vec<(String, f64)> {
         let state = self.state.lock();
-        let mut out: Vec<String> = state
-            .grouped
-            .keys()
-            .filter(|(k, _, _)| *k == key)
-            .map(|(_, g, _)| g.clone())
-            .collect();
-        out.dedup();
-        out
-    }
-
-    /// Aggregate of numeric field `field` across `key` events in `group`.
-    pub fn grouped_field_stats(&self, key: &str, group: &str, field: &str) -> Option<FieldStats> {
-        self.state
-            .lock()
-            .grouped
+        let Some(stats) = state.keys.get(key) else {
+            return Vec::new();
+        };
+        let mut means: Vec<(String, f64)> = stats
+            .groups
             .iter()
-            .find(|((k, g, f), _)| *k == key && g == group && *f == field)
-            .map(|(_, s)| *s)
-            .filter(|s| s.count > 0)
+            .filter_map(|g| Some((g.values.join(":"), sum_of(&g.sums, field)? / g.count as f64)))
+            .collect();
+        means.sort_by(|a, b| a.0.cmp(&b.0));
+        means
     }
 }
 
@@ -254,43 +217,44 @@ impl Recorder for MemoryRecorder {
 
     fn record(&self, event: Event) {
         let mut state = self.state.lock();
-        *state.event_counts.entry(event.key).or_insert(0) += 1;
-        let mut group: Option<String> = None;
+        let stats = state.keys.entry(event.key).or_default();
+        stats.count += 1;
+        let mut grouped = false;
         for (name, value) in &event.fields {
-            if let crate::event::FieldValue::Str(s) = value {
-                match &mut group {
-                    None => group = Some(s.clone()),
-                    Some(g) => {
-                        g.push(':');
-                        g.push_str(s);
-                    }
-                }
-                continue;
-            }
-            state
-                .field_stats
-                .entry((event.key, name))
-                .or_default()
-                .observe(value.as_f64());
-        }
-        if let Some(group) = group {
-            for (name, value) in &event.fields {
-                if matches!(value, crate::event::FieldValue::Str(_)) {
-                    continue;
-                }
-                state
-                    .grouped
-                    .entry((event.key, group.clone(), name))
-                    .or_default()
-                    .observe(value.as_f64());
+            match value {
+                FieldValue::Str(_) => grouped = true,
+                v => add(&mut stats.sums, name, v.as_f64()),
             }
         }
         for (name, ns) in &event.wall_fields {
-            state
-                .field_stats
-                .entry((event.key, name))
-                .or_default()
-                .observe(*ns as f64);
+            add(&mut stats.sums, name, *ns as f64);
+        }
+        if !grouped {
+            return;
+        }
+        let same = |g: &Group| {
+            g.values
+                .iter()
+                .map(String::as_str)
+                .eq(strings(&event.fields))
+        };
+        let i = match stats.groups.iter().position(same) {
+            Some(i) => i,
+            None => {
+                stats.groups.push(Group {
+                    values: strings(&event.fields).map(str::to_owned).collect(),
+                    count: 0,
+                    sums: Vec::new(),
+                });
+                stats.groups.len() - 1
+            }
+        };
+        let group = &mut stats.groups[i];
+        group.count += 1;
+        for (name, value) in &event.fields {
+            if !matches!(value, FieldValue::Str(_)) {
+                add(&mut group.sums, name, value.as_f64());
+            }
         }
     }
 
@@ -298,10 +262,8 @@ impl Recorder for MemoryRecorder {
         if values.is_empty() {
             return;
         }
-        let mut map = self.histograms.lock();
-        let hist = map
-            .entry(key)
-            .or_insert_with(|| Arc::new(LogHistogram::new()));
+        let mut state = self.state.lock();
+        let hist = state.histograms.entry(key).or_default();
         for &v in values {
             hist.record(v);
         }
@@ -310,7 +272,13 @@ impl Recorder for MemoryRecorder {
 
 enum Sink {
     Memory(Mutex<Vec<u8>>),
-    File(Mutex<BufWriter<File>>),
+    File(Mutex<FileSink>),
+}
+
+/// A buffered log file and the first I/O error a write to it hit.
+struct FileSink {
+    out: BufWriter<File>,
+    error: Option<io::Error>,
 }
 
 /// Line-per-event JSON recorder: the replayable run log.
@@ -334,10 +302,15 @@ impl JsonlRecorder {
     }
 
     /// A recorder streaming lines to `path` (truncating any existing file).
-    pub fn to_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
+    /// Call [`flush`](JsonlRecorder::flush) at the end: it reports whether
+    /// every line reached the file.
+    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
         let file = File::create(path)?;
         Ok(Self {
-            sink: Sink::File(Mutex::new(BufWriter::new(file))),
+            sink: Sink::File(Mutex::new(FileSink {
+                out: BufWriter::new(file),
+                error: None,
+            })),
             include_wall: true,
         })
     }
@@ -349,6 +322,20 @@ impl JsonlRecorder {
         self
     }
 
+    /// Appends one line. After a file write fails the log has a gap, so
+    /// the error is kept and no later line is written.
+    fn write_line(&self, line: &str) {
+        match &self.sink {
+            Sink::Memory(buf) => buf.lock().extend_from_slice(line.as_bytes()),
+            Sink::File(f) => {
+                let mut f = f.lock();
+                if f.error.is_none() {
+                    f.error = f.out.write_all(line.as_bytes()).err();
+                }
+            }
+        }
+    }
+
     /// Writes the versioned stream header as one line. Call before any
     /// event lands so the header stays the first line of the stream —
     /// loaders ([`crowdkit-trace`]) validate it there.
@@ -357,30 +344,31 @@ impl JsonlRecorder {
     pub fn write_header(&self, header: &crate::header::StreamHeader) {
         let mut line = header.to_json();
         line.push('\n');
-        match &self.sink {
-            Sink::Memory(buf) => buf.lock().extend_from_slice(line.as_bytes()),
-            Sink::File(w) => {
-                let _ = w.lock().write_all(line.as_bytes());
-            }
-        }
+        self.write_line(&line);
     }
 
-    /// Drains and returns the buffered bytes (in-memory sink only; empty
-    /// for file sinks). Flushes file sinks as a side effect.
+    /// Drains and returns the buffered bytes of an in-memory sink; a file
+    /// sink buffers none.
     pub fn take_bytes(&self) -> Vec<u8> {
         match &self.sink {
             Sink::Memory(buf) => std::mem::take(&mut *buf.lock()),
-            Sink::File(w) => {
-                let _ = w.lock().flush();
-                Vec::new()
-            }
+            Sink::File(_) => Vec::new(),
         }
     }
 
-    /// Flushes a file sink; no-op for memory sinks.
-    pub fn flush(&self) {
-        if let Sink::File(w) = &self.sink {
-            let _ = w.lock().flush();
+    /// Flushes a file sink and returns the first error any write or flush
+    /// to it hit, on this call and every later one; `Ok` for memory sinks.
+    pub fn flush(&self) -> io::Result<()> {
+        let Sink::File(f) = &self.sink else {
+            return Ok(());
+        };
+        let mut f = f.lock();
+        if f.error.is_none() {
+            f.error = f.out.flush().err();
+        }
+        match &f.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
         }
     }
 }
@@ -393,12 +381,7 @@ impl Recorder for JsonlRecorder {
     fn record(&self, event: Event) {
         let mut line = event.to_json(self.include_wall);
         line.push('\n');
-        match &self.sink {
-            Sink::Memory(buf) => buf.lock().extend_from_slice(line.as_bytes()),
-            Sink::File(w) => {
-                let _ = w.lock().write_all(line.as_bytes());
-            }
-        }
+        self.write_line(&line);
     }
 
     fn sample(&self, _key: &'static str, _values: &[f64]) {
@@ -446,74 +429,6 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
     }
 }
 
-/// N ordered event buffers. Hand shard `i` to the worker producing stream
-/// `i` (via [`shard`](ShardBuffers::shard)); after the workers join,
-/// [`flush_to`](ShardBuffers::flush_to) replays the shards in index order,
-/// turning parallel production into one fixed-order stream.
-pub struct ShardBuffers {
-    shards: Arc<Vec<Mutex<Vec<Event>>>>,
-    detail: bool,
-}
-
-/// A [`Recorder`] handle bound to one shard of a [`ShardBuffers`].
-pub struct ShardRecorder {
-    shards: Arc<Vec<Mutex<Vec<Event>>>>,
-    index: usize,
-    detail: bool,
-}
-
-impl ShardBuffers {
-    /// `n` empty shards. `detail` sets what the shard handles report from
-    /// [`Recorder::detail`].
-    pub fn new(n: usize, detail: bool) -> Self {
-        Self {
-            shards: Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect()),
-            detail,
-        }
-    }
-
-    /// The recorder handle for shard `index`.
-    ///
-    /// # Panics
-    /// If `index` is out of range.
-    pub fn shard(&self, index: usize) -> ShardRecorder {
-        assert!(index < self.shards.len(), "shard index out of range");
-        ShardRecorder {
-            shards: self.shards.clone(),
-            index,
-            detail: self.detail,
-        }
-    }
-
-    /// Drains every shard into `target`, in shard index order.
-    pub fn flush_to(&self, target: &dyn Recorder) {
-        for shard in self.shards.iter() {
-            for event in shard.lock().drain(..) {
-                target.record(event);
-            }
-        }
-    }
-}
-
-impl Recorder for ShardRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn detail(&self) -> bool {
-        self.detail
-    }
-
-    fn record(&self, event: Event) {
-        self.shards[self.index].lock().push(event);
-    }
-
-    fn sample(&self, _key: &'static str, _values: &[f64]) {
-        // Shard buffers carry events only; attach a Tee'd MemoryRecorder
-        // when sample aggregation is needed.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,25 +445,45 @@ mod tests {
     #[test]
     fn memory_recorder_aggregates_counts_and_fields() {
         let r = MemoryRecorder::new();
-        r.record(Event::new("a.b").u64("n", 3).f64("x", 1.5));
-        r.record(Event::new("a.b").u64("n", 5).f64("x", 0.5));
+        r.record(Event::new("a.b").u64("n", 3).f64("x", 1.5).wall("t_ns", 7));
+        r.record(Event::new("a.b").u64("n", 5).f64("x", 0.5).wall("t_ns", 4));
         r.record(Event::new("c.d"));
         assert_eq!(r.count("a.b"), 2);
         assert_eq!(r.count("c.d"), 1);
         assert_eq!(r.count("missing"), 0);
-        let n = r.field_stats("a.b", "n").unwrap();
-        assert_eq!(n.count, 2);
-        assert_eq!(n.sum, 8.0);
-        assert_eq!(n.min, 3.0);
-        assert_eq!(n.max, 5.0);
-        assert_eq!(n.mean(), 4.0);
+        assert_eq!(r.field_sum("a.b", "n"), 8.0);
         assert_eq!(r.field_sum("a.b", "x"), 2.0);
-        assert!(r.field_stats("a.b", "missing").is_none());
+        assert_eq!(r.field_sum("a.b", "t_ns"), 11.0, "wall fields sum too");
+        assert_eq!(r.field_sum("a.b", "missing"), 0.0);
+        assert_eq!(r.field_sum("missing", "n"), 0.0);
+        assert_eq!(r.event_counts(), vec![("a.b", 2), ("c.d", 1)]);
+    }
+
+    #[test]
+    fn memory_recorder_sums_in_arrival_order() {
+        // Float addition does not associate: only a left fold in arrival
+        // order gives these bits.
+        let values = [1e16, 1.0, -1e16, 0.1, 3.0];
+        let r = MemoryRecorder::new();
+        for v in values {
+            r.record(Event::new("k").str("g", "a").f64("x", v));
+        }
+        let folded = values.iter().fold(0.0, |acc, v| acc + v);
+        assert_ne!(folded, values.iter().rev().fold(0.0, |acc, v| acc + v));
+        assert_eq!(r.field_sum("k", "x").to_bits(), folded.to_bits());
+        let means = r.group_means("k", "x");
+        assert_eq!(means.len(), 1);
+        assert_eq!(means[0].1.to_bits(), (folded / 5.0).to_bits());
     }
 
     #[test]
     fn memory_recorder_groups_by_string_fields() {
         let r = MemoryRecorder::new();
+        r.record(
+            Event::new("exp.quality")
+                .str("metric", "f1")
+                .f64("value", 0.5),
+        );
         r.record(
             Event::new("exp.quality")
                 .str("metric", "accuracy")
@@ -559,22 +494,38 @@ mod tests {
                 .str("metric", "accuracy")
                 .f64("value", 0.9),
         );
+        let means = r.group_means("exp.quality", "value");
+        let labels: Vec<&str> = means.iter().map(|(g, _)| g.as_str()).collect();
+        assert_eq!(labels, ["accuracy", "f1"], "label order, not arrival");
+        assert!((means[0].1 - 0.85).abs() < 1e-12);
+        assert_eq!(means[1].1, 0.5);
+        assert!(r.group_means("exp.quality", "missing").is_empty());
+        assert!(r.group_means("missing", "value").is_empty());
+        // The per-key sum still sees every event.
+        assert_eq!(r.count("exp.quality"), 3);
+        assert!((r.field_sum("exp.quality", "value") - 2.2).abs() < 1e-12);
+
+        // Several string fields make one group, labelled by their values
+        // joined with `:`; an event without one is in no group.
         r.record(
-            Event::new("exp.quality")
-                .str("metric", "f1")
-                .f64("value", 0.5),
+            Event::new("sql.node")
+                .str("node", "Join")
+                .str("side", "l")
+                .u64("rows", 2),
         );
-        assert_eq!(r.groups("exp.quality"), vec!["accuracy", "f1"]);
-        let acc = r
-            .grouped_field_stats("exp.quality", "accuracy", "value")
-            .unwrap();
-        assert_eq!(acc.count, 2);
-        assert!((acc.mean() - 0.85).abs() < 1e-12);
-        assert!(r
-            .grouped_field_stats("exp.quality", "missing", "value")
-            .is_none());
-        // Ungrouped aggregate still sees every event.
-        assert_eq!(r.field_stats("exp.quality", "value").unwrap().count, 3);
+        r.record(
+            Event::new("sql.node")
+                .str("node", "Join")
+                .str("side", "l")
+                .u64("rows", 4),
+        );
+        r.record(Event::new("sql.node").str("node", "Join").u64("rows", 9));
+        r.record(Event::new("sql.node").u64("rows", 100));
+        assert_eq!(
+            r.group_means("sql.node", "rows"),
+            vec![("Join".to_owned(), 9.0), ("Join:l".to_owned(), 3.0)]
+        );
+        assert_eq!(r.field_sum("sql.node", "rows"), 115.0);
     }
 
     #[test]
@@ -643,26 +594,14 @@ mod tests {
         );
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn shard_buffers_flush_in_index_order() {
-        let shards = ShardBuffers::new(3, true);
-        // Fill out of order, as parallel workers would.
-        shards.shard(2).record(Event::new("c"));
-        shards.shard(0).record(Event::new("a"));
-        shards.shard(1).record(Event::new("b"));
-        shards.shard(0).record(Event::new("a2"));
-        let out = JsonlRecorder::in_memory().with_wall(false);
-        shards.flush_to(&out);
-        let text = String::from_utf8(out.take_bytes()).unwrap();
-        let keys: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            keys,
-            vec![
-                "{\"key\":\"a\"}",
-                "{\"key\":\"a2\"}",
-                "{\"key\":\"b\"}",
-                "{\"key\":\"c\"}"
-            ]
-        );
+    fn a_full_disk_fails_the_flush() {
+        let r = JsonlRecorder::to_file("/dev/full").expect("/dev/full opens for writing");
+        r.write_header(&crate::header::StreamHeader::new("deadbee", 1, 1, "unit"));
+        r.record(Event::new("k").u64("n", 1));
+        assert!(r.flush().is_err(), "a full device loses the log");
+        assert!(r.flush().is_err(), "the first error stays");
+        assert!(JsonlRecorder::in_memory().flush().is_ok());
     }
 }

@@ -147,14 +147,7 @@ impl ExperimentReport {
                 0.0
             },
         };
-        let quality = rec
-            .groups("exp.quality")
-            .into_iter()
-            .filter_map(|metric| {
-                rec.grouped_field_stats("exp.quality", &metric, "value")
-                    .map(|s| (metric, s.mean()))
-            })
-            .collect();
+        let quality = rec.group_means("exp.quality", "value");
         let event_counts = rec
             .event_counts()
             .into_iter()

@@ -66,32 +66,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (for EXPERIMENTS.md tooling).
-    pub fn to_csv(&self) -> String {
-        let esc = |c: &str| -> String {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with 3 decimals.
@@ -126,15 +100,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["x,y".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

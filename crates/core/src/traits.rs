@@ -23,7 +23,7 @@ use crate::task::Task;
 ///
 /// All methods take `&self`: an oracle is a *shared service*, like the
 /// platform it models, and implementations use interior mutability (the
-/// simulator stripes its state behind locks). This lets operators hold one
+/// simulator keeps its state behind one mutex). This lets operators hold one
 /// oracle reference across fan-out call sites and lets batch
 /// implementations overlap independent assignments. Implementations must
 /// keep the determinism contract **per logical call sequence**: the same

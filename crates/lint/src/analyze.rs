@@ -32,8 +32,6 @@ pub struct FnSpan {
     pub body_close: usize,
     /// Line of the `fn` keyword.
     pub start_line: u32,
-    /// Line of the closing `}`.
-    pub end_line: u32,
     /// True when the whole item is test-scoped.
     pub is_test: bool,
 }
@@ -169,7 +167,6 @@ fn find_fns(tokens: &[Token], brace_match: &[Option<usize>], is_test: &[bool]) -
                             body_open: j,
                             body_close: close,
                             start_line: t.line,
-                            end_line: tokens[close].line,
                             is_test: is_test[i],
                         });
                     }

@@ -1,11 +1,10 @@
 //! The CONC rule family: concurrency hazards around locks and atomics.
 //!
-//! The lock-striped `SimulatedCrowd`, the `Session` `RwLock`, and the
-//! platform's atomic counters are exactly the surfaces the planned
-//! `crowdkitd` service front-end will multiply. Three rules, all
-//! best-effort over guard *scopes* (a guard's scope runs from its
-//! acquisition to the end of its enclosing block, an explicit
-//! `drop(guard)`, or — for un-bound temporaries — the end of the
+//! The `SimulatedCrowd` state `Mutex` and the `Session` `RwLock` are
+//! exactly the surfaces the planned `crowdkitd` service front-end will
+//! multiply. Three rules, all best-effort over guard *scopes* (a guard's
+//! scope runs from its acquisition to the end of its enclosing block, an
+//! explicit `drop(guard)`, or — for un-bound temporaries — the end of the
 //! statement):
 //!
 //! * **CONC001** — lock-ordering cycle detection. Every "guard of A held

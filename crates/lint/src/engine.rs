@@ -1,7 +1,7 @@
 //! The scan engine: walks the tree, runs the per-file rules, builds the
 //! workspace symbol table + call graph, runs the interprocedural passes
-//! (taint, CONC), applies suppressions and the ratcheted baseline, and
-//! renders human and JSON reports.
+//! (taint, CONC), applies suppressions, and renders human and JSON
+//! reports.
 //!
 //! # Suppression protocol
 //!
@@ -21,21 +21,15 @@
 //! suppression's *hit count* is tracked; `--audit-suppressions` fails on
 //! suppressions that no longer suppress anything (stale allows).
 //!
-//! # Fingerprints and the baseline
-//!
-//! Every surviving finding gets a stable fingerprint:
-//! `fnv1a64(rule | file | scope | key | ordinal)` — the enclosing function
-//! name and the rule-specific key rather than the line number, so
-//! fingerprints survive unrelated edits above the finding. `--baseline
-//! LINT_BASELINE.json` subtracts baselined fingerprints (see
-//! [`crate::baseline`]) and fails only on *new* debt and *stale* entries.
+//! Suppressions are the only way to excuse a finding: one that is neither
+//! fixed nor excused at its line fails the scan, and an excuse that
+//! outlives its finding fails the audit.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::analyze::{analyze, Analysis};
-use crate::baseline::{Baseline, BaselineEntry};
 use crate::callgraph::CallGraph;
 use crate::lexer::{lex, Comment, Lexed, Tok};
 use crate::rules::{run_rules, FileCtx, Finding, ALL_RULES};
@@ -67,16 +61,11 @@ pub struct SuppressionRecord {
     pub hits: usize,
 }
 
-/// Scan output: surviving findings plus suppression/baseline accounting.
+/// Scan output: surviving findings plus suppression accounting.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unsuppressed, unbaselined findings, sorted by (file, line, rule).
+    /// Unsuppressed findings, sorted by (file, line, rule, key).
     pub findings: Vec<Finding>,
-    /// Findings matched by the baseline (acknowledged debt).
-    pub baselined: Vec<Finding>,
-    /// Baseline entries that matched nothing — debt that was fixed but not
-    /// deleted from the file. The ratchet fails on these.
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Count of suppressed findings per rule.
     pub suppressed: BTreeMap<String, usize>,
     /// Every suppression comment in the tree, with hit counts.
@@ -272,8 +261,8 @@ fn is_crate_root(rel: &str, path: &Path) -> bool {
 }
 
 /// Scans one file in isolation — per-file rules only, no workspace
-/// analysis, no fingerprints. The fixture tests use this to pin individual
-/// per-site rule behavior. Returns (kept findings, suppressed-per-rule).
+/// analysis. The fixture tests use this to pin individual per-site rule
+/// behavior. Returns (kept findings, suppressed-per-rule).
 pub fn scan_file(
     root: &Path,
     path: &Path,
@@ -341,21 +330,9 @@ fn suppress(sups: &mut [Suppression], f: &Finding) -> bool {
     false
 }
 
-/// FNV-1a, 64-bit — the fingerprint hash. Stable across platforms and
-/// releases by construction.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Scans an explicit file list as one workspace: per-file rules, then the
 /// symbol table + call graph, then the interprocedural passes, then
-/// suppressions and fingerprints. `scan` and the workspace-level tests
-/// both land here.
+/// suppressions. `scan` and the workspace-level tests both land here.
 pub fn scan_paths(root: &Path, files: &[PathBuf], only_rules: &BTreeSet<String>) -> Report {
     let want = |rule: &str| only_rules.is_empty() || only_rules.contains(rule);
     let mut report = Report {
@@ -399,14 +376,7 @@ pub fn scan_paths(root: &Path, files: &[PathBuf], only_rules: &BTreeSet<String>)
     report.functions = table.fns.len();
     report.resolution = table.stats.clone();
 
-    // Scope every finding by its enclosing function (used in fingerprints).
-    for f in &mut findings {
-        if f.scope.is_empty() {
-            f.scope = table.scope_at_line(&f.file, f.line);
-        }
-    }
-
-    // Phase 3: suppressions (hit-tracked), then LINT000, sort, fingerprint.
+    // Phase 3: suppressions (hit-tracked), then LINT000, sort.
     let mut kept: Vec<Finding> = Vec::new();
     for f in findings {
         let absorbed = sups_by_file
@@ -420,28 +390,6 @@ pub fn scan_paths(root: &Path, files: &[PathBuf], only_rules: &BTreeSet<String>)
     }
     kept.extend(lint000);
     kept.sort_by(|a, b| (&a.file, a.line, a.rule, &a.key).cmp(&(&b.file, b.line, b.rule, &b.key)));
-    // Ordinals disambiguate repeated (rule, file, scope, key) findings in
-    // source order; everything else about the fingerprint is line-free.
-    let mut ordinals: BTreeMap<(String, String, String, String), usize> = BTreeMap::new();
-    for f in &mut kept {
-        let slot = ordinals
-            .entry((
-                f.rule.to_owned(),
-                f.file.clone(),
-                f.scope.clone(),
-                f.key.clone(),
-            ))
-            .or_insert(0);
-        let ordinal = *slot;
-        *slot += 1;
-        f.fingerprint = format!(
-            "{:016x}",
-            fnv1a64(&format!(
-                "{}|{}|{}|{}|{}",
-                f.rule, f.file, f.scope, f.key, ordinal
-            ))
-        );
-    }
     report.findings = kept;
 
     // Audit records, in (file, line) order.
@@ -466,35 +414,6 @@ pub fn scan(config: &Config) -> Report {
     scan_paths(&config.root, &files, &config.only_rules)
 }
 
-/// Applies a baseline to a scanned report: findings whose fingerprint is
-/// baselined move to `report.baselined`; entries matching nothing land in
-/// `report.stale_baseline`. After this, `report.findings` is exactly the
-/// *new* debt.
-pub fn apply_baseline(report: &mut Report, baseline: &Baseline) {
-    let by_fp: BTreeMap<&str, &BaselineEntry> = baseline
-        .entries
-        .iter()
-        .map(|e| (e.fingerprint.as_str(), e))
-        .collect();
-    let mut matched: BTreeSet<String> = BTreeSet::new();
-    let mut new_findings = Vec::new();
-    for f in report.findings.drain(..) {
-        if by_fp.contains_key(f.fingerprint.as_str()) {
-            matched.insert(f.fingerprint.clone());
-            report.baselined.push(f);
-        } else {
-            new_findings.push(f);
-        }
-    }
-    report.findings = new_findings;
-    report.stale_baseline = baseline
-        .entries
-        .iter()
-        .filter(|e| !matched.contains(&e.fingerprint))
-        .cloned()
-        .collect();
-}
-
 /// Renders the human-readable report.
 pub fn render_human(report: &Report) -> String {
     let mut out = String::new();
@@ -507,16 +426,9 @@ pub fn render_human(report: &Report) -> String {
             out.push_str(&format!("    chain: {}\n", f.chain.join(" -> ")));
         }
     }
-    for e in &report.stale_baseline {
-        out.push_str(&format!(
-            "{}: STALE baseline entry {} ({}) — the finding no longer exists; delete \
-the entry and decrement burn_down\n",
-            e.file, e.fingerprint, e.rule
-        ));
-    }
     out.push_str(&format!(
         "crowdkit-lint: {} file(s), {} fn(s), {} call(s) ({} resolved / {} ambiguous / \
-{} unresolved); {} unsuppressed finding(s), {} suppressed, {} baselined\n",
+{} unresolved); {} unsuppressed finding(s), {} suppressed\n",
         report.files_scanned,
         report.functions,
         report.resolution.calls,
@@ -525,7 +437,6 @@ the entry and decrement burn_down\n",
         report.resolution.unresolved,
         report.findings.len(),
         report.suppressed_total(),
-        report.baselined.len(),
     ));
     out
 }
@@ -585,12 +496,8 @@ fn render_finding(f: &Finding, out: &mut String) {
     json_escape(f.rule, out);
     out.push_str(", \"file\": ");
     json_escape(&f.file, out);
-    out.push_str(&format!(", \"line\": {}, \"scope\": ", f.line));
-    json_escape(&f.scope, out);
-    out.push_str(", \"key\": ");
+    out.push_str(&format!(", \"line\": {}, \"key\": ", f.line));
     json_escape(&f.key, out);
-    out.push_str(", \"fingerprint\": ");
-    json_escape(&f.fingerprint, out);
     out.push_str(", \"message\": ");
     json_escape(&f.message, out);
     out.push_str(", \"hint\": ");
@@ -608,15 +515,14 @@ fn render_finding(f: &Finding, out: &mut String) {
     out.push('}');
 }
 
-/// Renders the machine-readable report (the `LINT.json` format, v2).
+/// Renders the machine-readable report (the `LINT.json` format, v3).
 pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"version\": 2,\n");
+    let mut out = String::from("{\n  \"version\": 3,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     out.push_str(&format!(
-        "  \"unsuppressed\": {},\n  \"suppressed\": {},\n  \"baselined\": {},\n",
+        "  \"unsuppressed\": {},\n  \"suppressed\": {},\n",
         report.findings.len(),
         report.suppressed_total(),
-        report.baselined.len(),
     ));
     out.push_str(&format!(
         "  \"callgraph\": {{\"functions\": {}, \"calls\": {}, \"resolved\": {}, \
@@ -639,13 +545,6 @@ pub fn render_json(report: &Report) -> String {
     }
     out.push_str("\n  },\n  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_finding(f, &mut out);
-    }
-    out.push_str("\n  ],\n  \"baselined_findings\": [");
-    for (i, f) in report.baselined.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

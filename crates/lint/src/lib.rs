@@ -9,8 +9,9 @@
 //! machine-checked rules: a token-level scanner (no external parser —
 //! the workspace is offline-vendored) walks every `.rs` file under
 //! `crates/` and `src/`, builds a workspace [symbol table](symbols) and
-//! [call graph](callgraph) on top, and fails the build on any unsuppressed
-//! finding not covered by the ratcheted [baseline].
+//! [call graph](callgraph) on top, and fails the build on any finding
+//! that is neither fixed nor excused at its line by a reasoned
+//! suppression.
 //!
 //! Per-file rules: [DET001] hash-ordered iteration where floats accumulate
 //! or output is serialized, [DET002] wall-clock reads outside the obs
@@ -25,13 +26,12 @@
 //! atomic `Ordering` audit, CONC003 guards held across crowd I/O or
 //! lock-acquiring calls.
 //!
-//! See [`rules`] for rationale, [`engine`] for the suppression protocol
-//! and fingerprint scheme, and [`baseline`] for the ratchet semantics.
+//! See [`rules`] for rationale and [`engine`] for the suppression
+//! protocol and its audit.
 //!
 //! Run it as `cargo run --release -p crowdkit-lint` (add `--json
-//! LINT.json` for the machine-readable report, `--baseline
-//! LINT_BASELINE.json` to ratchet, `--audit-suppressions` to flag stale
-//! allows, `--rule ID` to filter).
+//! LINT.json` for the machine-readable report, `--audit-suppressions` to
+//! fail on allows that excuse nothing, `--rule ID` to filter).
 //!
 //! [DET001]: rules::ALL_RULES
 //! [DET002]: rules::ALL_RULES
@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod baseline;
 pub mod callgraph;
 pub mod conc;
 pub mod engine;

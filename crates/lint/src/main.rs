@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! crowdkit-lint [--root <dir>] [--json <path>] [--rule <ID>]...
-//!               [--baseline <path>] [--write-baseline <path>]
 //!               [--audit-suppressions]
 //! ```
 //!
-//! Exits nonzero when any unsuppressed finding survives — with
-//! `--baseline`, when any **new** (unbaselined) finding survives or a
-//! baseline entry went stale; with `--audit-suppressions`, additionally
-//! when any suppression comment no longer suppresses anything. `ci.sh`
-//! runs this between clippy and the doc check.
+//! Exits nonzero when any unsuppressed finding survives; with
+//! `--audit-suppressions`, also when any suppression comment no longer
+//! suppresses anything. `ci.sh` runs it with `--json LINT.json
+//! --audit-suppressions`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -20,17 +18,12 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use crowdkit_lint::baseline;
-use crowdkit_lint::engine::{
-    apply_baseline, render_audit, render_human, render_json, scan, Config,
-};
+use crowdkit_lint::engine::{render_audit, render_human, render_json, scan, Config};
 use crowdkit_lint::rules::ALL_RULES;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut audit = false;
     let mut only_rules: BTreeSet<String> = BTreeSet::new();
 
@@ -45,14 +38,6 @@ fn main() -> ExitCode {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => return usage("--json needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(v) => write_baseline = Some(PathBuf::from(v)),
-                None => return usage("--write-baseline needs a path"),
-            },
             "--audit-suppressions" => audit = true,
             "--rule" => match args.next() {
                 Some(v) if ALL_RULES.contains(&v.as_str()) => {
@@ -64,7 +49,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "crowdkit-lint [--root <dir>] [--json <path>] [--rule <ID>]... \
-[--baseline <path>] [--write-baseline <path>] [--audit-suppressions]\n\
+[--audit-suppressions]\n\
                      rules: {ALL_RULES:?}"
                 );
                 return ExitCode::SUCCESS;
@@ -78,54 +63,7 @@ fn main() -> ExitCode {
         return usage("--audit-suppressions requires the full rule set (drop --rule)");
     }
 
-    let mut report = scan(&Config { root, only_rules });
-
-    if let Some(path) = &write_baseline {
-        // Baseline the *current* surviving findings; reasons start as
-        // PLACEHOLDER so a human must edit each one before check-in (the
-        // parser rejects the file otherwise — "PLACEHOLDER" is ≥3 chars,
-        // so the guard is review, not the parser; keep them greppable).
-        let rows: Vec<(String, String, String, String)> = report
-            .findings
-            .iter()
-            .map(|f| {
-                (
-                    f.fingerprint.clone(),
-                    f.rule.to_owned(),
-                    f.file.clone(),
-                    "PLACEHOLDER — write why this debt is acknowledged".to_owned(),
-                )
-            })
-            .collect();
-        if let Err(e) = std::fs::write(path, baseline::render(&rows)) {
-            eprintln!("crowdkit-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "crowdkit-lint: wrote {} entry(ies) to {} — edit every reason before \
-checking it in",
-            rows.len(),
-            path.display()
-        );
-    }
-
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("crowdkit-lint: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let parsed = match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("crowdkit-lint: invalid baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        apply_baseline(&mut report, &parsed);
-    }
+    let report = scan(&Config { root, only_rules });
 
     print!("{}", render_human(&report));
     if audit {
@@ -142,7 +80,7 @@ checking it in",
     } else {
         0
     };
-    if report.findings.is_empty() && report.stale_baseline.is_empty() && stale_sups == 0 {
+    if report.findings.is_empty() && stale_sups == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

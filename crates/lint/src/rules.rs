@@ -33,19 +33,13 @@ pub struct Finding {
     pub message: String,
     /// How to fix it (or how to suppress it with a reason).
     pub hint: &'static str,
-    /// Rule-specific stable core of the finding — what it is about,
-    /// independent of source line (e.g. `scores.iter` for DET001,
-    /// `held:core:record` for CONC003). Fingerprints hash this instead of
-    /// the line so baselines survive unrelated edits.
+    /// Rule-specific core of the finding — what it is about (e.g.
+    /// `scores.iter` for DET001, `held:core:record` for CONC003). It orders
+    /// findings of one rule that share a line.
     pub key: String,
-    /// Name of the enclosing function (engine-filled; empty at file scope).
-    pub scope: String,
     /// Taint witness chain, outermost call first, seed last. Empty for
     /// intraprocedural findings.
     pub chain: Vec<String>,
-    /// Stable fingerprint (engine-filled): hash of
-    /// `rule|file|scope|key|ordinal`.
-    pub fingerprint: String,
 }
 
 /// Per-file context the engine passes to the rules.

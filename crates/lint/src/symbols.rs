@@ -60,8 +60,6 @@ pub struct FnDef {
     pub body_close: usize,
     /// Line of the `fn` keyword.
     pub start_line: u32,
-    /// Line of the body's closing `}`.
-    pub end_line: u32,
     /// True when the signature declares a return type (`->` between the
     /// keyword and the body). Taint only propagates through
     /// value-returning functions.
@@ -245,18 +243,6 @@ impl SymbolTable {
             .max_by_key(|f| f.kw)
             .map(|f| f.id)
     }
-
-    /// The name of the innermost function covering `line` of file `rel`
-    /// (empty when the line sits outside every function). Used for stable
-    /// finding fingerprints.
-    pub fn scope_at_line(&self, rel: &str, line: u32) -> String {
-        self.fns
-            .iter()
-            .filter(|f| f.file == rel && f.start_line <= line && line <= f.end_line)
-            .max_by_key(|f| f.start_line)
-            .map(|f| f.name.clone())
-            .unwrap_or_default()
-    }
 }
 
 fn collect_fns(u: usize, unit: &FileUnit, out: &mut Vec<FnDef>) {
@@ -288,7 +274,6 @@ fn collect_fns(u: usize, unit: &FileUnit, out: &mut Vec<FnDef>) {
             body_open: span.body_open,
             body_close: span.body_close,
             start_line: span.start_line,
-            end_line: span.end_line,
             has_return,
             is_test: span.is_test,
         });

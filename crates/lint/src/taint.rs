@@ -232,7 +232,6 @@ fn report_edges_into_taint(
                 hint,
                 key: format!("{key_prefix}:{}", callee.name),
                 chain,
-                ..Finding::default()
             });
         }
     }

@@ -1,6 +1,7 @@
 //! Integration tests pinning each rule's behaviour on known-bad and
-//! known-good fixture files, the suppression protocol, `#[cfg(test)]`
-//! scoping — and the big one: the workspace itself must scan clean.
+//! known-good fixture files, the suppression protocol and its audit,
+//! `#[cfg(test)]` scoping — and the big one: the workspace itself must
+//! scan clean.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -153,12 +154,64 @@ fn binary_exits_nonzero_on_known_bad_sources() {
     );
 }
 
-/// The acceptance gate: the workspace scans clean modulo the checked-in
-/// ratcheted baseline. Any new finding must be fixed, carry a reasoned
-/// suppression, or be consciously added to `LINT_BASELINE.json` before
-/// this passes again — and fixed debt must be deleted from the baseline
-/// (stale entries fail too), as must suppressions that stopped earning
-/// their keep.
+#[test]
+fn suppression_audit_flags_the_allow_that_excuses_nothing() {
+    let root = fixtures_root().join("audit");
+    let report = scan(&Config {
+        root: root.clone(),
+        only_rules: BTreeSet::new(),
+    });
+    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+    let hits: Vec<(u32, usize)> = report
+        .suppressions
+        .iter()
+        .map(|s| (s.line, s.hits))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![(5, 1), (8, 0)],
+        "the trailing allow absorbs the unwrap"
+    );
+    let stale: Vec<u32> = report.stale_suppressions().iter().map(|s| s.line).collect();
+    assert_eq!(stale, vec![8], "only the idle allow is stale");
+
+    let bin = env!("CARGO_BIN_EXE_crowdkit-lint");
+    let run = |extra: &[&str]| {
+        std::process::Command::new(bin)
+            .arg("--root")
+            .arg(&root)
+            .args(extra)
+            .output()
+            .expect("run crowdkit-lint")
+    };
+    // Without the audit a stale allow is harmless: nothing is unexcused.
+    let out = run(&[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    // The audit fails on it and names its line.
+    let out = run(&["--audit-suppressions"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(stdout.contains("src/lib.rs:8 [allow] STALE"), "{stdout}");
+    assert!(stdout.contains("1 stale"), "{stdout}");
+    // A rule filter would zero other rules' hit counts, so the audit
+    // refuses one before scanning.
+    let out = run(&["--audit-suppressions", "--rule", "PANIC001"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "no scan ran");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("requires the full rule set"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The acceptance gate: the workspace scans clean. Any new finding must be
+/// fixed or carry a reasoned suppression before this passes again, and a
+/// suppression that stopped earning its keep must be deleted.
 #[test]
 fn workspace_scans_clean() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -166,15 +219,11 @@ fn workspace_scans_clean() {
         .nth(2)
         .expect("crates/lint sits two levels below the repo root")
         .to_path_buf();
-    let mut report = scan(&Config {
-        root: repo_root.clone(),
+    let report = scan(&Config {
+        root: repo_root,
         only_rules: BTreeSet::new(),
     });
     assert!(report.files_scanned > 100, "scan walked the real workspace");
-    let baseline_text = std::fs::read_to_string(repo_root.join("LINT_BASELINE.json"))
-        .expect("LINT_BASELINE.json is checked in at the repo root");
-    let baseline = crowdkit_lint::baseline::parse(&baseline_text).expect("valid baseline");
-    crowdkit_lint::engine::apply_baseline(&mut report, &baseline);
     let rendered: Vec<String> = report
         .findings
         .iter()
@@ -184,11 +233,6 @@ fn workspace_scans_clean() {
         report.findings.is_empty(),
         "unsuppressed lint findings:\n{}",
         rendered.join("\n")
-    );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "stale baseline entries (delete them and decrement burn_down): {:#?}",
-        report.stale_baseline
     );
     let stale: Vec<String> = report
         .stale_suppressions()

@@ -20,9 +20,52 @@ cargo fmt -p crowdkit -p crowdkit-assign -p crowdkit-bench -p crowdkit-core -p c
 cargo fmt --check --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml
 cargo clippy --offline --all-targets --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml -- -D warnings
 cargo test --release --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml
+rm -f CHECK.txt
 for seed in 1 7 13; do
-    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml -- check --seed "$seed"
+    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/crowdbench/Cargo.toml -- check --seed "$seed" | tee CHECK_SEED.txt
+    sed -n "s/^check /$seed /p" CHECK_SEED.txt >> CHECK.txt
 done
+# A passing `check` can still print other figures than before: the lines
+# are pinned here (as of Dawid–Skene's diagonal prior, 6d4aab7), so any
+# change to an answer, a spend or an accuracy fails CI. Re-record them
+# only for a deliberate change to the outputs, and name it in CHANGES.md.
+python3 - <<'EOF'
+import sys
+PINNED = """
+1 bulk_label ok accuracy=0.8489 spend=50000 answers=50000 digest=213277a4b51babb8
+1 adaptive_label ok accuracy=0.8525 spend=1600 answers=1600 digest=4fd352b93616fe0b
+1 crowd_query ok accuracy=0.9801 spend=2384 answers=2384 digest=69027186ae07bed1
+7 bulk_label ok accuracy=0.8555 spend=50000 answers=50000 digest=17849c1b8e738ddc
+7 adaptive_label ok accuracy=0.8450 spend=1600 answers=1600 digest=badf87fc08f669dd
+7 crowd_query ok accuracy=0.9727 spend=2339 answers=2339 digest=2c9e37b4ff0741f5
+13 bulk_label ok accuracy=0.8561 spend=50000 answers=50000 digest=6029c207e129c19d
+13 adaptive_label ok accuracy=0.8450 spend=1600 answers=1600 digest=37d57615ec63f6ff
+13 crowd_query ok accuracy=0.9703 spend=2393 answers=2393 digest=8f486010780ea3ff
+"""
+
+def rows(text):
+    """`(workload, seed)` -> {field: value}; the status is a field too."""
+    out = {}
+    for line in text.split("\n"):
+        if line.strip():
+            seed, workload, status, *fields = line.split()
+            out[(workload, seed)] = dict([("status", status)] + [f.split("=", 1) for f in fields])
+    return out
+
+want, got = rows(PINNED), rows(open("CHECK.txt").read())
+diffs = []
+for key in sorted(set(want) | set(got), key=lambda k: (k[0], int(k[1]))):
+    w, g = want.get(key, {}), got.get(key, {})
+    for field in sorted(set(w) | set(g)):
+        if w.get(field) != g.get(field):
+            diffs.append(f"  {key[0]} seed {key[1]} {field}: pinned {w.get(field, '-')}, got {g.get(field, '-')}")
+if diffs:
+    print("crowdbench check differs from the pinned lines in ci.sh:")
+    print("\n".join(diffs))
+    sys.exit(1)
+print(f"crowdbench check: all {len(want)} lines match the pinned values")
+EOF
+rm -f CHECK.txt CHECK_SEED.txt
 
 # Workspace static analysis: per-file determinism & safety rules (DET/
 # PANIC/SAFETY/DOC) plus the interprocedural passes (taint chains, CONC

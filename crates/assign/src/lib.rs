@@ -16,13 +16,18 @@
 //!   whose current vote posterior has the highest entropy;
 //! * [`policy::ExpectedAccuracyGain`] — QASCA-flavoured: buy for the task
 //!   with the largest expected gain in posterior accuracy from one more
-//!   answer under an assumed worker accuracy.
+//!   answer under an assumed worker accuracy;
+//! * [`policy::UntilStopped`] — adaptive stopping: each wave asks every
+//!   task a [`crowdkit_core::traits::StoppingRule`] has not stopped.
 //!
 //! [`driver::run_assignment`] executes any policy against a
 //! [`crowdkit_core::traits::CrowdOracle`] under a question budget and
-//! returns the collected matrix, ready for truth inference. It buys in
-//! waves, and a policy plans each wave in one
-//! [`next_wave`](policy::AssignmentPolicy::next_wave) call: the scoring
+//! returns the collected matrix, ready for truth inference. It is the one
+//! loop that buys answers one task at a time: `crowdkit_truth`'s
+//! `label_tasks` and `crowdkit_ops`'s `crowd_filter` collect through it
+//! with [`policy::UntilStopped`]. It buys in waves, and a policy plans
+//! each wave in one [`next_wave`](policy::AssignmentPolicy::next_wave)
+//! call: the scoring
 //! policies score each open task once per wave and pick from a heap, so a
 //! wave of `w` over `n` tasks costs O(n + w log n). Experiment E8 sweeps
 //! the policies under identical budgets.
@@ -37,4 +42,5 @@ pub mod policy;
 pub use driver::{run_assignment, AssignmentOutcome};
 pub use policy::{
     AssignState, AssignmentPolicy, EntropyGreedy, ExpectedAccuracyGain, RandomAssign, RoundRobin,
+    UntilStopped,
 };

@@ -8,6 +8,7 @@ use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crowdkit_core::metrics::entropy;
+use crowdkit_core::traits::StoppingRule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -203,6 +204,32 @@ impl AssignmentPolicy for EntropyGreedy {
     }
 }
 
+/// Adaptive stopping as a policy: every wave asks each open task once
+/// until the [`StoppingRule`] stops it, so easy tasks drop out early and
+/// the rest keep being asked together.
+///
+/// The rule is consulted before every wave, the first included, and a
+/// stopped task gets no more answers, so its verdict stays fixed.
+#[derive(Debug, Clone, Copy)]
+pub struct UntilStopped<'a, R: ?Sized>(pub &'a R);
+
+impl<R: StoppingRule + ?Sized> AssignmentPolicy for UntilStopped<'_, R> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    /// The open tasks the rule does not stop on, once each, in index
+    /// order, at most `cap` of them.
+    fn next_wave(&mut self, state: &AssignState, cap: usize) -> Vec<usize> {
+        let max = state.max_answers_per_task;
+        state
+            .open_tasks()
+            .filter(|&t| !self.0.should_stop(&state.votes[t], max))
+            .take(cap)
+            .collect()
+    }
+}
+
 /// QASCA-flavoured expected accuracy gain.
 ///
 /// For each open task compute the current max-posterior `p` and the
@@ -354,6 +381,32 @@ mod tests {
         s.record(2, 1);
         s.record(2, 1);
         assert_eq!(EntropyGreedy.next_wave(&s, 5), vec![1, 1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn until_stopped_asks_each_unstopped_open_task_once_in_index_order() {
+        /// Stops a task once label 1 has a vote.
+        struct FirstYes;
+        impl StoppingRule for FirstYes {
+            fn name(&self) -> &'static str {
+                "first_yes"
+            }
+            fn should_stop(&self, votes: &[u32], _max_answers: u32) -> bool {
+                votes[1] > 0
+            }
+        }
+        let mut s = AssignState::new(4, 2, 2);
+        s.record(0, 0);
+        s.record(0, 0); // at its cap
+        s.record(1, 1); // stopped by the rule
+        s.record(3, 0);
+        let mut p = UntilStopped(&FirstYes);
+        assert_eq!(p.name(), "first_yes");
+        assert_eq!(p.next_wave(&s, 10), vec![2, 3]);
+        assert_eq!(p.next_wave(&s, 1), vec![2], "the wave cap binds");
+        assert!(UntilStopped(&FirstYes)
+            .next_wave(&AssignState::new(3, 2, 0), 10)
+            .is_empty());
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! matter for throughput — batched platform execution (`ask_batch` 200×3)
 //! and EM truth inference (Dawid–Skene 500×5).
 //!
-//! Samples are interleaved (null, full, null, …) so clock drift and
-//! thermal effects hit both arms equally, and the gate compares minima,
-//! the statistic least sensitive to scheduler noise. Each arm's median is
-//! printed beside its minimum, so a reading that a short stall moved shows
-//! as minima and medians that disagree.
+//! Samples are taken in pairs (null, then full) so clock drift and
+//! thermal effects hit both arms equally, and the gate reads the median of
+//! the per-pair ratios, each full sample over the null sample taken just
+//! before it. A host stall that slows one sample moves one ratio, not the
+//! median, where it could move one arm's minimum alone. Each arm's minimum
+//! and median are printed beside the gated figure.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,8 +99,8 @@ impl Arm {
 
 /// Interleaved comparison: runs `f` [`GATE_SAMPLES`] times alternately
 /// under the null scope and under a fresh [`full_scope`], returning the
-/// `(null, full)` arms.
-fn gate_pair(mut f: impl FnMut()) -> (Arm, Arm) {
+/// `(null, full)` wall times in ns, pair by pair.
+fn gate_pair(mut f: impl FnMut()) -> (Vec<u64>, Vec<u64>) {
     // Warm both arms.
     f();
     obs::with_scope(full_scope(), &mut f);
@@ -114,21 +115,27 @@ fn gate_pair(mut f: impl FnMut()) -> (Arm, Arm) {
         obs::with_scope(scope, &mut f);
         full.push(t0.elapsed().as_nanos() as u64);
     }
-    (Arm::of(null), Arm::of(full))
+    (null, full)
 }
 
 fn check_overhead(name: &str, f: impl FnMut()) {
     let (null, full) = gate_pair(f); // crowdkit-lint: allow(DET002) — benchmark harness: comparing wall times is the point
     let ratio = |full_ns: u64, null_ns: u64| full_ns as f64 / null_ns as f64 - 1.0;
-    let overhead = ratio(full.min, null.min);
+    let mut pairs: Vec<f64> = full.iter().zip(&null).map(|(&f, &n)| ratio(f, n)).collect();
+    pairs.sort_unstable_by(f64::total_cmp);
+    // The upper middle, as for the arms' medians.
+    let overhead = pairs[pairs.len() / 2];
+    let (null, full) = (Arm::of(null), Arm::of(full));
     println!(
-        "{name}: {GATE_SAMPLES} samples an arm; null min {} ns, median {} ns; \
-         full min {} ns, median {} ns; {:+.2}% by minima (gated), {:+.2}% by medians",
+        "{name}: {GATE_SAMPLES} pairs; null min {} ns, median {} ns; \
+         full min {} ns, median {} ns; {:+.2}% by the median pair ratio (gated), \
+         {:+.2}% by minima, {:+.2}% by medians",
         null.min,
         null.median,
         full.min,
         full.median,
         overhead * 100.0,
+        ratio(full.min, null.min) * 100.0,
         ratio(full.median, null.median) * 100.0
     );
     assert!(

@@ -9,19 +9,18 @@
 //! * [`TableResolver`] — answers from a ground-truth table; the
 //!   deterministic test/benchmark resolver.
 //! * [`OracleResolver`] — buys `votes` open-text answers per fetch from a
-//!   [`CrowdOracle`] and reconciles them with the FILL operator's own
-//!   [`crowdkit_ops::reconcile::plurality`]; a short delivery is judged by
-//!   [`AskOutcome::check`](crowdkit_core::ask::AskOutcome::check).
+//!   [`CrowdOracle`] through the FILL operator itself,
+//!   [`crowdkit_ops::fill::crowd_fill`], one task per fetch: it buys,
+//!   judges a short delivery and reconciles by normalized plurality.
 
 use std::collections::HashMap;
 
-use crowdkit_core::ask::AskRequest;
 use crowdkit_core::error::Result;
 use crowdkit_core::ids::IdGen;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 use crowdkit_obs::{self as obs, Event};
-use crowdkit_ops::reconcile::plurality;
+use crowdkit_ops::fill::crowd_fill;
 
 use crate::ast::Const;
 
@@ -167,25 +166,24 @@ where
         _arity: usize,
     ) -> Result<Vec<Const>> {
         let task = (self.make_task)(self.ids.next_task(), predicate, bound, free_pos);
-        let out = self
-            .oracle
-            .ask(&AskRequest::new(&task).with_redundancy(self.votes.max(1) as usize))?;
-        out.check()?;
-        self.questions += out.answers.len() as u64;
+        let filled = crowd_fill(self.oracle, std::slice::from_ref(&task), self.votes)?;
+        let answers: usize = filled.iter().map(|f| f.answers).sum();
+        self.questions += answers as u64;
         // The normalized winner, so facts compare case-insensitively.
-        let resolved: Vec<Const> = plurality(&out.answers)
+        let resolved: Vec<Const> = filled
+            .into_iter()
+            .filter_map(|f| f.winner)
             .map(|p| match p.key.parse::<i64>() {
                 Ok(i) => Const::Int(i),
                 Err(_) => Const::Str(p.key),
             })
-            .into_iter()
             .collect();
         let rec = obs::scope().recorder;
         if rec.enabled() {
             rec.record(
                 Event::new("datalog.fetch")
                     .str("predicate", predicate)
-                    .u64("answers", out.answers.len() as u64)
+                    .u64("answers", answers as u64)
                     .u64("resolved", u64::from(!resolved.is_empty())),
             );
         }

@@ -65,25 +65,31 @@ impl FieldValue {
                     out.push_str("null");
                 }
             }
-            FieldValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            FieldValue::Str(s) => write_json_string(s, out),
         }
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal. The one escaper of
+/// every stream, header and report the workspace writes: quote,
+/// backslash, `\n`, `\r` and `\t` by name, other control characters as
+/// `\u00XX`, everything else verbatim.
+pub fn write_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Nanoseconds since the first telemetry event of the process. Wall-clock
@@ -224,7 +230,7 @@ impl Event {
     pub fn to_json(&self, include_wall: bool) -> String {
         let mut out = String::with_capacity(64 + self.fields.len() * 24);
         out.push_str("{\"key\":");
-        FieldValue::Str(self.key.to_owned()).write_json(&mut out);
+        write_json_string(self.key, &mut out);
         if let Some(t) = self.sim_time {
             out.push_str(",\"sim\":");
             FieldValue::F64(t).write_json(&mut out);

@@ -21,7 +21,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::FieldValue;
+use crate::event::write_json_string;
 
 /// The stream schema version this crate writes. Bump when the event JSON
 /// layout or the header key set changes incompatibly.
@@ -77,10 +77,10 @@ impl StreamHeader {
             self.schema
         );
         out.push_str(",\"git_rev\":");
-        FieldValue::Str(self.git_rev.clone()).write_json(&mut out);
+        write_json_string(&self.git_rev, &mut out);
         let _ = write!(out, ",\"seed\":{},\"threads\":{}", self.seed, self.threads);
         out.push_str(",\"workload\":");
-        FieldValue::Str(self.workload.clone()).write_json(&mut out);
+        write_json_string(&self.workload, &mut out);
         out.push('}');
         out
     }

@@ -60,7 +60,7 @@ pub mod prov;
 pub mod recorder;
 pub mod report;
 
-pub use event::{wall_ns, Event, FieldValue, WallTimer};
+pub use event::{wall_ns, write_json_string, Event, FieldValue, WallTimer};
 pub use header::{StreamHeader, STREAM_MAGIC, STREAM_SCHEMA_VERSION};
 pub use histogram::LogHistogram;
 pub use recorder::{JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, Tee};

@@ -10,12 +10,12 @@
 
 use std::fmt::Write as _;
 
-use crate::event::FieldValue;
+use crate::event::{write_json_string, FieldValue};
 use crate::recorder::MemoryRecorder;
 
 /// Appends `"name":` to a JSON object body under construction.
 fn json_key(out: &mut String, name: &str) {
-    FieldValue::Str(name.to_owned()).write_json(out);
+    write_json_string(name, out);
     out.push(':');
 }
 
@@ -172,10 +172,10 @@ impl ExperimentReport {
         let mut out = String::with_capacity(512);
         out.push('{');
         json_key(&mut out, "id");
-        FieldValue::Str(self.id.clone()).write_json(&mut out);
+        write_json_string(&self.id, &mut out);
         out.push(',');
         json_key(&mut out, "description");
-        FieldValue::Str(self.description.clone()).write_json(&mut out);
+        write_json_string(&self.description, &mut out);
         let _ = write!(out, ",\"wall_ms\":{}", self.wall_ms);
         let _ = write!(
             out,

@@ -7,108 +7,56 @@
 //! plurality with a confidence score, and unresolved cells (no plurality)
 //! are reported rather than guessed. All cells go to the platform as one
 //! batch, so independent cells share one round of crowd latency.
-
-use std::collections::HashMap;
+//!
+//! [`crowd_fill`] is the only place fill answers are bought and
+//! reconciled: CrowdSQL's fill operator calls it once per `batch`-sized
+//! chunk of cells and the crowd-Datalog resolver once per fetch. The
+//! caller makes the tasks, so each keeps its own task ids and ask order.
 
 use crowdkit_core::ask::AskRequest;
 use crowdkit_core::error::{CrowdError, Result};
-use crowdkit_core::ids::{IdGen, TaskId};
-use crowdkit_core::task::{Task, TaskKind};
+use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 
-use crate::reconcile::plurality;
+use crate::reconcile::{plurality, Plurality};
 
-/// A cell to be filled: which row (by caller-chosen key) and attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CellRef {
-    /// Caller's row key (e.g. primary key rendering).
-    pub row: String,
-    /// Attribute name being filled.
-    pub attribute: String,
-}
-
-/// One reconciled cell.
+/// One task's fill.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilledCell {
-    /// The winning value, in the trimmed surface form of the plurality
-    /// winner's first occurrence.
-    pub value: String,
-    /// Fraction of answers agreeing with the winner.
-    pub support: f64,
-    /// All answers received (normalized), with counts.
-    pub answers: Vec<(String, u32)>,
+pub struct Filled {
+    /// The strict plurality winner of the task's answers; `None` when the
+    /// top two normalized values tie or no usable answer arrived.
+    pub winner: Option<Plurality>,
+    /// Answers bought for the task, blank ones included.
+    pub answers: usize,
 }
 
-/// The outcome of a fill run.
-#[derive(Debug, Clone, Default)]
-pub struct FillOutcome {
-    /// Cells successfully reconciled (strict plurality existed).
-    pub filled: HashMap<CellRef, FilledCell>,
-    /// Cells whose answers tied or that got no answers.
-    pub unresolved: Vec<CellRef>,
-    /// Crowd answers purchased.
-    pub questions_asked: usize,
-}
-
-/// Buys `k` open-text answers for each cell (one batched platform request
-/// covering every cell) and reconciles them with
-/// [`reconcile::plurality`](crate::reconcile::plurality). A cell is
-/// `unresolved` when the top two normalized values tie or no usable
-/// answer arrived before exhaustion.
-///
-/// `prompt_for` renders the worker-facing question for a cell; in
-/// simulation it also attaches the latent truth.
-pub fn crowd_fill<O, F>(
-    oracle: &O,
-    cells: &[CellRef],
-    k: u32,
-    mut prompt_for: F,
-) -> Result<FillOutcome>
+/// Buys `k` open-text answers for each task (one batched platform request
+/// covering every task) and reconciles each task's answers with
+/// [`reconcile::plurality`](crate::reconcile::plurality). Returns one
+/// [`Filled`] per task, in input order; a task starved by exhaustion gets
+/// no answers and so no winner.
+pub fn crowd_fill<O>(oracle: &O, tasks: &[Task], k: u32) -> Result<Vec<Filled>>
 where
     O: CrowdOracle + ?Sized,
-    F: FnMut(TaskId, &CellRef) -> Task,
 {
-    if cells.is_empty() {
-        return Err(CrowdError::EmptyInput("cells"));
-    }
-    let mut ids = IdGen::new();
-    let tasks: Vec<Task> = cells
-        .iter()
-        .map(|c| prompt_for(ids.next_task(), c))
-        .collect();
-    for task in &tasks {
-        debug_assert!(
-            matches!(task.kind, TaskKind::Fill { .. } | TaskKind::OpenText),
-            "fill tasks must accept text answers"
-        );
+    if tasks.is_empty() {
+        return Err(CrowdError::EmptyInput("tasks"));
     }
     let reqs: Vec<AskRequest<'_>> = tasks
         .iter()
         .map(|t| AskRequest::new(t).with_redundancy(k.max(1) as usize))
         .collect();
-    let outcomes = oracle.ask_batch(&reqs)?;
-
-    let mut out = FillOutcome::default();
-    for (cell, outcome) in cells.iter().zip(&outcomes) {
-        outcome.check()?;
-        out.questions_asked += outcome.answers.len();
-        // A starved cell has no answers, so no plurality: it is unresolved.
-        match plurality(&outcome.answers) {
-            Some(p) => {
-                out.filled.insert(
-                    cell.clone(),
-                    FilledCell {
-                        value: p.surface,
-                        support: p.support,
-                        answers: p.tallies,
-                    },
-                );
-            }
-            None => out.unresolved.push(cell.clone()),
-        }
-    }
-
-    Ok(out)
+    oracle
+        .ask_batch(&reqs)?
+        .iter()
+        .map(|out| {
+            out.check()?;
+            Ok(Filled {
+                winner: plurality(&out.answers),
+                answers: out.answers.len(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -116,25 +64,31 @@ mod tests {
     use super::*;
     use crowdkit_core::answer::{Answer, AnswerValue};
     use crowdkit_core::budget::Budget;
-    use crowdkit_core::ids::WorkerId;
+    use crowdkit_core::ids::{TaskId, WorkerId};
+    use crowdkit_core::task::TaskKind;
     use std::cell::{Cell, RefCell};
 
-    fn cell(row: &str, attr: &str) -> CellRef {
-        CellRef {
-            row: row.into(),
-            attribute: attr.into(),
-        }
-    }
-
-    fn fill_task(id: TaskId, c: &CellRef, truth: &str) -> Task {
+    /// A fill task for `attribute` of `row` whose latent answer is `truth`.
+    fn fill_task(id: u64, row: &str, attribute: &str, truth: &str) -> Task {
         Task::new(
-            id,
+            TaskId::new(id),
             TaskKind::Fill {
-                attribute: c.attribute.clone(),
+                attribute: attribute.into(),
             },
-            format!("{} of {}", c.attribute, c.row),
+            format!("{attribute} of {row}"),
         )
         .with_truth(AnswerValue::Text(truth.into()))
+    }
+
+    /// `n` fill tasks whose latent answer is "v".
+    fn tasks(n: u64) -> Vec<Task> {
+        (0..n)
+            .map(|i| fill_task(i, &format!("r{i}"), "x", "v"))
+            .collect()
+    }
+
+    fn surface(f: &Filled) -> Option<&str> {
+        f.winner.as_ref().map(|p| p.surface.as_str())
     }
 
     /// Oracle answering fill tasks with their truth, with optional per-call
@@ -183,22 +137,21 @@ mod tests {
 
     #[test]
     fn unanimous_answers_fill_with_full_support() {
-        let cells = vec![cell("france", "capital"), cell("japan", "capital")];
+        let ts = vec![
+            fill_task(0, "france", "capital", "Paris"),
+            fill_task(1, "japan", "capital", "Tokyo"),
+        ];
         let oracle = ScriptedOracle::truthful(1e9);
-        let out = crowd_fill(&oracle, &cells, 3, |id, c| {
-            fill_task(id, c, if c.row == "france" { "Paris" } else { "Tokyo" })
-        })
-        .unwrap();
-        assert_eq!(out.filled[&cells[0]].value, "Paris");
-        assert_eq!(out.filled[&cells[1]].value, "Tokyo");
-        assert_eq!(out.filled[&cells[0]].support, 1.0);
-        assert!(out.unresolved.is_empty());
-        assert_eq!(out.questions_asked, 6);
+        let out = crowd_fill(&oracle, &ts, 3).unwrap();
+        assert_eq!(surface(&out[0]), Some("Paris"));
+        assert_eq!(surface(&out[1]), Some("Tokyo"));
+        assert_eq!(out[0].winner.as_ref().unwrap().support, 1.0);
+        assert_eq!(out.iter().map(|f| f.answers).sum::<usize>(), 6);
     }
 
     #[test]
     fn blank_answers_are_paid_for_but_not_tallied() {
-        let cells = vec![cell("france", "capital")];
+        let ts = vec![fill_task(0, "france", "capital", "Paris")];
         let oracle = ScriptedOracle::scripted(
             1e9,
             vec![
@@ -208,43 +161,40 @@ mod tests {
                 Some("Lyon".into()),
             ],
         );
-        let out = crowd_fill(&oracle, &cells, 4, |id, c| fill_task(id, c, "Paris")).unwrap();
-        assert_eq!(
-            out.questions_asked, 4,
-            "every delivered answer was purchased"
-        );
-        let f = &out.filled[&cells[0]];
-        assert_eq!(f.value, "PARIS", "first seen surface form of the winner");
+        let out = crowd_fill(&oracle, &ts, 4).unwrap();
+        assert_eq!(out[0].answers, 4, "every delivered answer was purchased");
+        let p = out[0].winner.as_ref().unwrap();
+        assert_eq!(p.surface, "PARIS", "first seen surface form of the winner");
         assert!(
-            (f.support - 2.0 / 3.0).abs() < 1e-12,
+            (p.support - 2.0 / 3.0).abs() < 1e-12,
             "the blank is not a vote"
         );
         assert_eq!(
-            f.answers,
+            p.tallies,
             vec![("paris".to_owned(), 2), ("lyon".to_owned(), 1)]
         );
     }
 
     #[test]
     fn ties_are_unresolved_not_guessed() {
-        let cells = vec![cell("x", "y")];
+        let ts = vec![fill_task(0, "x", "y", "a")];
         let oracle = ScriptedOracle::scripted(1e9, vec![Some("a".into()), Some("b".into())]);
-        let out = crowd_fill(&oracle, &cells, 2, |id, c| fill_task(id, c, "a")).unwrap();
-        assert!(out.filled.is_empty());
-        assert_eq!(out.unresolved, cells);
+        let out = crowd_fill(&oracle, &ts, 2).unwrap();
+        assert_eq!(out[0].winner, None);
+        assert_eq!(out[0].answers, 2);
     }
 
     #[test]
     fn budget_death_marks_remaining_cells_unresolved() {
-        let cells = vec![cell("a", "x"), cell("b", "x"), cell("c", "x")];
+        let ts = tasks(3);
         let oracle = ScriptedOracle::truthful(4.0);
-        let out = crowd_fill(&oracle, &cells, 3, |id, c| fill_task(id, c, "v")).unwrap();
-        // Cell a: 3 answers. Cell b: 1 answer (then exhausted, still
-        // reconciles from the single answer). Cell c: unresolved.
-        assert!(out.filled.contains_key(&cells[0]));
-        assert!(out.filled.contains_key(&cells[1]));
-        assert_eq!(out.unresolved, vec![cells[2].clone()]);
-        assert_eq!(out.questions_asked, 4);
+        let out = crowd_fill(&oracle, &ts, 3).unwrap();
+        // Task 0: 3 answers. Task 1: 1 answer (then exhausted, still
+        // reconciles from the single answer). Task 2: no winner.
+        let answers: Vec<usize> = out.iter().map(|f| f.answers).collect();
+        assert_eq!(answers, vec![3, 1, 0]);
+        let winners: Vec<Option<&str>> = out.iter().map(surface).collect();
+        assert_eq!(winners, vec![Some("v"), Some("v"), None]);
     }
 
     #[test]
@@ -271,18 +221,17 @@ mod tests {
                 self.0.get()
             }
         }
-        let cells = vec![cell("a", "x"), cell("b", "x")];
         let oracle = NoWorkerForFirst(Cell::new(0));
-        let out = crowd_fill(&oracle, &cells, 3, |id, c| fill_task(id, c, "v")).unwrap();
+        let out = crowd_fill(&oracle, &tasks(2), 3).unwrap();
         assert_eq!(oracle.answers_delivered(), 3);
-        assert_eq!(out.questions_asked, 3, "every bought answer is counted");
-        assert_eq!(out.filled[&cells[1]].value, "v");
-        assert_eq!(out.unresolved, vec![cells[0].clone()]);
+        assert_eq!(out[1].answers, 3, "every bought answer is counted");
+        assert_eq!(surface(&out[1]), Some("v"));
+        assert_eq!((out[0].answers, surface(&out[0])), (0, None));
     }
 
     #[test]
     fn empty_cell_list_is_an_error() {
         let oracle = ScriptedOracle::truthful(10.0);
-        assert!(crowd_fill(&oracle, &[], 3, |id, c| fill_task(id, c, "v")).is_err());
+        assert!(crowd_fill(&oracle, &[], 3).is_err());
     }
 }

@@ -7,12 +7,13 @@
 //! uniformly, margin and SPRT rules bail out of easy items early
 //! (CrowdScreen-style) and spend the savings on contested ones.
 //!
-//! Votes are purchased in *waves*: each round sends one batched request
-//! covering every undecided item through [`CrowdOracle::ask_batch`], so a
-//! platform that overlaps assignments (like the simulator) pays one round
-//! of latency per wave instead of one per vote.
+//! Votes are purchased in *waves* by [`run_assignment`] under the
+//! [`UntilStopped`] policy: each round sends one batched request covering
+//! every undecided item, so a platform that overlaps assignments (like
+//! the simulator) pays one round of latency per wave instead of one per
+//! vote.
 
-use crowdkit_core::ask::AskRequest;
+use crowdkit_assign::{run_assignment, UntilStopped};
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::{CrowdOracle, StoppingRule};
@@ -58,7 +59,9 @@ impl FilterOutcome {
 /// `max_answers` is hit) and entirely when the oracle's budget/pool is
 /// exhausted.
 ///
-/// Items must be binary single-choice tasks.
+/// Items must be binary single-choice tasks, and an answer outside the
+/// two labels is [`CrowdError::LabelOutOfRange`], as in
+/// [`run_assignment`].
 pub fn crowd_filter<O, R>(
     oracle: &O,
     items: &[Task],
@@ -69,59 +72,34 @@ where
     O: CrowdOracle + ?Sized,
     R: StoppingRule + ?Sized,
 {
-    for t in items {
-        if t.num_labels() != Some(2) {
-            return Err(CrowdError::Unsupported(
-                "crowd_filter requires binary single-choice tasks",
-            ));
-        }
+    if items.iter().any(|t| t.num_labels() != Some(2)) {
+        return Err(CrowdError::Unsupported(
+            "crowd_filter requires binary single-choice tasks",
+        ));
     }
-    let mut votes: Vec<[u32; 2]> = vec![[0, 0]; items.len()];
-    let mut open: Vec<usize> = (0..items.len()).collect();
-    let mut asked = 0usize;
-
-    while !open.is_empty() {
-        let reqs: Vec<AskRequest<'_>> = open.iter().map(|&i| AskRequest::new(&items[i])).collect();
-        let outcomes = oracle.ask_batch(&reqs)?;
-        let mut next_open = Vec::with_capacity(open.len());
-        let mut exhausted = false;
-        for (&i, out) in open.iter().zip(&outcomes) {
-            for a in &out.answers {
-                if let Some(l) = a.value.as_choice() {
-                    votes[i][(l == 1) as usize] += 1;
-                    asked += 1;
-                }
-            }
-            out.check()?;
-            exhausted |= out.stopped_by_exhaustion();
-            if !rule.should_stop(&votes[i], max_answers) {
-                next_open.push(i);
-            }
-        }
-        if exhausted {
-            break;
-        }
-        open = next_open;
-    }
-
-    let decisions = votes
+    let collected = run_assignment(
+        oracle,
+        items,
+        &mut UntilStopped(rule),
+        usize::MAX,
+        max_answers,
+    )?;
+    let decisions = collected
+        .votes
         .iter()
-        .map(|&[no, yes]| {
-            if no + yes == 0 {
-                None
-            } else {
-                Some(FilterDecision {
-                    keep: yes > no,
-                    no_votes: no,
-                    yes_votes: yes,
-                })
-            }
+        .map(|v| {
+            let (no, yes) = (v[0], v[1]);
+            (no + yes > 0).then_some(FilterDecision {
+                keep: yes > no,
+                no_votes: no,
+                yes_votes: yes,
+            })
         })
         .collect();
 
     Ok(FilterOutcome {
         decisions,
-        questions_asked: asked,
+        questions_asked: collected.questions_asked,
     })
 }
 
@@ -206,6 +184,39 @@ mod tests {
         assert_eq!(out.questions_asked, 2);
         let undecided = out.decisions.iter().filter(|d| d.is_none()).count();
         assert_eq!(undecided, 2);
+    }
+
+    #[test]
+    fn a_zero_answer_cap_buys_nothing_and_decides_nothing() {
+        let ts = items(&[true, false]);
+        let oracle = TruthfulOracle::new(1e9);
+        let out = crowd_filter(&oracle, &ts, &FixedK { k: 3 }, 0).unwrap();
+        assert_eq!(out.questions_asked, 0);
+        assert_eq!(oracle.answers_delivered(), 0);
+        assert_eq!(out.decisions, vec![None, None]);
+    }
+
+    #[test]
+    fn an_answer_outside_the_two_labels_is_an_error() {
+        /// Answers every item with the label no binary task has.
+        struct ThirdLabel;
+        impl CrowdOracle for ThirdLabel {
+            fn ask_one(&self, task: &Task) -> Result<Answer> {
+                Ok(Answer::bare(
+                    task.id,
+                    WorkerId::new(0),
+                    AnswerValue::Choice(2),
+                ))
+            }
+            fn remaining_budget(&self) -> Option<f64> {
+                None
+            }
+            fn answers_delivered(&self) -> u64 {
+                0
+            }
+        }
+        let err = crowd_filter(&ThirdLabel, &items(&[true]), &FixedK { k: 1 }, 1).unwrap_err();
+        assert_eq!(err, CrowdError::LabelOutOfRange { label: 2, space: 2 });
     }
 
     #[test]

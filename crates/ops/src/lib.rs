@@ -4,7 +4,7 @@
 //! per operator family:
 //!
 //! * [`filter`] — crowd selection (`WHERE crowd_predicate(item)`) with
-//!   adaptive per-item stopping.
+//!   adaptive per-item stopping, collected by `crowdkit_assign::run_assignment`.
 //! * [`join`] — crowd join / entity resolution: similarity blocking, crowd
 //!   pair verification, and transitivity-based answer deduction.
 //! * [`sort`] — sort / top-k / max from noisy pairwise comparisons, with
@@ -14,7 +14,9 @@
 //!   intervals.
 //! * [`collect`] — open-world enumeration with species-richness estimation
 //!   (Good–Turing coverage, Chao1/Chao92).
-//! * [`fill`] — missing-cell completion by normalized plurality.
+//! * [`fill`] — missing-cell completion by normalized plurality, the one
+//!   fill path: the CrowdSQL executor and the crowd-Datalog resolver buy
+//!   and reconcile through it.
 //! * [`categorize`] — taxonomy placement with hierarchy-aware voting.
 //! * [`reconcile`] — the single answer reconciliation (normalized
 //!   plurality, yes/no majority) shared by these operators, the CrowdSQL

@@ -31,9 +31,10 @@
 //! joined row), and CROWDEQUAL verdicts are cached per unordered value
 //! pair exactly like the old executor.
 //!
-//! The executor owns no voting logic: fill answers settle through
-//! [`crowdkit_ops::reconcile::plurality`] (only the INT/TEXT conversion
-//! of the winner lives here), CROWDEQUAL verdicts through
+//! The executor owns no voting logic: fills are bought and reconciled by
+//! [`crowdkit_ops::fill::crowd_fill`], one call per `batch` cells (only
+//! the tasks, their ids and ask order, and the INT/TEXT conversion of the
+//! winner live here), CROWDEQUAL verdicts settle through
 //! [`crowdkit_ops::reconcile::yes_majority`], and every short delivery
 //! through [`AskOutcome::check`]. Fill and join buy `batch` requests per
 //! platform round-trip; `batch = 0` is the same loop with one request per
@@ -54,7 +55,8 @@ use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::IdGen;
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
-use crowdkit_ops::reconcile::{plurality, yes_majority};
+use crowdkit_ops::fill::crowd_fill;
+use crowdkit_ops::reconcile::{yes_majority, Plurality};
 use crowdkit_ops::sort::rankers::copeland;
 use crowdkit_ops::sort::tournament::crowd_top_k;
 use crowdkit_ops::sort::{collect_comparisons, order_by_scores, ComparisonGraph};
@@ -762,21 +764,16 @@ struct CrowdFillOp<'c> {
     spend: f64,
 }
 
-/// One fill purchase order: base cell key, the task to ask, target type.
-struct PendingFill {
-    key: (String, usize, usize),
-    task: Task,
-    ty: ColumnType,
-}
-
 impl CrowdFillOp<'_> {
     fn fill_all(&mut self, cx: &mut ExecCx<'_>, rows: &mut [ExecRow<'_>]) -> Result<()> {
         let oracle = cx.require_oracle(NO_ORACLE_FILL)?;
         let q0 = cx.delivered();
         let s0 = cx.spent();
         // Collect one purchase per still-unpriced base cell, in
-        // column-major then row order (the old executor's ask order).
-        let mut pending: Vec<PendingFill> = Vec::new();
+        // column-major then row order (the old executor's ask order): its
+        // base cell key and target type, and the task to ask.
+        let mut cells: Vec<((String, usize, usize), ColumnType)> = Vec::new();
+        let mut tasks: Vec<Task> = Vec::new();
         let mut queued: HashSet<(String, usize, usize)> = HashSet::new();
         for fs in self.slots {
             for row in rows.iter() {
@@ -790,27 +787,27 @@ impl CrowdFillOp<'_> {
                 if cx.fill_results.contains_key(&key) || queued.contains(&key) {
                     continue;
                 }
-                let task =
-                    cx.factory
-                        .fill_task(cx.ids.next_task(), &fs.table, &row.values, &fs.column);
+                tasks.push(cx.factory.fill_task(
+                    cx.ids.next_task(),
+                    &fs.table,
+                    &row.values,
+                    &fs.column,
+                ));
                 queued.insert(key.clone());
-                pending.push(PendingFill {
-                    key,
-                    task,
-                    ty: fs.ty,
-                });
+                cells.push((key, fs.ty));
             }
         }
         // `batch` cells per round-trip; 0 means one cell per round-trip.
-        let votes = self.redundancy.max(1) as usize;
-        for chunk in pending.chunks(self.batch.max(1)) {
-            let reqs: Vec<AskRequest<'_>> = chunk
-                .iter()
-                .map(|p| AskRequest::new(&p.task).with_redundancy(votes))
-                .collect();
-            let outs = oracle.ask_batch(&reqs)?;
-            for (p, out) in chunk.iter().zip(&outs) {
-                settle_fill(cx, p, out)?;
+        let per_trip = self.batch.max(1);
+        for (tasks, cells) in tasks.chunks(per_trip).zip(cells.chunks(per_trip)) {
+            let filled = crowd_fill(oracle, tasks, self.redundancy)?;
+            for (f, (key, ty)) in filled.into_iter().zip(cells) {
+                let value = fill_value(f.winner, *ty);
+                if let Some(v) = &value {
+                    cx.writebacks.push((key.0.clone(), key.1, key.2, v.clone()));
+                    cx.cells_filled += 1;
+                }
+                cx.fill_results.insert(key.clone(), value);
             }
         }
         // Apply reconciled values to every buffered row copy.
@@ -834,28 +831,15 @@ impl CrowdFillOp<'_> {
     }
 }
 
-/// The cell value a fill's answers settle on: the plurality winner's
-/// surface form in the column's type. A tie, no usable answer or an
+/// The cell value a fill settles on: the plurality winner's surface form
+/// in the column's type. No winner (a tie or no usable answer) or an
 /// unparsable INT leaves the cell NULL (`None`).
-fn fill_value(answers: &[Answer], ty: ColumnType) -> Option<Value> {
-    let winner = plurality(answers)?.surface;
+fn fill_value(winner: Option<Plurality>, ty: ColumnType) -> Option<Value> {
+    let winner = winner?.surface;
     match ty {
         ColumnType::Int => winner.parse::<i64>().ok().map(Value::Int),
         ColumnType::Text => Some(Value::Text(winner)),
     }
-}
-
-/// Records one settled fill purchase in the context.
-fn settle_fill(cx: &mut ExecCx<'_>, p: &PendingFill, out: &AskOutcome) -> Result<()> {
-    out.check()?;
-    let value = fill_value(&out.answers, p.ty);
-    if let Some(v) = &value {
-        cx.writebacks
-            .push((p.key.0.clone(), p.key.1, p.key.2, v.clone()));
-        cx.cells_filled += 1;
-    }
-    cx.fill_results.insert(p.key.clone(), value);
-    Ok(())
 }
 
 impl<'c> Operator<'c> for CrowdFillOp<'c> {
@@ -1312,6 +1296,7 @@ mod tests {
     use super::*;
     use crowdkit_core::answer::AnswerValue;
     use crowdkit_core::ids::{TaskId, WorkerId};
+    use crowdkit_ops::reconcile::plurality;
 
     struct PricedOracle {
         delivered: Cell<u64>,
@@ -1522,16 +1507,16 @@ mod tests {
             )
         };
         let win = fill_value(
-            &[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")],
+            plurality(&[mk(0, "Phone"), mk(1, " phone "), mk(2, "laptop")]),
             ColumnType::Text,
         );
         assert_eq!(win, Some(Value::Text("Phone".to_owned())));
-        let int = fill_value(&[mk(0, " 42 ")], ColumnType::Int);
+        let int = fill_value(plurality(&[mk(0, " 42 ")]), ColumnType::Int);
         assert_eq!(int, Some(Value::Int(42)));
-        let bad_int = fill_value(&[mk(0, "many")], ColumnType::Int);
+        let bad_int = fill_value(plurality(&[mk(0, "many")]), ColumnType::Int);
         assert_eq!(bad_int, None, "an unparsable INT stays NULL");
         assert_eq!(
-            fill_value(&[mk(0, "a"), mk(1, "b")], ColumnType::Int),
+            fill_value(plurality(&[mk(0, "a"), mk(1, "b")]), ColumnType::Int),
             None,
             "a tie stays NULL"
         );

@@ -16,7 +16,6 @@
 //!   nondeterminism — the workspace's DET001 bug class — cannot arise).
 
 use std::fmt;
-use std::fmt::Write as _;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,25 +119,9 @@ impl Json {
     }
 }
 
-/// Escapes and writes one JSON string literal, mirroring the obs writer's
-/// escape set so round-trips through [`Json`] are byte-exact.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Escapes and writes one JSON string literal: the obs writer's own
+/// escaper, so round-trips through [`Json`] are byte-exact.
+pub use crowdkit_obs::write_json_string;
 
 /// A parse failure at a 1-based byte column of the input.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,10 +3,13 @@
 //! A labeling pipeline does three things: buy `k` answers per task from a
 //! [`CrowdOracle`] (optionally stopping early per task via a
 //! [`StoppingRule`]), build the [`ResponseMatrix`], and run a
-//! [`TruthInferencer`]. This module packages that loop once so every
-//! experiment, example and integration test exercises the same code path.
+//! [`TruthInferencer`]. The buying is
+//! [`crowdkit_assign::run_assignment`]'s wave loop under the
+//! [`UntilStopped`] policy, the loop every assignment experiment runs;
+//! this module only adds the inference, so every experiment, example and
+//! integration test exercises the same code path.
 
-use crowdkit_core::ask::AskRequest;
+use crowdkit_assign::{run_assignment, UntilStopped};
 use crowdkit_core::error::Result;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::task::Task;
@@ -70,6 +73,11 @@ where
 /// ones, which is the entire point of adaptive stopping. Each wave goes to
 /// the platform as one batched request, so the still-open tasks of a wave
 /// overlap in crowd latency.
+///
+/// The tasks must be single-choice over one label space; otherwise the
+/// call buys nothing and returns
+/// [`CrowdError::DimensionMismatch`](crowdkit_core::error::CrowdError::DimensionMismatch),
+/// as [`run_assignment`] does.
 pub fn label_tasks_adaptive<O, R, I>(
     oracle: &O,
     tasks: &[Task],
@@ -82,45 +90,17 @@ where
     R: StoppingRule + ?Sized,
     I: TruthInferencer + ?Sized,
 {
-    let num_labels = tasks.iter().filter_map(Task::num_labels).max().unwrap_or(2);
-    let mut matrix = ResponseMatrix::new(num_labels);
-    let mut votes: Vec<Vec<u32>> = tasks.iter().map(|_| vec![0u32; num_labels]).collect();
-    let mut open: Vec<usize> = (0..tasks.len()).collect();
-    let mut bought = 0usize;
-
-    while !open.is_empty() {
-        let reqs: Vec<AskRequest<'_>> =
-            open.iter().map(|&ti| AskRequest::new(&tasks[ti])).collect();
-        let outcomes = oracle.ask_batch(&reqs)?;
-        let mut still_open = Vec::with_capacity(open.len());
-        let mut exhausted = false;
-        for (&ti, out) in open.iter().zip(&outcomes) {
-            // Budget or pool died somewhere in this wave: keep what was
-            // bought, stop collecting entirely afterwards.
-            out.check()?;
-            exhausted |= out.stopped_by_exhaustion();
-            for answer in &out.answers {
-                if let Some(label) = answer.value.as_choice() {
-                    matrix.push(answer.task, answer.worker, label)?;
-                    votes[ti][label as usize] += 1;
-                    bought += 1;
-                }
-            }
-            if !rule.should_stop(&votes[ti], max_answers) {
-                still_open.push(ti);
-            }
-        }
-        if exhausted {
-            break;
-        }
-        open = still_open;
-    }
-
-    let inference = inferencer.infer(&matrix)?;
+    let collected = run_assignment(
+        oracle,
+        tasks,
+        &mut UntilStopped(rule),
+        usize::MAX,
+        max_answers,
+    )?;
     Ok(PipelineOutcome {
-        inference,
-        matrix,
-        answers_bought: bought,
+        inference: inferencer.infer(&collected.matrix)?,
+        matrix: collected.matrix,
+        answers_bought: collected.questions_asked,
     })
 }
 
